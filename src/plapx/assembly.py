@@ -14,7 +14,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .varexp import (QuadratureContext, field_values, EvaluationError,
-                     PreconditionError)
+                     PreconditionError, _check_finite)
 
 __all__ = [
     "P1Function",
@@ -62,8 +62,7 @@ class P1Function:
         return np.einsum("qi,ti->tq", qctx.bary,
                          self.coeffs[self.mesh.triangles])
 
-    def evaluate(self, x, y):
-        """Point evaluation anywhere in the mesh (vectorized)."""
+    def _locate(self, x, y):
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         shape = np.broadcast(x, y).shape
@@ -75,6 +74,11 @@ class P1Function:
             k = int(np.flatnonzero(missing)[0])
             raise EvaluationError("point outside the mesh",
                                   pts[k, 0], pts[k, 1])
+        return shape, tri, bary
+
+    def evaluate(self, x, y):
+        """Point evaluation anywhere in the mesh (vectorized)."""
+        shape, tri, bary = self._locate(x, y)
         vals = np.einsum("kj,kj->k", bary,
                          self.coeffs[self.mesh.triangles[tri]])
         out = vals.reshape(shape)
@@ -82,19 +86,8 @@ class P1Function:
 
     def gradient_at(self, x, y):
         """Piecewise-constant gradient sampled at points, shape (..., 2)."""
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        shape = np.broadcast(x, y).shape
-        pts = np.column_stack([np.broadcast_to(x, shape).ravel(),
-                               np.broadcast_to(y, shape).ravel()])
-        tri, _ = self.mesh.locate(pts, tol=1e-8)
-        missing = tri < 0
-        if np.any(missing):
-            k = int(np.flatnonzero(missing)[0])
-            raise EvaluationError("point outside the mesh",
-                                  pts[k, 0], pts[k, 1])
-        g = self.triangle_gradients()[tri]
-        return g.reshape(shape + (2,))
+        shape, tri, _ = self._locate(x, y)
+        return self.triangle_gradients()[tri].reshape(shape + (2,))
 
     def __add__(self, other):
         self._check_same(other)
@@ -162,10 +155,7 @@ def _gradient_data(u: P1Function, p, eps, qctx: QuadratureContext):
     gu = u.triangle_gradients()
     gn2 = np.einsum("td,td->t", gu, gu)
     pv = field_values(p, qctx.x, qctx.y)
-    if not np.all(np.isfinite(pv)):
-        idx = tuple(np.argwhere(~np.isfinite(pv))[0])
-        raise EvaluationError("non-finite exponent value",
-                              qctx.x[idx], qctx.y[idx])
+    _check_finite(pv, qctx, "exponent")
     v2 = gn2 + eps
     with np.errstate(over="ignore"):
         vpow = v2[:, None] ** (0.5 * (pv - 2.0))
@@ -183,18 +173,18 @@ def energy(u: P1Function, p, eps, qctx: QuadratureContext) -> float:
     return float(np.sum(qctx.weights * dens))
 
 
+def _vertex_sum(mesh, local):
+    """Sum per-triangle vertex contributions (m, 3) into a vertex vector."""
+    return np.bincount(mesh.triangles.ravel(), weights=local.ravel(),
+                       minlength=mesh.n_points)
+
+
 def assemble_load(f, qctx: QuadratureContext):
     """Load vector (integral of f phi_i) over all vertices."""
-    mesh = qctx.mesh
     fv = field_values(f, qctx.x, qctx.y)
-    if not np.all(np.isfinite(fv)):
-        idx = tuple(np.argwhere(~np.isfinite(fv))[0])
-        raise EvaluationError("non-finite source value",
-                              qctx.x[idx], qctx.y[idx])
+    _check_finite(fv, qctx, "source")
     local = np.einsum("tq,qi->ti", qctx.weights * fv, qctx.bary)
-    b = np.zeros(mesh.n_points)
-    np.add.at(b, mesh.triangles, local)
-    return b
+    return _vertex_sum(qctx.mesh, local)
 
 
 def _verify_boundary_values(u: P1Function, g_data):
@@ -212,11 +202,12 @@ def _verify_boundary_values(u: P1Function, g_data):
 
 
 def assemble_residual(u: P1Function, p, f, eps, qctx: QuadratureContext,
-                      g_data=None):
+                      g_data=None, load=None):
     """Residual of the discrete regularized problem.
 
     Rows are the interior vertex equations; boundary rows are zero.  When
-    ``g_data`` is passed, the iterate is checked against it first.
+    ``g_data`` is passed, the iterate is checked against it first.  A
+    ``load`` vector assembled beforehand from ``f`` saves reassembling it.
     """
     _check_eps(eps)
     if g_data is not None:
@@ -225,36 +216,44 @@ def assemble_residual(u: P1Function, p, f, eps, qctx: QuadratureContext,
     gu, gn2, pv, v2, vpow = _gradient_data(u, p, eps, qctx)
     s1 = np.sum(qctx.weights * vpow, axis=1)
     gb = mesh.basis_gradients()
-    flux = np.einsum("t,tid,td->ti", s1, gb, gu)
-    R = np.zeros(mesh.n_points)
-    np.add.at(R, mesh.triangles, flux)
-    R -= assemble_load(f, qctx)
+    R = _vertex_sum(mesh, np.einsum("t,tid,td->ti", s1, gb, gu))
+    R -= assemble_load(f, qctx) if load is None else load
     R[mesh.is_boundary] = 0.0
     return R
+
+
+def _flux_operator(u: P1Function, p, eps, qctx: QuadratureContext,
+                   linearize) -> SparseSymmetricOperator:
+    """Integral of v^(p-2) grad phi_j . grad phi_i at the iterate, plus the
+    derivative of the coefficient v^(p-2) when ``linearize``.
+
+    The local matrices are exactly symmetric and are summed into the mesh's
+    fixed P1 pattern, so the assembled matrix is exactly symmetric too.
+    """
+    _check_eps(eps)
+    mesh = u.mesh
+    gu, gn2, pv, v2, vpow = _gradient_data(u, p, eps, qctx)
+    w = qctx.weights
+    s1 = np.sum(w * vpow, axis=1)
+    gb = mesh.basis_gradients()
+    local = s1[:, None, None] * np.einsum("tid,tjd->tij", gb, gb)
+    if linearize:
+        s2 = np.sum(w * vpow * (pv - 2.0), axis=1)
+        du = np.einsum("tid,td->ti", gb, gu)
+        local = local + ((s2 / v2)[:, None, None]
+                         * np.einsum("ti,tj->tij", du, du))
+    pat = mesh.p1_pattern()
+    data = np.bincount(pat.scatter, weights=local.ravel(),
+                       minlength=len(pat.indices))
+    return SparseSymmetricOperator(sp.csr_matrix(
+        (data, pat.indices, pat.indptr), shape=(mesh.n_points,) * 2))
 
 
 def assemble_jacobian(u: P1Function, p, eps,
                       qctx: QuadratureContext) -> SparseSymmetricOperator:
     """Derivative of the residual flux term; symmetric, SPD on the interior
     subspace for exponents above 1."""
-    _check_eps(eps)
-    mesh = u.mesh
-    gu, gn2, pv, v2, vpow = _gradient_data(u, p, eps, qctx)
-    w = qctx.weights
-    s1 = np.sum(w * vpow, axis=1)
-    s2 = np.sum(w * vpow * (pv - 2.0), axis=1)
-    gb = mesh.basis_gradients()
-    gg = np.einsum("tid,tjd->tij", gb, gb)
-    du = np.einsum("tid,td->ti", gb, gu)
-    local = (s1[:, None, None] * gg
-             + (s2 / v2)[:, None, None] * np.einsum("ti,tj->tij", du, du))
-    tri = mesh.triangles
-    rows = np.repeat(tri, 3, axis=1).ravel()
-    cols = np.tile(tri, (1, 3)).ravel()
-    mat = sp.coo_matrix((local.ravel(), (rows, cols)),
-                        shape=(mesh.n_points, mesh.n_points)).tocsr()
-    mat = 0.5 * (mat + mat.T)
-    return SparseSymmetricOperator(mat)
+    return _flux_operator(u, p, eps, qctx, linearize=True)
 
 
 def weighted_stiffness(u: P1Function, p, eps,
@@ -262,20 +261,7 @@ def weighted_stiffness(u: P1Function, p, eps,
     """Frozen-coefficient operator: integral of v^(p-2) grad phi_j . grad
     phi_i with v evaluated at the current iterate (the fallback iteration
     matrix; also the plain stiffness matrix when p is 2)."""
-    _check_eps(eps)
-    mesh = u.mesh
-    gu, gn2, pv, v2, vpow = _gradient_data(u, p, eps, qctx)
-    s1 = np.sum(qctx.weights * vpow, axis=1)
-    gb = mesh.basis_gradients()
-    gg = np.einsum("tid,tjd->tij", gb, gb)
-    local = s1[:, None, None] * gg
-    tri = mesh.triangles
-    rows = np.repeat(tri, 3, axis=1).ravel()
-    cols = np.tile(tri, (1, 3)).ravel()
-    mat = sp.coo_matrix((local.ravel(), (rows, cols)),
-                        shape=(mesh.n_points, mesh.n_points)).tocsr()
-    mat = 0.5 * (mat + mat.T)
-    return SparseSymmetricOperator(mat)
+    return _flux_operator(u, p, eps, qctx, linearize=False)
 
 
 class ReducedSystem:
@@ -298,17 +284,24 @@ class ReducedSystem:
 def apply_dirichlet(A, b, mesh, g) -> ReducedSystem:
     """Condense Dirichlet data out of the full system symmetrically.
 
-    Boundary coefficients are the vertex interpolation of ``g``; the reduced
-    right-hand side absorbs the coupling, so the reduced operator is the
-    symmetric interior principal submatrix.
+    ``A`` must be assembled on the mesh's P1 pattern, as every operator
+    here is.  Boundary coefficients are the vertex interpolation of ``g``;
+    the reduced right-hand side absorbs the coupling, so the reduced
+    operator is the symmetric interior principal submatrix.
     """
     if isinstance(A, SparseSymmetricOperator):
         A = A.matrix
     A = A.tocsr()
+    pat = mesh.p1_pattern()
+    if not (np.array_equal(A.indptr, pat.indptr)
+            and np.array_equal(A.indices, pat.indices)):
+        raise ValueError("matrix is not assembled on the mesh's P1 pattern")
     bnd = mesh.is_boundary
-    interior = np.flatnonzero(~bnd)
+    interior = pat.interior
     gvals = np.zeros(mesh.n_points)
     gvals[bnd] = field_values(g, mesh.points[bnd, 0], mesh.points[bnd, 1])
-    rhs = b[interior] - (A[interior] @ gvals)
-    reduced = SparseSymmetricOperator(A[interior][:, interior])
+    rhs = b[interior] - (A @ gvals)[interior]
+    reduced = SparseSymmetricOperator(sp.csr_matrix(
+        (A.data[pat.interior_slots], pat.interior_indices,
+         pat.interior_indptr), shape=(len(interior), len(interior))))
     return ReducedSystem(reduced, rhs, gvals, interior, mesh)

@@ -13,6 +13,7 @@ from .experiments import (ConfigError, ExperimentConfig, run_convergence,
                           run_domain_sweep, run_eps_sweep,
                           run_identity_check, run_p1_sweep, run_solve,
                           thread_count)
+from .expressions import FieldEvaluationError
 from .geometry import GeometryError, ParameterError, save_mesh
 from .regularity import SamplingError
 from .solver import HypothesisError, LinearSolveError, NewtonError, validate_spec
@@ -39,7 +40,8 @@ _HELP = {
 
 _KNOWN_ERRORS = (ConfigError, GeometryError, ParameterError, SamplingError,
                  HypothesisError, LinearSolveError, NewtonError,
-                 NonconvergenceError, PreconditionError, OSError, ValueError)
+                 FieldEvaluationError, NonconvergenceError, PreconditionError,
+                 OSError, ValueError)
 
 
 def build_parser():

@@ -11,6 +11,7 @@ scaling fits, failures).
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import os
@@ -23,7 +24,7 @@ from . import regularity
 from .expressions import FieldSyntaxError, parse_field
 from .geometry import (ConvexDomain, refine_uniform, round_corners,
                        triangulate_convex)
-from .solver import (EpsRecord, NewtonError, ProblemSpec, continuation_solve,
+from .solver import (SOLVE_ERRORS, EpsRecord, ProblemSpec, continuation_solve,
                      validate_spec)
 from .varexp import ExponentField, QuadratureContext, field_values
 
@@ -220,17 +221,14 @@ class ExperimentConfig:
         with open(path, "r", encoding="utf-8") as fh:
             return cls.from_text(fh.read())
 
-    def problem_spec(self, p=None, domain=None) -> ProblemSpec:
+    def problem_spec(self, **overrides) -> ProblemSpec:
+        """The configured ProblemSpec (its fields share names with the
+        config's), with ``overrides`` such as ``p=`` or ``domain=``."""
+        values = {f.name: getattr(self, f.name)
+                  for f in dataclasses.fields(ProblemSpec)}
+        values.update(overrides)
         try:
-            return ProblemSpec(
-                domain=self.domain if domain is None else domain,
-                p=self.p if p is None else p,
-                f=self.f, g=self.g, q=self.q,
-                eps_start=self.eps_start, eps_stop=self.eps_stop,
-                eps_factor=self.eps_factor, mesh_h=self.mesh_h,
-                newton_tol=self.newton_tol,
-                newton_max_iter=self.newton_max_iter,
-                s_exponent=self.s_exponent, seed=self.seed)
+            return ProblemSpec(**values)
         except ValueError as err:
             raise ConfigError(str(err))
 
@@ -316,7 +314,17 @@ def _payload_base(config: ExperimentConfig, command: str, columns):
         "config": dict(config.raw),
         "columns": list(columns),
         "seed": config.seed,
+        "validation_warnings": [],
+        "failures": [],
     }
+
+
+def _solve_member(spec, mesh):
+    """One sweep member's continuation: (report, None) or (None, reason)."""
+    try:
+        return continuation_solve(spec, mesh=mesh), None
+    except SOLVE_ERRORS as err:
+        return None, str(err)
 
 
 def _emit(config, command, columns, rows, payload, mesh=None, solution=None):
@@ -360,50 +368,39 @@ def _ellipticity_audit(u, spec: ProblemSpec, eps: float, n: int = 2000,
     }
 
 
-def _continuation_rows(config, spec, mesh, payload):
-    """Run the continuation and return (records, final solution or None)."""
+def _run_continuation(config: ExperimentConfig, command, final_only):
+    """Continuation solve; on failure the records that finished (plus the
+    failed one) are kept and the failure goes to the sidecar."""
+    spec = config.problem_spec()
+    mesh = config.working_mesh()
+    payload = _payload_base(config, command, EpsRecord.COLUMNS)
     try:
         report = continuation_solve(spec, mesh=mesh)
-    except NewtonError as err:
-        payload["validation_warnings"] = []
-        payload["failures"] = [{"eps": getattr(err, "failed_eps", None),
-                                "reason": str(err)}]
-        return list(getattr(err, "records", [])), None
-    payload["validation_warnings"] = list(report.warnings)
-    payload["failures"] = []
-    return report.records, report.solution
+    except SOLVE_ERRORS as err:
+        records, solution, warnings = err.records, None, err.warnings
+        payload["failures"] = [{"eps": err.failed_eps, "reason": str(err)}]
+    else:
+        records, solution = report.records, report.solution
+        warnings = report.warnings
+    payload["validation_warnings"] = list(warnings)
+    rows = [r.row() for r in (records[-1:] if final_only else records)]
+    if solution is not None:
+        payload["ellipticity_audit"] = _ellipticity_audit(
+            solution, spec, spec.eps_stop)
+    payload["mesh"] = {"n_points": mesh.n_points,
+                       "n_triangles": mesh.n_triangles, "h": mesh.h}
+    return _emit(config, command, EpsRecord.COLUMNS, rows, payload, mesh,
+                 solution)
 
 
 def run_solve(config: ExperimentConfig) -> ExperimentResult:
     """Continuation solve; CSV holds the final-eps record only."""
-    spec = config.problem_spec()
-    mesh = config.working_mesh()
-    payload = _payload_base(config, "solve", EpsRecord.COLUMNS)
-    records, solution = _continuation_rows(config, spec, mesh, payload)
-    rows = [records[-1].row()] if records else []
-    if solution is not None:
-        payload["ellipticity_audit"] = _ellipticity_audit(
-            solution, spec, spec.eps_stop)
-    payload["mesh"] = {"n_points": mesh.n_points,
-                       "n_triangles": mesh.n_triangles, "h": mesh.h}
-    return _emit(config, "solve", EpsRecord.COLUMNS, rows, payload, mesh,
-                 solution)
+    return _run_continuation(config, "solve", final_only=True)
 
 
 def run_eps_sweep(config: ExperimentConfig) -> ExperimentResult:
     """One CSV row per eps of the continuation, in sweep order."""
-    spec = config.problem_spec()
-    mesh = config.working_mesh()
-    payload = _payload_base(config, "sweep-eps", EpsRecord.COLUMNS)
-    records, solution = _continuation_rows(config, spec, mesh, payload)
-    rows = [r.row() for r in records]
-    if solution is not None:
-        payload["ellipticity_audit"] = _ellipticity_audit(
-            solution, spec, spec.eps_stop)
-    payload["mesh"] = {"n_points": mesh.n_points,
-                       "n_triangles": mesh.n_triangles, "h": mesh.h}
-    return _emit(config, "sweep-eps", EpsRecord.COLUMNS, rows, payload, mesh,
-                 solution)
+    return _run_continuation(config, "sweep-eps", final_only=False)
 
 
 def l2_h1_errors(u, exact, qctx=None):
@@ -444,17 +441,19 @@ def run_convergence(config: ExperimentConfig) -> ExperimentResult:
 
     payload = _payload_base(config, "convergence", CONVERGENCE_COLUMNS)
     payload["validation_warnings"] = validate_spec(spec)
-    payload["failures"] = []
 
-    def member(mesh):
-        report = continuation_solve(spec, mesh=mesh)
-        return report.solution
-
-    solutions = _map_ordered(member, meshes)
+    results = _map_ordered(lambda mesh: _solve_member(spec, mesh), meshes)
     rows = []
     prev = None
-    for level, (mesh, u) in enumerate(zip(meshes, solutions)):
-        l2, h1 = l2_h1_errors(u, config.u_exact)
+    solution = None
+    for level, (mesh, (report, reason)) in enumerate(zip(meshes, results)):
+        if report is None:
+            # the next level then has no order: it needs two solved levels
+            payload["failures"].append({"level": level, "reason": reason})
+            prev = None
+            continue
+        solution = report.solution
+        l2, h1 = l2_h1_errors(solution, config.u_exact)
         if prev is None:
             l2_order = h1_order = math.nan
         else:
@@ -464,7 +463,7 @@ def run_convergence(config: ExperimentConfig) -> ExperimentResult:
         rows.append([level, mesh.h, l2, h1, l2_order, h1_order])
         prev = (mesh.h, l2, h1)
     return _emit(config, "convergence", CONVERGENCE_COLUMNS, rows, payload,
-                 meshes[0], solutions[-1])
+                 meshes[0], solution)
 
 
 P1_COLUMNS = ("p1",) + EpsRecord.COLUMNS
@@ -479,23 +478,19 @@ def run_p1_sweep(config: ExperimentConfig) -> ExperimentResult:
             raise ConfigError(f"key 'p1.list': exponent {v} must exceed 1")
     mesh = config.working_mesh()
     payload = _payload_base(config, "sweep-p1", P1_COLUMNS)
-    payload["validation_warnings"] = []
-    payload["failures"] = []
 
     def member(p1):
-        spec = config.problem_spec(p=ExponentField.constant(p1))
-        try:
-            report = continuation_solve(spec, mesh=mesh)
-        except NewtonError as err:
-            return p1, None, str(err)
-        return p1, report.final(), None
+        return _solve_member(
+            config.problem_spec(p=ExponentField.constant(p1)), mesh)
 
     rows = []
     fit_p1, fit_dq, fit_rec = [], [], []
-    for p1, final, reason in _map_ordered(member, config.p1_list):
-        if final is None:
+    results = _map_ordered(member, config.p1_list)
+    for p1, (report, reason) in zip(config.p1_list, results):
+        if report is None:
             payload["failures"].append({"p1": p1, "reason": reason})
             continue
+        final = report.final()
         rows.append([p1] + final.row())
         fit_p1.append(p1)
         fit_dq.append(final.h2_dq)
@@ -537,19 +532,12 @@ def run_domain_sweep(config: ExperimentConfig) -> ExperimentResult:
     window = regularity.default_window(domains[0], 2.0 * config.mesh_h)
 
     payload = _payload_base(config, "sweep-domain", DOMAIN_COLUMNS)
-    payload["validation_warnings"] = []
-    payload["failures"] = []
     payload["window"] = {"origin": list(window[0]), "spacing": window[1],
                          "nx": window[2], "ny": window[3]}
 
     def member(dom):
-        spec = config.problem_spec(domain=dom)
-        mesh = config.working_mesh(dom)
-        try:
-            report = continuation_solve(spec, mesh=mesh)
-        except NewtonError as err:
-            return None, str(err)
-        return report, None
+        return _solve_member(config.problem_spec(domain=dom),
+                             config.working_mesh(dom))
 
     results = _map_ordered(member, domains)
     rows = []
@@ -583,8 +571,6 @@ def run_identity_check(config: ExperimentConfig) -> ExperimentResult:
     function (a built-in trio when identity.exprs is absent)."""
     exprs = list(config.identity_exprs) or list(DEFAULT_IDENTITY_EXPRS)
     payload = _payload_base(config, "check-identity", IDENTITY_COLUMNS)
-    payload["validation_warnings"] = []
-    payload["failures"] = []
 
     def member(src):
         try:

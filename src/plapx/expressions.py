@@ -103,6 +103,12 @@ class ScalarFieldExpr:
     def __repr__(self):
         return f"{type(self).__name__}({self})"
 
+    def __setattr__(self, *a):
+        raise AttributeError("expression nodes are immutable")
+
+    def _key(self):
+        return tuple(getattr(self, name) for name in self.__slots__)
+
     def __eq__(self, other):
         return type(self) is type(other) and self._key() == other._key()
 
@@ -118,12 +124,6 @@ class Num(ScalarFieldExpr):
 
     def __init__(self, value):
         object.__setattr__(self, "value", float(value))
-
-    def __setattr__(self, *a):
-        raise AttributeError("expression nodes are immutable")
-
-    def _key(self):
-        return (self.value,)
 
     def _eval(self, x, y):
         return np.full(np.broadcast(x, y).shape, self.value)
@@ -145,12 +145,6 @@ class Var(ScalarFieldExpr):
         assert name in ("x", "y")
         object.__setattr__(self, "name", name)
 
-    def __setattr__(self, *a):
-        raise AttributeError("expression nodes are immutable")
-
-    def _key(self):
-        return (self.name,)
-
     def _eval(self, x, y):
         return x if self.name == "x" else y
 
@@ -166,12 +160,6 @@ class Neg(ScalarFieldExpr):
 
     def __init__(self, arg):
         object.__setattr__(self, "arg", arg)
-
-    def __setattr__(self, *a):
-        raise AttributeError("expression nodes are immutable")
-
-    def _key(self):
-        return (self.arg,)
 
     def _eval(self, x, y):
         return -self.arg._eval(x, y)
@@ -192,12 +180,6 @@ class BinOp(ScalarFieldExpr):
         object.__setattr__(self, "op", op)
         object.__setattr__(self, "left", left)
         object.__setattr__(self, "right", right)
-
-    def __setattr__(self, *a):
-        raise AttributeError("expression nodes are immutable")
-
-    def _key(self):
-        return (self.op, self.left, self.right)
 
     def _eval(self, x, y):
         a = self.left._eval(x, y)
@@ -266,12 +248,6 @@ class Call(ScalarFieldExpr):
         assert func in _FUNCTIONS_1 + _FUNCTIONS_2
         object.__setattr__(self, "func", func)
         object.__setattr__(self, "args", tuple(args))
-
-    def __setattr__(self, *a):
-        raise AttributeError("expression nodes are immutable")
-
-    def _key(self):
-        return (self.func, self.args)
 
     def _eval(self, x, y):
         vals = [a._eval(x, y) for a in self.args]

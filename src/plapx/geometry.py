@@ -18,6 +18,7 @@ from scipy.spatial import Delaunay
 __all__ = [
     "ConvexDomain",
     "TriMesh",
+    "P1Pattern",
     "triangulate_convex",
     "refine_uniform",
     "round_corners",
@@ -325,7 +326,12 @@ class TriMesh:
                 f"{self.areas[bad]:.3e})")
         for arr in (self.points, self.triangles, self.is_boundary, self.areas):
             arr.setflags(write=False)
+        # built on first use, then read-only; pool threads sharing a mesh
+        # may race to build one, but a build is pure, so a race costs only
+        # duplicate work
         self._locator = None
+        self._basis_gradients = None
+        self._p1_pattern = None
 
     @property
     def n_points(self):
@@ -357,14 +363,6 @@ class TriMesh:
             angles.append(np.arccos(cosang))
         return float(np.degrees(np.min(angles)))
 
-    def edge_counts(self):
-        """Map sorted edge (i, j) -> number of incident triangles."""
-        t = self.triangles
-        edges = np.vstack([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]])
-        edges = np.sort(edges, axis=1)
-        uniq, counts = np.unique(edges, axis=0, return_counts=True)
-        return uniq, counts
-
     def boundary_edges(self):
         """Boundary edges oriented CCW with outward unit normals.
 
@@ -384,19 +382,30 @@ class TriMesh:
         return edges, n
 
     def basis_gradients(self):
-        """Gradients of the three P1 basis functions per triangle, (m, 3, 2)."""
-        p = self.points[self.triangles]
-        v0, v1, v2 = p[:, 0], p[:, 1], p[:, 2]
-        twice_area = 2.0 * self.areas
-        g = np.empty((len(self.triangles), 3, 2))
-        g[:, 0, 0] = v1[:, 1] - v2[:, 1]
-        g[:, 0, 1] = v2[:, 0] - v1[:, 0]
-        g[:, 1, 0] = v2[:, 1] - v0[:, 1]
-        g[:, 1, 1] = v0[:, 0] - v2[:, 0]
-        g[:, 2, 0] = v0[:, 1] - v1[:, 1]
-        g[:, 2, 1] = v1[:, 0] - v0[:, 0]
-        g /= twice_area[:, None, None]
-        return g
+        """Gradients of the three P1 basis functions per triangle, (m, 3, 2).
+
+        Computed on first use and cached read-only on the mesh.
+        """
+        if self._basis_gradients is None:
+            p = self.points[self.triangles]
+            v0, v1, v2 = p[:, 0], p[:, 1], p[:, 2]
+            g = np.empty((len(self.triangles), 3, 2))
+            g[:, 0, 0] = v1[:, 1] - v2[:, 1]
+            g[:, 0, 1] = v2[:, 0] - v1[:, 0]
+            g[:, 1, 0] = v2[:, 1] - v0[:, 1]
+            g[:, 1, 1] = v0[:, 0] - v2[:, 0]
+            g[:, 2, 0] = v0[:, 1] - v1[:, 1]
+            g[:, 2, 1] = v1[:, 0] - v0[:, 0]
+            g /= 2.0 * self.areas[:, None, None]
+            g.setflags(write=False)
+            self._basis_gradients = g
+        return self._basis_gradients
+
+    def p1_pattern(self):
+        """CSR pattern of P1 matrices on this mesh (cached, read-only)."""
+        if self._p1_pattern is None:
+            self._p1_pattern = P1Pattern(self)
+        return self._p1_pattern
 
     def locate(self, pts, tol=1e-10):
         """Containing triangle and barycentric coordinates for query points.
@@ -411,6 +420,42 @@ class TriMesh:
     def __repr__(self):
         return (f"TriMesh({self.n_points} points, {self.n_triangles} "
                 f"triangles, h={self.h:.4g})")
+
+
+def _csr_index(rows, cols, n):
+    """CSR indptr and indices (int32) of sorted (row, col) pairs."""
+    return (np.searchsorted(rows, np.arange(n + 1)).astype(np.int32),
+            cols.astype(np.int32))
+
+
+class P1Pattern:
+    """Sparsity of P1 matrices on a mesh: the vertex graph and the diagonal.
+
+    Entry (i, j) of triangle t's local matrix lands in data slot
+    ``scatter[9 t + 3 i + j]`` of the sorted CSR pattern (``indptr``,
+    ``indices``).  ``interior_slots`` picks, in CSR order, the slots of the
+    principal submatrix on the ``interior`` vertices, whose own pattern is
+    (``interior_indptr``, ``interior_indices``).  Index arrays are int32,
+    which scipy matrices share without a copy.
+    """
+
+    def __init__(self, mesh):
+        n = mesh.n_points
+        t = mesh.triangles
+        keys, self.scatter = np.unique(
+            (np.repeat(t, 3, axis=1) * n + np.tile(t, (1, 3))).ravel(),
+            return_inverse=True)
+        rows, cols = np.divmod(keys, n)
+        inside = ~mesh.is_boundary
+        self.interior = np.flatnonzero(inside)
+        self.interior_slots = np.flatnonzero(inside[rows] & inside[cols])
+        renumber = np.cumsum(inside) - 1
+        sub = self.interior_slots
+        self.indptr, self.indices = _csr_index(rows, cols, n)
+        self.interior_indptr, self.interior_indices = _csr_index(
+            renumber[rows[sub]], renumber[cols[sub]], len(self.interior))
+        for arr in vars(self).values():
+            arr.setflags(write=False)
 
 
 class _Locator:
@@ -540,14 +585,17 @@ def _delaunay_triangles(points):
     degenerate = area2 == 0
     if np.any(degenerate):
         t = t[~degenerate]
-    # canonical order: rotate smallest index first (orientation preserved),
-    # then lexicographic row order, for bit-stable output
+    return _canonical_order(t)
+
+
+def _canonical_order(t):
+    """Rotate each triangle's smallest index first (orientation preserved),
+    then sort rows lexicographically, for bit-stable output."""
     rot = np.argmin(t, axis=1)
     for r in (1, 2):
         m = rot == r
         t[m] = np.roll(t[m], -r, axis=1)
-    order = np.lexsort((t[:, 2], t[:, 1], t[:, 0]))
-    return t[order]
+    return t[np.lexsort((t[:, 2], t[:, 1], t[:, 0]))]
 
 
 def _smooth_interior(points, n_boundary, rounds, movable=None):
@@ -652,12 +700,7 @@ def refine_uniform(mesh: TriMesh) -> TriMesh:
 
     on_boundary_edge = counts == 1
     flags = np.concatenate([mesh.is_boundary, on_boundary_edge])
-    rot = np.argmin(children, axis=1)
-    for r in (1, 2):
-        sel = rot == r
-        children[sel] = np.roll(children[sel], -r, axis=1)
-    order = np.lexsort((children[:, 2], children[:, 1], children[:, 0]))
-    return TriMesh(points, children[order], flags)
+    return TriMesh(points, _canonical_order(children), flags)
 
 
 def save_mesh(mesh: TriMesh, path):

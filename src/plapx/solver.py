@@ -10,6 +10,7 @@ sweep commands.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field as dc_field
 
@@ -21,15 +22,17 @@ from . import regularity
 from .assembly import (P1Function, SparseSymmetricOperator, apply_dirichlet,
                        assemble_jacobian, assemble_load, assemble_residual,
                        energy, weighted_stiffness)
-from .expressions import parse_field
+from .expressions import FieldEvaluationError
 from .geometry import triangulate_convex
-from .varexp import ExponentField, QuadratureContext, field_values
+from .varexp import (ExponentField, QuadratureContext, _check_finite,
+                     field_values)
 
 __all__ = [
     "ProblemSpec",
     "SolveReport",
     "EpsRecord",
     "SolveStats",
+    "DiscreteProblem",
     "solve_regularized",
     "continuation_solve",
     "linear_solve",
@@ -39,6 +42,7 @@ __all__ = [
     "LinearSolveError",
     "NewtonError",
     "HypothesisError",
+    "SOLVE_ERRORS",
 ]
 
 
@@ -57,6 +61,11 @@ class NewtonError(RuntimeError):
         super().__init__(message)
         self.best = best
         self.history = list(history or [])
+
+
+# Failures of one continuation solve that sweep drivers record and survive;
+# a field that cannot be evaluated (EvaluationError is one) is among them.
+SOLVE_ERRORS = (NewtonError, LinearSolveError, FieldEvaluationError)
 
 
 @dataclass
@@ -131,9 +140,7 @@ class EpsRecord:
                "meas_Omega1")
 
     def row(self):
-        return [self.eps, self.newton_iterations, self.final_residual,
-                self.energy, self.grad_lp_norm, self.h2_dq, self.h2_recovery,
-                self.meas_A1, self.meas_A2, self.meas_Omega1]
+        return [getattr(self, name) for name in self.COLUMNS]
 
 
 @dataclass
@@ -223,55 +230,91 @@ def with_mollified_exponent(spec: ProblemSpec, delta: float) -> ProblemSpec:
     the new {p_delta <= 2} region."""
     from .varexp import mollify_exponent
     p_delta = mollify_exponent(spec.p, delta)
-    return ProblemSpec(
-        domain=spec.domain, p=p_delta, f=masked_source(spec.f, p_delta),
-        g=spec.g, q=spec.q, eps_start=spec.eps_start, eps_stop=spec.eps_stop,
-        eps_factor=spec.eps_factor, mesh_h=spec.mesh_h,
-        newton_tol=spec.newton_tol, newton_max_iter=spec.newton_max_iter,
-        s_exponent=spec.s_exponent, seed=spec.seed)
+    return dataclasses.replace(spec, p=p_delta,
+                               f=masked_source(spec.f, p_delta))
 
 
-def _functional(u, spec, eps, qctx, load):
-    return energy(u, spec.p, eps, qctx) - float(load @ u.coeffs)
+@dataclass(frozen=True)
+class DiscreteProblem:
+    """What stays fixed while a spec is solved on one mesh.
 
+    Built once per continuation solve: the quadrature context, p and f at
+    its nodes (checked finite here, once), the load vector and the Dirichlet
+    values at the boundary vertices.  Basis gradients and the P1 pattern are
+    cached on the mesh itself.  Only work that depends on the iterate runs
+    per Newton step.
+    """
 
-def _solve_reduced(A, load, mesh, g):
-    sys_ = apply_dirichlet(A, load, mesh, g)
-    x = linear_solve(sys_.operator, sys_.rhs)
-    return P1Function(mesh, sys_.expand(x))
+    qctx: QuadratureContext
+    pv: np.ndarray
+    fv: np.ndarray
+    load: np.ndarray
+    g_boundary: np.ndarray
+
+    @classmethod
+    def build(cls, spec: ProblemSpec, mesh, qctx=None):
+        if qctx is None:
+            qctx = QuadratureContext(mesh)
+        fv = field_values(spec.f, qctx.x, qctx.y)
+        load = assemble_load(fv, qctx)
+        pv = field_values(spec.p, qctx.x, qctx.y)
+        _check_finite(pv, qctx, "exponent")
+        bnd = mesh.is_boundary
+        g_boundary = field_values(spec.g, mesh.points[bnd, 0],
+                                  mesh.points[bnd, 1])
+        return cls(qctx, pv, fv, load, g_boundary)
+
+    @property
+    def mesh(self):
+        return self.qctx.mesh
+
+    def residual(self, u, eps, check_boundary=False):
+        return assemble_residual(
+            u, self.pv, self.fv, eps, self.qctx, load=self.load,
+            g_data=self.g_boundary if check_boundary else None)
+
+    def functional(self, u, eps):
+        """Energy minus the load term: the discrete problem minimizes it."""
+        return energy(u, self.pv, eps, self.qctx) - float(self.load @ u.coeffs)
+
+    def solve_reduced(self, A, rhs, g):
+        """Solve A u = rhs on the interior with boundary values ``g``."""
+        sys_ = apply_dirichlet(A, rhs, self.mesh, g)
+        return P1Function(self.mesh,
+                          sys_.expand(linear_solve(sys_.operator, sys_.rhs)))
 
 
 def solve_regularized(spec: ProblemSpec, eps: float, u0: P1Function,
-                      qctx: QuadratureContext = None):
+                      qctx: QuadratureContext = None, problem=None):
     """Newton solve at fixed eps, starting from ``u0`` (which must satisfy
-    the boundary data).  Returns (solution, stats)."""
-    mesh = u0.mesh
-    if qctx is None:
-        qctx = QuadratureContext(mesh)
-    interior = ~mesh.is_boundary
-    load = assemble_load(spec.f, qctx)
+    the boundary data).  Returns (solution, stats).
+
+    ``problem`` is the spec's :class:`DiscreteProblem` on ``u0``'s mesh;
+    it is built here (on ``qctx`` when given) if not passed.
+    """
+    if problem is None:
+        problem = DiscreteProblem.build(spec, u0.mesh, qctx)
+    mesh = problem.mesh
 
     u = P1Function(mesh, u0.coeffs.copy())
-    R = assemble_residual(u, spec.p, spec.f, eps, qctx, g_data=spec.g)
+    R = problem.residual(u, eps, check_boundary=True)
     res = float(np.max(np.abs(R)))
     history = [res]
-    energies = [_functional(u, spec, eps, qctx, load)]
+    energies = [problem.functional(u, eps)]
     steps = []
 
     for _ in range(spec.newton_max_iter):
         if res <= spec.newton_tol:
             break
-        A = assemble_jacobian(u, spec.p, eps, qctx)
-        Aii = A.restrict(np.flatnonzero(interior))
-        d_int = linear_solve(Aii, -R[interior])
-        d = np.zeros(mesh.n_points)
-        d[interior] = d_int
+        # Newton correction: homogeneous Dirichlet data on the Jacobian
+        A = assemble_jacobian(u, problem.pv, eps, problem.qctx)
+        d = problem.solve_reduced(A, -R, 0.0).coeffs
 
         t = 1.0
         accepted = False
         for _halve in range(31):
             trial = P1Function(mesh, u.coeffs + t * d)
-            R_trial = assemble_residual(trial, spec.p, spec.f, eps, qctx)
+            R_trial = problem.residual(trial, eps)
             res_trial = float(np.max(np.abs(R_trial)))
             if res_trial <= (1.0 - 1e-4 * t) * res:
                 accepted = True
@@ -282,7 +325,7 @@ def solve_regularized(spec: ProblemSpec, eps: float, u0: P1Function,
         u, R, res = trial, R_trial, res_trial
         steps.append(t)
         history.append(res)
-        energies.append(_functional(u, spec, eps, qctx, load))
+        energies.append(problem.functional(u, eps))
 
     if res <= spec.newton_tol:
         return u, SolveStats(len(steps), res, history, steps, energies, True)
@@ -292,12 +335,11 @@ def solve_regularized(spec: ProblemSpec, eps: float, u0: P1Function,
     best_u, best_res = u, res
     stall = 0
     for _ in range(200):
-        M = weighted_stiffness(u, spec.p, eps, qctx)
-        u = _solve_reduced(M, load, mesh, spec.g)
-        R = assemble_residual(u, spec.p, spec.f, eps, qctx)
-        res = float(np.max(np.abs(R)))
+        M = weighted_stiffness(u, problem.pv, eps, problem.qctx)
+        u = problem.solve_reduced(M, problem.load, problem.g_boundary)
+        res = float(np.max(np.abs(problem.residual(u, eps))))
         history.append(res)
-        energies.append(_functional(u, spec, eps, qctx, load))
+        energies.append(problem.functional(u, eps))
         if res < best_res:
             best_u, best_res = u, res
             stall = 0
@@ -313,28 +355,21 @@ def solve_regularized(spec: ProblemSpec, eps: float, u0: P1Function,
         f"{len(history) - 1} steps", best=best_u, history=history)
 
 
-def _set_measures(u, spec, eps, qctx):
-    pv = field_values(spec.p, qctx.x, qctx.y)
+def _record_for(u, problem: DiscreteProblem, eps, stats, window):
+    pv, w = problem.pv, problem.qctx.weights
     gu = u.triangle_gradients()
-    gn2 = np.einsum("td,td->t", gu, gu)
-    w = qctx.weights
-    a1 = float(np.sum(w * (pv == 2.0)))
-    a2 = float(np.sum(w * (pv < 2.0)))
-    omega1 = float(np.sum(w * (gn2[:, None] > 1.0)))
-    return a1, a2, omega1
-
-
-def _record_for(u, spec, eps, stats, qctx, window):
-    a1, a2, omega1 = _set_measures(u, spec, eps, qctx)
+    steep = np.einsum("td,td->t", gu, gu)[:, None] > 1.0
     return EpsRecord(
         eps=eps,
         newton_iterations=stats.iterations,
         final_residual=stats.final_residual,
-        energy=energy(u, spec.p, eps, qctx),
-        grad_lp_norm=regularity.lp_gradient_norm(u, spec.p, qctx),
+        energy=energy(u, pv, eps, problem.qctx),
+        grad_lp_norm=regularity.lp_gradient_norm(u, pv, problem.qctx),
         h2_dq=regularity.h2_estimate_dq(u, window),
         h2_recovery=regularity.h2_estimate_recovery(u),
-        meas_A1=a1, meas_A2=a2, meas_Omega1=omega1,
+        meas_A1=float(np.sum(w * (pv == 2.0))),
+        meas_A2=float(np.sum(w * (pv < 2.0))),
+        meas_Omega1=float(np.sum(w * steep)),
         converged=stats.converged)
 
 
@@ -343,35 +378,35 @@ def continuation_solve(spec: ProblemSpec, mesh=None) -> SolveReport:
 
     The first solve starts from the linear Poisson solution with the same
     source and boundary data (exact for p = 2, a sound initial guess
-    otherwise).
+    otherwise).  A failure in :data:`SOLVE_ERRORS` is re-raised carrying
+    ``records`` (what finished, plus the failed record when Newton left a
+    best iterate), ``failed_eps`` and the validation ``warnings``.
     """
-    warnings = validate_spec(spec)
-    if mesh is None:
-        mesh = triangulate_convex(spec.domain, spec.mesh_h)
-    qctx = QuadratureContext(mesh)
-    window = regularity.default_window(spec.domain, 2.0 * mesh.h)
-
-    two = ExponentField.constant(2.0)
-    stiff = weighted_stiffness(P1Function.zero(mesh), two, 1.0, qctx)
-    load = assemble_load(spec.f, qctx)
-    u = _solve_reduced(stiff, load, mesh, spec.g)
-
-    records = []
-    for eps in spec.eps_schedule():
-        try:
-            u, stats = solve_regularized(spec, eps, u, qctx)
-        except NewtonError as err:
-            # let sweep drivers keep what finished plus the failed record
-            if err.best is not None:
-                stats = SolveStats(max(len(err.history) - 1, 0),
-                                   min(err.history), err.history, [], [],
-                                   False, used_fallback=True)
-                records.append(_record_for(err.best, spec, eps, stats, qctx,
-                                           window))
-            err.records = records
-            err.failed_eps = eps
-            raise
-        records.append(_record_for(u, spec, eps, stats, qctx, window))
+    schedule = spec.eps_schedule()
+    records, warnings, eps = [], [], schedule[0]
+    try:
+        warnings = validate_spec(spec)
+        if mesh is None:
+            mesh = triangulate_convex(spec.domain, spec.mesh_h)
+        window = regularity.default_window(spec.domain, 2.0 * mesh.h)
+        problem = DiscreteProblem.build(spec, mesh)
+        stiff = weighted_stiffness(P1Function.zero(mesh), 2.0, 1.0,
+                                   problem.qctx)
+        u = problem.solve_reduced(stiff, problem.load, problem.g_boundary)
+        for eps in schedule:
+            u, stats = solve_regularized(spec, eps, u, problem=problem)
+            records.append(_record_for(u, problem, eps, stats, window))
+    except SOLVE_ERRORS as err:
+        best = getattr(err, "best", None)
+        if best is not None:
+            stats = SolveStats(max(len(err.history) - 1, 0),
+                               min(err.history), err.history, [], [],
+                               False, used_fallback=True)
+            records.append(_record_for(best, problem, eps, stats, window))
+        err.records = records
+        err.failed_eps = eps
+        err.warnings = warnings
+        raise
     return SolveReport(records, u, mesh, warnings)
 
 

@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .expressions import ScalarFieldExpr, DifferentiationError, parse_field
+from .expressions import (DifferentiationError, FieldEvaluationError,
+                          ScalarFieldExpr, parse_field)
 
 __all__ = [
     "QuadratureContext",
@@ -33,14 +34,8 @@ __all__ = [
 ]
 
 
-class EvaluationError(ArithmeticError):
+class EvaluationError(FieldEvaluationError):
     """Non-finite field value at a quadrature point."""
-
-    def __init__(self, message, x=None, y=None):
-        if x is not None:
-            message = f"{message} at point ({x:.17g}, {y:.17g})"
-        super().__init__(message)
-        self.point = None if x is None else (x, y)
 
 
 class PreconditionError(ValueError):
@@ -195,18 +190,13 @@ class ExponentField:
         if not np.all(np.isfinite(vals)):
             raise EvaluationError("exponent not finite on the domain")
         try:
-            px = field_values(expr.diff("x"), xs, ys)
-            py = field_values(expr.diff("y"), xs, ys)
-            lip = float(np.max(np.hypot(px, py)))
+            px, py = (field_values(expr.diff(v), xs, ys) for v in "xy")
             method = "gradient"
         except DifferentiationError:
             h = 1e-6 * max(1.0, float(np.max(hi - lo)))
-            px = (field_values(expr, xs + h, ys)
-                  - field_values(expr, xs - h, ys)) / (2 * h)
-            py = (field_values(expr, xs, ys + h)
-                  - field_values(expr, xs, ys - h)) / (2 * h)
-            lip = float(np.max(np.hypot(px, py)))
+            px, py = _central_gradient(expr, xs, ys, h)
             method = "finite-difference"
+        lip = float(np.max(np.hypot(px, py)))
         return cls(expr, float(vals.min()), float(vals.max()), lip,
                    domain=domain,
                    meta={"estimated": True, "n_samples": int(inside.sum()),
@@ -226,31 +216,33 @@ class ExponentField:
                         field_values(self.field.diff("y"), x, y))
             except DifferentiationError:
                 pass
-        h = 1e-6
-        gx = (field_values(self.field, x + h, y)
-              - field_values(self.field, x - h, y)) / (2 * h)
-        gy = (field_values(self.field, x, y + h)
-              - field_values(self.field, x, y - h)) / (2 * h)
-        return gx, gy
+        return _central_gradient(self.field, x, y, 1e-6)
 
 
-def _modular_sum(vals, pv, w):
-    with np.errstate(over="ignore"):
-        return float(np.sum(w * np.abs(vals) ** pv))
+def _central_gradient(f, x, y, h):
+    """Central-difference gradient of a field, step h."""
+    return ((field_values(f, x + h, y) - field_values(f, x - h, y)) / (2 * h),
+            (field_values(f, x, y + h) - field_values(f, x, y - h)) / (2 * h))
 
 
-def modular(u, p: ExponentField, qctx: QuadratureContext, mask=None):
-    """rho(u) = integral of |u|^p(x) over the mesh (quadrature sum)."""
-    vals = field_values(u, qctx.x, qctx.y)
+def _integrand(u, p, qctx, mask):
+    """|u| and p at the quadrature nodes, and the (masked) weights."""
+    vals = np.abs(field_values(u, qctx.x, qctx.y))
     _check_finite(vals, qctx, "integrand")
     pv = field_values(p, qctx.x, qctx.y)
     _check_finite(pv, qctx, "exponent")
     if mask is None:
-        w = qctx.weights
-    else:
-        w = qctx.weights * mask
-        vals = np.where(w > 0, vals, 0.0)
-    return _modular_sum(vals, pv, w)
+        return vals, pv, qctx.weights
+    w = qctx.weights * mask
+    # points outside the mask must not poison the sum via 0 * inf
+    return np.where(w > 0, vals, 0.0), pv, w
+
+
+def modular(u, p: ExponentField, qctx: QuadratureContext, mask=None):
+    """rho(u) = integral of |u|^p(x) over the mesh (quadrature sum)."""
+    vals, pv, w = _integrand(u, p, qctx, mask)
+    with np.errstate(over="ignore"):
+        return float(np.sum(w * vals ** pv))
 
 
 def luxemburg_norm(u, p: ExponentField, qctx: QuadratureContext, mask=None,
@@ -261,17 +253,7 @@ def luxemburg_norm(u, p: ExponentField, qctx: QuadratureContext, mask=None,
     bracket [|u|_L1/(1+|Omega|), hi] is guaranteed to contain the root;
     ``hi`` starts at 1 and doubles while rho(u/hi) >= 1.
     """
-    vals = np.abs(field_values(u, qctx.x, qctx.y))
-    _check_finite(vals, qctx, "integrand")
-    pv = field_values(p, qctx.x, qctx.y)
-    _check_finite(pv, qctx, "exponent")
-    if mask is None:
-        w = qctx.weights
-    else:
-        w = qctx.weights * mask
-        # points outside the mask must not poison the sum via 0 * inf
-        vals = np.where(w > 0, vals, 0.0)
-
+    vals, pv, w = _integrand(u, p, qctx, mask)
     if not np.any((vals > 0) & (w > 0)):
         return 0.0
 

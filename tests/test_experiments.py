@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -459,9 +460,88 @@ def test_cli_requires_subcommand():
 
 
 def test_console_script_runs(tmp_path):
+    import plapx
     path = write_config(tmp_path)
+    # the child interpreter imports the same plapx as this test run, also
+    # from a checkout that is on sys.path only through pytest's pythonpath
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(plapx.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "plapx.cli", "validate", str(path)],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert "ok:" in proc.stdout
+
+
+# --- failures go to the sidecar, not to a bare error -----------------------------
+
+
+def test_cli_linear_solve_failure_keeps_csv_and_sidecar(tmp_path, capsys):
+    # p close to 1 with a strong source on a fine mesh: the first Newton
+    # system is ill-conditioned enough that the direct solve cannot reach
+    # its residual target.  The run either converges, or records the
+    # failure with a partial CSV, a sidecar entry and exit code 1.
+    path = write_config(tmp_path, **{
+        "p.expr": "1.05", "f.expr": "20", "g.expr": "0", "eps.start": "1",
+        "eps.stop": "1e-6", "mesh.h": "0.1", "mesh.refinements": "2"})
+    code = cli_main(["sweep-eps", str(path)])
+    csv_path = tmp_path / "cli_out.csv"
+    assert csv_path.exists()
+    side = json.loads((tmp_path / "cli_out.csv.json").read_text())
+    lines = csv_path.read_text().splitlines()
+    assert lines[0] == ",".join(EpsRecord.COLUMNS)
+    if code == 0:
+        assert side["failures"] == [] and len(lines) == 1 + 13
+    else:
+        assert code == 1
+        assert side["failures"] and side["failures"][0]["eps"] is not None
+        assert "failure:" in capsys.readouterr().err
+
+
+def test_cli_field_evaluation_failure_is_recorded(tmp_path, capsys):
+    path = write_config(tmp_path, **{"f.expr": "sqrt(x - 0.5)"})
+    assert cli_main(["sweep-eps", str(path)]) == 1
+    assert "sqrt of a negative argument" in capsys.readouterr().err
+    side = json.loads((tmp_path / "cli_out.csv.json").read_text())
+    assert "sqrt of a negative argument" in side["failures"][0]["reason"]
+    lines = (tmp_path / "cli_out.csv").read_text().splitlines()
+    assert lines == [",".join(EpsRecord.COLUMNS)]
+
+
+def test_failed_run_keeps_validation_warnings(tmp_path):
+    cfg = make_config(tmp_path, **{"p.expr": "1.8", "q.expr": "2",
+                                   "newton.tol": "1e-30"})
+    result = run_eps_sweep(cfg)
+    assert result.failed
+    warnings = result.payload["validation_warnings"]
+    assert any("q <= 2" in w for w in warnings)
+
+
+def test_run_convergence_survives_a_failed_level(tmp_path, monkeypatch):
+    import plapx.experiments
+    from plapx.geometry import refine_uniform
+    from plapx.solver import LinearSolveError
+
+    cfg = make_config(tmp_path, **{"u.exact.expr": "x*y", "f.expr": "0",
+                                   "g.expr": "x*y", "mesh.refinements": "3",
+                                   "mesh.h": "0.4"})
+    finest = refine_uniform(refine_uniform(cfg.base_mesh())).n_points
+    real = plapx.experiments.continuation_solve
+
+    def failing_on_finest(spec, mesh=None):
+        if mesh.n_points == finest:
+            raise LinearSolveError("could not reach relative residual 1e-12")
+        return real(spec, mesh=mesh)
+
+    monkeypatch.setattr(plapx.experiments, "continuation_solve",
+                        failing_on_finest)
+    result = run_convergence(cfg)
+    assert result.failed
+    assert result.payload["failures"] == [
+        {"level": 2, "reason": "could not reach relative residual 1e-12"}]
+    assert [row[0] for row in result.rows] == [0, 1]
+    assert math.isnan(result.rows[0][4]) and result.rows[1][4] > 1.5
+    lines = (tmp_path / "out.csv").read_text().splitlines()
+    assert len(lines) == 3
