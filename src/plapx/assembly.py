@@ -13,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
+from .geometry import lattice_points
 from .varexp import (QuadratureContext, field_values, EvaluationError,
                      PreconditionError, _check_finite)
 
@@ -27,6 +28,10 @@ __all__ = [
     "assemble_load",
     "apply_dirichlet",
 ]
+
+# barycentric tolerance of point evaluation: points within it of the mesh
+# count as inside
+_LOCATE_TOL = 1e-8
 
 
 class P1Function:
@@ -68,21 +73,34 @@ class P1Function:
         shape = np.broadcast(x, y).shape
         pts = np.column_stack([np.broadcast_to(x, shape).ravel(),
                                np.broadcast_to(y, shape).ravel()])
-        tri, bary = self.mesh.locate(pts, tol=1e-8)
-        missing = tri < 0
-        if np.any(missing):
-            k = int(np.flatnonzero(missing)[0])
-            raise EvaluationError("point outside the mesh",
-                                  pts[k, 0], pts[k, 1])
+        tri, bary = self.mesh.locate(pts, tol=_LOCATE_TOL)
+        _require_inside(tri, pts[:, 0], pts[:, 1])
         return shape, tri, bary
+
+    def _gather(self, tri, bary):
+        """Values at located points: barycentric combinations of the
+        coefficients at the corners."""
+        return np.einsum("kj,kj->k", bary,
+                         self.coeffs[self.mesh.triangles[tri]])
 
     def evaluate(self, x, y):
         """Point evaluation anywhere in the mesh (vectorized)."""
         shape, tri, bary = self._locate(x, y)
-        vals = np.einsum("kj,kj->k", bary,
-                         self.coeffs[self.mesh.triangles[tri]])
-        out = vals.reshape(shape)
+        out = self._gather(tri, bary).reshape(shape)
         return float(out) if out.ndim == 0 else out
+
+    def lattice_values(self, window):
+        """Values at the points of a lattice window (origin, spacing, nx,
+        ny), shape (nx, ny); the same numbers as :meth:`evaluate` there.
+
+        The points are located once per (mesh, window), and the location
+        is cached on the mesh.
+        """
+        tri, bary = self.mesh.locate_lattice(window, tol=_LOCATE_TOL)
+        if np.any(tri < 0):
+            gx, gy = lattice_points(window)
+            _require_inside(tri, gx.ravel(), gy.ravel())
+        return self._gather(tri, bary).reshape(window[2], window[3])
 
     def gradient_at(self, x, y):
         """Piecewise-constant gradient sampled at points, shape (..., 2)."""
@@ -108,6 +126,13 @@ class P1Function:
 
     def __repr__(self):
         return f"P1Function({self.mesh.n_points} dofs)"
+
+
+def _require_inside(tri, x, y):
+    missing = tri < 0
+    if np.any(missing):
+        k = int(np.flatnonzero(missing)[0])
+        raise EvaluationError("point outside the mesh", x[k], y[k])
 
 
 class SparseSymmetricOperator:

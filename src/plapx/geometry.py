@@ -10,6 +10,7 @@ the 20 degree minimum-angle floor.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -20,6 +21,7 @@ __all__ = [
     "TriMesh",
     "P1Pattern",
     "triangulate_convex",
+    "lattice_points",
     "refine_uniform",
     "round_corners",
     "boundary_curvature",
@@ -316,9 +318,7 @@ class TriMesh:
         if self.triangles.size and (self.triangles.min() < 0
                                     or self.triangles.max() >= len(self.points)):
             raise GeometryError("triangle index out of range")
-        p = self.points[self.triangles]
-        self.areas = 0.5 * ((p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1])
-                            - (p[:, 2, 0] - p[:, 0, 0]) * (p[:, 1, 1] - p[:, 0, 1]))
+        self.areas = _signed_areas(self.points, self.triangles)
         if np.any(self.areas <= 0):
             bad = int(np.argmin(self.areas))
             raise GeometryError(
@@ -332,6 +332,7 @@ class TriMesh:
         self._locator = None
         self._basis_gradients = None
         self._p1_pattern = None
+        self._lattices = {}
 
     @property
     def n_points(self):
@@ -341,9 +342,9 @@ class TriMesh:
     def n_triangles(self):
         return len(self.triangles)
 
-    @property
+    @functools.cached_property
     def h(self):
-        """Mesh size: longest triangle edge."""
+        """Mesh size: longest triangle edge (computed once)."""
         p = self.points[self.triangles]
         d01 = np.hypot(*(p[:, 1] - p[:, 0]).T)
         d12 = np.hypot(*(p[:, 2] - p[:, 1]).T)
@@ -417,9 +418,45 @@ class TriMesh:
             self._locator = _Locator(self)
         return self._locator.query(np.atleast_2d(np.asarray(pts, float)), tol)
 
+    def locate_lattice(self, window, tol=1e-10):
+        """:meth:`locate` of the points of a lattice window.
+
+        ``window`` is (origin, spacing, nx, ny); the points come in the
+        row-major order of their (nx, ny) grid, see :func:`lattice_points`.
+        The result is cached read-only on the mesh per (window, tol).
+        """
+        origin, spacing, nx, ny = window
+        key = (float(origin[0]), float(origin[1]), float(spacing), int(nx),
+               int(ny), float(tol))
+        found = self._lattices.get(key)
+        if found is None:
+            gx, gy = lattice_points(window)
+            found = self.locate(np.column_stack([gx.ravel(), gy.ravel()]),
+                                tol)
+            for arr in found:
+                arr.setflags(write=False)
+            self._lattices[key] = found
+        return found
+
     def __repr__(self):
         return (f"TriMesh({self.n_points} points, {self.n_triangles} "
                 f"triangles, h={self.h:.4g})")
+
+
+def _signed_areas(points, triangles):
+    """Signed triangle areas, positive for counterclockwise corners."""
+    p = points[triangles]
+    return 0.5 * ((p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1])
+                  - (p[:, 2, 0] - p[:, 0, 0]) * (p[:, 1, 1] - p[:, 0, 1]))
+
+
+def lattice_points(window):
+    """Coordinates (x, y) of a lattice window (origin, spacing, nx, ny):
+    two (nx, ny) arrays, point (ix, iy) at origin + (ix, iy) * spacing."""
+    origin, spacing, nx, ny = window
+    xs = origin[0] + spacing * np.arange(nx)
+    ys = origin[1] + spacing * np.arange(ny)
+    return np.meshgrid(xs, ys, indexing="ij")
 
 
 def _csr_index(rows, cols, n):
@@ -458,54 +495,86 @@ class P1Pattern:
             arr.setflags(write=False)
 
 
+def _segments(counts):
+    """Expand segment lengths: each entry's segment index and its offset
+    within the segment, segments in order."""
+    owner = np.repeat(np.arange(len(counts)), counts)
+    starts = np.cumsum(counts) - counts
+    return owner, np.arange(len(owner)) - starts[owner]
+
+
 class _Locator:
-    """Uniform-bin point location over triangle bounding boxes."""
+    """Point location by uniform bins over triangle bounding boxes.
+
+    The bins are an n x n grid over the mesh's bounding box, n = floor(sqrt
+    of the triangle count).  ``indptr``/``candidates`` list, in CSR form,
+    the triangles whose bounding box meets each bin (bin id ix * n + iy),
+    in ascending triangle order.
+    """
+
+    # query points per batch, which bounds the candidate arrays
+    BATCH = 1 << 13
 
     def __init__(self, mesh):
         self.mesh = mesh
         p = mesh.points[mesh.triangles]
-        self.tri_min = p.min(axis=1)
-        self.tri_max = p.max(axis=1)
         lo = mesh.points.min(axis=0)
         hi = mesh.points.max(axis=0)
         span = np.maximum(hi - lo, 1e-300)
         n = max(1, int(math.sqrt(mesh.n_triangles)))
         self.lo, self.n = lo, n
         self.cell = span / n
-        self.bins = {}
-        i0 = np.clip(((self.tri_min - lo) / self.cell).astype(int), 0, n - 1)
-        i1 = np.clip(((self.tri_max - lo) / self.cell).astype(int), 0, n - 1)
-        for t in range(mesh.n_triangles):
-            for ix in range(i0[t, 0], i1[t, 0] + 1):
-                for iy in range(i0[t, 1], i1[t, 1] + 1):
-                    self.bins.setdefault((ix, iy), []).append(t)
+        i0 = self._cells(p.min(axis=1))
+        nx, ny = (self._cells(p.max(axis=1)) - i0 + 1).T
+        tri, k = _segments(nx * ny)
+        bins = (i0[tri, 0] + k // ny[tri]) * n + i0[tri, 1] + k % ny[tri]
+        order = np.argsort(bins, kind="stable")
+        self.candidates = tri[order]
+        self.indptr = np.searchsorted(bins[order], np.arange(n * n + 1))
+
+    def _cells(self, pts):
+        return np.clip(((pts - self.lo) / self.cell).astype(int), 0,
+                       self.n - 1)
 
     def query(self, pts, tol):
-        mesh = self.mesh
-        tris = mesh.points[mesh.triangles]
+        """For each point, the first candidate of its bin that contains it
+        (all barycentric coordinates >= 0), else the first one whose
+        smallest coordinate is largest, kept if that is >= -tol."""
         out_t = np.full(len(pts), -1, dtype=np.int64)
         out_b = np.zeros((len(pts), 3))
-        cells = np.clip(((pts - self.lo) / self.cell).astype(int), 0,
-                        self.n - 1)
-        for k, (pt, cell) in enumerate(zip(pts, cells)):
-            best_t, best_b, best_m = -1, None, -np.inf
-            for t in self.bins.get((cell[0], cell[1]), ()):
-                a, b, c = tris[t]
-                det = 2.0 * mesh.areas[t]
-                l0 = ((b[1] - c[1]) * (pt[0] - c[0])
-                      + (c[0] - b[0]) * (pt[1] - c[1])) / det
-                l1 = ((c[1] - a[1]) * (pt[0] - c[0])
-                      + (a[0] - c[0]) * (pt[1] - c[1])) / det
-                l2 = 1.0 - l0 - l1
-                m = min(l0, l1, l2)
-                if m > best_m:
-                    best_t, best_b, best_m = t, (l0, l1, l2), m
-                if m >= 0:
-                    break
-            if best_t >= 0 and best_m >= -tol:
-                out_t[k] = best_t
-                out_b[k] = best_b
+        for start in range(0, len(pts), self.BATCH):
+            sl = slice(start, start + self.BATCH)
+            self._query(pts[sl], tol, out_t[sl], out_b[sl])
         return out_t, out_b
+
+    def _query(self, pts, tol, out_t, out_b):
+        mesh = self.mesh
+        cells = self._cells(pts)
+        bin_id = cells[:, 0] * self.n + cells[:, 1]
+        first = self.indptr[bin_id]
+        count = self.indptr[bin_id + 1] - first
+        # (point, candidate) pairs, grouped by point in bin order
+        pt, j = _segments(count)
+        t = self.candidates[first[pt] + j]
+        a, b, c = (mesh.points[mesh.triangles[t, i]] for i in range(3))
+        det = 2.0 * mesh.areas[t]
+        px, py = pts[pt, 0], pts[pt, 1]
+        l0 = ((b[:, 1] - c[:, 1]) * (px - c[:, 0])
+              + (c[:, 0] - b[:, 0]) * (py - c[:, 1])) / det
+        l1 = ((c[:, 1] - a[:, 1]) * (px - c[:, 0])
+              + (a[:, 0] - c[:, 0]) * (py - c[:, 1])) / det
+        l2 = 1.0 - l0 - l1
+        m = np.minimum(np.minimum(l0, l1), l2)
+        # containing candidates tie at the top, so the first candidate with
+        # the largest key is the first containing one if there is one
+        key = np.where(m >= 0, np.inf, np.where(np.isnan(m), -np.inf, m))
+        order = np.lexsort((np.arange(len(pt)), -key, pt))
+        rows = np.flatnonzero(count)
+        best = order[(np.cumsum(count) - count)[rows]]
+        keep = m[best] >= -tol
+        sel = best[keep]
+        out_t[rows[keep]] = t[sel]
+        out_b[rows[keep]] = np.column_stack([l0[sel], l1[sel], l2[sel]])
 
 
 def _resample_boundary(dom: ConvexDomain, spacing: float):
@@ -575,17 +644,14 @@ def _hex_lattice(dom: ConvexDomain, spacing: float, clearance: float):
 
 
 def _delaunay_triangles(points):
-    tri = Delaunay(points)
-    t = tri.simplices.astype(np.int64)
-    p = points[t]
-    area2 = ((p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1])
-             - (p[:, 2, 0] - p[:, 0, 0]) * (p[:, 1, 1] - p[:, 0, 1]))
-    flip = area2 < 0
-    t[flip] = t[flip][:, [0, 2, 1]]
-    degenerate = area2 == 0
-    if np.any(degenerate):
-        t = t[~degenerate]
-    return _canonical_order(t)
+    t = Delaunay(points).simplices.astype(np.int64)
+    area = _signed_areas(points, t)
+    t[area < 0] = t[area < 0][:, [0, 2, 1]]
+    t = _canonical_order(t[area != 0])
+    # a sliver of nearly collinear points can have a tiny area in Delaunay's
+    # corner order that rounds to zero or below in the final order, which
+    # is the order TriMesh checks
+    return t[_signed_areas(points, t) > 0]
 
 
 def _canonical_order(t):

@@ -24,6 +24,7 @@ import numpy as np
 
 from .assembly import P1Function
 from .expressions import parse_field
+from .geometry import lattice_points
 from .varexp import (ExponentField, QuadratureContext, field_values,
                      luxemburg_norm, PreconditionError)
 
@@ -175,21 +176,17 @@ class GridSampling:
         return self.values.shape
 
     def points(self):
-        nx, ny = self.values.shape
-        xs = self.origin[0] + self.spacing * np.arange(nx)
-        ys = self.origin[1] + self.spacing * np.arange(ny)
-        gx, gy = np.meshgrid(xs, ys, indexing="ij")
-        return gx, gy
+        return lattice_points((self.origin, self.spacing) + self.shape)
 
 
 def sample_on_lattice(f, origin, spacing, nx, ny, domain=None) -> GridSampling:
     """Sample a field on a lattice; with a domain, enforce the interior
-    margin of two lattice spacings."""
+    margin of two lattice spacings.  A P1 function is sampled through the
+    lattice location cached on its mesh."""
     if nx < 2 or ny < 2:
         raise SamplingError("lattice needs at least 2 points per axis")
-    xs = origin[0] + spacing * np.arange(nx)
-    ys = origin[1] + spacing * np.arange(ny)
-    gx, gy = np.meshgrid(xs, ys, indexing="ij")
+    window = (origin, spacing, nx, ny)
+    gx, gy = lattice_points(window)
     if domain is not None:
         pts = np.column_stack([gx.ravel(), gy.ravel()])
         clearance = domain.line_distance(pts)
@@ -198,7 +195,10 @@ def sample_on_lattice(f, origin, spacing, nx, ny, domain=None) -> GridSampling:
             raise SamplingError(
                 f"lattice point ({pts[k, 0]:.6g}, {pts[k, 1]:.6g}) violates "
                 f"the 2h margin (clearance {clearance[k]:.3e})")
-    vals = field_values(f, gx, gy)
+    if isinstance(f, P1Function):
+        vals = f.lattice_values(window)
+    else:
+        vals = field_values(f, gx, gy)
     return GridSampling((float(origin[0]), float(origin[1])), float(spacing),
                         vals)
 
@@ -290,28 +290,38 @@ def default_window(domain, spacing, margin=None):
 
 
 def recover_gradient(u: P1Function):
-    """Continuous P1 gradient by area-weighted vertex averaging."""
+    """Continuous P1 gradient by area-weighted vertex averaging.
+
+    Sums run over the corners in order, triangles ascending within each.
+    """
     mesh = u.mesh
-    g = u.triangle_gradients()
-    num = np.zeros((mesh.n_points, 2))
-    den = np.zeros(mesh.n_points)
-    for i in range(3):
-        np.add.at(num, mesh.triangles[:, i], mesh.areas[:, None] * g)
-        np.add.at(den, mesh.triangles[:, i], mesh.areas)
-    w = num / den[:, None]
-    return P1Function(mesh, w[:, 0]), P1Function(mesh, w[:, 1])
+    corners = mesh.triangles.T.ravel()
+
+    def vertex_sum(values):
+        return np.bincount(corners, np.tile(values, 3),
+                           minlength=mesh.n_points)
+
+    weighted = mesh.areas[:, None] * u.triangle_gradients()
+    den = vertex_sum(mesh.areas)
+    return tuple(P1Function(mesh, vertex_sum(weighted[:, d]) / den)
+                 for d in (0, 1))
 
 
-def h2_estimate_dq(u: P1Function, window) -> float:
+def h2_estimate_dq(u: P1Function, window, recovered=None) -> float:
     """Interior H2 seminorm estimate: l2 lattice norm of first difference
-    quotients of the recovered gradient components."""
+    quotients of the recovered gradient components.
+
+    The components are sampled on the lattice ``window`` through the
+    location of its points cached on the mesh.  ``recovered`` is
+    ``recover_gradient(u)`` when the caller already has it.
+    """
     origin, spacing, nx, ny = window
     if u.mesh.h > spacing + 1e-12:
         _warnings.warn(
             f"mesh size {u.mesh.h:.3g} exceeds lattice spacing "
             f"{spacing:.3g}; difference quotients may be under-resolved",
             RuntimeWarning, stacklevel=2)
-    wx, wy = recover_gradient(u)
+    wx, wy = recovered or recover_gradient(u)
     total = 0.0
     for comp in (wx, wy):
         grid = sample_on_lattice(comp, origin, spacing, nx, ny)
@@ -338,10 +348,11 @@ def h1_window_distance(ua: P1Function, ub: P1Function, window) -> float:
     return math.sqrt(spacing * spacing * total)
 
 
-def h2_estimate_recovery(u: P1Function) -> float:
+def h2_estimate_recovery(u: P1Function, recovered=None) -> float:
     """Global H2 seminorm estimate: L2 norm of the element gradients of the
-    recovered gradient components."""
-    wx, wy = recover_gradient(u)
+    recovered gradient components (``recovered``, when given, is
+    ``recover_gradient(u)``)."""
+    wx, wy = recovered or recover_gradient(u)
     mesh = u.mesh
     total = 0.0
     for comp in (wx, wy):

@@ -1,10 +1,10 @@
 """Variable-exponent Lebesgue machinery on triangulated domains.
 
 The modular is rho(u) = integral of |u(x)|^p(x); the Luxemburg norm is the
-unique k > 0 with rho(u/k) = 1, found by bisection.  Integrals are
-quadrature sums over a :class:`QuadratureContext` (symmetric degree-4
-triangle rule by default), so every norm here is the norm of the quadrature
-measure, consistent across all modules.
+unique k > 0 with rho(u/k) = 1, found by safeguarded Newton iteration in
+log k.  Integrals are quadrature sums over a :class:`QuadratureContext`
+(symmetric degree-4 triangle rule by default), so every norm here is the
+norm of the quadrature measure, consistent across all modules.
 """
 
 from __future__ import annotations
@@ -247,45 +247,52 @@ def modular(u, p: ExponentField, qctx: QuadratureContext, mask=None):
 
 def luxemburg_norm(u, p: ExponentField, qctx: QuadratureContext, mask=None,
                    rel_tol=1e-10):
-    """Luxemburg norm: the k > 0 with rho(u/k) = 1, by bisection.
+    """Luxemburg norm: the k > 0 with rho(u/k) = 1, by safeguarded Newton.
 
-    Returns 0 for a function vanishing at every quadrature node.  The
-    bracket [|u|_L1/(1+|Omega|), hi] is guaranteed to contain the root;
-    ``hi`` starts at 1 and doubles while rho(u/hi) >= 1.
+    Returns 0 for a function vanishing at every quadrature node.  Newton
+    runs in s = log k on psi(s) = log rho(u/e^s), which is convex and
+    decreasing: its slope is minus the mean of p weighted by w |u/k|^p, so
+    one step is exact for a constant exponent, and from any start left of
+    the root the iterates rise monotonically to it.  It starts at the lower
+    end of the bracket [|u|_L1/(1+|Omega|), +inf), which contains the root;
+    every evaluation narrows the bracket, and a step that leaves it (or is
+    not finite, when rho over- or underflows) is replaced by bisection, or
+    by doubling k while the bracket is unbounded.  Stops once a Newton step
+    moves k by at most ``rel_tol`` relative; convergence is quadratic, so
+    the step returned is far more accurate than that.
     """
     vals, pv, w = _integrand(u, p, qctx, mask)
     if not np.any((vals > 0) & (w > 0)):
         return 0.0
 
-    def rho(k):
-        with np.errstate(over="ignore"):
-            return float(np.sum(w * (vals / k) ** pv))
-
     l1 = float(np.sum(w * vals))
     omega = float(np.sum(w))
-    lo = l1 / (1.0 + omega)
-    hi = 1.0
+    # a floor keeps log finite when every product w |u| underflows
+    lo = math.log(max(l1 / (1.0 + omega), np.finfo(float).tiny))
+    hi = math.inf
+    s = lo
     for _ in range(200):
-        if rho(hi) < 1.0:
-            break
-        hi *= 2.0
-    else:
-        raise NonconvergenceError("Luxemburg bracket expansion failed")
-    if hi < lo:
-        # cannot happen for a monotone modular, guard anyway
-        raise NonconvergenceError("Luxemburg bracket is empty")
-
-    for _ in range(200):
-        if hi - lo <= rel_tol * hi:
-            break
-        mid = 0.5 * (lo + hi)
-        if rho(mid) >= 1.0:
-            lo = mid
+        with np.errstate(over="ignore"):
+            t = w * (vals / math.exp(s)) ** pv
+            rho = float(np.sum(t))
+            mean_p = float(np.sum(pv * t)) / rho if rho > 0 else math.nan
+        psi = math.log(rho) if rho > 0 else -math.inf
+        if psi >= 0.0:
+            lo = s
         else:
-            hi = mid
-    else:
-        raise NonconvergenceError("Luxemburg bisection did not converge")
-    return 0.5 * (lo + hi)
+            hi = s
+        if hi <= lo:
+            # cannot happen for a monotone modular, guard anyway
+            raise NonconvergenceError("Luxemburg bracket is empty")
+        new = s + psi / mean_p
+        if abs(new - s) <= rel_tol:
+            return math.exp(new)
+        if not lo < new < hi:
+            new = 0.5 * (lo + hi) if hi < math.inf else s + math.log(2.0)
+        s = new
+    if hi == math.inf:
+        raise NonconvergenceError("Luxemburg bracket expansion failed")
+    raise NonconvergenceError("Luxemburg iteration did not converge")
 
 
 @dataclass

@@ -1,10 +1,12 @@
 """What is computed once per mesh or once per solve, and stays fixed.
 
-Basis gradients and the P1 sparsity pattern are cached on the mesh; p, f,
-the load vector and the Dirichlet values are evaluated once per
-continuation solve.  Only iterate-dependent work runs per Newton step.
+Basis gradients, the P1 sparsity pattern and the location of a lattice
+window's points are cached on the mesh; p, f, the load vector and the
+Dirichlet values are evaluated once per continuation solve.  Only
+iterate-dependent work runs per Newton step.
 """
 
+import dataclasses
 import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -14,7 +16,8 @@ import pytest
 
 from plapx.assembly import P1Function, assemble_jacobian, weighted_stiffness
 from plapx.experiments import ExperimentConfig, run_p1_sweep
-from plapx.geometry import ConvexDomain, refine_uniform, triangulate_convex
+from plapx.geometry import (ConvexDomain, TriMesh, refine_uniform,
+                            triangulate_convex)
 from plapx.solver import ProblemSpec, continuation_solve
 from plapx.varexp import ExponentField, QuadratureContext
 
@@ -58,6 +61,35 @@ def test_fields_at_quadrature_nodes_evaluated_once_per_solve():
     assert long[:2] == short[:2] == (1, 1)
 
 
+def test_lattice_located_once_per_mesh_and_window(monkeypatch):
+    calls = []
+    locate = TriMesh.locate
+
+    def counted(mesh, pts, tol=1e-10):
+        calls.append(len(pts))
+        return locate(mesh, pts, tol)
+
+    monkeypatch.setattr(TriMesh, "locate", counted)
+    spec = ProblemSpec(domain=SQUARE, p=ExponentField.constant(1.7), f=1.0,
+                       g=0.0, q=ExponentField.constant(4.0), eps_start=1.0,
+                       eps_factor=0.1, mesh_h=0.1)
+    per_solve = []
+    for eps_stop in (1e-2, 1e-6):
+        mesh = triangulate_convex(SQUARE, 0.1)
+        calls.clear()
+        report = continuation_solve(
+            dataclasses.replace(spec, eps_stop=eps_stop), mesh=mesh)
+        per_solve.append((len(report.records), list(calls)))
+        # a second solve on the same mesh finds the lattice located
+        calls.clear()
+        continuation_solve(dataclasses.replace(spec, eps_stop=eps_stop),
+                           mesh=mesh)
+        assert calls == []
+    (short_steps, short_calls), (long_steps, long_calls) = per_solve
+    assert (short_steps, long_steps) == (3, 7)
+    assert short_calls == long_calls and len(short_calls) == 1
+
+
 def test_basis_gradients_cached_read_only():
     mesh = triangulate_convex(SQUARE, 0.3)
     g = mesh.basis_gradients()
@@ -77,23 +109,29 @@ def test_p1_pattern_cached_read_only():
 
 def test_mesh_caches_built_by_racing_threads():
     mesh = triangulate_convex(SQUARE, 0.1)
+    window = ((0.2, 0.2), 0.05, 13, 13)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(max_workers=8) as pool:
             futures = [pool.submit(lambda: (mesh.basis_gradients(),
-                                            mesh.p1_pattern()))
+                                            mesh.p1_pattern(),
+                                            mesh.locate_lattice(window)))
                        for _ in range(32)]
             results = [f.result(timeout=60) for f in futures]
     finally:
         sys.setswitchinterval(interval)
     g, pat = mesh.basis_gradients(), mesh.p1_pattern()
+    tri, bary = mesh.locate_lattice(window)
     assert mesh.basis_gradients() is g and mesh.p1_pattern() is pat
-    for g_seen, pat_seen in results:
+    assert mesh.locate_lattice(window)[0] is tri
+    for g_seen, pat_seen, (tri_seen, bary_seen) in results:
         np.testing.assert_array_equal(g_seen, g)
         for name in ("scatter", "indptr", "indices", "interior_slots"):
             np.testing.assert_array_equal(getattr(pat_seen, name),
                                           getattr(pat, name))
+        np.testing.assert_array_equal(tri_seen, tri)
+        np.testing.assert_array_equal(bary_seen, bary)
 
 
 def vertex_graph(mesh):

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from plapx.geometry import (ConvexDomain, GeometryError, ParameterError,
-                            TriMesh, boundary_curvature, load_mesh,
-                            refine_uniform, round_corners, save_mesh,
-                            triangulate_convex)
+                            TriMesh, boundary_curvature, lattice_points,
+                            load_mesh, refine_uniform, round_corners,
+                            save_mesh, triangulate_convex)
 
 
 def test_unit_square_area():
@@ -130,6 +130,18 @@ def test_triangulation_quality(dom, h):
     assert np.all(dom.line_distance(mesh.points[~mesh.is_boundary]) > 0)
 
 
+def test_heptagon_boundary_sliver_dropped():
+    # Delaunay returns a sliver of three nearly collinear boundary points
+    # here; its area is not zero in Delaunay's corner order but rounds to
+    # zero once the corners are rotated into the mesh's order
+    dom = ConvexDomain.regular_polygon(7)
+    mesh = triangulate_convex(dom, 0.1)
+    assert mesh.min_angle() >= 20.0
+    assert mesh.h <= 0.1
+    assert np.array_equal(np.unique(mesh.triangles), np.arange(mesh.n_points))
+    assert float(np.sum(mesh.areas)) == pytest.approx(dom.area, rel=1e-12)
+
+
 def test_triangulation_is_deterministic():
     dom = ConvexDomain.regular_polygon(5)
     a = triangulate_convex(dom, 0.11)
@@ -184,6 +196,97 @@ def test_locate_barycentric():
     np.testing.assert_allclose(recon, pts, atol=1e-12)
     far, _ = mesh.locate(np.array([[13.0, -4.0]]))
     assert far[0] == -1
+
+
+def reference_locate(mesh, pts, tol):
+    """Per-point uniform-bin locator that ``TriMesh.locate`` replaced.
+
+    Bins hold the triangles whose bounding box meets them, in ascending
+    order; a point takes the first triangle of its bin containing it, else
+    the first with the largest smallest barycentric coordinate.
+    """
+    tris = mesh.points[mesh.triangles]
+    lo = mesh.points.min(axis=0)
+    n = max(1, int(math.sqrt(mesh.n_triangles)))
+    cell = np.maximum(mesh.points.max(axis=0) - lo, 1e-300) / n
+    i0 = np.clip(((tris.min(axis=1) - lo) / cell).astype(int), 0, n - 1)
+    i1 = np.clip(((tris.max(axis=1) - lo) / cell).astype(int), 0, n - 1)
+    bins = {}
+    for t in range(mesh.n_triangles):
+        for ix in range(i0[t, 0], i1[t, 0] + 1):
+            for iy in range(i0[t, 1], i1[t, 1] + 1):
+                bins.setdefault((ix, iy), []).append(t)
+    out_t = np.full(len(pts), -1, dtype=np.int64)
+    out_b = np.zeros((len(pts), 3))
+    cells = np.clip(((pts - lo) / cell).astype(int), 0, n - 1)
+    for k, (pt, c_ij) in enumerate(zip(pts, cells)):
+        best_t, best_b, best_m = -1, None, -np.inf
+        for t in bins.get((c_ij[0], c_ij[1]), ()):
+            a, b, c = tris[t]
+            det = 2.0 * mesh.areas[t]
+            l0 = ((b[1] - c[1]) * (pt[0] - c[0])
+                  + (c[0] - b[0]) * (pt[1] - c[1])) / det
+            l1 = ((c[1] - a[1]) * (pt[0] - c[0])
+                  + (a[0] - c[0]) * (pt[1] - c[1])) / det
+            l2 = 1.0 - l0 - l1
+            m = min(l0, l1, l2)
+            if m > best_m:
+                best_t, best_b, best_m = t, (l0, l1, l2), m
+            if m >= 0:
+                break
+        if best_t >= 0 and best_m >= -tol:
+            out_t[k] = best_t
+            out_b[k] = best_b
+    return out_t, out_b
+
+
+def locator_probes(mesh, seed):
+    """Vertices, points on edges, points just outside the boundary (within
+    and beyond the tolerances used) and random points in the bounding box."""
+    rng = np.random.Generator(np.random.Philox(seed))
+    t = mesh.triangles
+    p = mesh.points
+    edges = np.vstack([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]])
+    frac = rng.uniform(0.0, 1.0, size=(len(edges), 1))
+    on_edges = p[edges[:, 0]] + frac * (p[edges[:, 1]] - p[edges[:, 0]])
+    bedges, normals = mesh.boundary_edges()
+    mids = 0.5 * (p[bedges[:, 0]] + p[bedges[:, 1]])
+    outside = [mids + d * normals for d in (1e-13, 1e-11, 1e-9, 1e-7, 0.05)]
+    lo, hi = p.min(axis=0), p.max(axis=0)
+    inside = rng.uniform(lo, hi, size=(2000, 2))
+    return np.vstack([p, on_edges, 0.5 * (p[edges[:, 0]] + p[edges[:, 1]]),
+                      *outside, inside, [[13.0, -4.0]]])
+
+
+@pytest.mark.parametrize("dom,h", [
+    (ConvexDomain.unit_square(), 0.1),
+    (round_corners(ConvexDomain.unit_square(), 0.25), 0.09),
+])
+@pytest.mark.parametrize("tol", [1e-10, 1e-8])
+def test_locate_matches_reference_bit_for_bit(dom, h, tol):
+    mesh = triangulate_convex(dom, h)
+    pts = locator_probes(mesh, seed=5)
+    tri, bary = mesh.locate(pts, tol=tol)
+    want_t, want_b = reference_locate(mesh, pts, tol)
+    np.testing.assert_array_equal(tri, want_t)
+    np.testing.assert_array_equal(bary.view(np.int64), want_b.view(np.int64))
+    # the probes reach every branch: contained, outside within tol, missed
+    assert np.any(tri < 0) and np.any((tri >= 0) & (bary.min(axis=1) < 0))
+
+
+def test_locate_lattice_cached_per_window():
+    mesh = triangulate_convex(ConvexDomain.unit_square(), 0.2)
+    window = ((0.1, 0.15), 0.07, 11, 9)
+    tri, bary = mesh.locate_lattice(window, tol=1e-8)
+    assert mesh.locate_lattice(window, tol=1e-8)[0] is tri
+    assert not tri.flags.writeable and not bary.flags.writeable
+    gx, gy = lattice_points(window)
+    want_t, want_b = mesh.locate(np.column_stack([gx.ravel(), gy.ravel()]),
+                                 tol=1e-8)
+    np.testing.assert_array_equal(tri, want_t)
+    np.testing.assert_array_equal(bary, want_b)
+    other = mesh.locate_lattice(((0.1, 0.15), 0.07, 11, 8), tol=1e-8)[0]
+    assert other is not tri and len(other) == 88
 
 
 def test_cw_triangle_rejected():

@@ -114,6 +114,57 @@ def test_luxemburg_stable_under_refinement():
     assert fine == pytest.approx(coarse, rel=2e-4)
 
 
+def bisection_norm(u, p, qctx, mask=None, rel_tol=1e-10):
+    """Luxemburg norm by the bisection that ``luxemburg_norm`` replaced:
+    bracket [|u|_L1/(1+|Omega|), hi], hi doubling from 1 while
+    rho(u/hi) >= 1, then halving until hi - lo <= rel_tol * hi."""
+    vals = np.abs(field_values(u, qctx.x, qctx.y))
+    pv = field_values(p, qctx.x, qctx.y)
+    w = qctx.weights if mask is None else qctx.weights * mask
+    vals = np.where(w > 0, vals, 0.0)
+
+    def rho(k):
+        return float(np.sum(w * (vals / k) ** pv))
+
+    lo = float(np.sum(w * vals)) / (1.0 + float(np.sum(w)))
+    hi = 1.0
+    while rho(hi) >= 1.0:
+        hi *= 2.0
+    while hi - lo > rel_tol * hi:
+        mid = 0.5 * (lo + hi)
+        if rho(mid) >= 1.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+LUXEMBURG_CASES = {
+    # the cases of the tests above, then a masked one and a wide exponent
+    "closed_form_1.2": ("sin(3*x) + y^2", "1.2", None),
+    "closed_form_2": ("sin(3*x) + y^2", "2", None),
+    "closed_form_3.7": ("sin(3*x) + y^2", "3.7", None),
+    "homogeneity": ("exp(x) - y", "1.6 + 0.3*y", None),
+    "oracle": ("2*exp(x)", "1.5 + 0.4*x", None),
+    "refinement": ("x^2 - y", "2 - 0.5*x", None),
+    "masked": ("1 + x*y", "2 - 0.5*x", "left"),
+    "wide_exponent": ("0.1 + x*x + y", "1.05 + 6*x*y", None),
+}
+
+
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 30.0])
+@pytest.mark.parametrize("case", sorted(LUXEMBURG_CASES))
+def test_luxemburg_newton_matches_bisection(case, scale):
+    u_src, p_src, mask_kind = LUXEMBURG_CASES[case]
+    qctx = square_qctx(0.12)
+    p = ExponentField.from_expression(parse_field(p_src), SQUARE)
+    u = scale * field_values(parse_field(u_src), qctx.x, qctx.y)
+    mask = None if mask_kind is None else (qctx.x < 0.5).astype(float)
+    want = bisection_norm(u, p, qctx, mask=mask)
+    got = luxemburg_norm(u, p, qctx, mask=mask)
+    assert abs(got - want) <= 1e-10 * want
+
+
 def test_holder_inequality_randomized():
     qctx = square_qctx(0.15)
     rng = np.random.Generator(np.random.Philox(42))
