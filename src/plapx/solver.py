@@ -36,6 +36,7 @@ __all__ = [
     "solve_regularized",
     "continuation_solve",
     "linear_solve",
+    "LaggedFactor",
     "validate_spec",
     "masked_source",
     "with_mollified_exponent",
@@ -154,13 +155,98 @@ class SolveReport:
         return self.records[-1]
 
 
-def linear_solve(A, b, rel_tol=1e-12):
-    """Direct sparse solve with iterative refinement.
+# PCG iterations allowed with a kept factor before the matrix is factored
+# afresh.  One factorization of the interior system at h = 0.01 costs about
+# as much as 28 to 32 iterations (one triangular solve pair and one product
+# each).
+PCG_MAX_ITER = 25
 
-    Symmetric ordering without partial pivoting, so an indefinite matrix
-    shows up as a nonpositive pivot and is reported by index.  Falls back to
-    diagonally preconditioned CG if the factorization cannot reach the
-    requested residual.
+# Largest normwise backward error ||b - Ax|| / (||A|| ||x|| + ||b||), in the
+# infinity norm, at which a solve that misses its relative residual target is
+# still accepted.  Forming r = b - Ax in floating point alone can err by
+# (k + 1) u (|A| |x| + |b|) in a row with k stored entries, u = eps / 2, so a
+# residual cannot show a backward error below a few eps even for the exact
+# solution; 16 eps covers rows of up to 31 entries (a P1 row holds the vertex
+# degree plus one).
+BACKWARD_ERROR_TOL = 16.0 * np.finfo(float).eps
+
+
+@dataclass
+class LaggedFactor:
+    """The factor one continuation solve keeps to precondition later systems.
+
+    :func:`linear_solve` fills and replaces ``lu``; nothing else touches it.
+    Each :class:`DiscreteProblem` owns one, so threads never share a factor.
+    """
+
+    lu: object = None
+
+
+def _factor(A):
+    return spla.splu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                     options={"SymmetricMode": True})
+
+
+def _pcg(A, b, lu, atol):
+    """CG from zero on A x = b, preconditioned by the factor ``lu``.
+
+    Returns x once the true residual norm is at most ``atol``, or None after
+    a curvature breakdown (d.Ad <= 0, r.z <= 0 or a non-finite value) or
+    PCG_MAX_ITER iterations.
+    """
+    x = np.zeros_like(b)
+    r = b.copy()
+    z = lu.solve(r)
+    rz = float(r @ z)
+    d = z
+    for _ in range(PCG_MAX_ITER):
+        Ad = A @ d
+        dAd = float(d @ Ad)
+        if not (0.0 < dAd < math.inf and 0.0 < rz < math.inf):
+            return None
+        alpha = rz / dAd
+        x += alpha * d
+        r -= alpha * Ad
+        if np.linalg.norm(r) <= atol:
+            # the recursive residual drifts from the true one: test the
+            # latter, and go on from it if it still misses
+            r = b - A @ x
+            if np.linalg.norm(r) <= atol:
+                return x
+        z = lu.solve(r)
+        rz_old, rz = rz, float(r @ z)
+        d = z + (rz / rz_old) * d
+    return None
+
+
+def _backward_error(A, b, x):
+    """Normwise backward error of ``x`` (Rigal and Gaches), infinity norm;
+    inf when it is not a number."""
+    r = b - A @ x
+    scale = (spla.norm(A, np.inf) * np.linalg.norm(x, np.inf)
+             + np.linalg.norm(b, np.inf))
+    error = float(np.linalg.norm(r, np.inf) / scale)
+    return math.inf if math.isnan(error) else error
+
+
+def linear_solve(A, b, rel_tol=1e-12, lagged=None):
+    """Solve the SPD system A x = b to ||b - Ax|| <= rel_tol ||b||.
+
+    Given a :class:`LaggedFactor` that holds a factor of a matrix of A's
+    shape, CG preconditioned by that factor runs first.  If it breaks down
+    or needs more than PCG_MAX_ITER iterations, A itself is factored.
+
+    The factorization is a sparse LU with a symmetric ordering and no
+    partial pivoting, so an indefinite matrix shows up as a nonpositive
+    pivot and is reported by index; the solve takes up to three steps of
+    iterative refinement.  After a pivot-checked solve, ``lagged`` receives
+    a second factor of A: the same pivots, but its ``U`` is never read, so
+    scipy never builds and caches CSC copies of L and U on it.
+
+    If the LU solve misses the target, diagonally preconditioned CG is
+    tried.  If that misses too, the better of the two solutions is
+    accepted when its normwise backward error is at most
+    BACKWARD_ERROR_TOL; otherwise :class:`LinearSolveError` is raised.
     """
     if isinstance(A, SparseSymmetricOperator):
         A = A.matrix
@@ -172,11 +258,18 @@ def linear_solve(A, b, rel_tol=1e-12):
     bnorm = float(np.linalg.norm(b))
     if bnorm == 0.0:
         return np.zeros(n)
+    atol = rel_tol * bnorm
+
+    if lagged is not None:
+        if lagged.lu is not None and lagged.lu.shape == A.shape:
+            x = _pcg(A, b, lagged.lu, atol)
+            if x is not None:
+                return x
+        lagged.lu = None  # release the old factor before building the next
 
     x = None
     try:
-        lu = spla.splu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                       options={"SymmetricMode": True})
+        lu = _factor(A)
         dU = lu.U.diagonal()
         bad = np.flatnonzero(~(dU.real > 0))
         if bad.size:
@@ -187,25 +280,34 @@ def linear_solve(A, b, rel_tol=1e-12):
         x = lu.solve(b)
         for _ in range(3):
             r = b - A @ x
-            if np.linalg.norm(r) <= rel_tol * bnorm:
+            if np.linalg.norm(r) <= atol:
                 break
             x = x + lu.solve(r)
+        if lagged is not None:
+            del lu
+            lagged.lu = _factor(A)
     except LinearSolveError:
         raise
     except (RuntimeError, MemoryError):
-        x = None
+        pass  # x is the last complete solution, if any
 
-    if x is None or np.linalg.norm(b - A @ x) > rel_tol * bnorm:
+    if x is None or np.linalg.norm(b - A @ x) > atol:
         diag = A.diagonal()
         if np.any(diag <= 0):
             k = int(np.flatnonzero(diag <= 0)[0])
             raise LinearSolveError(f"non-SPD pivot at index {k} "
                                    "(nonpositive diagonal)")
         M = sp.diags(1.0 / diag)
-        x, info = spla.cg(A, b, rtol=1e-14, atol=0.0, maxiter=20 * n, M=M)
-        if info != 0 or np.linalg.norm(b - A @ x) > rel_tol * bnorm:
+        x_cg, info = spla.cg(A, b, rtol=1e-14, atol=0.0, maxiter=20 * n, M=M)
+        if info == 0 and np.linalg.norm(b - A @ x_cg) <= atol:
+            return x_cg
+        error, x = min(((_backward_error(A, b, y), y)
+                        for y in (x, x_cg) if y is not None),
+                       key=lambda pair: pair[0])
+        if not error <= BACKWARD_ERROR_TOL:
             raise LinearSolveError(
-                f"could not reach relative residual {rel_tol}")
+                f"could not reach relative residual {rel_tol} "
+                f"(backward error {error:.3e})")
     return x
 
 
@@ -242,7 +344,8 @@ class DiscreteProblem:
     its nodes (checked finite here, once), the load vector and the Dirichlet
     values at the boundary vertices.  Basis gradients and the P1 pattern are
     cached on the mesh itself.  Only work that depends on the iterate runs
-    per Newton step.
+    per Newton step.  ``lagged`` holds the factor that preconditions every
+    linear solve after the first (see :func:`linear_solve`).
     """
 
     qctx: QuadratureContext
@@ -250,6 +353,8 @@ class DiscreteProblem:
     fv: np.ndarray
     load: np.ndarray
     g_boundary: np.ndarray
+    lagged: LaggedFactor = dc_field(default_factory=LaggedFactor,
+                                    compare=False, repr=False)
 
     @classmethod
     def build(cls, spec: ProblemSpec, mesh, qctx=None):
@@ -281,7 +386,8 @@ class DiscreteProblem:
         """Solve A u = rhs on the interior with boundary values ``g``."""
         sys_ = apply_dirichlet(A, rhs, self.mesh, g)
         return P1Function(self.mesh,
-                          sys_.expand(linear_solve(sys_.operator, sys_.rhs)))
+                          sys_.expand(linear_solve(sys_.operator, sys_.rhs,
+                                                   lagged=self.lagged)))
 
 
 def solve_regularized(spec: ProblemSpec, eps: float, u0: P1Function,

@@ -2,7 +2,8 @@
 
 Basis gradients, the P1 sparsity pattern and the location of a lattice
 window's points are cached on the mesh; p, f, the load vector and the
-Dirichlet values are evaluated once per continuation solve.  Only
+Dirichlet values are evaluated once per continuation solve, and so is the
+sparse factorization that preconditions every later linear solve.  Only
 iterate-dependent work runs per Newton step.
 """
 
@@ -14,8 +15,9 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
+import plapx.solver
 from plapx.assembly import P1Function, assemble_jacobian, weighted_stiffness
-from plapx.experiments import ExperimentConfig, run_p1_sweep
+from plapx.experiments import ExperimentConfig, run_domain_sweep, run_p1_sweep
 from plapx.geometry import (ConvexDomain, TriMesh, refine_uniform,
                             triangulate_convex)
 from plapx.solver import ProblemSpec, continuation_solve
@@ -88,6 +90,39 @@ def test_lattice_located_once_per_mesh_and_window(monkeypatch):
     (short_steps, short_calls), (long_steps, long_calls) = per_solve
     assert (short_steps, long_steps) == (3, 7)
     assert short_calls == long_calls and len(short_calls) == 1
+
+
+def test_factorizations_do_not_grow_with_eps_steps(monkeypatch):
+    splu_calls, solves = [], []
+    splu, linear_solve = plapx.solver.spla.splu, plapx.solver.linear_solve
+
+    def counted_splu(A, **kw):
+        splu_calls.append(A.shape)
+        return splu(A, **kw)
+
+    def counted_solve(A, b, *args, **kw):
+        solves.append(len(b))
+        return linear_solve(A, b, *args, **kw)
+
+    monkeypatch.setattr(plapx.solver.spla, "splu", counted_splu)
+    monkeypatch.setattr(plapx.solver, "linear_solve", counted_solve)
+    spec = ProblemSpec(domain=SQUARE, p=ExponentField.constant(1.7), f=1.0,
+                       g=0.0, q=ExponentField.constant(4.0), eps_start=1.0,
+                       eps_factor=0.1, mesh_h=0.1)
+    mesh = triangulate_convex(SQUARE, 0.1)
+    per_solve = []
+    for eps_stop in (1e-2, 1e-6):
+        splu_calls.clear()
+        solves.clear()
+        report = continuation_solve(
+            dataclasses.replace(spec, eps_stop=eps_stop), mesh=mesh)
+        steps = sum(r.newton_iterations for r in report.records)
+        # one linear solve per Newton step, plus the initial Poisson solve
+        assert len(solves) == steps + 1
+        per_solve.append((len(report.records), len(splu_calls)))
+    (short_steps, short_splu), (long_steps, long_splu) = per_solve
+    assert (short_steps, long_steps) == (3, 7)
+    assert short_splu == long_splu
 
 
 def test_basis_gradients_cached_read_only():
@@ -178,4 +213,26 @@ def test_threaded_p1_sweep_shares_mesh_caches(tmp_path, monkeypatch):
         sides.append(side)
     assert ((tmp_path / "single.csv").read_bytes()
             == (tmp_path / "pool.csv").read_bytes())
+    assert sides[0] == sides[1]
+
+
+def test_threaded_domain_sweep_matches_single_thread(tmp_path, monkeypatch):
+    # each member solves with its own kept factor: a factor shared between
+    # pool threads would precondition another mesh's systems
+    out = tmp_path / "dom.csv"
+    text = "\n".join([
+        "domain.vertices = 0,0; 1,0; 1,1; 0,1", "domain.corner_radius = 0",
+        "p.expr = 2 - 0.5*x", "f.expr = 1", "g.expr = x", "q.expr = 4",
+        "eps.start = 1", "eps.stop = 1e-3",
+        "eps.factor = 0.31622776601683794", "mesh.h = 0.2",
+        "mesh.refinements = 0", "newton.tol = 1e-10",
+        "newton.max_iter = 30", "s.exponent = 0.5", "seed = 0",
+        "radius.list = 0.3, 0.2, 0.15, 0.1", f"output.path = {out}"]) + "\n"
+    sides = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("PLAPX_THREADS", threads)
+        result = run_domain_sweep(ExperimentConfig.from_text(text))
+        assert not result.failed and len(result.rows) == 4
+        sides.append((out.read_bytes(),
+                      (tmp_path / "dom.csv.json").read_bytes()))
     assert sides[0] == sides[1]

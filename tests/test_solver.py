@@ -2,14 +2,16 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from plapx.assembly import (P1Function, apply_dirichlet, assemble_load,
-                            weighted_stiffness)
+import plapx.solver as solver
+from plapx.assembly import (P1Function, apply_dirichlet, assemble_jacobian,
+                            assemble_load, weighted_stiffness)
 from plapx.expressions import parse_field
 from plapx.geometry import ConvexDomain, triangulate_convex
-from plapx.solver import (EpsRecord, HypothesisError, LinearSolveError,
-                          NewtonError, ProblemSpec, continuation_solve,
-                          linear_solve, masked_source, solve_regularized,
-                          validate_spec, with_mollified_exponent)
+from plapx.solver import (BACKWARD_ERROR_TOL, EpsRecord, HypothesisError,
+                          LaggedFactor, LinearSolveError, NewtonError,
+                          ProblemSpec, continuation_solve, linear_solve,
+                          masked_source, solve_regularized, validate_spec,
+                          with_mollified_exponent)
 from plapx.varexp import ExponentField, QuadratureContext
 
 SQUARE = ConvexDomain.unit_square()
@@ -71,6 +73,129 @@ def test_linear_solve_zero_rhs():
 def test_linear_solve_shape_mismatch():
     with pytest.raises(ValueError):
         linear_solve(sp.eye(3, format="csr"), np.ones(4))
+
+
+def test_linear_solve_accepts_roundoff_backward_error():
+    # A = Q diag(1 .. 1e-13) Q^T with b along the smallest eigenvector:
+    # ||x|| = 1e13 ||b||, so computing r = b - Ax alone errs by about
+    # u ||A|| ||x|| = 1e-3 ||b||.  The relative residual 1e-12 is out of
+    # reach, but the LU solution is exact for a system within roundoff.
+    rng = np.random.Generator(np.random.Philox(5))
+    Q, _ = np.linalg.qr(rng.normal(size=(20, 20)))
+    A = sp.csr_matrix((Q * np.logspace(0.0, -13.0, 20)) @ Q.T)
+    b = Q[:, -1]
+    x = linear_solve(A, b)
+    r = b - A @ x
+    assert np.linalg.norm(r) > 1e-12 * np.linalg.norm(b)
+    backward = (np.linalg.norm(r, np.inf)
+                / (np.abs(A).sum(axis=1).max() * np.linalg.norm(x, np.inf)
+                   + np.linalg.norm(b, np.inf)))
+    assert backward <= BACKWARD_ERROR_TOL
+
+
+def test_linear_solve_still_rejects_a_singular_system():
+    # singular, and b is outside the range: no x has a small backward error
+    A = sp.csr_matrix(np.array([[1.0, 1.0], [1.0, 1.0]]))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        with pytest.raises(LinearSolveError) as err:
+            linear_solve(A, np.array([1.0, 0.0]))
+    assert "could not reach relative residual 1e-12" in str(err.value)
+
+
+# --- linear_solve with a lagged factor -------------------------------------------
+
+
+def poisson_system(h=0.08):
+    mesh = triangulate_convex(SQUARE, h)
+    qctx = QuadratureContext(mesh)
+    K = weighted_stiffness(P1Function.zero(mesh),
+                           ExponentField.constant(2.0), 1.0, qctx)
+    sys_ = apply_dirichlet(K, assemble_load(1.0, qctx), mesh, 0.0)
+    return mesh, qctx, sys_.operator.matrix, sys_.rhs
+
+
+@pytest.fixture
+def splu_calls(monkeypatch):
+    calls = []
+    real = solver.spla.splu
+
+    def counted(A, **kw):
+        calls.append(A.shape)
+        return real(A, **kw)
+
+    monkeypatch.setattr(solver.spla, "splu", counted)
+    return calls
+
+
+def test_lagged_factor_of_nearby_matrix_preconditions(splu_calls):
+    mesh, qctx, K, b = poisson_system()
+    lagged = LaggedFactor()
+    linear_solve(K, b, lagged=lagged)
+    assert lagged.lu is not None and len(splu_calls) == 2
+    # a Newton Jacobian of p = 1.7 near the Poisson solution
+    x, y = mesh.points[:, 0], mesh.points[:, 1]
+    u = P1Function(mesh, x * (1.0 - x) * y * (1.0 - y))
+    J = apply_dirichlet(
+        assemble_jacobian(u, ExponentField.constant(1.7), 0.1, qctx),
+        np.zeros(mesh.n_points), mesh, 0.0).operator.matrix
+    kept = lagged.lu
+    got = linear_solve(J, b, lagged=lagged)
+    assert len(splu_calls) == 2 and lagged.lu is kept
+    assert np.linalg.norm(b - J @ got) <= 1e-12 * np.linalg.norm(b)
+    np.testing.assert_allclose(got, linear_solve(J, b), rtol=1e-10)
+
+
+def test_far_off_lagged_factor_is_replaced_once(splu_calls):
+    _, _, K, b = poisson_system()
+    n = K.shape[0]
+    lagged = LaggedFactor()
+    linear_solve(sp.eye(n, format="csr"), np.ones(n), lagged=lagged)
+    identity = lagged.lu
+    splu_calls.clear()
+    # CG on the stiffness matrix with no real preconditioner needs far
+    # more than PCG_MAX_ITER iterations: one pivot-checked factorization
+    # plus the copy the holder keeps
+    x = linear_solve(K, b, lagged=lagged)
+    assert np.linalg.norm(b - K @ x) <= 1e-12 * np.linalg.norm(b)
+    assert splu_calls == [(n, n), (n, n)]
+    assert lagged.lu is not identity
+    # the replacement is the factor of K itself
+    linear_solve(K, 2.0 * b, lagged=lagged)
+    assert len(splu_calls) == 2
+
+
+def test_indefinite_matrix_with_spd_lagged_factor_is_rejected():
+    lagged = LaggedFactor()
+    linear_solve(sp.eye(2, format="csr"), np.ones(2), lagged=lagged)
+    # eigenvalues 3 and -1; the second CG direction has d.Ad = -12
+    A = sp.csr_matrix(np.array([[1.0, 2.0], [2.0, 1.0]]))
+    with pytest.raises(LinearSolveError) as err:
+        linear_solve(A, np.array([1.0, 0.0]), lagged=lagged)
+    assert "non-SPD pivot" in str(err.value)
+
+
+def test_shape_change_refactors(splu_calls):
+    lagged = LaggedFactor()
+    linear_solve(sp.eye(3, format="csr"), np.ones(3), lagged=lagged)
+    A = sp.diags([4.0, 5.0, 6.0, 7.0, 8.0], format="csr")
+    b = np.arange(1.0, 6.0)
+    np.testing.assert_allclose(linear_solve(A, b, lagged=lagged),
+                               b / A.diagonal(), rtol=1e-15)
+    assert splu_calls == [(3, 3), (3, 3), (5, 5), (5, 5)]
+    assert lagged.lu.shape == (5, 5)
+
+
+def test_kept_factor_solves_bit_identically_to_checked_factor():
+    _, _, K, b = poisson_system()
+    lagged = LaggedFactor()
+    linear_solve(K, b, lagged=lagged)
+    checked = solver._factor(sp.csc_matrix(K))
+    assert np.all(checked.U.diagonal() > 0)
+    np.testing.assert_array_equal(lagged.lu.perm_c, checked.perm_c)
+    rng = np.random.Generator(np.random.Philox(3))
+    for rhs in (b, rng.normal(size=b.shape)):
+        np.testing.assert_array_equal(lagged.lu.solve(rhs),
+                                      checked.solve(rhs))
 
 
 # --- problem spec --------------------------------------------------------------
