@@ -20,9 +20,9 @@ from .varexp import (EvaluationError, ExponentField, NonconvergenceError,
                      PreconditionError, QuadratureContext, field_values,
                      holder_check, log_holder_modulus, luxemburg_norm,
                      modular, mollify_exponent, sobolev_conjugate)
-from .assembly import (P1Function, SparseSymmetricOperator, apply_dirichlet,
-                       assemble_jacobian, assemble_load, assemble_residual,
-                       energy, weighted_stiffness)
+from .assembly import (P1Function, apply_dirichlet, assemble_jacobian,
+                       assemble_load, assemble_residual, energy,
+                       weighted_stiffness)
 from .solver import (EpsRecord, HypothesisError, LinearSolveError,
                      NewtonError, ProblemSpec, SolveReport,
                      continuation_solve, linear_solve, masked_source,
@@ -46,7 +46,7 @@ __all__ = [
     "log_holder_modulus", "mollify_exponent", "EvaluationError",
     "PreconditionError", "NonconvergenceError",
     # assembly
-    "P1Function", "SparseSymmetricOperator", "energy", "assemble_load",
+    "P1Function", "energy", "assemble_load",
     "assemble_residual", "assemble_jacobian", "weighted_stiffness",
     "apply_dirichlet",
     # solver

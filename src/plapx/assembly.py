@@ -19,7 +19,6 @@ from .varexp import (QuadratureContext, field_values, EvaluationError,
 
 __all__ = [
     "P1Function",
-    "SparseSymmetricOperator",
     "ReducedSystem",
     "energy",
     "assemble_residual",
@@ -135,41 +134,6 @@ def _require_inside(tri, x, y):
         raise EvaluationError("point outside the mesh", x[k], y[k])
 
 
-class SparseSymmetricOperator:
-    """Thin wrapper around a symmetric CSR matrix."""
-
-    def __init__(self, matrix):
-        self.matrix = matrix.tocsr()
-
-    @property
-    def shape(self):
-        return self.matrix.shape
-
-    @property
-    def nnz(self):
-        return self.matrix.nnz
-
-    def matvec(self, v):
-        return self.matrix @ v
-
-    __matmul__ = matvec
-
-    def restrict(self, idx):
-        """Principal submatrix on the index set (kept symmetric)."""
-        sub = self.matrix[idx][:, idx]
-        return SparseSymmetricOperator(sub)
-
-    def dense(self):
-        return self.matrix.toarray()
-
-    def symmetry_defect(self):
-        d = self.matrix - self.matrix.T
-        return 0.0 if d.nnz == 0 else float(np.max(np.abs(d.data)))
-
-    def __repr__(self):
-        return f"SparseSymmetricOperator({self.shape[0]}x{self.shape[1]}, nnz={self.nnz})"
-
-
 def _check_eps(eps, allow_zero=False):
     lo_ok = eps >= 0 if allow_zero else eps > 0
     if not (lo_ok and eps <= 1.0):
@@ -248,7 +212,7 @@ def assemble_residual(u: P1Function, p, f, eps, qctx: QuadratureContext,
 
 
 def _flux_operator(u: P1Function, p, eps, qctx: QuadratureContext,
-                   linearize) -> SparseSymmetricOperator:
+                   linearize) -> sp.csr_matrix:
     """Integral of v^(p-2) grad phi_j . grad phi_i at the iterate, plus the
     derivative of the coefficient v^(p-2) when ``linearize``.
 
@@ -270,19 +234,19 @@ def _flux_operator(u: P1Function, p, eps, qctx: QuadratureContext,
     pat = mesh.p1_pattern()
     data = np.bincount(pat.scatter, weights=local.ravel(),
                        minlength=len(pat.indices))
-    return SparseSymmetricOperator(sp.csr_matrix(
-        (data, pat.indices, pat.indptr), shape=(mesh.n_points,) * 2))
+    return sp.csr_matrix((data, pat.indices, pat.indptr),
+                         shape=(mesh.n_points,) * 2)
 
 
 def assemble_jacobian(u: P1Function, p, eps,
-                      qctx: QuadratureContext) -> SparseSymmetricOperator:
+                      qctx: QuadratureContext) -> sp.csr_matrix:
     """Derivative of the residual flux term; symmetric, SPD on the interior
     subspace for exponents above 1."""
     return _flux_operator(u, p, eps, qctx, linearize=True)
 
 
 def weighted_stiffness(u: P1Function, p, eps,
-                       qctx: QuadratureContext) -> SparseSymmetricOperator:
+                       qctx: QuadratureContext) -> sp.csr_matrix:
     """Frozen-coefficient operator: integral of v^(p-2) grad phi_j . grad
     phi_i with v evaluated at the current iterate (the fallback iteration
     matrix; also the plain stiffness matrix when p is 2)."""
@@ -314,8 +278,6 @@ def apply_dirichlet(A, b, mesh, g) -> ReducedSystem:
     the reduced right-hand side absorbs the coupling, so the reduced
     operator is the symmetric interior principal submatrix.
     """
-    if isinstance(A, SparseSymmetricOperator):
-        A = A.matrix
     A = A.tocsr()
     pat = mesh.p1_pattern()
     if not (np.array_equal(A.indptr, pat.indptr)
@@ -326,7 +288,7 @@ def apply_dirichlet(A, b, mesh, g) -> ReducedSystem:
     gvals = np.zeros(mesh.n_points)
     gvals[bnd] = field_values(g, mesh.points[bnd, 0], mesh.points[bnd, 1])
     rhs = b[interior] - (A @ gvals)[interior]
-    reduced = SparseSymmetricOperator(sp.csr_matrix(
+    reduced = sp.csr_matrix(
         (A.data[pat.interior_slots], pat.interior_indices,
-         pat.interior_indptr), shape=(len(interior), len(interior))))
+         pat.interior_indptr), shape=(len(interior), len(interior)))
     return ReducedSystem(reduced, rhs, gvals, interior, mesh)

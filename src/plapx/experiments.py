@@ -24,8 +24,7 @@ from . import regularity
 from .expressions import FieldSyntaxError, parse_field
 from .geometry import (ConvexDomain, refine_uniform, round_corners,
                        triangulate_convex)
-from .solver import (SOLVE_ERRORS, EpsRecord, ProblemSpec, continuation_solve,
-                     validate_spec)
+from .solver import SOLVE_ERRORS, EpsRecord, ProblemSpec, continuation_solve
 from .varexp import ExponentField, QuadratureContext, field_values
 
 __all__ = [
@@ -320,11 +319,11 @@ def _payload_base(config: ExperimentConfig, command: str, columns):
 
 
 def _solve_member(spec, mesh):
-    """One sweep member's continuation: (report, None) or (None, reason)."""
+    """One sweep member's continuation: (report, None) or (None, error)."""
     try:
         return continuation_solve(spec, mesh=mesh), None
     except SOLVE_ERRORS as err:
-        return None, str(err)
+        return None, err
 
 
 def _emit(config, command, columns, rows, payload, mesh=None, solution=None):
@@ -440,16 +439,19 @@ def run_convergence(config: ExperimentConfig) -> ExperimentResult:
         meshes.append(refine_uniform(meshes[-1]))
 
     payload = _payload_base(config, "convergence", CONVERGENCE_COLUMNS)
-    payload["validation_warnings"] = validate_spec(spec)
 
     results = _map_ordered(lambda mesh: _solve_member(spec, mesh), meshes)
+    # every level validates the same spec, so any level's warnings will do
+    report, err = results[0]
+    payload["validation_warnings"] = (err if report is None
+                                      else report).warnings
     rows = []
     prev = None
     solution = None
-    for level, (mesh, (report, reason)) in enumerate(zip(meshes, results)):
+    for level, (mesh, (report, err)) in enumerate(zip(meshes, results)):
         if report is None:
             # the next level then has no order: it needs two solved levels
-            payload["failures"].append({"level": level, "reason": reason})
+            payload["failures"].append({"level": level, "reason": str(err)})
             prev = None
             continue
         solution = report.solution
@@ -486,9 +488,9 @@ def run_p1_sweep(config: ExperimentConfig) -> ExperimentResult:
     rows = []
     fit_p1, fit_dq, fit_rec = [], [], []
     results = _map_ordered(member, config.p1_list)
-    for p1, (report, reason) in zip(config.p1_list, results):
+    for p1, (report, err) in zip(config.p1_list, results):
         if report is None:
-            payload["failures"].append({"p1": p1, "reason": reason})
+            payload["failures"].append({"p1": p1, "reason": str(err)})
             continue
         final = report.final()
         rows.append([p1] + final.row())
@@ -543,9 +545,9 @@ def run_domain_sweep(config: ExperimentConfig) -> ExperimentResult:
     rows = []
     first_mesh = None
     prev_solution = None
-    for r, dom, (report, reason) in zip(radii, domains, results):
+    for r, dom, (report, err) in zip(radii, domains, results):
         if report is None:
-            payload["failures"].append({"radius": r, "reason": reason})
+            payload["failures"].append({"radius": r, "reason": str(err)})
             prev_solution = None
             continue
         if first_mesh is None:

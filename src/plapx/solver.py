@@ -19,9 +19,9 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import regularity
-from .assembly import (P1Function, SparseSymmetricOperator, apply_dirichlet,
-                       assemble_jacobian, assemble_load, assemble_residual,
-                       energy, weighted_stiffness)
+from .assembly import (P1Function, apply_dirichlet, assemble_jacobian,
+                       assemble_load, assemble_residual, energy,
+                       weighted_stiffness)
 from .expressions import FieldEvaluationError
 from .geometry import triangulate_convex
 from .varexp import (ExponentField, QuadratureContext, _check_finite,
@@ -243,13 +243,11 @@ def linear_solve(A, b, rel_tol=1e-12, lagged=None):
     a second factor of A: the same pivots, but its ``U`` is never read, so
     scipy never builds and caches CSC copies of L and U on it.
 
-    If the LU solve misses the target, diagonally preconditioned CG is
-    tried.  If that misses too, the better of the two solutions is
-    accepted when its normwise backward error is at most
-    BACKWARD_ERROR_TOL; otherwise :class:`LinearSolveError` is raised.
+    The refined LU solution is the only candidate.  If it misses the
+    target, it is still accepted when its normwise backward error is at
+    most BACKWARD_ERROR_TOL.  Otherwise, and when SuperLU fails before
+    any solution exists, :class:`LinearSolveError` is raised.
     """
-    if isinstance(A, SparseSymmetricOperator):
-        A = A.matrix
     A = sp.csc_matrix(A)
     b = np.asarray(b, dtype=float)
     n = A.shape[0]
@@ -288,22 +286,16 @@ def linear_solve(A, b, rel_tol=1e-12, lagged=None):
             lagged.lu = _factor(A)
     except LinearSolveError:
         raise
-    except (RuntimeError, MemoryError):
-        pass  # x is the last complete solution, if any
+    except (RuntimeError, MemoryError) as err:
+        # once set, x is a complete solution; a later failure only stops
+        # its refinement or leaves ``lagged`` empty
+        if x is None:
+            raise LinearSolveError(
+                f"could not reach relative residual {rel_tol} "
+                f"(SuperLU failed: {type(err).__name__}: {err})") from err
 
-    if x is None or np.linalg.norm(b - A @ x) > atol:
-        diag = A.diagonal()
-        if np.any(diag <= 0):
-            k = int(np.flatnonzero(diag <= 0)[0])
-            raise LinearSolveError(f"non-SPD pivot at index {k} "
-                                   "(nonpositive diagonal)")
-        M = sp.diags(1.0 / diag)
-        x_cg, info = spla.cg(A, b, rtol=1e-14, atol=0.0, maxiter=20 * n, M=M)
-        if info == 0 and np.linalg.norm(b - A @ x_cg) <= atol:
-            return x_cg
-        error, x = min(((_backward_error(A, b, y), y)
-                        for y in (x, x_cg) if y is not None),
-                       key=lambda pair: pair[0])
+    if np.linalg.norm(b - A @ x) > atol:
+        error = _backward_error(A, b, x)
         if not error <= BACKWARD_ERROR_TOL:
             raise LinearSolveError(
                 f"could not reach relative residual {rel_tol} "
@@ -357,9 +349,8 @@ class DiscreteProblem:
                                     compare=False, repr=False)
 
     @classmethod
-    def build(cls, spec: ProblemSpec, mesh, qctx=None):
-        if qctx is None:
-            qctx = QuadratureContext(mesh)
+    def build(cls, spec: ProblemSpec, mesh):
+        qctx = QuadratureContext(mesh)
         fv = field_values(spec.f, qctx.x, qctx.y)
         load = assemble_load(fv, qctx)
         pv = field_values(spec.p, qctx.x, qctx.y)
@@ -391,15 +382,15 @@ class DiscreteProblem:
 
 
 def solve_regularized(spec: ProblemSpec, eps: float, u0: P1Function,
-                      qctx: QuadratureContext = None, problem=None):
+                      problem=None):
     """Newton solve at fixed eps, starting from ``u0`` (which must satisfy
     the boundary data).  Returns (solution, stats).
 
     ``problem`` is the spec's :class:`DiscreteProblem` on ``u0``'s mesh;
-    it is built here (on ``qctx`` when given) if not passed.
+    it is built here if not passed.
     """
     if problem is None:
-        problem = DiscreteProblem.build(spec, u0.mesh, qctx)
+        problem = DiscreteProblem.build(spec, u0.mesh)
     mesh = problem.mesh
 
     u = P1Function(mesh, u0.coeffs.copy())

@@ -3,7 +3,7 @@
 The modular is rho(u) = integral of |u(x)|^p(x); the Luxemburg norm is the
 unique k > 0 with rho(u/k) = 1, found by safeguarded Newton iteration in
 log k.  Integrals are quadrature sums over a :class:`QuadratureContext`
-(symmetric degree-4 triangle rule by default), so every norm here is the
+(the symmetric degree-4 triangle rule), so every norm here is the
 norm of the quadrature measure, consistent across all modules.
 """
 
@@ -69,7 +69,7 @@ def _degree4_rule():
         [1.0 - 2.0 * b, b, b],
     ])
     w = 0.5 * np.array([_D4_W1] * 3 + [_D4_W2] * 3)
-    return pts, w, 4
+    return pts, w
 
 
 class QuadratureContext:
@@ -79,14 +79,11 @@ class QuadratureContext:
     nodes); weights are positive and sum to the mesh area.
     """
 
-    def __init__(self, mesh, degree=4):
-        if degree > 4:
-            raise ValueError("only rules up to degree 4 are built in")
-        bary, ref_w, rule_degree = _degree4_rule()
+    def __init__(self, mesh):
+        bary, ref_w = _degree4_rule()
         self.mesh = mesh
         self.bary = bary
         self.ref_weights = ref_w
-        self.degree = rule_degree
         corners = mesh.points[mesh.triangles]
         self.points = np.einsum("qi,tid->tqd", bary, corners)
         self.weights = 2.0 * mesh.areas[:, None] * ref_w[None, :]

@@ -153,7 +153,7 @@ def test_criterion_03_jacobian_fd():
         um = P1Function(mesh, u.coeffs - step * d)
         fd = (assemble_residual(up, p, 0.0, eps, qctx)
               - assemble_residual(um, p, 0.0, eps, qctx)) / (2 * step)
-        Jd = J.matvec(d)
+        Jd = J @ d
         rel = (np.linalg.norm(Jd[interior] - fd[interior])
                / np.linalg.norm(fd[interior]))
         worst = max(worst, rel)

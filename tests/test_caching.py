@@ -184,7 +184,7 @@ def test_operator_exactly_symmetric_on_vertex_graph(assemble):
     x, y = mesh.points[:, 0], mesh.points[:, 1]
     u = P1Function(mesh, np.sin(3.0 * x) * np.cos(2.0 * y) + x * x)
     p = ExponentField.from_expression("1.4 + 0.5*x*y", SQUARE)
-    A = assemble(u, p, 0.05, qctx).matrix
+    A = assemble(u, p, 0.05, qctx)
     assert (A - A.T).nnz == 0
     coo = A.tocoo()
     stored = list(zip(coo.row.tolist(), coo.col.tolist()))

@@ -515,6 +515,33 @@ def test_cli_field_evaluation_failure_is_recorded(tmp_path, capsys):
     assert lines == [",".join(EpsRecord.COLUMNS)]
 
 
+def test_cli_convergence_records_a_failed_validation_per_level(
+        tmp_path, capsys, monkeypatch):
+    import plapx.solver
+    from plapx.experiments import CONVERGENCE_COLUMNS
+    calls = []
+    real = plapx.solver.validate_spec
+
+    def counted(spec, *args, **kwargs):
+        calls.append(spec)
+        return real(spec, *args, **kwargs)
+
+    monkeypatch.setattr(plapx.solver, "validate_spec", counted)
+    path = write_config(tmp_path, **{"f.expr": "sqrt(x - 0.5)",
+                                     "u.exact.expr": "x*y",
+                                     "mesh.refinements": "3"})
+    assert cli_main(["convergence", str(path)]) == 1
+    assert "sqrt of a negative argument" in capsys.readouterr().err
+    side = json.loads((tmp_path / "cli_out.csv.json").read_text())
+    assert [item["level"] for item in side["failures"]] == [0, 1, 2]
+    assert all("sqrt of a negative argument" in item["reason"]
+               for item in side["failures"])
+    assert side["validation_warnings"] == []
+    lines = (tmp_path / "cli_out.csv").read_text().splitlines()
+    assert lines == [",".join(CONVERGENCE_COLUMNS)]
+    assert len(calls) == 3
+
+
 def test_failed_run_keeps_validation_warnings(tmp_path):
     cfg = make_config(tmp_path, **{"p.expr": "1.8", "q.expr": "2",
                                    "newton.tol": "1e-30"})

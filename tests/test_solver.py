@@ -54,7 +54,7 @@ def test_linear_solve_poisson_residual():
     b = assemble_load(1.0, qctx)
     sys_ = apply_dirichlet(K, b, mesh, 0.0)
     x = linear_solve(sys_.operator, sys_.rhs)
-    r = sys_.rhs - sys_.operator.matvec(x)
+    r = sys_.rhs - sys_.operator @ x
     assert np.linalg.norm(r) <= 1e-12 * np.linalg.norm(sys_.rhs)
 
 
@@ -75,11 +75,16 @@ def test_linear_solve_shape_mismatch():
         linear_solve(sp.eye(3, format="csr"), np.ones(4))
 
 
-def test_linear_solve_accepts_roundoff_backward_error():
+def test_linear_solve_accepts_roundoff_backward_error(monkeypatch):
     # A = Q diag(1 .. 1e-13) Q^T with b along the smallest eigenvector:
     # ||x|| = 1e13 ||b||, so computing r = b - Ax alone errs by about
     # u ||A|| ||x|| = 1e-3 ||b||.  The relative residual 1e-12 is out of
-    # reach, but the LU solution is exact for a system within roundoff.
+    # reach, but the LU solution is exact for a system within roundoff,
+    # and it is accepted without a second solver.
+    def no_cg(*args, **kwargs):
+        raise AssertionError("the LU solution must be accepted by itself")
+
+    monkeypatch.setattr(solver.spla, "cg", no_cg)
     rng = np.random.Generator(np.random.Philox(5))
     Q, _ = np.linalg.qr(rng.normal(size=(20, 20)))
     A = sp.csr_matrix((Q * np.logspace(0.0, -13.0, 20)) @ Q.T)
@@ -102,6 +107,17 @@ def test_linear_solve_still_rejects_a_singular_system():
     assert "could not reach relative residual 1e-12" in str(err.value)
 
 
+def test_linear_solve_reports_a_failed_factorization(monkeypatch):
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(solver.spla, "splu", out_of_memory)
+    with pytest.raises(LinearSolveError) as err:
+        linear_solve(sp.diags([4.0, 5.0, 6.0], format="csr"), np.ones(3))
+    assert str(err.value).startswith("could not reach relative residual 1e-12")
+    assert "MemoryError" in str(err.value)
+
+
 # --- linear_solve with a lagged factor -------------------------------------------
 
 
@@ -111,7 +127,7 @@ def poisson_system(h=0.08):
     K = weighted_stiffness(P1Function.zero(mesh),
                            ExponentField.constant(2.0), 1.0, qctx)
     sys_ = apply_dirichlet(K, assemble_load(1.0, qctx), mesh, 0.0)
-    return mesh, qctx, sys_.operator.matrix, sys_.rhs
+    return mesh, qctx, sys_.operator, sys_.rhs
 
 
 @pytest.fixture
@@ -137,7 +153,7 @@ def test_lagged_factor_of_nearby_matrix_preconditions(splu_calls):
     u = P1Function(mesh, x * (1.0 - x) * y * (1.0 - y))
     J = apply_dirichlet(
         assemble_jacobian(u, ExponentField.constant(1.7), 0.1, qctx),
-        np.zeros(mesh.n_points), mesh, 0.0).operator.matrix
+        np.zeros(mesh.n_points), mesh, 0.0).operator
     kept = lagged.lu
     got = linear_solve(J, b, lagged=lagged)
     assert len(splu_calls) == 2 and lagged.lu is kept
@@ -250,7 +266,7 @@ def test_p2_matches_direct_poisson_solve():
     spec = square_spec()
     mesh = triangulate_convex(SQUARE, 0.15)
     qctx = QuadratureContext(mesh)
-    u, _ = solve_regularized(spec, 0.5, P1Function.zero(mesh), qctx)
+    u, _ = solve_regularized(spec, 0.5, P1Function.zero(mesh))
     K = weighted_stiffness(P1Function.zero(mesh),
                            ExponentField.constant(2.0), 1.0, qctx)
     sys_ = apply_dirichlet(K, assemble_load(1.0, qctx), mesh, 0.0)
