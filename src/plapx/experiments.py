@@ -318,12 +318,21 @@ def _payload_base(config: ExperimentConfig, command: str, columns):
     }
 
 
-def _solve_member(spec, mesh):
-    """One sweep member's continuation: (report, None) or (None, error)."""
-    try:
-        return continuation_solve(spec, mesh=mesh), None
-    except SOLVE_ERRORS as err:
-        return None, err
+def _solve_members(payload, member, items):
+    """Solve the (spec, mesh) ``member(item)`` of each item, possibly in
+    threads: (report, None) or (None, error) per item, in order.  Each
+    validation warning enters the payload once, in member order."""
+    def solve(item):
+        try:
+            return continuation_solve(*member(item)), None
+        except SOLVE_ERRORS as err:
+            return None, err
+
+    results = _map_ordered(solve, items)
+    warnings = [w for report, err in results
+                for w in getattr(report or err, "warnings", ())]
+    payload["validation_warnings"] = list(dict.fromkeys(warnings))
+    return results
 
 
 def _emit(config, command, columns, rows, payload, mesh=None, solution=None):
@@ -440,11 +449,7 @@ def run_convergence(config: ExperimentConfig) -> ExperimentResult:
 
     payload = _payload_base(config, "convergence", CONVERGENCE_COLUMNS)
 
-    results = _map_ordered(lambda mesh: _solve_member(spec, mesh), meshes)
-    # every level validates the same spec, so any level's warnings will do
-    report, err = results[0]
-    payload["validation_warnings"] = (err if report is None
-                                      else report).warnings
+    results = _solve_members(payload, lambda mesh: (spec, mesh), meshes)
     rows = []
     prev = None
     solution = None
@@ -482,12 +487,11 @@ def run_p1_sweep(config: ExperimentConfig) -> ExperimentResult:
     payload = _payload_base(config, "sweep-p1", P1_COLUMNS)
 
     def member(p1):
-        return _solve_member(
-            config.problem_spec(p=ExponentField.constant(p1)), mesh)
+        return config.problem_spec(p=ExponentField.constant(p1)), mesh
 
     rows = []
     fit_p1, fit_dq, fit_rec = [], [], []
-    results = _map_ordered(member, config.p1_list)
+    results = _solve_members(payload, member, config.p1_list)
     for p1, (report, err) in zip(config.p1_list, results):
         if report is None:
             payload["failures"].append({"p1": p1, "reason": str(err)})
@@ -538,10 +542,9 @@ def run_domain_sweep(config: ExperimentConfig) -> ExperimentResult:
                          "nx": window[2], "ny": window[3]}
 
     def member(dom):
-        return _solve_member(config.problem_spec(domain=dom),
-                             config.working_mesh(dom))
+        return config.problem_spec(domain=dom), config.working_mesh(dom)
 
-    results = _map_ordered(member, domains)
+    results = _solve_members(payload, member, domains)
     rows = []
     first_mesh = None
     prev_solution = None

@@ -84,7 +84,6 @@ class ConvexDomain:
         self.corner_radius = float(corner_radius)
         self.arc_segments = int(arc_segments)
         self._disk_radius = _disk_radius
-        self._edge_len = elen
 
         if corner_radius > 0:
             if corner_radius >= 0.5 * elen.min():
@@ -585,7 +584,6 @@ def _resample_boundary(dom: ConvexDomain, spacing: float):
     polyline, so all samples lie exactly on the boundary.
     """
     poly = dom.polyline
-    n = len(poly)
     u_in = poly - np.roll(poly, 1, axis=0)
     u_in /= np.hypot(u_in[:, 0], u_in[:, 1])[:, None]
     u_out = np.roll(poly, -1, axis=0) - poly

@@ -113,11 +113,12 @@ class ProblemSpec:
 
 @dataclass
 class SolveStats:
+    """One fixed-eps solve: residuals, Newton step sizes, fallback use."""
+
     iterations: int
     final_residual: float
     residual_history: list
     step_sizes: list
-    energy_history: list
     converged: bool
     used_fallback: bool = False
 
@@ -332,17 +333,16 @@ def with_mollified_exponent(spec: ProblemSpec, delta: float) -> ProblemSpec:
 class DiscreteProblem:
     """What stays fixed while a spec is solved on one mesh.
 
-    Built once per continuation solve: the quadrature context, p and f at
-    its nodes (checked finite here, once), the load vector and the Dirichlet
-    values at the boundary vertices.  Basis gradients and the P1 pattern are
-    cached on the mesh itself.  Only work that depends on the iterate runs
-    per Newton step.  ``lagged`` holds the factor that preconditions every
-    linear solve after the first (see :func:`linear_solve`).
+    Built once per continuation solve: the quadrature context, p at its
+    nodes, the load vector (f and p checked finite here, once) and the
+    Dirichlet values at the boundary vertices, all read-only.  The mesh
+    caches basis gradients and the P1 pattern, each iterate what it
+    determines (see :class:`P1Function`).  ``lagged`` holds the factor
+    that preconditions every linear solve after the first.
     """
 
     qctx: QuadratureContext
     pv: np.ndarray
-    fv: np.ndarray
     load: np.ndarray
     g_boundary: np.ndarray
     lagged: LaggedFactor = dc_field(default_factory=LaggedFactor,
@@ -351,14 +351,15 @@ class DiscreteProblem:
     @classmethod
     def build(cls, spec: ProblemSpec, mesh):
         qctx = QuadratureContext(mesh)
-        fv = field_values(spec.f, qctx.x, qctx.y)
-        load = assemble_load(fv, qctx)
+        load = assemble_load(spec.f, qctx)
         pv = field_values(spec.p, qctx.x, qctx.y)
         _check_finite(pv, qctx, "exponent")
         bnd = mesh.is_boundary
         g_boundary = field_values(spec.g, mesh.points[bnd, 0],
                                   mesh.points[bnd, 1])
-        return cls(qctx, pv, fv, load, g_boundary)
+        for arr in (pv, load, g_boundary):
+            arr.setflags(write=False)
+        return cls(qctx, pv, load, g_boundary)
 
     @property
     def mesh(self):
@@ -366,12 +367,8 @@ class DiscreteProblem:
 
     def residual(self, u, eps, check_boundary=False):
         return assemble_residual(
-            u, self.pv, self.fv, eps, self.qctx, load=self.load,
+            u, self.pv, None, eps, self.qctx, load=self.load,
             g_data=self.g_boundary if check_boundary else None)
-
-    def functional(self, u, eps):
-        """Energy minus the load term: the discrete problem minimizes it."""
-        return energy(u, self.pv, eps, self.qctx) - float(self.load @ u.coeffs)
 
     def solve_reduced(self, A, rhs, g):
         """Solve A u = rhs on the interior with boundary values ``g``."""
@@ -393,11 +390,10 @@ def solve_regularized(spec: ProblemSpec, eps: float, u0: P1Function,
         problem = DiscreteProblem.build(spec, u0.mesh)
     mesh = problem.mesh
 
-    u = P1Function(mesh, u0.coeffs.copy())
+    u = P1Function(mesh, u0.coeffs)
     R = problem.residual(u, eps, check_boundary=True)
     res = float(np.max(np.abs(R)))
     history = [res]
-    energies = [problem.functional(u, eps)]
     steps = []
 
     for _ in range(spec.newton_max_iter):
@@ -408,24 +404,21 @@ def solve_regularized(spec: ProblemSpec, eps: float, u0: P1Function,
         d = problem.solve_reduced(A, -R, 0.0).coeffs
 
         t = 1.0
-        accepted = False
         for _halve in range(31):
             trial = P1Function(mesh, u.coeffs + t * d)
             R_trial = problem.residual(trial, eps)
             res_trial = float(np.max(np.abs(R_trial)))
             if res_trial <= (1.0 - 1e-4 * t) * res:
-                accepted = True
                 break
             t *= 0.5
-        if not accepted:
-            break
+        else:
+            break  # no step length passed: the fallback takes over
         u, R, res = trial, R_trial, res_trial
         steps.append(t)
         history.append(res)
-        energies.append(problem.functional(u, eps))
 
     if res <= spec.newton_tol:
-        return u, SolveStats(len(steps), res, history, steps, energies, True)
+        return u, SolveStats(len(steps), res, history, steps, True)
 
     # frozen-coefficient fallback: solve A(u_k) u_{k+1} = load with the
     # Dirichlet data, which is globally contractive for mild exponents
@@ -436,15 +429,14 @@ def solve_regularized(spec: ProblemSpec, eps: float, u0: P1Function,
         u = problem.solve_reduced(M, problem.load, problem.g_boundary)
         res = float(np.max(np.abs(problem.residual(u, eps))))
         history.append(res)
-        energies.append(problem.functional(u, eps))
         if res < best_res:
             best_u, best_res = u, res
             stall = 0
         else:
             stall += 1
         if res <= spec.newton_tol:
-            return u, SolveStats(len(steps), res, history, steps, energies,
-                                 True, used_fallback=True)
+            return u, SolveStats(len(steps), res, history, steps, True,
+                                 used_fallback=True)
         if stall >= 10:
             break
     raise NewtonError(
@@ -498,8 +490,8 @@ def continuation_solve(spec: ProblemSpec, mesh=None) -> SolveReport:
         best = getattr(err, "best", None)
         if best is not None:
             stats = SolveStats(max(len(err.history) - 1, 0),
-                               min(err.history), err.history, [], [],
-                               False, used_fallback=True)
+                               min(err.history), err.history, [], False,
+                               used_fallback=True)
             records.append(_record_for(best, problem, eps, stats, window))
         err.records = records
         err.failed_eps = eps

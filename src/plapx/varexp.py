@@ -83,7 +83,6 @@ class QuadratureContext:
         bary, ref_w = _degree4_rule()
         self.mesh = mesh
         self.bary = bary
-        self.ref_weights = ref_w
         corners = mesh.points[mesh.triangles]
         self.points = np.einsum("qi,tid->tqd", bary, corners)
         self.weights = 2.0 * mesh.areas[:, None] * ref_w[None, :]
@@ -91,10 +90,6 @@ class QuadratureContext:
         self.y = self.points[..., 1]
         for arr in (self.points, self.weights, self.x, self.y):
             arr.setflags(write=False)
-
-    @property
-    def total_weight(self):
-        return float(self.weights.sum())
 
 
 def field_values(f, x, y):

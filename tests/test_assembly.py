@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -283,3 +284,14 @@ def test_reduced_operator_is_principal_submatrix():
     idx = sys.interior_index
     np.testing.assert_array_equal(sys.operator.toarray(),
                                   A.toarray()[np.ix_(idx, idx)])
+
+
+def test_energy_at_eps_zero_is_finite_and_warning_free():
+    # every triangle of the zero function is flat: v = 0, and v^(p-2) is
+    # infinite for p < 2; energy takes only v^p = 0 from it
+    mesh, qctx = make(0.3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        J = energy(P1Function.zero(mesh), ExponentField.constant(1.5), 0.0,
+                   qctx)
+    assert J == 0.0

@@ -125,6 +125,69 @@ def test_factorizations_do_not_grow_with_eps_steps(monkeypatch):
     assert short_splu == long_splu
 
 
+@pytest.mark.parametrize("newton_max_iter", [30, 1])
+def test_flux_kernel_runs_once_per_residual(monkeypatch, newton_max_iter):
+    """p at the quadrature nodes enters the flux kernel once per residual
+    evaluation and once for the initial stiffness matrix.  The Jacobian at
+    an accepted line-search trial, the fallback's frozen-coefficient matrix
+    and the energy of each eps record reuse the residual's evaluation."""
+    import plapx.assembly
+
+    spec = ProblemSpec(domain=SQUARE, p=ExponentField.constant(1.6), f=1.0,
+                       g=0.0, q=ExponentField.constant(4.0), eps_start=1.0,
+                       eps_stop=1e-2, eps_factor=0.1, mesh_h=0.15,
+                       newton_tol=1e-9, newton_max_iter=newton_max_iter)
+    mesh = triangulate_convex(SQUARE, 0.15)
+    node_shape = (mesh.n_triangles, 6)
+    exponent_evals = []
+    calls = {"assemble_residual": 0, "assemble_jacobian": 0,
+             "weighted_stiffness": 0, "energy": 0}
+    field_values = plapx.assembly.field_values
+
+    def counted_field_values(f, x, y):
+        if np.shape(x) == node_shape and f is not spec.f:
+            exponent_evals.append(type(f).__name__)
+        return field_values(f, x, y)
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(plapx.assembly, "field_values", counted_field_values)
+    for name in calls:
+        monkeypatch.setattr(plapx.solver, name,
+                            counted(name, getattr(plapx.solver, name)))
+    report = continuation_solve(spec, mesh=mesh)
+    assert len(exponent_evals) == calls["assemble_residual"] + 1
+    assert calls["assemble_jacobian"] >= 1
+    assert len(report.records) == 3
+    if newton_max_iter == 1:
+        assert calls["weighted_stiffness"] > 1  # the fallback ran
+
+
+def test_iterate_owns_its_coefficients():
+    mesh = triangulate_convex(SQUARE, 0.3)
+    base = np.zeros((2, mesh.n_points))
+    base[0] = mesh.points[:, 0]
+    u = P1Function(mesh, base[0])
+    u.triangle_gradients()
+    base[0] = 5.0 * mesh.points[:, 1]
+    np.testing.assert_array_equal(u.coeffs, mesh.points[:, 0])
+    np.testing.assert_allclose(u.triangle_gradients(),
+                               np.tile([1.0, 0.0], (mesh.n_triangles, 1)),
+                               rtol=0, atol=1e-12)
+
+
+def test_triangle_gradients_cached_read_only():
+    u = P1Function.interpolate(triangulate_convex(SQUARE, 0.3),
+                               lambda x, y: x * y)
+    g = u.triangle_gradients()
+    assert g is u.triangle_gradients()
+    assert not g.flags.writeable
+
+
 def test_basis_gradients_cached_read_only():
     mesh = triangulate_convex(SQUARE, 0.3)
     g = mesh.basis_gradients()

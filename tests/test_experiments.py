@@ -424,6 +424,22 @@ def test_cli_strict_propagates_runner_warnings(tmp_path, capsys):
     assert "warning:" in err
 
 
+@pytest.mark.parametrize("command,key,values", [
+    ("sweep-p1", "p1.list", "2.5, 3"),
+    ("sweep-domain", "radius.list", "0.2, 0.1"),
+])
+def test_cli_strict_sweeps_report_member_warnings(tmp_path, capsys, command,
+                                                  key, values):
+    # every member has p > 2 and f = 1: the same warning, recorded once
+    path = write_config(tmp_path, **{"p.expr": "2.5", key: values})
+    assert cli_main([command, "--strict", str(path)]) == 2
+    assert "warning: source is nonzero where p > 2" in capsys.readouterr().err
+    side = json.loads((tmp_path / "cli_out.csv.json").read_text())
+    assert len(side["validation_warnings"]) == 1
+    assert side["validation_warnings"][0].startswith(
+        "source is nonzero where p > 2")
+
+
 def test_cli_solver_failure_exit_code(tmp_path, capsys):
     path = write_config(tmp_path, **{"newton.tol": "1e-30"})
     assert cli_main(["sweep-eps", str(path)]) == 1

@@ -4,14 +4,14 @@ import scipy.sparse as sp
 
 import plapx.solver as solver
 from plapx.assembly import (P1Function, apply_dirichlet, assemble_jacobian,
-                            assemble_load, weighted_stiffness)
+                            assemble_load, energy, weighted_stiffness)
 from plapx.expressions import parse_field
 from plapx.geometry import ConvexDomain, triangulate_convex
-from plapx.solver import (BACKWARD_ERROR_TOL, EpsRecord, HypothesisError,
-                          LaggedFactor, LinearSolveError, NewtonError,
-                          ProblemSpec, continuation_solve, linear_solve,
-                          masked_source, solve_regularized, validate_spec,
-                          with_mollified_exponent)
+from plapx.solver import (BACKWARD_ERROR_TOL, DiscreteProblem, EpsRecord,
+                          HypothesisError, LaggedFactor, LinearSolveError,
+                          NewtonError, ProblemSpec, continuation_solve,
+                          linear_solve, masked_source, solve_regularized,
+                          validate_spec, with_mollified_exponent)
 from plapx.varexp import ExponentField, QuadratureContext
 
 SQUARE = ConvexDomain.unit_square()
@@ -287,8 +287,16 @@ def test_newton_residual_history_decreases():
 def test_functional_descends_from_cold_start():
     spec = square_spec(p=ExponentField.constant(1.5))
     mesh = triangulate_convex(SQUARE, 0.15)
-    u, stats = solve_regularized(spec, 0.05, P1Function.zero(mesh))
-    assert stats.energy_history[-1] <= stats.energy_history[0] + 1e-12
+    problem = DiscreteProblem.build(spec, mesh)
+    u0 = P1Function.zero(mesh)
+    u, stats = solve_regularized(spec, 0.05, u0, problem=problem)
+
+    def functional(v):
+        # J(v) - l(v): the discrete problem minimizes it
+        return (energy(v, problem.pv, 0.05, problem.qctx)
+                - float(problem.load @ v.coeffs))
+
+    assert functional(u) <= functional(u0) + 1e-12
 
 
 def test_fallback_engages_when_newton_budget_is_tiny():

@@ -21,7 +21,7 @@ def square_qctx(h=0.1):
 
 def test_quadrature_weights_sum_to_area():
     qctx = square_qctx(0.2)
-    assert qctx.total_weight == pytest.approx(1.0, rel=1e-13)
+    assert qctx.weights.sum() == pytest.approx(1.0, rel=1e-13)
 
 
 @pytest.mark.parametrize("a,b", [(0, 0), (1, 0), (2, 1), (3, 1), (2, 2),
