@@ -240,14 +240,18 @@ def linear_solve(A, b, rel_tol=1e-12, lagged=None):
     The factorization is a sparse LU with a symmetric ordering and no
     partial pivoting, so an indefinite matrix shows up as a nonpositive
     pivot and is reported by index; the solve takes up to three steps of
-    iterative refinement.  After a pivot-checked solve, ``lagged`` receives
-    a second factor of A: the same pivots, but its ``U`` is never read, so
-    scipy never builds and caches CSC copies of L and U on it.
+    iterative refinement.  After a pivot-checked solve that reaches the
+    target, ``lagged`` receives a second factor of A: the same pivots, but
+    its ``U`` is never read, so scipy never builds and caches CSC copies of
+    L and U on it.
 
     The refined LU solution is the only candidate.  If it misses the
     target, it is still accepted when its normwise backward error is at
-    most BACKWARD_ERROR_TOL.  Otherwise, and when SuperLU fails before
-    any solution exists, :class:`LinearSolveError` is raised.
+    most BACKWARD_ERROR_TOL.  ``lagged`` is then left empty: the next
+    system of the solve is most likely as far out of reach, so it is
+    factored at once instead of after PCG_MAX_ITER futile iterations.
+    Otherwise, and when SuperLU fails before any solution exists,
+    :class:`LinearSolveError` is raised.
     """
     A = sp.csc_matrix(A)
     b = np.asarray(b, dtype=float)
@@ -277,12 +281,13 @@ def linear_solve(A, b, rel_tol=1e-12, lagged=None):
                 f"non-SPD pivot at elimination index {k} "
                 f"(original unknown {int(lu.perm_c[k])})")
         x = lu.solve(b)
+        r = b - A @ x
         for _ in range(3):
-            r = b - A @ x
             if np.linalg.norm(r) <= atol:
                 break
             x = x + lu.solve(r)
-        if lagged is not None:
+            r = b - A @ x
+        if lagged is not None and np.linalg.norm(r) <= atol:
             del lu
             lagged.lu = _factor(A)
     except LinearSolveError:

@@ -352,6 +352,14 @@ class _MollifiedField:
     quadrature weights are normalized to sum to one, so constants are
     reproduced exactly and both the sup-distance and Lipschitz guarantees
     survive discretization.
+
+    Every offset is shorter than delta, so a point whose ``line_distance``
+    clears delta (plus a roundoff margin) stays inside under all of them,
+    where projection is the identity; only the other points are projected,
+    once per offset.  The field keeps its last result, keyed on the exact
+    bits of x and y: a solve evaluates it on the validation samples and on
+    the quadrature nodes, once for p and once for the masked source each.
+    Every call returns a fresh array.
     """
 
     def __init__(self, base, domain, delta, nodes=12):
@@ -369,20 +377,45 @@ class _MollifiedField:
         w = ww[keep] * bump
         self.offsets = self.delta * np.column_stack([wx[keep], wy[keep]])
         self.weights = w / w.sum()
+        # the absolute term covers the rounding of line_distance, which
+        # scales with the coordinates, when delta is tiny
+        self._clearance = (self.delta * (1.0 + 1e-9) + 1e-12
+                           * float(np.max(np.abs(domain.bounding_box()))))
+        # (x, y, values) of the last call, replaced in one assignment
+        self._last = None
 
     def evaluate(self, x, y):
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
+        last = self._last
+        if last is not None and _same_bits(last[0], x) and _same_bits(
+                last[1], y):
+            out = last[2]
+        else:
+            out = self._mollify(x, y)
+            self._last = (x.copy(), y.copy(), out)
+        return float(out) if out.ndim == 0 else out.copy()
+
+    def _mollify(self, x, y):
         shape = np.broadcast(x, y).shape
         xs = np.broadcast_to(x, shape).ravel()
         ys = np.broadcast_to(y, shape).ravel()
+        # a NaN distance counts as near, so project sees it as before
+        near = ~(self.domain.line_distance(np.column_stack([xs, ys]))
+                 >= self._clearance)
         acc = np.zeros(xs.shape)
         for (ox, oy), w in zip(self.offsets, self.weights):
-            shifted = self.domain.project(
-                np.column_stack([xs - ox, ys - oy]))
+            shifted = np.column_stack([xs - ox, ys - oy])
+            shifted[near] = self.domain.project(shifted[near])
             acc += w * field_values(self.base, shifted[:, 0], shifted[:, 1])
-        out = acc.reshape(shape)
-        return float(out) if out.ndim == 0 else out
+        return acc.reshape(shape)
+
+
+def _same_bits(a, b):
+    """Same shape and the same bit pattern in every entry (so -0.0 differs
+    from 0.0 and a NaN matches itself)."""
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64),
+                                                 b.view(np.uint64))
 
 
 def mollify_exponent(p: ExponentField, delta: float) -> ExponentField:

@@ -18,10 +18,12 @@ import pytest
 import plapx.solver
 from plapx.assembly import P1Function, assemble_jacobian, weighted_stiffness
 from plapx.experiments import ExperimentConfig, run_domain_sweep, run_p1_sweep
+from plapx.expressions import parse_field
 from plapx.geometry import (ConvexDomain, TriMesh, refine_uniform,
                             triangulate_convex)
-from plapx.solver import ProblemSpec, continuation_solve
-from plapx.varexp import ExponentField, QuadratureContext
+from plapx.solver import (NewtonError, ProblemSpec, continuation_solve,
+                          with_mollified_exponent)
+from plapx.varexp import ExponentField, QuadratureContext, mollify_exponent
 
 SQUARE = ConvexDomain.unit_square()
 
@@ -61,6 +63,65 @@ def test_fields_at_quadrature_nodes_evaluated_once_per_solve():
     assert long[2] > short[2] and long[3] > short[3]
     # ... but evaluates p and f at the quadrature nodes no more often
     assert long[:2] == short[:2] == (1, 1)
+
+
+class CountingBase:
+    """An exponent with an ``evaluate`` method that counts its calls."""
+
+    def __init__(self, text):
+        self.expr = parse_field(text)
+        self.calls = 0
+
+    def evaluate(self, x, y):
+        self.calls += 1
+        return self.expr.evaluate(x, y)
+
+
+def test_mollified_exponent_evaluated_once_per_point_set():
+    base = CountingBase("1.6 + 0.3*x")
+    p = ExponentField(base, p1=1.6, p2=1.9, lip=0.3, domain=SQUARE)
+    spec = with_mollified_exponent(
+        ProblemSpec(domain=SQUARE, p=p, f=1.0, g=0.0,
+                    q=ExponentField.constant(4.0), eps_start=1.0,
+                    eps_stop=0.1, mesh_h=0.15), 0.05)
+    offsets = len(spec.p.field.offsets)
+    mesh = triangulate_convex(SQUARE, 0.15)
+    for _ in range(2):
+        base.calls = 0
+        continuation_solve(spec, mesh=mesh)
+        # p and the masked source share one evaluation on the validation
+        # samples and one on the quadrature nodes
+        assert base.calls == 2 * offsets
+    # the last solve left the quadrature nodes' values; a fresh context
+    # has the same bits, so both calls below are served from them
+    qctx = QuadratureContext(mesh)
+    first = spec.p.field.evaluate(qctx.x, qctx.y)
+    kept = first.copy()
+    first[:] = 0.0
+    again = spec.p.field.evaluate(qctx.x, qctx.y)
+    assert again is not first and np.array_equal(again, kept)
+    assert base.calls == 2 * offsets
+
+
+def test_mollified_memo_shared_across_threads():
+    """Threads that evaluate one mollified field on different point sets
+    each get their own points' values, whichever entry the others left."""
+    p = ExponentField.from_expression(parse_field("1.6 + 0.3*x*y"), SQUARE)
+    field = mollify_exponent(p, 0.1).field
+    rng = np.random.default_rng(3)
+    sets = [rng.uniform(-0.2, 1.2, size=(2, n)) for n in (40, 41, 40)]
+    expected = [field.evaluate(x, y) for x, y in sets]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=6) as pool:
+            futures = [pool.submit(field.evaluate, *sets[k % 3])
+                       for k in range(48)]
+            results = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for k, got in enumerate(results):
+        assert np.array_equal(got, expected[k % 3])
 
 
 def test_lattice_located_once_per_mesh_and_window(monkeypatch):
@@ -123,6 +184,37 @@ def test_factorizations_do_not_grow_with_eps_steps(monkeypatch):
     (short_steps, short_splu), (long_steps, long_splu) = per_solve
     assert (short_steps, long_steps) == (3, 7)
     assert short_splu == long_splu
+
+
+def test_backward_error_acceptance_keeps_no_factor(monkeypatch):
+    """p = 1.05, f = 20: nearly every Newton system misses the 1e-12
+    residual and is accepted on its backward error.  Such a solve keeps no
+    factor, so the next system is factored at once, without a futile PCG
+    attempt and the second factorization it would end in."""
+    splu_calls, accepted = [], []
+    splu = plapx.solver.spla.splu
+    backward_error = plapx.solver._backward_error
+
+    def counted_splu(A, **kw):
+        splu_calls.append(A.shape)
+        return splu(A, **kw)
+
+    def counted_error(A, b, x):
+        accepted.append(len(b))
+        return backward_error(A, b, x)
+
+    monkeypatch.setattr(plapx.solver.spla, "splu", counted_splu)
+    monkeypatch.setattr(plapx.solver, "_backward_error", counted_error)
+    spec = ProblemSpec(domain=SQUARE, p=ExponentField.constant(1.05),
+                       f=20.0, g=0.0, q=ExponentField.constant(4.0),
+                       eps_start=1.0, eps_stop=1.0)
+    mesh = refine_uniform(refine_uniform(triangulate_convex(SQUARE, 0.1)))
+    with pytest.raises(NewtonError,
+                       match=r"no convergence at eps=1\.000e\+00"):
+        continuation_solve(spec, mesh=mesh)
+    assert len(accepted) >= 30
+    # one factorization per solve, plus the kept factor of the first
+    assert len(splu_calls) <= 40
 
 
 @pytest.mark.parametrize("newton_max_iter", [30, 1])

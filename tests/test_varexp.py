@@ -6,7 +6,8 @@ import scipy.integrate
 import scipy.optimize
 
 from plapx.expressions import parse_field
-from plapx.geometry import ConvexDomain, refine_uniform, triangulate_convex
+from plapx.geometry import (ConvexDomain, refine_uniform, round_corners,
+                            triangulate_convex)
 from plapx.varexp import (EvaluationError, ExponentField, PreconditionError,
                           QuadratureContext, field_values, holder_check,
                           log_holder_modulus, luxemburg_norm, modular,
@@ -309,3 +310,70 @@ def test_mollify_requires_domain():
     p = ExponentField.from_expression(parse_field("2"), SQUARE)
     with pytest.raises(ValueError):
         mollify_exponent(p, 0.0)
+
+
+def reference_mollified(moll, x, y):
+    """The mollifier as first written: every offset projects every point."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    shape = np.broadcast(x, y).shape
+    xs = np.broadcast_to(x, shape).ravel()
+    ys = np.broadcast_to(y, shape).ravel()
+    acc = np.zeros(xs.shape)
+    for (ox, oy), w in zip(moll.offsets, moll.weights):
+        shifted = moll.domain.project(np.column_stack([xs - ox, ys - oy]))
+        acc += w * field_values(moll.base, shifted[:, 0], shifted[:, 1])
+    out = acc.reshape(shape)
+    return float(out) if out.ndim == 0 else out
+
+
+ORACLE_DOMAINS = {
+    "square": SQUARE,
+    "disk": ConvexDomain.disk(1.0),
+    "rounded_square": round_corners(SQUARE, 0.2),
+    "heptagon": ConvexDomain.regular_polygon(7),
+}
+
+
+def oracle_points(domain, delta):
+    """Points inside, on the boundary, within delta of it, and outside."""
+    lo, hi = domain.bounding_box()
+    mid = 0.5 * (lo + hi)
+    span = float(np.max(hi - lo))
+    g = np.linspace(-0.6, 0.6, 12) * span
+    gx, gy = np.meshgrid(mid[0] + g, mid[1] + g)
+    grid = np.column_stack([gx.ravel(), gy.ravel()])
+    th = np.linspace(0.0, 2.0 * np.pi, 48, endpoint=False)
+    ray = np.column_stack([np.cos(th), np.sin(th)])
+    on = domain.project(mid + 3.0 * span * ray)
+    inward = mid - on
+    inward /= np.hypot(inward[:, 0], inward[:, 1])[:, None]
+    bands = [on + t * delta * inward for t in (0.5, 1.0, 1.0 + 1e-12, 1.5)]
+    return np.vstack([grid, on, *bands, on - 0.5 * delta * inward])
+
+
+@pytest.mark.parametrize("delta", [0.05, 0.2])
+@pytest.mark.parametrize("expr", ["1.6 + 0.3*x + 0.1*y",
+                                  "1.5 + 0.25*abs(x - 0.5)",
+                                  "2 + 0.3*sin(3*x)*cos(2*y)"])
+@pytest.mark.parametrize("name", sorted(ORACLE_DOMAINS))
+def test_mollified_field_matches_per_offset_projection(name, expr, delta):
+    domain = ORACLE_DOMAINS[name]
+    pd = mollify_exponent(ExponentField.from_expression(parse_field(expr),
+                                                        domain), delta)
+    moll = pd.field
+    pts = oracle_points(domain, delta)
+    d = domain.line_distance(pts)
+    # the sample covers every class of point the projection distinguishes
+    assert np.any(d < 0) and np.any(np.abs(d) <= 1e-12)
+    assert np.any((0 < d) & (d < delta)) and np.any(d > delta)
+    x, y = pts[:, 0], pts[:, 1]
+    expected = reference_mollified(moll, x, y)
+    assert np.array_equal(moll.evaluate(x, y), expected)
+    # a 2-D grid: the reference ravels its input, so its values are these
+    grid = moll.evaluate(x.reshape(-1, 12), y.reshape(-1, 12))
+    assert np.array_equal(grid, expected.reshape(-1, 12))
+    for x, y in pts[[len(pts) // 2, -1]]:
+        value = moll.evaluate(float(x), float(y))
+        assert isinstance(value, float)
+        assert value == reference_mollified(moll, float(x), float(y))
