@@ -4,8 +4,10 @@ Domains are convex polygons, optionally with corners replaced by inscribed
 circular arcs (polyline resolution ``arc_segments`` per corner).  Meshing is
 deterministic: boundary resampling at roughly uniform arclength, a hexagonal
 interior lattice, Delaunay connectivity of the combined point set (exact for
-points in convex position), then a few Laplacian smoothing sweeps to enforce
-the 20 degree minimum-angle floor.
+points in convex position), then a few Laplacian smoothing sweeps of the
+points near the boundary to enforce the 20 degree minimum-angle floor.  Each
+attempt runs one Delaunay over all its points; after a sweep only the
+boundary ring is re-triangulated (``_RingDelaunay``), with the same result.
 """
 
 from __future__ import annotations
@@ -310,6 +312,8 @@ class TriMesh:
         self.is_boundary = np.asarray(is_boundary, dtype=bool)
         if self.points.ndim != 2 or self.points.shape[1] != 2:
             raise GeometryError("points must be (n, 2)")
+        if not np.all(np.isfinite(self.points)):
+            raise GeometryError("points must be finite")
         if self.triangles.ndim != 2 or self.triangles.shape[1] != 3:
             raise GeometryError("triangles must be (m, 3)")
         if len(self.is_boundary) != len(self.points):
@@ -662,30 +666,162 @@ def _canonical_order(t):
     return t[np.lexsort((t[:, 2], t[:, 1], t[:, 0]))]
 
 
-def _smooth_interior(points, n_boundary, rounds, movable=None):
-    """Laplacian smoothing of interior points.
-
-    With a ``movable`` mask, only those points relax; freezing the far
-    interior keeps the hexagonal lattice bit-identical across domains that
-    differ only near the boundary.
+def _smooth_round(points, tri, movable):
+    """One Laplacian sweep: each ``movable`` point that has a neighbour in
+    ``tri`` moves to the mean of its neighbours, an edge counting once per
+    triangle that has it.  Freezing the far interior keeps the hexagonal
+    lattice bit-identical across domains that differ only near the boundary.
     """
-    pts = points.copy()
-    if movable is None:
-        movable = np.arange(len(pts)) >= n_boundary
-    else:
-        movable = movable & (np.arange(len(pts)) >= n_boundary)
-    for _ in range(rounds):
-        tri = _delaunay_triangles(pts)
-        nbr_sum = np.zeros_like(pts)
-        nbr_cnt = np.zeros(len(pts))
-        for a, b in ((0, 1), (1, 2), (2, 0)):
-            np.add.at(nbr_sum, tri[:, a], pts[tri[:, b]])
-            np.add.at(nbr_cnt, tri[:, a], 1.0)
-            np.add.at(nbr_sum, tri[:, b], pts[tri[:, a]])
-            np.add.at(nbr_cnt, tri[:, b], 1.0)
-        ok = movable & (nbr_cnt > 0)
-        pts[ok] = nbr_sum[ok] / nbr_cnt[ok, None]
-    return pts
+    a, b, c = tri.T
+    # per target, the terms are summed in the order of six passes over the
+    # triangles: (a <- b), (b <- a), (b <- c), (c <- b), (c <- a), (a <- c)
+    targets = np.concatenate([a, b, b, c, c, a])
+    sources = np.concatenate([b, a, c, b, a, c])
+    count = np.bincount(targets, minlength=len(points))
+    ok = movable & (count > 0)
+    out = points.copy()
+    for d in (0, 1):
+        total = np.bincount(targets, weights=points[sources, d],
+                            minlength=len(points))
+        out[ok, d] = total[ok] / count[ok]
+    return out
+
+
+def _disk_reach(dom, points, t):
+    """Lowest and highest line distance a triangle's circumdisk can reach:
+    line distance of the circumcentre minus and plus the circumradius (the
+    line distance is 1-Lipschitz).  Not finite for a degenerate triangle."""
+    a = points[t[:, 0]]
+    b = points[t[:, 1]] - a
+    c = points[t[:, 2]] - a
+    bb = b[:, 0] * b[:, 0] + b[:, 1] * b[:, 1]
+    cc = c[:, 0] * c[:, 0] + c[:, 1] * c[:, 1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d = 2.0 * (b[:, 0] * c[:, 1] - b[:, 1] * c[:, 0])
+        ux = (c[:, 1] * bb - b[:, 1] * cc) / d
+        uy = (b[:, 0] * cc - c[:, 0] * bb) / d
+        centre = dom.line_distance(a + np.column_stack([ux, uy]))
+    radius = np.hypot(ux, uy)
+    return centre - radius, centre + radius
+
+
+def _near_cocircular(points, tri, rel):
+    """Whether two triangles of ``tri`` that share an edge are within a
+    relative ``rel`` of having one circumcircle (in-circle determinant
+    against its absolute-value sum)."""
+    edges = np.concatenate([tri[:, [0, 1]], tri[:, [1, 2]], tri[:, [2, 0]]])
+    key = np.sort(edges, axis=1) @ np.array([len(points), 1])
+    order = np.argsort(key, kind="stable")
+    pair = np.flatnonzero(key[order[1:]] == key[order[:-1]])
+    first, second = order[pair], order[pair + 1]
+    m = len(tri)
+    # the vertex of the second triangle opposite the shared edge
+    d = points[tri[second % m, (second // m + 2) % 3]]
+    p = points[tri[first % m]] - d[:, None, :]
+    lift = np.einsum("kij,kij->ki", p, p)
+    det = perm = 0.0
+    for i in range(3):
+        j, k = (i + 1) % 3, (i + 2) % 3
+        u = p[:, j, 0] * p[:, k, 1]
+        v = p[:, k, 0] * p[:, j, 1]
+        det = det + lift[:, i] * (u - v)
+        perm = perm + lift[:, i] * (np.abs(u) + np.abs(v))
+    return bool(np.any(np.abs(det) <= rel * perm))
+
+
+def _uses_all(tri, n):
+    """Whether every one of the ``n`` points is a corner of ``tri``."""
+    return bool(np.all(np.bincount(tri.ravel(), minlength=n)))
+
+
+def _near_collinear_boundary(bnd, rel):
+    """Whether three consecutive boundary samples are collinear within a
+    relative ``rel`` but not exactly, in all three corner orders."""
+    i = np.arange(len(bnd))
+    j, k = np.roll(i, -1), np.roll(i, -2)
+    twice = np.abs(np.stack([_signed_areas(bnd, np.column_stack(r))
+                             for r in ((i, j, k), (j, k, i), (k, i, j))]))
+    span = (np.hypot(*(bnd[j] - bnd[i]).T) * np.hypot(*(bnd[k] - bnd[j]).T))
+    exact = np.all(twice == 0, axis=0)
+    clear = np.all(twice > rel * span, axis=0)
+    return bool(np.any(~exact & ~clear))
+
+
+class _RingDelaunay:
+    """Delaunay triangulations of one point set whose boundary ring moves.
+
+    ``points`` are a meshing attempt's points before smoothing, boundary
+    samples first, and ``depth`` the line distances of the others; only the
+    rows in ``movable`` ever move.  ``base`` is the one Delaunay over all of
+    them.  Called with moved points, the object returns exactly
+    ``_delaunay_triangles`` of them but triangulates only a ring: the
+    boundary samples and the points with line distance below a level L,
+    where L - M starts at ``MARGIN`` spacings and M is the deepest line
+    distance a moved point had or has.  The result is the ring's triangles
+    whose circumdisk stays below L and the base triangles whose circumdisk
+    lies beyond M: no point is inside those circumdisks, so they are
+    Delaunay triangles of all the points.  It is used only if
+    - it has as many triangles as ``base`` (none is missing);
+    - no two of its triangles near the ring are nearly cocircular (Qhull
+      could break the tie either way);
+    - no three consecutive boundary samples are nearly, but not exactly,
+      collinear (Qhull could keep or drop the sliver).
+    A missing triangle doubles L - M.  A tie, a near-collinear boundary or
+    a ring holding more than half the points triangulates all of them.
+    """
+
+    MARGIN = 2.0     # initial L - M, in spacings
+    SLACK = 1e-6     # circumdisk clearance, in spacings
+    TIE = 1e-9       # relative in-circle determinant
+    COLLINEAR = 1e-9  # relative doubled area of three boundary samples
+
+    def __init__(self, dom, points, depth, movable, spacing):
+        self.dom = dom
+        self.spacing = spacing
+        self.base = _delaunay_triangles(points)
+        self.movable = np.flatnonzero(movable)
+        n_boundary = len(points) - len(depth)
+        self.depth = np.concatenate([np.full(n_boundary, -np.inf), depth])
+        self.ring_ok = (
+            len(self.movable) > 0
+            and _uses_all(self.base, len(points))
+            and not _near_collinear_boundary(points[:n_boundary],
+                                             self.COLLINEAR))
+        if self.ring_ok:
+            self.low, self.high = _disk_reach(dom, points, self.base)
+
+    def __call__(self, points):
+        if not self.ring_ok:
+            return _delaunay_triangles(points)
+        depth = self.depth.copy()
+        depth[self.movable] = self.dom.line_distance(points[self.movable])
+        reach = max(self.depth[self.movable].max(),
+                    depth[self.movable].max())
+        slack = self.SLACK * self.spacing
+        far = self.low > reach + slack
+        margin = self.MARGIN * self.spacing
+        while True:
+            ring = np.flatnonzero(depth < reach + margin)
+            if 2 * len(ring) > len(points):
+                break
+            level = reach + margin - slack
+            local = _delaunay_triangles(points[ring])
+            if not _uses_all(local, len(ring)):
+                break
+            # rows are rotated alike, smallest index first, so a triangle in
+            # both the ring and the base gets the same reach from both and
+            # lands in exactly one part
+            inner = ring[local]
+            inner = inner[_disk_reach(self.dom, points, inner)[1] < level]
+            tri = _canonical_order(np.concatenate(
+                [inner, self.base[far & ~(self.high < level)]]))
+            if len(tri) == len(self.base):
+                near = np.any(depth[tri] < reach + margin, axis=1)
+                if _near_cocircular(points, tri[near], self.TIE):
+                    break
+                return tri
+            margin *= 2.0
+        return _delaunay_triangles(points)
 
 
 def triangulate_convex(dom: ConvexDomain, h_target: float) -> TriMesh:
@@ -710,24 +846,30 @@ def triangulate_convex(dom: ConvexDomain, h_target: float) -> TriMesh:
         interior = _hex_lattice(dom, spacing, clearance=0.72 * spacing)
         pts = np.vstack([bnd, interior])
         # relax only the ring near the boundary; deep lattice points stay put
+        depth = dom.line_distance(interior)
         movable = np.zeros(len(pts), dtype=bool)
-        movable[len(bnd):] = dom.line_distance(interior) < 2.2 * spacing
-        pts = _smooth_interior(pts, len(bnd), rounds=4, movable=movable)
-        tri = _delaunay_triangles(pts)
+        movable[len(bnd):] = depth < 2.2 * spacing
+        delaunay = _RingDelaunay(dom, pts, depth, movable, spacing)
+        tri = delaunay.base
+        for _round in range(4):
+            pts = _smooth_round(pts, tri, movable)
+            tri = delaunay(pts)
         flags = np.arange(len(pts)) < len(bnd)
         mesh = TriMesh(pts, tri, flags)
+        angle = mesh.min_angle()
         # quality loop: extra smoothing sweeps while below the angle floor
         for _round in range(6):
-            if mesh.min_angle() >= MIN_ANGLE_DEG:
+            if angle >= MIN_ANGLE_DEG:
                 break
-            pts = _smooth_interior(pts, len(bnd), rounds=1, movable=movable)
-            tri = _delaunay_triangles(pts)
+            pts = _smooth_round(pts, tri, movable)
+            tri = delaunay(pts)
             mesh = TriMesh(pts, tri, flags)
-        if mesh.min_angle() < MIN_ANGLE_DEG:
+            angle = mesh.min_angle()
+        if angle < MIN_ANGLE_DEG:
             spacing *= 0.8
             continue
         if mesh.h <= h_target:
-            if not np.array_equal(np.unique(tri), np.arange(len(pts))):
+            if not _uses_all(tri, len(pts)):
                 raise GeometryError("triangulation dropped input points")
             return mesh
         spacing *= 0.95 * h_target / mesh.h

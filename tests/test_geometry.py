@@ -1,8 +1,10 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
+from plapx import geometry
 from plapx.geometry import (ConvexDomain, GeometryError, ParameterError,
                             TriMesh, boundary_curvature, lattice_points,
                             load_mesh, refine_uniform, round_corners,
@@ -170,6 +172,158 @@ def test_absurd_h_rejected():
         triangulate_convex(ConvexDomain.unit_square(), 1e-4)
     with pytest.raises(ParameterError):
         triangulate_convex(ConvexDomain.unit_square(), 0.0)
+
+
+def mesh_digest(mesh):
+    h = hashlib.sha256()
+    for arr in (mesh.points, mesh.triangles, mesh.is_boundary):
+        h.update(np.ascontiguousarray(arr).tobytes())
+    return h.hexdigest()
+
+
+SQUARE = ConvexDomain.unit_square()
+DOMAINS = {
+    "square": SQUARE,
+    "disk": ConvexDomain.disk(1.0),
+    "triangle": ConvexDomain([(0, 0), (2, 0), (0.7, 1.4)]),
+    **{f"polygon{n}": ConvexDomain.regular_polygon(n) for n in (3, 5, 6, 7,
+                                                            8, 9, 11)},
+    **{f"rounded{r}": round_corners(SQUARE, r) for r in (0.05, 0.1, 0.2,
+                                                        0.4)},
+}
+
+# sha256 of the points, triangles and boundary-flag bytes, recorded when
+# every triangulation was one Delaunay of all the points; the comments name
+# the paths each mesh takes now
+MESH_DIGESTS = {
+    # ring too large: every triangulation over all points
+    ("square", 0.3): "d7137cbf9165152e0e6bc9688411fd6bba946fa41c492916dfd44a419ec5fc7c",
+    ("square", 0.2): "50a835d52c9e69008fe86d0d555b20d0f54ad5f7915b275daf616a709e55d261",
+    ("square", 0.1): "1728fa144e0fc6bca267c88db7cf89828754f39b10033a9e0c819a67ee05c156",
+    ("disk", 0.2): "5b1ae3091f0b9f9a35464a58681649008a38b050eaacc5d1291f466f830f3ce3",
+    ("rounded0.2", 0.12): "2a9a8902e883a51085dc6fe0d504da1d0ba8b4a487a19e7f669e9a33f7c9527c",
+    # quality loop and retried spacings
+    ("rounded0.05", 0.3): "ef1ee87e4c5a37e1c03c2e010bfdcb1150d8ac19451cf1d8d52d7a4e2abffbd8",
+    ("rounded0.4", 0.15): "e59f87ae82f8513f26c665633beafbe01fef9b0bee7556f596599684935830b6",
+    ("polygon11", 0.3): "9b8c704e0c0275f1f72b24b901f8be04912ad32c27ce0b74e5bd710397cc9290",
+    # certified ring
+    ("square", 0.04): "aa73eced496c9f15ad9aa39e0b323661dc20f63453e8928204446cdb0cf29e07",
+    ("disk", 0.08): "38ce53f7ba5c6befa35bc10bceb0904dfba11e8616d1fd82f87ea9b9cb252edd",
+    ("rounded0.1", 0.04): "2cc61c586622878499d0094708b2bedd7b807d5ddeca207369d4b9f4f28cb3e3",
+    ("rounded0.2", 0.04): "63730e2ff1645874fd2e02d28a22fd4309602d1c23e7a6ab96b03230df2a7354",
+    ("rounded0.4", 0.04): "31405ab713d077bd6f2a838afb96b9c29839a656defb074822b51ff0514bcfc4",
+    # slanted edges: nearly collinear boundary samples, all points
+    ("triangle", 0.12): "a13ee254053b2b9df9ab560ac9273fcf725dfb927a05e1d203cf50dbe54e2f42",
+    ("polygon3", 0.08): "500aaeeb7ca231afcd0bd5f45e529a55153c67c2982e491ee5f9959860e2da97",
+    ("polygon5", 0.1): "f9d4e2b73ec4c62144be29af86533a8223851a7afe3d2f1f8b74df56b8b53f79",
+    ("polygon6", 0.1): "9c32feeaf975fe2a8007544a049152c1ad9d871ff7f0226ca1c49715f00c68b7",
+    ("polygon8", 0.2): "68d29cc9ebd5813b5b29e02f7fd4b8effe9a87b10c68c97b2663adce410fb732",
+    ("polygon9", 0.12): "4b4c97253ea75467fd4285fcc08908bd3824b516e136e470416eba03bf3c8be8",
+    # where a ring would drop or keep boundary slivers differently
+    ("polygon11", 0.1): "94748d260d7845e97a957e092469b5e66f778da78a7d9d8e17feba7ef596f509",
+    # the heptagon sliver; its first spacing fails the quality loop
+    ("polygon7", 0.1): "14b2a220562780947e4be8f61020c923fcb8e2ffd0c78a7497fdde973212db9b",
+}
+
+
+@pytest.mark.parametrize("name,h", MESH_DIGESTS, ids=lambda v: str(v))
+def test_mesh_bytes_pinned(name, h):
+    mesh = triangulate_convex(DOMAINS[name], h)
+    assert mesh_digest(mesh) == MESH_DIGESTS[name, h]
+
+
+def delaunay_sizes(monkeypatch):
+    """Point counts of every Delaunay call made from here on."""
+    sizes = []
+    real = geometry.Delaunay
+
+    def counting(points, *args, **kwargs):
+        sizes.append(len(points))
+        return real(points, *args, **kwargs)
+
+    monkeypatch.setattr(geometry, "Delaunay", counting)
+    return sizes
+
+
+def test_one_full_delaunay_per_attempt(monkeypatch):
+    sizes = delaunay_sizes(monkeypatch)
+    mesh = triangulate_convex(SQUARE, 0.02)
+    # rings hold at most half an attempt's points; the point count grows
+    # from one attempt to the next, so each full run has its own count
+    full = [n for n in sizes if 2 * n > mesh.n_points]
+    assert full == sorted(set(full)) and full[-1] == mesh.n_points
+    assert len(full) == 2 and len(sizes) == 10
+    assert mesh_digest(mesh) == (
+        "ca71367acb23cda7dccfbc55acb7722534d92495a34f410df5fb6f1c676a52e8")
+
+
+def test_ring_grows_until_certified(monkeypatch):
+    monkeypatch.setattr(geometry._RingDelaunay, "MARGIN", 0.25)
+    sizes = delaunay_sizes(monkeypatch)
+    mesh = triangulate_convex(SQUARE, 0.04)
+    assert mesh_digest(mesh) == MESH_DIGESTS["square", 0.04]
+    # one full run, then rings of more than one width, none of them full
+    assert sizes[0] == mesh.n_points
+    assert len(set(sizes[1:])) > 1 and max(sizes[1:]) < mesh.n_points
+
+
+def test_ring_tie_falls_back_to_all_points(monkeypatch):
+    # on a square grid every cell's corners are cocircular, so either
+    # diagonal is Delaunay and only the full set fixes which one Qhull takes
+    k = np.arange(41) / 40.0
+    gx, gy = np.meshgrid(k, k, indexing="ij")
+    grid = np.column_stack([gx.ravel(), gy.ravel()])
+    on_edge = (np.min(grid, axis=1) == 0) | (np.max(grid, axis=1) == 1)
+    pts = np.vstack([grid[on_edge], grid[~on_edge]])
+    n_bnd = int(on_edge.sum())
+    depth = SQUARE.line_distance(pts[n_bnd:])
+    movable = np.zeros(len(pts), dtype=bool)
+    movable[n_bnd:] = depth < 0.055
+    ring = geometry._RingDelaunay(SQUARE, pts, depth, movable, 0.025)
+    moved = geometry._smooth_round(pts, ring.base, movable)
+    sizes = delaunay_sizes(monkeypatch)
+    ties = []
+    real = geometry._near_cocircular
+    monkeypatch.setattr(geometry, "_near_cocircular",
+                        lambda *a: ties.append(real(*a)) or ties[-1])
+    tri = ring(moved)
+    assert ties == [True]
+    assert len(sizes) == 2 and sizes[0] < len(pts) == sizes[1]
+    np.testing.assert_array_equal(tri, geometry._delaunay_triangles(moved))
+
+
+def test_near_cocircular_is_relative():
+    pts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]) * 1e-3
+    tri = np.array([[0, 1, 2], [0, 2, 3]])
+    assert geometry._near_cocircular(pts, tri, 1e-9)
+    pts[3, 1] *= 1.0 + 1e-6
+    assert not geometry._near_cocircular(pts, tri, 1e-9)
+
+
+def reference_smooth_round(points, tri, movable):
+    """The per-edge ``np.add.at`` sweep that ``_smooth_round`` replaced."""
+    pts = points.copy()
+    nbr_sum = np.zeros_like(pts)
+    nbr_cnt = np.zeros(len(pts))
+    for a, b in ((0, 1), (1, 2), (2, 0)):
+        np.add.at(nbr_sum, tri[:, a], pts[tri[:, b]])
+        np.add.at(nbr_cnt, tri[:, a], 1.0)
+        np.add.at(nbr_sum, tri[:, b], pts[tri[:, a]])
+        np.add.at(nbr_cnt, tri[:, b], 1.0)
+    ok = movable & (nbr_cnt > 0)
+    pts[ok] = nbr_sum[ok] / nbr_cnt[ok, None]
+    return pts
+
+
+def test_smooth_round_matches_reference_bit_for_bit():
+    rng = np.random.Generator(np.random.Philox(11))
+    pts = rng.uniform(-1.0, 1.0, size=(300, 2)) * 10.0 ** rng.integers(
+        -8, 8, size=(300, 1))
+    tri = rng.integers(0, 280, size=(2000, 3))
+    movable = rng.uniform(size=300) < 0.7
+    got = geometry._smooth_round(pts, tri, movable)
+    want = reference_smooth_round(pts, tri, movable)
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_boundary_edges_point_outward():
@@ -357,4 +511,14 @@ def test_load_mesh_rejects_garbage(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("$vertices 1\n0 0 1\n")
     with pytest.raises((GeometryError, ValueError, IndexError)):
+        load_mesh(path)
+
+
+def test_load_mesh_rejects_non_finite_vertex(tmp_path):
+    # a NaN coordinate makes the triangle's area NaN, which no area <= 0
+    # check catches
+    path = tmp_path / "nan.txt"
+    path.write_text("$vertices 3\nnan 1 1\n1 0 1\n0 1 1\n"
+                    "$triangles 1\n0 1 2\n")
+    with pytest.raises(GeometryError, match="finite"):
         load_mesh(path)
