@@ -688,19 +688,19 @@ def _smooth_round(points, tri, movable):
 
 
 def _disk_reach(dom, points, t):
-    """Lowest and highest line distance a triangle's circumdisk can reach:
-    line distance of the circumcentre minus and plus the circumradius (the
-    line distance is 1-Lipschitz).  Not finite for a degenerate triangle."""
+    """Lowest and highest line distance the circumdisks of triangles ``t``
+    can reach: line distance of the circumcentre minus and plus the
+    circumradius (the line distance is 1-Lipschitz).  ``t`` comes from
+    ``_delaunay_triangles``, whose filter makes ``d`` below positive."""
     a = points[t[:, 0]]
     b = points[t[:, 1]] - a
     c = points[t[:, 2]] - a
     bb = b[:, 0] * b[:, 0] + b[:, 1] * b[:, 1]
     cc = c[:, 0] * c[:, 0] + c[:, 1] * c[:, 1]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        d = 2.0 * (b[:, 0] * c[:, 1] - b[:, 1] * c[:, 0])
-        ux = (c[:, 1] * bb - b[:, 1] * cc) / d
-        uy = (b[:, 0] * cc - c[:, 0] * bb) / d
-        centre = dom.line_distance(a + np.column_stack([ux, uy]))
+    d = 2.0 * (b[:, 0] * c[:, 1] - b[:, 1] * c[:, 0])
+    ux = (c[:, 1] * bb - b[:, 1] * cc) / d
+    uy = (b[:, 0] * cc - c[:, 0] * bb) / d
+    centre = dom.line_distance(a + np.column_stack([ux, uy]))
     radius = np.hypot(ux, uy)
     return centre - radius, centre + radius
 
@@ -782,8 +782,13 @@ class _RingDelaunay:
         self.movable = np.flatnonzero(movable)
         n_boundary = len(points) - len(depth)
         self.depth = np.concatenate([np.full(n_boundary, -np.inf), depth])
+        # moving only deepens the ring, so a first ring holding more than
+        # half the points means every call triangulates all of them
         self.ring_ok = (
             len(self.movable) > 0
+            and 2 * np.count_nonzero(
+                self.depth < self.depth[self.movable].max()
+                + self.MARGIN * spacing) <= len(points)
             and _uses_all(self.base, len(points))
             and not _near_collinear_boundary(points[:n_boundary],
                                              self.COLLINEAR))
