@@ -761,13 +761,15 @@ class _RingDelaunay:
     whose circumdisk stays below L and the base triangles whose circumdisk
     lies beyond M: no point is inside those circumdisks, so they are
     Delaunay triangles of all the points.  It is used only if
-    - it has as many triangles as ``base`` (none is missing);
+    - the ring's Delaunay uses every ring point, and the result has as
+      many triangles as ``base`` (none is missing);
     - no two of its triangles near the ring are nearly cocircular (Qhull
       could break the tie either way);
     - no three consecutive boundary samples are nearly, but not exactly,
       collinear (Qhull could keep or drop the sliver).
-    A missing triangle doubles L - M.  A tie, a near-collinear boundary or
-    a ring holding more than half the points triangulates all of them.
+    A missing triangle doubles L - M.  A dropped ring point, a tie, a
+    near-collinear boundary or a ring holding more than half the points
+    triangulates all of them.
     """
 
     MARGIN = 2.0     # initial L - M, in spacings

@@ -186,10 +186,10 @@ DOMAINS = {
     "square": SQUARE,
     "disk": ConvexDomain.disk(1.0),
     "triangle": ConvexDomain([(0, 0), (2, 0), (0.7, 1.4)]),
-    **{f"polygon{n}": ConvexDomain.regular_polygon(n) for n in (3, 5, 6, 7,
-                                                            8, 9, 11)},
-    **{f"rounded{r}": round_corners(SQUARE, r) for r in (0.05, 0.1, 0.2,
-                                                        0.4)},
+    **{f"polygon{n}": ConvexDomain.regular_polygon(n)
+       for n in (3, 5, 6, 7, 8, 9, 11)},
+    **{f"rounded{r}": round_corners(SQUARE, r)
+       for r in (0.05, 0.1, 0.2, 0.4)},
 }
 
 # sha256 of the points, triangles and boundary-flag bytes, recorded when
