@@ -9,15 +9,14 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .experiments import (ConfigError, ExperimentConfig, run_convergence,
+from .experiments import (ExperimentConfig, run_convergence,
                           run_domain_sweep, run_eps_sweep,
                           run_identity_check, run_p1_sweep, run_solve,
                           thread_count)
 from .expressions import FieldEvaluationError
-from .geometry import GeometryError, ParameterError, save_mesh
-from .regularity import SamplingError
-from .solver import HypothesisError, LinearSolveError, NewtonError, validate_spec
-from .varexp import NonconvergenceError, PreconditionError
+from .geometry import GeometryError, save_mesh
+from .solver import LinearSolveError, NewtonError, validate_spec
+from .varexp import NonconvergenceError
 
 _RUNNERS = {
     "solve": run_solve,
@@ -38,10 +37,9 @@ _HELP = {
     "validate": "check the standing hypotheses, print warnings",
 }
 
-_KNOWN_ERRORS = (ConfigError, GeometryError, ParameterError, SamplingError,
-                 HypothesisError, LinearSolveError, NewtonError,
-                 FieldEvaluationError, NonconvergenceError, PreconditionError,
-                 OSError, ValueError)
+_KNOWN_ERRORS = (GeometryError, LinearSolveError, NewtonError,
+                 FieldEvaluationError, NonconvergenceError, OSError,
+                 ValueError)
 
 
 def build_parser():

@@ -16,12 +16,12 @@ import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import regularity
-from .expressions import FieldSyntaxError, parse_field
+from .expressions import DifferentiationError, FieldSyntaxError, parse_field
 from .geometry import (ConvexDomain, refine_uniform, round_corners,
                        triangulate_convex)
 from .solver import SOLVE_ERRORS, EpsRecord, ProblemSpec, continuation_solve
@@ -110,9 +110,10 @@ def _get_expr(raw, key):
         raise ConfigError(f"key '{key}': {err}")
 
 
-def _get_floats(raw, key, sep=","):
+def _get_floats(raw, key):
+    """The comma-separated numbers of an optional key ([] when absent)."""
     out = []
-    for piece in raw[key].split(sep):
+    for piece in raw.get(key, "").split(","):
         piece = piece.strip()
         if not piece:
             continue
@@ -146,25 +147,13 @@ def _parse_vertices(raw):
 @dataclass
 class ExperimentConfig:
     raw: dict
-    domain: ConvexDomain
-    p: ExponentField
-    f: object
-    g: object
-    q: ExponentField
-    eps_start: float
-    eps_stop: float
-    eps_factor: float
-    mesh_h: float
+    spec: ProblemSpec
     refinements: int
-    newton_tol: float
-    newton_max_iter: int
-    s_exponent: float
     output_path: str
-    seed: int
-    u_exact: object = None
-    p1_list: list = dc_field(default_factory=list)
-    radius_list: list = dc_field(default_factory=list)
-    identity_exprs: list = dc_field(default_factory=list)
+    u_exact: object
+    p1_list: list
+    radius_list: list
+    identity_exprs: list
 
     @classmethod
     def from_text(cls, text):
@@ -180,8 +169,7 @@ class ExperimentConfig:
         if refinements < 0:
             raise ConfigError("key 'mesh.refinements': must be >= 0")
         seed = _get_int(raw, "seed")
-        cfg = cls(
-            raw=raw,
+        spec_values = dict(
             domain=domain,
             p=ExponentField.from_expression(p_expr, domain),
             f=_get_expr(raw, "f.expr"),
@@ -191,29 +179,33 @@ class ExperimentConfig:
             eps_stop=_get_float(raw, "eps.stop"),
             eps_factor=_get_float(raw, "eps.factor"),
             mesh_h=_get_float(raw, "mesh.h"),
-            refinements=refinements,
             newton_tol=_get_float(raw, "newton.tol"),
             newton_max_iter=_get_int(raw, "newton.max_iter"),
             s_exponent=_get_float(raw, "s.exponent"),
-            output_path=raw["output.path"],
             seed=seed,
         )
+        u_exact = None
         if "u.exact.expr" in raw:
-            cfg.u_exact = _get_expr(raw, "u.exact.expr")
-        if "p1.list" in raw:
-            cfg.p1_list = _get_floats(raw, "p1.list")
-        if "radius.list" in raw:
-            cfg.radius_list = _get_floats(raw, "radius.list")
-        if "identity.exprs" in raw:
-            for piece in raw["identity.exprs"].split(";"):
-                piece = piece.strip()
-                if piece:
-                    try:
-                        parse_field(piece)
-                    except FieldSyntaxError as err:
-                        raise ConfigError(f"key 'identity.exprs': {err}")
-                    cfg.identity_exprs.append(piece)
-        return cfg
+            u_exact = _get_expr(raw, "u.exact.expr")
+        p1_list = _get_floats(raw, "p1.list")
+        radius_list = _get_floats(raw, "radius.list")
+        identity_exprs = []
+        for piece in raw.get("identity.exprs", "").split(";"):
+            piece = piece.strip()
+            if piece:
+                try:
+                    parse_field(piece)
+                except FieldSyntaxError as err:
+                    raise ConfigError(f"key 'identity.exprs': {err}")
+                identity_exprs.append(piece)
+        try:
+            spec = ProblemSpec(**spec_values)
+        except ValueError as err:
+            raise ConfigError(str(err))
+        return cls(raw=raw, spec=spec, refinements=refinements,
+                   output_path=raw["output.path"], u_exact=u_exact,
+                   p1_list=p1_list, radius_list=radius_list,
+                   identity_exprs=identity_exprs)
 
     @classmethod
     def load(cls, path):
@@ -221,19 +213,14 @@ class ExperimentConfig:
             return cls.from_text(fh.read())
 
     def problem_spec(self, **overrides) -> ProblemSpec:
-        """The configured ProblemSpec (its fields share names with the
-        config's), with ``overrides`` such as ``p=`` or ``domain=``."""
-        values = {f.name: getattr(self, f.name)
-                  for f in dataclasses.fields(ProblemSpec)}
-        values.update(overrides)
-        try:
-            return ProblemSpec(**values)
-        except ValueError as err:
-            raise ConfigError(str(err))
+        """A copy of the configured spec with ``overrides`` such as ``p=``
+        or ``domain=``."""
+        return dataclasses.replace(self.spec, **overrides)
 
     def base_mesh(self, domain=None):
-        return triangulate_convex(self.domain if domain is None else domain,
-                                  self.mesh_h)
+        spec = self.spec
+        return triangulate_convex(spec.domain if domain is None else domain,
+                                  spec.mesh_h)
 
     def working_mesh(self, domain=None):
         mesh = self.base_mesh(domain)
@@ -312,27 +299,35 @@ def _payload_base(config: ExperimentConfig, command: str, columns):
         "command": command,
         "config": dict(config.raw),
         "columns": list(columns),
-        "seed": config.seed,
+        "seed": config.spec.seed,
         "validation_warnings": [],
         "failures": [],
     }
 
 
-def _solve_members(payload, member, items):
-    """Solve the (spec, mesh) ``member(item)`` of each item, possibly in
-    threads: (report, None) or (None, error) per item, in order.  Each
-    validation warning enters the payload once, in member order."""
-    def solve(item):
-        try:
-            return continuation_solve(*member(item)), None
-        except SOLVE_ERRORS as err:
-            return None, err
+def _solve(spec, mesh):
+    """One continuation solve: (report, None), or (None, error) when it
+    fails in a way a run records and survives."""
+    try:
+        return continuation_solve(spec, mesh), None
+    except SOLVE_ERRORS as err:
+        return None, err
 
-    results = _map_ordered(solve, items)
+
+def _record_warnings(payload, results):
+    """Each validation warning of the (report, error) ``results`` enters the
+    payload once, in order; returns ``results``."""
     warnings = [w for report, err in results
                 for w in getattr(report or err, "warnings", ())]
     payload["validation_warnings"] = list(dict.fromkeys(warnings))
     return results
+
+
+def _solve_members(payload, member, items):
+    """Solve the (spec, mesh) ``member(item)`` of each item, possibly in
+    threads: (report, None) or (None, error) per item, in order."""
+    return _record_warnings(
+        payload, _map_ordered(lambda item: _solve(*member(item)), items))
 
 
 def _emit(config, command, columns, rows, payload, mesh=None, solution=None):
@@ -357,14 +352,13 @@ def _sample_interior_points(domain, n, rng):
     raise RuntimeError("interior point sampling failed")
 
 
-def _ellipticity_audit(u, spec: ProblemSpec, eps: float, n: int = 2000,
-                       trials: int = 4):
+def _ellipticity_audit(u, spec: ProblemSpec, eps: float):
     """Post-hoc coefficient audit on random interior points (config seed)."""
     rng = np.random.Generator(np.random.Philox(spec.seed))
-    pts = _sample_interior_points(spec.domain, n, rng)
+    pts = _sample_interior_points(spec.domain, 2000, rng)
     sample = regularity.coefficients(u, spec.p, spec.f, eps, pts)
     rep = regularity.ellipticity_check(sample, spec.p.p1, spec.p.p2,
-                                       trials=trials, seed=spec.seed)
+                                       trials=4, seed=spec.seed)
     return {
         "n_samples": rep.n_samples,
         "trials": rep.trials,
@@ -379,18 +373,15 @@ def _ellipticity_audit(u, spec: ProblemSpec, eps: float, n: int = 2000,
 def _run_continuation(config: ExperimentConfig, command, final_only):
     """Continuation solve; on failure the records that finished (plus the
     failed one) are kept and the failure goes to the sidecar."""
-    spec = config.problem_spec()
+    spec = config.spec
     mesh = config.working_mesh()
     payload = _payload_base(config, command, EpsRecord.COLUMNS)
-    try:
-        report = continuation_solve(spec, mesh=mesh)
-    except SOLVE_ERRORS as err:
-        records, solution, warnings = err.records, None, err.warnings
+    [(report, err)] = _record_warnings(payload, [_solve(spec, mesh)])
+    if report is None:
+        records, solution = err.records, None
         payload["failures"] = [{"eps": err.failed_eps, "reason": str(err)}]
     else:
         records, solution = report.records, report.solution
-        warnings = report.warnings
-    payload["validation_warnings"] = list(warnings)
     rows = [r.row() for r in (records[-1:] if final_only else records)]
     if solution is not None:
         payload["ellipticity_audit"] = _ellipticity_audit(
@@ -438,10 +429,14 @@ def run_convergence(config: ExperimentConfig) -> ExperimentResult:
     """Refinement study against the configured exact solution."""
     if config.u_exact is None:
         raise ConfigError("convergence study requires key 'u.exact.expr'")
+    try:
+        config.u_exact.diff("x"), config.u_exact.diff("y")
+    except DifferentiationError as err:
+        raise ConfigError(f"key 'u.exact.expr': {err}")
     if config.refinements < 2:
         raise ConfigError(
             "key 'mesh.refinements': need at least 2 levels for orders")
-    spec = config.problem_spec()
+    spec = config.spec
 
     meshes = [config.base_mesh()]
     while len(meshes) < config.refinements:
@@ -532,10 +527,10 @@ def run_domain_sweep(config: ExperimentConfig) -> ExperimentResult:
     if any(b >= a for a, b in zip(radii, radii[1:])):
         raise ConfigError("key 'radius.list': radii must be strictly "
                           "decreasing")
-    base = ConvexDomain(config.domain.vertices)
+    base = ConvexDomain(config.spec.domain.vertices)
     domains = [round_corners(base, r) for r in radii]
     # nested domains: the first (most rounded) is contained in all others
-    window = regularity.default_window(domains[0], 2.0 * config.mesh_h)
+    window = regularity.default_window(domains[0], 2.0 * config.spec.mesh_h)
 
     payload = _payload_base(config, "sweep-domain", DOMAIN_COLUMNS)
     payload["window"] = {"origin": list(window[0]), "spacing": window[1],

@@ -240,7 +240,7 @@ def _polygon_centroid(poly):
     return np.array([cx, cy])
 
 
-def default_window(domain, spacing, margin=None):
+def default_window(domain, spacing):
     """Largest centered axis-aligned lattice window with an interior margin
     of two lattice spacings.  Returns (origin, spacing, nx, ny).
 
@@ -274,8 +274,7 @@ def default_window(domain, spacing, margin=None):
 
     s = float(spacing)
     for _ in range(5):
-        m = 2.0 * s if margin is None else float(margin)
-        ext = max_extent(m)
+        ext = max_extent(2.0 * s)
         if ext is not None:
             nx = int(math.floor(2.0 * ext[0] / s)) + 1
             ny = int(math.floor(2.0 * ext[1] / s)) + 1
@@ -412,8 +411,7 @@ class SplitReport:
 
 def integrability_split_report(u: P1Function, p: ExponentField, f,
                                q: ExponentField, eps: float,
-                               qctx: QuadratureContext,
-                               tol: float = 1e-9) -> SplitReport:
+                               qctx: QuadratureContext) -> SplitReport:
     """Compare the direct weighted-source L2 norm on {p < 2} against the
     Hoelder-split bound 2 |f|_(f_exp) |v^(2-p)|_(w_exp)."""
     pv = field_values(p, qctx.x, qctx.y)
@@ -465,7 +463,7 @@ def integrability_split_report(u: P1Function, p: ExponentField, f,
         band=(band_low, band_high), band_satisfied=band_ok,
         conjugate_defect=conj, direct=direct, split_f=split_f,
         split_weight=split_w, split=split,
-        holder_satisfied=bool(direct <= 2.0 * split + tol))
+        holder_satisfied=bool(direct <= 2.0 * split + 1e-9))
 
 
 def log_bound_check(u: P1Function, eps: float, s: float,
@@ -499,8 +497,7 @@ class IdentityReport:
     abs_err: float
 
 
-def curvature_identity_check(u, n_r: int = 96, n_theta: int = 512,
-                             boundary_tol: float = 1e-10) -> IdentityReport:
+def curvature_identity_check(u) -> IdentityReport:
     """Determinant-of-Hessian identity on the unit disk.
 
     For u vanishing on the unit circle,
@@ -508,15 +505,15 @@ def curvature_identity_check(u, n_r: int = 96, n_theta: int = 512,
         integral over the disk of (u_xy^2 - u_xx u_yy)
             = - integral over the circle of (du/dnu)^2 * (H/2),  H = 1.
 
-    Both sides are evaluated with polar quadrature (Gauss-Legendre radially,
-    uniform in angle); u must vanish on the boundary to ``boundary_tol``.
+    Both sides are evaluated with polar quadrature (96 Gauss-Legendre nodes
+    radially, 512 uniform in angle); u must vanish on the boundary to 1e-10.
     """
     if isinstance(u, str):
         u = parse_field(u)
     th_check = 2.0 * np.pi * np.arange(4096) / 4096
     bvals = u.evaluate(np.cos(th_check), np.sin(th_check))
     worst = int(np.argmax(np.abs(bvals)))
-    if np.abs(bvals[worst]) > boundary_tol:
+    if np.abs(bvals[worst]) > 1e-10:
         raise PreconditionError(
             f"u does not vanish on the unit circle: |u| = "
             f"{np.abs(bvals[worst]):.3e}",
@@ -528,11 +525,11 @@ def curvature_identity_check(u, n_r: int = 96, n_theta: int = 512,
     uxy = ux.diff("y")
     uyy = uy.diff("y")
 
-    nodes, wts = np.polynomial.legendre.leggauss(n_r)
+    nodes, wts = np.polynomial.legendre.leggauss(96)
     r = 0.5 * (nodes + 1.0)
     wr = 0.5 * wts
-    th = 2.0 * np.pi * np.arange(n_theta) / n_theta
-    wt = 2.0 * np.pi / n_theta
+    th = 2.0 * np.pi * np.arange(512) / 512
+    wt = 2.0 * np.pi / 512
     R, TH = np.meshgrid(r, th, indexing="ij")
     X = R * np.cos(TH)
     Y = R * np.sin(TH)

@@ -505,7 +505,7 @@ def continuation_solve(spec: ProblemSpec, mesh=None) -> SolveReport:
     return SolveReport(records, u, mesh, warnings)
 
 
-def validate_spec(spec: ProblemSpec, n_samples=10000):
+def validate_spec(spec: ProblemSpec):
     """Check standing hypotheses on a dense sample of the domain.
 
     p reaching 1 or below anywhere is a hard error; a source that is active
@@ -514,7 +514,7 @@ def validate_spec(spec: ProblemSpec, n_samples=10000):
     """
     lo, hi = spec.domain.bounding_box()
     n = max(32, int(math.ceil(math.sqrt(
-        2.0 * n_samples * (hi[0] - lo[0]) * (hi[1] - lo[1])
+        2.0 * 10000 * (hi[0] - lo[0]) * (hi[1] - lo[1])
         / max(spec.domain.area, 1e-300)) / 1.4)))
     gx, gy = np.meshgrid(np.linspace(lo[0], hi[0], n),
                          np.linspace(lo[1], hi[1], n))

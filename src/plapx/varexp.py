@@ -160,7 +160,7 @@ class ExponentField:
                    float(value), 0.0)
 
     @classmethod
-    def from_expression(cls, expr, domain, min_samples=10000):
+    def from_expression(cls, expr, domain):
         """Estimate p1, p2 and lip by dense sampling inside the domain."""
         if isinstance(expr, str):
             expr = parse_field(expr)
@@ -174,7 +174,7 @@ class ExponentField:
                                  np.linspace(lo[1], hi[1], n))
             pts = np.column_stack([gx.ravel(), gy.ravel()])
             inside = domain.contains(pts)
-            if inside.sum() >= min_samples or n >= 1024:
+            if inside.sum() >= 10000 or n >= 1024:
                 break
             n *= 2
         xs, ys = pts[inside, 0], pts[inside, 1]
@@ -237,8 +237,7 @@ def modular(u, p: ExponentField, qctx: QuadratureContext, mask=None):
         return float(np.sum(w * vals ** pv))
 
 
-def luxemburg_norm(u, p: ExponentField, qctx: QuadratureContext, mask=None,
-                   rel_tol=1e-10):
+def luxemburg_norm(u, p: ExponentField, qctx: QuadratureContext, mask=None):
     """Luxemburg norm: the k > 0 with rho(u/k) = 1, by safeguarded Newton.
 
     Returns 0 for a function vanishing at every quadrature node.  Newton
@@ -250,7 +249,7 @@ def luxemburg_norm(u, p: ExponentField, qctx: QuadratureContext, mask=None,
     every evaluation narrows the bracket, and a step that leaves it (or is
     not finite, when rho over- or underflows) is replaced by bisection, or
     by doubling k while the bracket is unbounded.  Stops once a Newton step
-    moves k by at most ``rel_tol`` relative; convergence is quadratic, so
+    moves k by at most 1e-10 relative; convergence is quadratic, so
     the step returned is far more accurate than that.
     """
     vals, pv, w = _integrand(u, p, qctx, mask)
@@ -277,7 +276,7 @@ def luxemburg_norm(u, p: ExponentField, qctx: QuadratureContext, mask=None,
             # cannot happen for a monotone modular, guard anyway
             raise NonconvergenceError("Luxemburg bracket is empty")
         new = s + psi / mean_p
-        if abs(new - s) <= rel_tol:
+        if abs(new - s) <= 1e-10:
             return math.exp(new)
         if not lo < new < hi:
             new = 0.5 * (lo + hi) if hi < math.inf else s + math.log(2.0)
@@ -296,7 +295,7 @@ class HolderCheck:
 
 
 def holder_check(f, g, p: ExponentField, q: ExponentField, s: ExponentField,
-                 qctx: QuadratureContext, tol=1e-9) -> HolderCheck:
+                 qctx: QuadratureContext) -> HolderCheck:
     """Check |fg|_s <= 2 |f|_p |g|_q for conjugate-split exponents.
 
     Requires 1/p + 1/q = 1/s pointwise (to 1e-12) at the quadrature nodes.
@@ -314,7 +313,7 @@ def holder_check(f, g, p: ExponentField, q: ExponentField, s: ExponentField,
     gv = field_values(g, qctx.x, qctx.y)
     lhs = luxemburg_norm(fv * gv, s, qctx)
     rhs = 2.0 * luxemburg_norm(fv, p, qctx) * luxemburg_norm(gv, q, qctx)
-    return HolderCheck(lhs, rhs, bool(lhs <= rhs + tol))
+    return HolderCheck(lhs, rhs, bool(lhs <= rhs + 1e-9))
 
 
 def sobolev_conjugate(p_val: float, n_dim: int = 2) -> float:
@@ -362,11 +361,11 @@ class _MollifiedField:
     Every call returns a fresh array.
     """
 
-    def __init__(self, base, domain, delta, nodes=12):
+    def __init__(self, base, domain, delta):
         self.base = base
         self.domain = domain
         self.delta = float(delta)
-        gx, gw = np.polynomial.legendre.leggauss(nodes)
+        gx, gw = np.polynomial.legendre.leggauss(12)
         wx, wy = np.meshgrid(gx, gx)
         ww = np.outer(gw, gw).ravel()
         wx = wx.ravel()

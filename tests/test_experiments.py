@@ -56,11 +56,11 @@ def make_config(tmp_path, name="out.csv", **overrides):
 
 def test_config_minimal_roundtrip(tmp_path):
     cfg = make_config(tmp_path)
-    assert cfg.domain.area == pytest.approx(1.0)
-    assert cfg.p.p1 == cfg.p.p2 == 2.0
-    assert cfg.eps_start == 0.5
+    assert cfg.spec.domain.area == pytest.approx(1.0)
+    assert cfg.spec.p.p1 == cfg.spec.p.p2 == 2.0
+    assert cfg.spec.eps_start == 0.5
     assert cfg.refinements == 0
-    assert cfg.seed == 0
+    assert cfg.spec.seed == 0
     assert cfg.output_path.endswith("out.csv")
     assert cfg.u_exact is None and cfg.p1_list == [] and cfg.radius_list == []
 
@@ -71,7 +71,7 @@ def test_config_comments_and_blank_lines(tmp_path):
             + "   # trailing comment line\n")
     text = text.replace("mesh.h = 0.3", "mesh.h = 0.3  # inline note")
     cfg = ExperimentConfig.from_text(text)
-    assert cfg.mesh_h == 0.3
+    assert cfg.spec.mesh_h == 0.3
 
 
 def test_config_duplicate_key_cites_line(tmp_path):
@@ -141,9 +141,19 @@ def test_config_optional_lists(tmp_path):
 
 
 def test_config_spec_errors_become_config_errors(tmp_path):
-    cfg = make_config(tmp_path, **{"eps.start": "1e-6", "eps.stop": "0.5"})
-    with pytest.raises(ConfigError):
-        cfg.problem_spec()
+    with pytest.raises(ConfigError) as err:
+        make_config(tmp_path, **{"eps.start": "1e-6", "eps.stop": "0.5"})
+    assert str(err.value) == "need 0 < eps_stop <= eps_start <= 1"
+
+
+def test_problem_spec_overrides_leave_config_spec_alone(tmp_path):
+    from plapx.varexp import ExponentField
+
+    cfg = make_config(tmp_path)
+    spec = cfg.problem_spec(p=ExponentField.constant(1.5))
+    assert spec is not cfg.spec
+    assert spec.p.p1 == 1.5 and cfg.spec.p.p1 == 2.0
+    assert spec.domain is cfg.spec.domain and spec.mesh_h == cfg.spec.mesh_h
 
 
 def test_working_mesh_applies_refinements(tmp_path):
@@ -462,6 +472,16 @@ def test_cli_identity_subcommand(tmp_path, capsys):
     assert "(3 rows)" in capsys.readouterr().out
 
 
+def test_cli_identity_rejects_an_invalid_spec(tmp_path, capsys):
+    # check-identity reads no spec value, but the config is still checked
+    path = write_config(tmp_path, **{"eps.start": "1e-6", "eps.stop": "0.5"})
+    assert cli_main(["check-identity", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: need 0 < eps_stop <= eps_start <= 1\n"
+    assert captured.out == ""
+    assert sorted(os.listdir(tmp_path)) == ["cfg.txt"]
+
+
 def test_cli_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         cli_main(["--version"])
@@ -565,6 +585,23 @@ def test_failed_run_keeps_validation_warnings(tmp_path):
     assert result.failed
     warnings = result.payload["validation_warnings"]
     assert any("q <= 2" in w for w in warnings)
+
+
+def test_convergence_rejects_an_exact_solution_without_derivative(
+        tmp_path, monkeypatch):
+    import plapx.experiments
+
+    calls = []
+    monkeypatch.setattr(plapx.experiments, "continuation_solve",
+                        lambda *args, **kwargs: calls.append(args))
+    cfg = make_config(tmp_path, **{"u.exact.expr": "abs(x - 0.5)",
+                                   "mesh.refinements": "2"})
+    with pytest.raises(ConfigError) as err:
+        run_convergence(cfg)
+    assert "'u.exact.expr'" in str(err.value)
+    assert "abs has no closed-form derivative" in str(err.value)
+    assert calls == []
+    assert not (tmp_path / "out.csv").exists()
 
 
 def test_run_convergence_survives_a_failed_level(tmp_path, monkeypatch):
