@@ -69,11 +69,6 @@ def main(argv=None):
         # ones that reach the thread pool
         thread_count()
         config = ExperimentConfig.load(args.config)
-    except _KNOWN_ERRORS as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
-
-    try:
         if args.command == "validate":
             warnings = validate_spec(config.problem_spec())
             for w in warnings:

@@ -22,8 +22,8 @@ import numpy as np
 
 from . import regularity
 from .expressions import DifferentiationError, FieldSyntaxError, parse_field
-from .geometry import (ConvexDomain, refine_uniform, round_corners,
-                       triangulate_convex)
+from .geometry import (ConvexDomain, GeometryError, refine_uniform,
+                       round_corners, triangulate_convex)
 from .solver import SOLVE_ERRORS, EpsRecord, ProblemSpec, continuation_solve
 from .varexp import ExponentField, QuadratureContext, field_values
 
@@ -160,7 +160,7 @@ class ExperimentConfig:
         raw = _parse_lines(text)
         verts = _parse_vertices(raw)
         radius = _get_float(raw, "domain.corner_radius")
-        if radius < 0:
+        if not radius >= 0:
             raise ConfigError("key 'domain.corner_radius': must be >= 0")
         domain = ConvexDomain(verts, corner_radius=radius)
         p_expr = _get_expr(raw, "p.expr")
@@ -305,12 +305,16 @@ def _payload_base(config: ExperimentConfig, command: str, columns):
     }
 
 
-def _solve(spec, mesh):
-    """One continuation solve: (report, None), or (None, error) when it
-    fails in a way a run records and survives."""
+_RECORDED_ERRORS = SOLVE_ERRORS + (GeometryError,)
+
+
+def _solve(build):
+    """One continuation solve of the (spec, mesh) that ``build()`` returns:
+    (report, None), or (None, error) when meshing or the solve fails in a
+    way a run records and survives."""
     try:
-        return continuation_solve(spec, mesh), None
-    except SOLVE_ERRORS as err:
+        return continuation_solve(*build()), None
+    except _RECORDED_ERRORS as err:
         return None, err
 
 
@@ -324,10 +328,11 @@ def _record_warnings(payload, results):
 
 
 def _solve_members(payload, member, items):
-    """Solve the (spec, mesh) ``member(item)`` of each item, possibly in
-    threads: (report, None) or (None, error) per item, in order."""
-    return _record_warnings(
-        payload, _map_ordered(lambda item: _solve(*member(item)), items))
+    """Build and solve the (spec, mesh) ``member(item)`` of each item,
+    possibly in threads: (report, None) or (None, error) per item, in
+    order."""
+    return _record_warnings(payload, _map_ordered(
+        lambda item: _solve(lambda: member(item)), items))
 
 
 def _emit(config, command, columns, rows, payload, mesh=None, solution=None):
@@ -357,17 +362,8 @@ def _ellipticity_audit(u, spec: ProblemSpec, eps: float):
     rng = np.random.Generator(np.random.Philox(spec.seed))
     pts = _sample_interior_points(spec.domain, 2000, rng)
     sample = regularity.coefficients(u, spec.p, spec.f, eps, pts)
-    rep = regularity.ellipticity_check(sample, spec.p.p1, spec.p.p2,
-                                       trials=4, seed=spec.seed)
-    return {
-        "n_samples": rep.n_samples,
-        "trials": rep.trials,
-        "lower": rep.lower,
-        "upper": rep.upper,
-        "low_margin": rep.low_margin,
-        "high_margin": rep.high_margin,
-        "satisfied": rep.satisfied,
-    }
+    return dataclasses.asdict(regularity.ellipticity_check(
+        sample, spec.p.p1, spec.p.p2, trials=4, seed=spec.seed))
 
 
 def _run_continuation(config: ExperimentConfig, command, final_only):
@@ -376,7 +372,7 @@ def _run_continuation(config: ExperimentConfig, command, final_only):
     spec = config.spec
     mesh = config.working_mesh()
     payload = _payload_base(config, command, EpsRecord.COLUMNS)
-    [(report, err)] = _record_warnings(payload, [_solve(spec, mesh)])
+    [(report, err)] = _record_warnings(payload, [_solve(lambda: (spec, mesh))])
     if report is None:
         records, solution = err.records, None
         payload["failures"] = [{"eps": err.failed_eps, "reason": str(err)}]
@@ -500,11 +496,8 @@ def run_p1_sweep(config: ExperimentConfig) -> ExperimentResult:
     def fit_payload(values):
         if len(fit_p1) < 2:
             return {"error": "fewer than 2 successful sweep members"}
-        rep = regularity.p1_scaling_report(fit_p1, values)
-        return {"slope": rep.slope, "intercept": rep.intercept,
-                "kappa": rep.kappa, "bound": rep.bound,
-                "within_bound": rep.within_bound,
-                "degenerate": rep.degenerate, "warning": rep.warning}
+        return dataclasses.asdict(regularity.p1_scaling_report(fit_p1,
+                                                               values))
 
     payload["scaling_dq"] = fit_payload(fit_dq)
     payload["scaling_recovery"] = fit_payload(fit_rec)
@@ -522,9 +515,9 @@ def run_domain_sweep(config: ExperimentConfig) -> ExperimentResult:
     if not radii:
         raise ConfigError("key 'radius.list' is required and must be "
                           "non-empty")
-    if any(r <= 0 for r in radii):
+    if any(not r > 0 for r in radii):
         raise ConfigError("key 'radius.list': radii must be positive")
-    if any(b >= a for a, b in zip(radii, radii[1:])):
+    if any(not b < a for a, b in zip(radii, radii[1:])):
         raise ConfigError("key 'radius.list': radii must be strictly "
                           "decreasing")
     base = ConvexDomain(config.spec.domain.vertices)

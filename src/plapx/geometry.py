@@ -1,11 +1,11 @@
 """Convex domains and conforming P1 triangulations.
 
 Domains are convex polygons, optionally with corners replaced by inscribed
-circular arcs (polyline resolution ``arc_segments`` per corner).  Meshing is
+circular arcs (``ARC_SEGMENTS`` polyline segments per corner).  Meshing is
 deterministic: boundary resampling at roughly uniform arclength, a hexagonal
 interior lattice, Delaunay connectivity of the combined point set (exact for
-points in convex position), then a few Laplacian smoothing sweeps of the
-points near the boundary to enforce the 20 degree minimum-angle floor.  Each
+points in convex position), then 4 to 10 Laplacian smoothing sweeps of the
+points near the boundary, until the 20 degree minimum-angle floor holds.  Each
 attempt runs one Delaunay over all its points; after a sweep only the
 boundary ring is re-triangulated (``_RingDelaunay``), with the same result.
 """
@@ -34,6 +34,8 @@ __all__ = [
 ]
 
 MIN_ANGLE_DEG = 20.0
+# polyline segments per rounded corner
+ARC_SEGMENTS = 16
 
 
 class GeometryError(RuntimeError):
@@ -49,26 +51,33 @@ def _polygon_area(pts):
     return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
 
 
+def _turns(poly):
+    """Unit directions of the edges into and out of each vertex of a closed
+    polyline, and the turn angle between them."""
+    e = np.roll(poly, -1, axis=0) - poly
+    u_out = e / np.hypot(e[:, 0], e[:, 1])[:, None]
+    u_in = np.roll(u_out, 1, axis=0)
+    turn = np.arccos(np.clip(np.einsum("ij,ij->i", u_in, u_out), -1.0, 1.0))
+    return u_in, u_out, turn
+
+
 class ConvexDomain:
     """Convex polygon, optionally with rounded corners.
 
     ``vertices`` are the corner points in counterclockwise order.  With
     ``corner_radius > 0`` every corner is replaced by an inscribed circular
-    arc sampled with ``arc_segments`` polyline segments; the effective
+    arc sampled with ``ARC_SEGMENTS`` polyline segments; the effective
     boundary is then the rounded polyline and ``area`` means its area.
     """
 
-    def __init__(self, vertices, corner_radius=0.0, arc_segments=16,
-                 _disk_radius=None):
+    def __init__(self, vertices, corner_radius=0.0):
         v = np.asarray(vertices, dtype=float)
         if v.ndim != 2 or v.shape[1] != 2 or v.shape[0] < 3:
             raise ParameterError("vertices must be an (n, 2) array, n >= 3")
         if not np.all(np.isfinite(v)):
             raise ParameterError("vertices must be finite")
-        if corner_radius < 0:
+        if not corner_radius >= 0:
             raise ParameterError("corner_radius must be >= 0")
-        if arc_segments < 4:
-            raise ParameterError("arc_segments must be >= 4")
 
         e = np.roll(v, -1, axis=0) - v
         elen = np.hypot(e[:, 0], e[:, 1])
@@ -84,14 +93,15 @@ class ConvexDomain:
         self.vertices = v
         self.vertices.setflags(write=False)
         self.corner_radius = float(corner_radius)
-        self.arc_segments = int(arc_segments)
-        self._disk_radius = _disk_radius
+        # set by disk(), whose sampled curvature is then exactly 1/radius
+        self._disk_radius = None
 
         if corner_radius > 0:
             if corner_radius >= 0.5 * elen.min():
                 raise ParameterError(
                     "corner_radius must be below half the shortest edge")
-            self._polyline, self._arc_id, self._anchors = self._build_rounded()
+            self._polyline, self._arc_id, self._anchors = self._build_rounded(
+                elen)
         else:
             self._polyline = v
             self._arc_id = np.full(len(v), -1, dtype=np.int64)
@@ -105,10 +115,9 @@ class ConvexDomain:
         return cls([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)])
 
     @classmethod
-    def regular_polygon(cls, n, radius=1.0, center=(0.0, 0.0)):
+    def regular_polygon(cls, n, radius=1.0):
         th = 2.0 * np.pi * np.arange(n) / n
-        pts = np.column_stack([center[0] + radius * np.cos(th),
-                               center[1] + radius * np.sin(th)])
+        pts = np.column_stack([radius * np.cos(th), radius * np.sin(th)])
         return cls(pts)
 
     @classmethod
@@ -119,25 +128,18 @@ class ConvexDomain:
         exact 1/radius instead of the polygonal zero-or-undefined values.
         """
         dom = cls.regular_polygon(segments, radius=radius)
-        return cls(dom.vertices, _disk_radius=float(radius))
+        dom._disk_radius = float(radius)
+        return dom
 
-    def _build_rounded(self):
+    def _build_rounded(self, elen):
         v = self.vertices
         n = len(v)
         r = self.corner_radius
-        prev_dir = v - np.roll(v, 1, axis=0)
-        prev_len = np.hypot(prev_dir[:, 0], prev_dir[:, 1])
-        u_in = prev_dir / prev_len[:, None]
-        next_dir = np.roll(v, -1, axis=0) - v
-        next_len = np.hypot(next_dir[:, 0], next_dir[:, 1])
-        u_out = next_dir / next_len[:, None]
-
         # turn angle at each corner; tangent offset d = r*tan(turn/2)
-        cosphi = np.clip(np.einsum("ij,ij->i", u_in, u_out), -1.0, 1.0)
-        phi = np.arccos(cosphi)
+        u_in, u_out, phi = _turns(v)
         d = r * np.tan(0.5 * phi)
         for k in range(n):
-            if d[k] + d[(k + 1) % n] > next_len[k] + 1e-12 * next_len[k]:
+            if d[k] + d[(k + 1) % n] > elen[k] + 1e-12 * elen[k]:
                 raise ParameterError(
                     f"corner radius {r} too large for edge {k}")
 
@@ -164,14 +166,14 @@ class ConvexDomain:
             sweep = (a2 - a1) % (2.0 * np.pi)
             if sweep > np.pi:
                 sweep -= 2.0 * np.pi
-            ang = a1 + sweep * np.linspace(0.0, 1.0, self.arc_segments + 1)
+            ang = a1 + sweep * np.linspace(0.0, 1.0, ARC_SEGMENTS + 1)
             arc = center + r * np.column_stack([np.cos(ang), np.sin(ang)])
             pieces.append(arc)
-            ids.append(np.full(self.arc_segments + 1, k, dtype=np.int64))
+            ids.append(np.full(ARC_SEGMENTS + 1, k, dtype=np.int64))
             # arc endpoints are kept as mesh anchors so boundary resampling
             # stays aligned across different rounding radii
-            anchors.extend([offset, offset + self.arc_segments])
-            offset += self.arc_segments + 1
+            anchors.extend([offset, offset + ARC_SEGMENTS])
+            offset += ARC_SEGMENTS + 1
         return (np.vstack(pieces), np.concatenate(ids),
                 np.asarray(anchors, dtype=np.int64))
 
@@ -217,20 +219,27 @@ class ConvexDomain:
     def contains(self, pts, margin=0.0):
         return self.line_distance(pts) >= margin
 
-    def boundary_distance(self, pts):
-        """Exact unsigned distance from points to the boundary polyline."""
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    def _nearest_boundary_point(self, pts):
+        """The point of the boundary polyline closest to each of ``pts``."""
         a = self._polyline
-        b = np.roll(a, -1, axis=0)
-        e = b - a
+        e = np.roll(a, -1, axis=0) - a
         ee = np.einsum("ij,ij->i", e, e)
         dx = pts[:, None, 0] - a[None, :, 0]
         dy = pts[:, None, 1] - a[None, :, 1]
         t = np.clip((dx * e[None, :, 0] + dy * e[None, :, 1]) / ee[None, :],
                     0.0, 1.0)
-        fx = dx - t * e[None, :, 0]
-        fy = dy - t * e[None, :, 1]
-        return np.min(np.hypot(fx, fy), axis=1)
+        cx = a[None, :, 0] + t * e[None, :, 0]
+        cy = a[None, :, 1] + t * e[None, :, 1]
+        d2 = (pts[:, None, 0] - cx) ** 2 + (pts[:, None, 1] - cy) ** 2
+        best = np.argmin(d2, axis=1)
+        rows = np.arange(len(pts))
+        return np.column_stack([cx[rows, best], cy[rows, best]])
+
+    def boundary_distance(self, pts):
+        """Exact unsigned distance from points to the boundary polyline."""
+        pts = np.atleast_2d(np.asarray(pts, dtype=float))
+        gap = pts - self._nearest_boundary_point(pts)
+        return np.hypot(gap[:, 0], gap[:, 1])
 
     def project(self, pts):
         """Nearest-point projection onto the closed domain.
@@ -244,20 +253,7 @@ class ConvexDomain:
         out = pts.copy()
         outside = ~self.contains(pts)
         if np.any(outside):
-            sub = pts[outside]
-            a = self._polyline
-            e = np.roll(a, -1, axis=0) - a
-            ee = np.einsum("ij,ij->i", e, e)
-            dx = sub[:, None, 0] - a[None, :, 0]
-            dy = sub[:, None, 1] - a[None, :, 1]
-            t = np.clip((dx * e[None, :, 0] + dy * e[None, :, 1]) / ee[None, :],
-                        0.0, 1.0)
-            cx = a[None, :, 0] + t * e[None, :, 0]
-            cy = a[None, :, 1] + t * e[None, :, 1]
-            d2 = (sub[:, None, 0] - cx) ** 2 + (sub[:, None, 1] - cy) ** 2
-            best = np.argmin(d2, axis=1)
-            rows = np.arange(len(sub))
-            out[outside] = np.column_stack([cx[rows, best], cy[rows, best]])
+            out[outside] = self._nearest_boundary_point(pts[outside])
         return out
 
     def bounding_box(self):
@@ -273,10 +269,9 @@ class ConvexDomain:
 def round_corners(dom: ConvexDomain, radius: float) -> ConvexDomain:
     """Inscribed-arc rounding of every corner; the result stays convex and
     is contained in the original domain."""
-    if radius <= 0:
+    if not radius > 0:
         raise ParameterError("radius must be positive")
-    return ConvexDomain(dom.vertices, corner_radius=radius,
-                        arc_segments=dom.arc_segments)
+    return ConvexDomain(dom.vertices, corner_radius=radius)
 
 
 def boundary_curvature(dom: ConvexDomain):
@@ -373,13 +368,8 @@ class TriMesh:
         Returns (edges, normals); edges[k] = (i, j) traversed so the interior
         lies on the left.
         """
-        t = self.triangles
-        raw = np.vstack([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]])
-        key = np.sort(raw, axis=1)
-        uniq, inv, counts = np.unique(key, axis=0, return_inverse=True,
-                                      return_counts=True)
-        mask = counts[inv] == 1
-        edges = raw[mask]
+        raw, _, inv, counts = _edge_table(self.triangles)
+        edges = raw[counts[inv] == 1]
         e = self.points[edges[:, 1]] - self.points[edges[:, 0]]
         n = np.column_stack([e[:, 1], -e[:, 0]])
         n /= np.hypot(n[:, 0], n[:, 1])[:, None]
@@ -444,6 +434,16 @@ class TriMesh:
     def __repr__(self):
         return (f"TriMesh({self.n_points} points, {self.n_triangles} "
                 f"triangles, h={self.h:.4g})")
+
+
+def _edge_table(t):
+    """Edges (0, 1), (1, 2), (2, 0) of the triangles ``t``, one block per
+    corner pair, and the table of unique sorted edges: ``uniq``, each raw
+    edge's row ``inv`` in it and each unique edge's triangle ``counts``."""
+    raw = np.vstack([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]])
+    uniq, inv, counts = np.unique(np.sort(raw, axis=1), axis=0,
+                                  return_inverse=True, return_counts=True)
+    return raw, uniq, inv, counts
 
 
 def _signed_areas(points, triangles):
@@ -588,11 +588,7 @@ def _resample_boundary(dom: ConvexDomain, spacing: float):
     polyline, so all samples lie exactly on the boundary.
     """
     poly = dom.polyline
-    u_in = poly - np.roll(poly, 1, axis=0)
-    u_in /= np.hypot(u_in[:, 0], u_in[:, 1])[:, None]
-    u_out = np.roll(poly, -1, axis=0) - poly
-    u_out /= np.hypot(u_out[:, 0], u_out[:, 1])[:, None]
-    turn = np.arccos(np.clip(np.einsum("ij,ij->i", u_in, u_out), -1, 1))
+    turn = _turns(poly)[2]
     sharp = np.flatnonzero(turn > np.radians(MIN_ANGLE_DEG))
     anchors = np.union1d(sharp, dom.boundary_anchors)
 
@@ -858,20 +854,16 @@ def triangulate_convex(dom: ConvexDomain, h_target: float) -> TriMesh:
         movable[len(bnd):] = depth < 2.2 * spacing
         delaunay = _RingDelaunay(dom, pts, depth, movable, spacing)
         tri = delaunay.base
-        for _round in range(4):
-            pts = _smooth_round(pts, tri, movable)
-            tri = delaunay(pts)
         flags = np.arange(len(pts)) < len(bnd)
-        mesh = TriMesh(pts, tri, flags)
-        angle = mesh.min_angle()
-        # quality loop: extra smoothing sweeps while below the angle floor
-        for _round in range(6):
-            if angle >= MIN_ANGLE_DEG:
-                break
+        # 4 sweeps, then up to 6 more while below the angle floor
+        for sweep in range(10):
             pts = _smooth_round(pts, tri, movable)
             tri = delaunay(pts)
-            mesh = TriMesh(pts, tri, flags)
-            angle = mesh.min_angle()
+            if sweep >= 3:
+                mesh = TriMesh(pts, tri, flags)
+                angle = mesh.min_angle()
+                if angle >= MIN_ANGLE_DEG:
+                    break
         if angle < MIN_ANGLE_DEG:
             spacing *= 0.8
             continue
@@ -892,10 +884,7 @@ def refine_uniform(mesh: TriMesh) -> TriMesh:
     preserved.
     """
     t = mesh.triangles
-    edges = np.vstack([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]])
-    key = np.sort(edges, axis=1)
-    uniq, inv, counts = np.unique(key, axis=0, return_inverse=True,
-                                  return_counts=True)
+    _, uniq, inv, counts = _edge_table(t)
     mid = 0.5 * (mesh.points[uniq[:, 0]] + mesh.points[uniq[:, 1]])
     mid_idx = mesh.n_points + np.arange(len(uniq))
     points = np.vstack([mesh.points, mid])

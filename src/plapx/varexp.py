@@ -420,7 +420,7 @@ def _same_bits(a, b):
 def mollify_exponent(p: ExponentField, delta: float) -> ExponentField:
     """Smoothed exponent p_delta with |p_delta - p| <= lip*delta and the
     same Lipschitz bound; needs the field's domain for the extension."""
-    if delta <= 0:
+    if not delta > 0:
         raise ValueError("delta must be positive")
     if p.domain is None:
         raise ValueError(

@@ -124,8 +124,9 @@ def test_config_bad_vertices(tmp_path):
         make_config(tmp_path, **{"domain.vertices": "0,0; 1,0"})
     with pytest.raises(ConfigError):
         make_config(tmp_path, **{"domain.vertices": "0,0; 1; 1,1"})
-    with pytest.raises(ConfigError):
-        make_config(tmp_path, **{"domain.corner_radius": "-0.1"})
+    for bad in ("-0.1", "nan"):
+        with pytest.raises(ConfigError):
+            make_config(tmp_path, **{"domain.corner_radius": bad})
 
 
 def test_config_optional_lists(tmp_path):
@@ -209,6 +210,9 @@ def test_run_solve_single_row(tmp_path):
     assert side["version"]
     assert side["failures"] == []
     assert side["ellipticity_audit"]["satisfied"] is True
+    assert set(side["ellipticity_audit"]) == {
+        "lower", "upper", "low_margin", "high_margin", "satisfied",
+        "n_samples", "trials"}
     assert side["mesh"]["n_points"] > 0
 
 
@@ -280,8 +284,10 @@ def test_run_p1_sweep(tmp_path):
     assert [row[0] for row in result.rows] == [1.8, 1.5]
     assert result.columns[0] == "p1"
     fit = result.payload["scaling_dq"]
-    assert set(fit) >= {"slope", "intercept", "bound", "within_bound",
-                        "degenerate"}
+    for key in ("scaling_dq", "scaling_recovery"):
+        assert set(result.payload[key]) == {
+            "slope", "intercept", "kappa", "bound", "within_bound",
+            "degenerate", "warning"}
     assert not fit["degenerate"]
     assert result.payload["scaling_recovery"]["bound"] == 1.5
 
@@ -326,6 +332,10 @@ def test_run_domain_sweep_validation(tmp_path):
         run_domain_sweep(make_config(tmp_path, **{"radius.list": "0.1, 0.2"}))
     with pytest.raises(ConfigError):
         run_domain_sweep(make_config(tmp_path, **{"radius.list": "0.2, 0"}))
+    # a NaN radius would be the unrounded polygon
+    with pytest.raises(ConfigError):
+        run_domain_sweep(make_config(tmp_path,
+                                     **{"radius.list": "0.3, nan, 0.1"}))
 
 
 def test_run_identity_check_default_trio(tmp_path):
@@ -539,6 +549,34 @@ def test_cli_linear_solve_failure_keeps_csv_and_sidecar(tmp_path, capsys):
         reason = side["failures"][0]["reason"]
         assert "relative residual" not in reason
         assert reason.startswith("no convergence at eps=")
+
+
+def test_cli_unmeshable_domain_member_is_recorded(tmp_path, capsys,
+                                                  monkeypatch):
+    import plapx.experiments
+    from plapx.experiments import DOMAIN_COLUMNS
+    from plapx.geometry import GeometryError
+    real = plapx.experiments.triangulate_convex
+
+    def triangulate(dom, h):
+        if dom.corner_radius == 0.2:
+            raise GeometryError("could not reach min angle 20.0 deg")
+        return real(dom, h)
+
+    monkeypatch.setattr(plapx.experiments, "triangulate_convex", triangulate)
+    path = write_config(tmp_path, **{"radius.list": "0.3, 0.2, 0.1",
+                                     "mesh.h": "0.25"})
+    assert cli_main(["sweep-domain", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "failure:" in err and "error:" not in err
+    side = json.loads((tmp_path / "cli_out.csv.json").read_text())
+    assert side["failures"] == [
+        {"radius": 0.2, "reason": "could not reach min angle 20.0 deg"}]
+    lines = (tmp_path / "cli_out.csv").read_text().splitlines()
+    assert lines[0] == ",".join(DOMAIN_COLUMNS)
+    assert [line.split(",")[0] for line in lines[1:]] == ["0.3", "0.1"]
+    # the member after the failed one has no predecessor to compare with
+    assert lines[2].split(",")[-1] == "nan"
 
 
 def test_cli_field_evaluation_failure_is_recorded(tmp_path, capsys):

@@ -58,10 +58,20 @@ def test_bad_vertices_rejected(bad):
 
 
 def test_corner_radius_limits():
+    square = ConvexDomain.unit_square()
+    for bad in (0.6, -0.1, math.nan):
+        with pytest.raises(ParameterError):
+            round_corners(square, bad)
+    # a NaN radius is not the plain polygon, whose curvature would then
+    # read zero instead of raising
     with pytest.raises(ParameterError):
-        round_corners(ConvexDomain.unit_square(), 0.6)
-    with pytest.raises(ParameterError):
-        round_corners(ConvexDomain.unit_square(), -0.1)
+        ConvexDomain(square.vertices, corner_radius=math.nan)
+
+
+def test_rounded_corner_polyline_size():
+    # 16 segments per arc: 17 polyline vertices per corner
+    rounded = round_corners(ConvexDomain.unit_square(), 0.1)
+    assert rounded.polyline.shape == (4 * 17, 2)
 
 
 def test_line_distance_and_contains():
@@ -84,6 +94,33 @@ def test_projection_onto_square():
     a, b = np.array([[2.0, 3.0]]), np.array([[4.0, -1.0]])
     pa, pb = dom.project(a), dom.project(b)
     assert np.linalg.norm(pa - pb) <= np.linalg.norm(a - b) + 1e-14
+
+
+def test_boundary_distance_on_square():
+    dom = ConvexDomain.unit_square()
+    pts = np.array([[0.5, 0.5], [0.1, 0.5], [0.25, 0.9],   # inside
+                    [1.2, 0.5], [0.5, -2.0],                # outside an edge
+                    [-0.3, -0.4], [1.6, 1.8],               # outside a corner
+                    [0.0, 0.0], [1.0, 0.5]])                # on the boundary
+    np.testing.assert_allclose(
+        dom.boundary_distance(pts),
+        [0.5, 0.1, 0.1, 0.2, 2.0, 0.5, 1.0, 0.0, 0.0], atol=1e-15)
+
+
+@pytest.mark.parametrize("dom", [
+    ConvexDomain.unit_square(), ConvexDomain.disk(1.0),
+    ConvexDomain.regular_polygon(7),
+    round_corners(ConvexDomain.unit_square(), 0.2)],
+    ids=["square", "disk", "heptagon", "rounded"])
+def test_boundary_distance_is_the_projection_gap(dom):
+    # outside the domain, both come from one nearest-point routine
+    lo, hi = dom.bounding_box()
+    pts = np.random.default_rng(3).uniform(lo - 1.0, hi + 1.0, (2000, 2))
+    pts = pts[~dom.contains(pts)]
+    assert len(pts) > 500
+    gap = pts - dom.project(pts)
+    np.testing.assert_array_equal(dom.boundary_distance(pts),
+                                  np.hypot(gap[:, 0], gap[:, 1]))
 
 
 def test_boundary_curvature_values():

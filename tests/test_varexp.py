@@ -308,8 +308,9 @@ def test_mollify_requires_domain():
     with pytest.raises(ValueError):
         mollify_exponent(ExponentField.constant(2.0), 0.1)
     p = ExponentField.from_expression(parse_field("2"), SQUARE)
-    with pytest.raises(ValueError):
-        mollify_exponent(p, 0.0)
+    for bad in (0.0, math.nan):
+        with pytest.raises(ValueError):
+            mollify_exponent(p, bad)
 
 
 def reference_mollified(moll, x, y):
