@@ -14,12 +14,11 @@ __version__ = "0.1.0"
 from .expressions import (DifferentiationError, FieldEvaluationError,
                           FieldSyntaxError, ScalarFieldExpr, parse_field)
 from .geometry import (ConvexDomain, GeometryError, ParameterError, TriMesh,
-                       boundary_curvature, load_mesh, refine_uniform,
-                       round_corners, save_mesh, triangulate_convex)
+                       load_mesh, refine_uniform, round_corners, save_mesh,
+                       triangulate_convex)
 from .varexp import (EvaluationError, ExponentField, NonconvergenceError,
                      PreconditionError, QuadratureContext, field_values,
-                     holder_check, log_holder_modulus, luxemburg_norm,
-                     modular, mollify_exponent, sobolev_conjugate)
+                     holder_check, luxemburg_norm, modular, mollify_exponent)
 from .assembly import (P1Function, apply_dirichlet, assemble_jacobian,
                        assemble_load, assemble_residual, energy,
                        weighted_stiffness)
@@ -38,12 +37,11 @@ __all__ = [
     "FieldEvaluationError", "DifferentiationError",
     # geometry
     "ConvexDomain", "TriMesh", "triangulate_convex", "refine_uniform",
-    "round_corners", "boundary_curvature", "save_mesh", "load_mesh",
+    "round_corners", "save_mesh", "load_mesh",
     "GeometryError", "ParameterError",
     # variable-exponent spaces
     "ExponentField", "QuadratureContext", "field_values", "modular",
-    "luxemburg_norm", "holder_check", "sobolev_conjugate",
-    "log_holder_modulus", "mollify_exponent", "EvaluationError",
+    "luxemburg_norm", "holder_check", "mollify_exponent", "EvaluationError",
     "PreconditionError", "NonconvergenceError",
     # assembly
     "P1Function", "energy", "assemble_load",

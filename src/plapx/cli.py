@@ -70,6 +70,8 @@ def main(argv=None):
         thread_count()
         config = ExperimentConfig.load(args.config)
         if args.command == "validate":
+            p = config.spec.p
+            print(f"exponent: p1 {p.p1!r}, p2 {p.p2!r}, lip {p.lip!r}")
             warnings = validate_spec(config.problem_spec())
             for w in warnings:
                 print(f"warning: {w}")

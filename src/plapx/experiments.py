@@ -53,10 +53,12 @@ REQUIRED_KEYS = (
     "eps.start", "eps.stop", "eps.factor",
     "mesh.h", "mesh.refinements",
     "newton.tol", "newton.max_iter",
-    "s.exponent", "output.path", "seed",
+    "output.path", "seed",
 )
 
-OPTIONAL_KEYS = ("u.exact.expr", "p1.list", "radius.list", "identity.exprs")
+# s.exponent is accepted for older configs and ignored
+OPTIONAL_KEYS = ("u.exact.expr", "p1.list", "radius.list", "identity.exprs",
+                 "s.exponent")
 
 DEFAULT_IDENTITY_EXPRS = (
     "1 - x^2 - y^2",
@@ -181,7 +183,6 @@ class ExperimentConfig:
             mesh_h=_get_float(raw, "mesh.h"),
             newton_tol=_get_float(raw, "newton.tol"),
             newton_max_iter=_get_int(raw, "newton.max_iter"),
-            s_exponent=_get_float(raw, "s.exponent"),
             seed=seed,
         )
         u_exact = None
@@ -294,12 +295,14 @@ class ExperimentResult:
 
 def _payload_base(config: ExperimentConfig, command: str, columns):
     from . import __version__
+    p = config.spec.p
     return {
         "version": __version__,
         "command": command,
         "config": dict(config.raw),
         "columns": list(columns),
         "seed": config.spec.seed,
+        "exponent": {"p1": p.p1, "p2": p.p2, "lip": p.lip},
         "validation_warnings": [],
         "failures": [],
     }
@@ -344,13 +347,16 @@ def _emit(config, command, columns, rows, payload, mesh=None, solution=None):
                             sidecar_path, payload, mesh, solution)
 
 
-def _sample_interior_points(domain, n, rng):
+def _sample_interior_points(domain, mesh, n, rng):
+    """``n`` uniform points inside ``domain`` that ``mesh`` covers: on a
+    rounded domain the mesh's chord polygon leaves slivers of it out."""
     lo, hi = domain.bounding_box()
     pts = np.empty((0, 2))
     margin = 1e-9 * max(hi[0] - lo[0], hi[1] - lo[1])
     for _ in range(64):
         cand = rng.uniform(lo, hi, size=(2 * n, 2))
         keep = cand[domain.contains(cand, margin=margin)]
+        keep = keep[mesh.locate(keep)[0] >= 0]
         pts = np.vstack([pts, keep])
         if len(pts) >= n:
             return pts[:n]
@@ -360,7 +366,7 @@ def _sample_interior_points(domain, n, rng):
 def _ellipticity_audit(u, spec: ProblemSpec, eps: float):
     """Post-hoc coefficient audit on random interior points (config seed)."""
     rng = np.random.Generator(np.random.Philox(spec.seed))
-    pts = _sample_interior_points(spec.domain, 2000, rng)
+    pts = _sample_interior_points(spec.domain, u.mesh, 2000, rng)
     sample = regularity.coefficients(u, spec.p, spec.f, eps, pts)
     return dataclasses.asdict(regularity.ellipticity_check(
         sample, spec.p.p1, spec.p.p2, trials=4, seed=spec.seed))
@@ -380,8 +386,11 @@ def _run_continuation(config: ExperimentConfig, command, final_only):
         records, solution = report.records, report.solution
     rows = [r.row() for r in (records[-1:] if final_only else records)]
     if solution is not None:
-        payload["ellipticity_audit"] = _ellipticity_audit(
-            solution, spec, spec.eps_stop)
+        try:
+            payload["ellipticity_audit"] = _ellipticity_audit(
+                solution, spec, spec.eps_stop)
+        except _RECORDED_ERRORS as err:
+            payload["failures"].append({"audit": str(err)})
     payload["mesh"] = {"n_points": mesh.n_points,
                        "n_triangles": mesh.n_triangles, "h": mesh.h}
     return _emit(config, command, EpsRecord.COLUMNS, rows, payload, mesh,

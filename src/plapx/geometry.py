@@ -26,7 +26,6 @@ __all__ = [
     "lattice_points",
     "refine_uniform",
     "round_corners",
-    "boundary_curvature",
     "save_mesh",
     "load_mesh",
     "GeometryError",
@@ -93,21 +92,16 @@ class ConvexDomain:
         self.vertices = v
         self.vertices.setflags(write=False)
         self.corner_radius = float(corner_radius)
-        # set by disk(), whose sampled curvature is then exactly 1/radius
-        self._disk_radius = None
 
         if corner_radius > 0:
             if corner_radius >= 0.5 * elen.min():
                 raise ParameterError(
                     "corner_radius must be below half the shortest edge")
-            self._polyline, self._arc_id, self._anchors = self._build_rounded(
-                elen)
+            self._polyline, self._anchors = self._build_rounded(elen)
         else:
             self._polyline = v
-            self._arc_id = np.full(len(v), -1, dtype=np.int64)
             self._anchors = np.empty(0, dtype=np.int64)
         self._polyline.setflags(write=False)
-        self._arc_id.setflags(write=False)
         self._anchors.setflags(write=False)
 
     @classmethod
@@ -122,14 +116,9 @@ class ConvexDomain:
 
     @classmethod
     def disk(cls, radius=1.0, segments=64):
-        """Disk of given radius, realized as an inscribed regular polygon.
-
-        The polygon is tagged so that sampled boundary curvature reports the
-        exact 1/radius instead of the polygonal zero-or-undefined values.
-        """
-        dom = cls.regular_polygon(segments, radius=radius)
-        dom._disk_radius = float(radius)
-        return dom
+        """Disk of given radius, realized as an inscribed regular polygon
+        with ``segments`` sides."""
+        return cls.regular_polygon(segments, radius=radius)
 
     def _build_rounded(self, elen):
         v = self.vertices
@@ -144,13 +133,11 @@ class ConvexDomain:
                     f"corner radius {r} too large for edge {k}")
 
         pieces = []
-        ids = []
         anchors = []
         offset = 0
         for k in range(n):
             if phi[k] < 1e-12:
                 pieces.append(v[k][None, :])
-                ids.append(np.full(1, -1, dtype=np.int64))
                 anchors.append(offset)
                 offset += 1
                 continue
@@ -169,22 +156,16 @@ class ConvexDomain:
             ang = a1 + sweep * np.linspace(0.0, 1.0, ARC_SEGMENTS + 1)
             arc = center + r * np.column_stack([np.cos(ang), np.sin(ang)])
             pieces.append(arc)
-            ids.append(np.full(ARC_SEGMENTS + 1, k, dtype=np.int64))
             # arc endpoints are kept as mesh anchors so boundary resampling
             # stays aligned across different rounding radii
             anchors.extend([offset, offset + ARC_SEGMENTS])
             offset += ARC_SEGMENTS + 1
-        return (np.vstack(pieces), np.concatenate(ids),
-                np.asarray(anchors, dtype=np.int64))
+        return np.vstack(pieces), np.asarray(anchors, dtype=np.int64)
 
     @property
     def polyline(self):
         """Effective boundary polygon, counterclockwise, one row per vertex."""
         return self._polyline
-
-    @property
-    def polyline_on_arc(self):
-        return self._arc_id >= 0
 
     @property
     def boundary_anchors(self):
@@ -194,10 +175,6 @@ class ConvexDomain:
     @property
     def area(self):
         return _polygon_area(self._polyline)
-
-    @property
-    def is_disk(self):
-        return self._disk_radius is not None
 
     def line_distance(self, pts):
         """Conservative interior clearance at points.
@@ -261,8 +238,7 @@ class ConvexDomain:
         return p.min(axis=0), p.max(axis=0)
 
     def __repr__(self):
-        kind = "disk" if self.is_disk else "polygon"
-        return (f"ConvexDomain({kind}, {len(self.vertices)} corners, "
+        return (f"ConvexDomain({len(self.vertices)} corners, "
                 f"r={self.corner_radius})")
 
 
@@ -272,30 +248,6 @@ def round_corners(dom: ConvexDomain, radius: float) -> ConvexDomain:
     if not radius > 0:
         raise ParameterError("radius must be positive")
     return ConvexDomain(dom.vertices, corner_radius=radius)
-
-
-def boundary_curvature(dom: ConvexDomain):
-    """Sampled mean curvature H along the boundary.
-
-    Samples at the midpoints of the boundary polyline segments: 1/r on the
-    rounded arcs, 0 on the straight runs, and exactly 1/R everywhere on a
-    disk domain.  Exact polygons (sharp corners, not a disk) have no defined
-    pointwise curvature and raise a :class:`GeometryError`.
-    """
-    poly = dom.polyline
-    mids = 0.5 * (poly + np.roll(poly, -1, axis=0))
-    if dom.is_disk:
-        return mids, np.full(len(mids), 1.0 / dom._disk_radius)
-    if dom.corner_radius == 0:
-        raise GeometryError(
-            "curvature undefined on a polygon with sharp corners")
-    # a segment lies on an arc only when both endpoints belong to the SAME
-    # arc; junction-to-junction segments are the straight runs
-    ids = dom._arc_id
-    nxt = np.roll(ids, -1)
-    seg_on_arc = (ids >= 0) & (ids == nxt)
-    h = np.where(seg_on_arc, 1.0 / dom.corner_radius, 0.0)
-    return mids, h
 
 
 class TriMesh:

@@ -45,7 +45,6 @@ __all__ = [
     "split_exponents",
     "integrability_split_report",
     "SplitReport",
-    "log_bound_check",
     "curvature_identity_check",
     "IdentityReport",
     "p1_scaling_report",
@@ -203,31 +202,16 @@ def sample_on_lattice(f, origin, spacing, nx, ny, domain=None) -> GridSampling:
                         vals)
 
 
-def difference_quotient(grid: GridSampling, axis: int, order: int = 1,
-                        backward: bool = False) -> GridSampling:
-    """Lattice difference quotient along an axis.
-
-    Order 1 is (F(x + h e_k) - F(x))/h, attached at x for the forward
-    version and at x + h e_k for the backward (step -h) version.  Order 2 is
-    literally the backward quotient of the forward quotient, i.e. the
-    centered second difference on the interior nodes.
-    """
+def difference_quotient(grid: GridSampling, axis: int) -> GridSampling:
+    """Forward lattice difference quotient (F(x + h e_k) - F(x))/h along an
+    axis, attached at x."""
     if axis not in (0, 1):
         raise ValueError("axis must be 0 or 1")
-    if order == 2:
-        return difference_quotient(
-            difference_quotient(grid, axis, 1, backward=False),
-            axis, 1, backward=True)
-    if order != 1:
-        raise ValueError("order must be 1 or 2")
     v = grid.values
     if v.shape[axis] < 2:
         raise SamplingError("lattice too small for a difference quotient")
-    d = np.diff(v, axis=axis) / grid.spacing
-    origin = list(grid.origin)
-    if backward:
-        origin[axis] += grid.spacing
-    return GridSampling(tuple(origin), grid.spacing, d)
+    return GridSampling(tuple(grid.origin), grid.spacing,
+                        np.diff(v, axis=axis) / grid.spacing)
 
 
 def _polygon_centroid(poly):
@@ -464,30 +448,6 @@ def integrability_split_report(u: P1Function, p: ExponentField, f,
         conjugate_defect=conj, direct=direct, split_f=split_f,
         split_weight=split_w, split=split,
         holder_satisfied=bool(direct <= 2.0 * split + 1e-9))
-
-
-def log_bound_check(u: P1Function, eps: float, s: float,
-                    qctx: QuadratureContext):
-    """Check log(v) <= (2/(e s)) v^(s/2) on the region |grad u| > 1.
-
-    Returns a dict with the observed maximum ratio, the bound, and the
-    measure of the region; vacuous (and satisfied) when the region is empty.
-    """
-    if not (0.0 < s < 1.0):
-        raise ValueError("s must lie in (0, 1)")
-    g = u.triangle_gradients()
-    gn2 = np.einsum("td,td->t", g, g)
-    mask = gn2 > 1.0
-    bound = 2.0 / (math.e * s)
-    meas = float(np.sum(qctx.weights * mask[:, None]))
-    if not np.any(mask):
-        return {"max_ratio": 0.0, "bound": bound, "satisfied": True,
-                "omega1_measure": 0.0, "vacuous": True}
-    v = np.sqrt(gn2[mask] + eps)
-    ratio = float(np.max(np.log(v) / v ** (0.5 * s)))
-    return {"max_ratio": ratio, "bound": bound,
-            "satisfied": bool(ratio <= bound + 1e-12),
-            "omega1_measure": meas, "vacuous": False}
 
 
 @dataclass

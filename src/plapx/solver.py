@@ -84,7 +84,6 @@ class ProblemSpec:
     mesh_h: float = 0.1
     newton_tol: float = 1e-10
     newton_max_iter: int = 30
-    s_exponent: float = 0.5
     seed: int = 0
 
     def __post_init__(self):
@@ -96,8 +95,6 @@ class ProblemSpec:
             raise ValueError("newton_tol must be positive")
         if self.newton_max_iter < 1:
             raise ValueError("newton_max_iter must be >= 1")
-        if not (0.0 < self.s_exponent < 1.0):
-            raise ValueError("s_exponent must lie in (0, 1)")
         if not (self.mesh_h > 0):
             raise ValueError("mesh_h must be positive")
 

@@ -10,7 +10,7 @@ norm of the quadrature measure, consistent across all modules.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,8 +24,6 @@ __all__ = [
     "luxemburg_norm",
     "holder_check",
     "HolderCheck",
-    "sobolev_conjugate",
-    "log_holder_modulus",
     "mollify_exponent",
     "field_values",
     "EvaluationError",
@@ -132,8 +130,7 @@ class ExponentField:
 
     ``p1``/``p2`` bound the essential range and ``lip`` the Lipschitz
     constant.  Bounds passed explicitly are taken as exact; bounds from
-    :meth:`from_expression` are dense-sampling estimates and ``meta``
-    records the sample count.
+    :meth:`from_expression` are dense-sampling estimates.
     """
 
     field: object
@@ -141,7 +138,6 @@ class ExponentField:
     p2: float
     lip: float
     domain: object = None
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if not (np.isfinite(self.p1) and np.isfinite(self.p2)
@@ -183,16 +179,12 @@ class ExponentField:
             raise EvaluationError("exponent not finite on the domain")
         try:
             px, py = (field_values(expr.diff(v), xs, ys) for v in "xy")
-            method = "gradient"
         except DifferentiationError:
             h = 1e-6 * max(1.0, float(np.max(hi - lo)))
             px, py = _central_gradient(expr, xs, ys, h)
-            method = "finite-difference"
         lip = float(np.max(np.hypot(px, py)))
         return cls(expr, float(vals.min()), float(vals.max()), lip,
-                   domain=domain,
-                   meta={"estimated": True, "n_samples": int(inside.sum()),
-                         "lip_method": method})
+                   domain=domain)
 
     def evaluate(self, x, y):
         return field_values(self.field, np.asarray(x, float),
@@ -291,7 +283,6 @@ class HolderCheck:
     lhs: float
     rhs: float
     satisfied: bool
-    constant: float = 2.0
 
 
 def holder_check(f, g, p: ExponentField, q: ExponentField, s: ExponentField,
@@ -314,34 +305,6 @@ def holder_check(f, g, p: ExponentField, q: ExponentField, s: ExponentField,
     lhs = luxemburg_norm(fv * gv, s, qctx)
     rhs = 2.0 * luxemburg_norm(fv, p, qctx) * luxemburg_norm(gv, q, qctx)
     return HolderCheck(lhs, rhs, bool(lhs <= rhs + 1e-9))
-
-
-def sobolev_conjugate(p_val: float, n_dim: int = 2) -> float:
-    """Sobolev conjugate exponent n*p/(n-p), +inf once p reaches n."""
-    if p_val < 1.0:
-        raise ValueError("exponent must be >= 1")
-    if n_dim < 1:
-        raise ValueError("dimension must be >= 1")
-    if p_val < n_dim:
-        return n_dim * p_val / (n_dim - p_val)
-    return math.inf
-
-
-def log_holder_modulus(p: ExponentField, pairs) -> float:
-    """max over sample pairs of |p(a) - p(b)| * log(e + 1/|a - b|).
-
-    Boundedness of this modulus is the standard continuity requirement on
-    variable exponents; constants give exactly 0.
-    """
-    pairs = np.asarray(pairs, dtype=float)
-    if pairs.ndim != 2 or pairs.shape[1] != 4:
-        raise ValueError("pairs must be an (m, 4) array [x1 y1 x2 y2]")
-    d = np.hypot(pairs[:, 0] - pairs[:, 2], pairs[:, 1] - pairs[:, 3])
-    if np.any(d == 0):
-        raise ValueError("sample pairs must be distinct points")
-    pa = field_values(p, pairs[:, 0], pairs[:, 1])
-    pb = field_values(p, pairs[:, 2], pairs[:, 3])
-    return float(np.max(np.abs(pa - pb) * np.log(math.e + 1.0 / d)))
 
 
 class _MollifiedField:
@@ -426,6 +389,4 @@ def mollify_exponent(p: ExponentField, delta: float) -> ExponentField:
         raise ValueError(
             "exponent field has no domain; build it with from_expression")
     moll = _MollifiedField(p.field, p.domain, delta)
-    meta = dict(p.meta)
-    meta["mollified_delta"] = float(delta)
-    return ExponentField(moll, p.p1, p.p2, p.lip, domain=p.domain, meta=meta)
+    return ExponentField(moll, p.p1, p.p2, p.lip, domain=p.domain)

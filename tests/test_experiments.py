@@ -214,16 +214,24 @@ def test_run_solve_single_row(tmp_path):
         "lower", "upper", "low_margin", "high_margin", "satisfied",
         "n_samples", "trials"}
     assert side["mesh"]["n_points"] > 0
+    assert side["exponent"] == {"p1": 2.0, "p2": 2.0, "lip": 0.0}
 
 
 def test_run_solve_byte_identical_reruns(tmp_path):
-    a = run_solve(make_config(tmp_path, name="a.csv"))
-    b = run_solve(make_config(tmp_path, name="b.csv"))
-    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
-    ja = json.loads((tmp_path / "a.csv.json").read_text())
-    jb = json.loads((tmp_path / "b.csv.json").read_text())
-    ja["config"].pop("output.path"), jb["config"].pop("output.path")
-    assert ja == jb
+    # s.exponent is accepted with any value, or left out, and changes nothing
+    run_solve(make_config(tmp_path, name="a.csv"))
+    run_solve(make_config(tmp_path, name="b.csv"))
+    run_solve(make_config(tmp_path, name="c.csv", **{"s.exponent": None}))
+    run_solve(make_config(tmp_path, name="d.csv", **{"s.exponent": "2"}))
+    sides = []
+    for name in "abcd":
+        assert ((tmp_path / f"{name}.csv").read_bytes()
+                == (tmp_path / "a.csv").read_bytes())
+        side = json.loads((tmp_path / f"{name}.csv.json").read_text())
+        side["config"].pop("output.path")
+        side["config"].pop("s.exponent", None)
+        sides.append(side)
+    assert all(side == sides[0] for side in sides)
 
 
 def test_run_eps_sweep_rows(tmp_path):
@@ -425,9 +433,11 @@ def test_cli_bad_config(tmp_path, capsys):
 
 
 def test_cli_validate_clean(tmp_path, capsys):
-    path = write_config(tmp_path)
+    path = write_config(tmp_path, **{"p.expr": "2 - 0.5*x"})
     assert cli_main(["validate", str(path)]) == 0
-    assert "ok:" in capsys.readouterr().out
+    assert capsys.readouterr().out.splitlines() == [
+        "exponent: p1 1.5, p2 2.0, lip 0.5",
+        "ok: hypotheses hold on the sampled domain"]
 
 
 def test_cli_validate_warnings_and_strict(tmp_path, capsys):
@@ -668,3 +678,39 @@ def test_run_convergence_survives_a_failed_level(tmp_path, monkeypatch):
     assert math.isnan(result.rows[0][4]) and result.rows[1][4] > 1.5
     lines = (tmp_path / "out.csv").read_text().splitlines()
     assert len(lines) == 3
+
+
+def test_cli_audit_samples_only_the_meshed_region(tmp_path, capsys):
+    # the mesh's chord polygon leaves slivers of a rounded domain uncovered;
+    # an audit point drawn there used to end the run with a bare error and
+    # no output once the solve had finished (square benchmark physics)
+    path = write_config(tmp_path, **{
+        "domain.corner_radius": "0.2", "p.expr": "2 - 0.5*x", "g.expr": "x",
+        "eps.start": "1", "eps.stop": "1e-4", "mesh.h": "0.12"})
+    assert cli_main(["solve", str(path)]) == 0
+    assert "error:" not in capsys.readouterr().err
+    side = json.loads((tmp_path / "cli_out.csv.json").read_text())
+    assert side["failures"] == []
+    assert side["ellipticity_audit"]["n_samples"] == 2000
+    assert side["ellipticity_audit"]["satisfied"] is True
+    assert len((tmp_path / "cli_out.csv").read_text().splitlines()) == 2
+
+
+def test_cli_audit_failure_is_recorded(tmp_path, capsys, monkeypatch):
+    import plapx.regularity
+    from plapx.varexp import EvaluationError
+
+    def failing(*args, **kwargs):
+        raise EvaluationError("point outside the mesh", 0.5, 0.5)
+
+    monkeypatch.setattr(plapx.regularity, "coefficients", failing)
+    path = write_config(tmp_path, **{"eps.start": "1", "eps.stop": "0.1"})
+    assert cli_main(["sweep-eps", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "failure:" in err and "error:" not in err
+    side = json.loads((tmp_path / "cli_out.csv.json").read_text())
+    assert side["failures"] == [
+        {"audit": "point outside the mesh at point (0.5, 0.5)"}]
+    assert "ellipticity_audit" not in side
+    lines = (tmp_path / "cli_out.csv").read_text().splitlines()
+    assert len(lines) == 1 + 3

@@ -6,7 +6,7 @@ import pytest
 
 from plapx import geometry
 from plapx.geometry import (ConvexDomain, GeometryError, ParameterError,
-                            TriMesh, boundary_curvature, lattice_points,
+                            TriMesh, lattice_points,
                             load_mesh, refine_uniform, round_corners,
                             save_mesh, triangulate_convex)
 
@@ -21,9 +21,8 @@ def test_regular_polygon_area():
                                          rel=1e-14)
 
 
-def test_disk_area_and_flag():
+def test_disk_area():
     dom = ConvexDomain.disk(2.0)
-    assert dom.is_disk
     # inscribed 64-gon: area = n/2 * R^2 * sin(2 pi / n)
     assert dom.area == pytest.approx(64 / 2 * 4.0 * math.sin(2 * math.pi / 64),
                                      rel=1e-14)
@@ -123,24 +122,15 @@ def test_boundary_distance_is_the_projection_gap(dom):
                                   np.hypot(gap[:, 0], gap[:, 1]))
 
 
-def test_boundary_curvature_values():
-    rounded = round_corners(ConvexDomain.unit_square(), 0.1)
-    mid, H = boundary_curvature(rounded)
-    vals = sorted(set(np.round(H, 10)))
-    assert vals == [0.0, 10.0]
-    disk = ConvexDomain.disk(0.5)
-    _, Hd = boundary_curvature(disk)
-    np.testing.assert_allclose(Hd, 2.0, rtol=1e-14)
-    with pytest.raises(GeometryError):
-        boundary_curvature(ConvexDomain.unit_square())
-
-
 def test_boundary_anchors():
     dom = round_corners(ConvexDomain.unit_square(), 0.2)
     anchors = dom.boundary_anchors
     assert len(anchors) == 8  # two junctions per corner
-    # every anchor sits exactly on the polyline and off the straight runs
-    assert np.all(dom.polyline_on_arc[anchors])
+    # the anchors are the arc ends: the tangent points on the square's edges
+    np.testing.assert_allclose(
+        dom.polyline[anchors],
+        [(0, 0.2), (0.2, 0), (0.8, 0), (1, 0.2), (1, 0.8), (0.8, 1),
+         (0.2, 1), (0, 0.8)], rtol=0, atol=1e-15)
     assert len(ConvexDomain.unit_square().boundary_anchors) == 0
 
 

@@ -13,7 +13,7 @@ from plapx.regularity import (CoefficientSample, PreconditionError,
                               difference_quotient, ellipticity_check,
                               h1_window_distance, h2_estimate_dq,
                               h2_estimate_recovery, integrability_split_report,
-                              log_bound_check, lp_gradient_norm,
+                              lp_gradient_norm,
                               p1_scaling_report, recover_gradient,
                               sample_on_lattice, split_exponents,
                               GridSampling)
@@ -154,37 +154,10 @@ def test_dq_forward_of_quadratic():
     np.testing.assert_allclose(dy.values, 0.0, atol=1e-12)
 
 
-def test_dq_backward_shifts_origin():
-    g = lattice_of(lambda x, y: x + 2 * y, spacing=0.25)
-    d = difference_quotient(g, axis=1, backward=True)
-    assert d.origin == (0.0, 0.25)
-    np.testing.assert_allclose(d.values, 2.0, rtol=1e-13)
-
-
-def test_dq_second_order_of_quadratic_is_constant():
-    g = lattice_of(lambda x, y: 3 * x ** 2 - x * y, spacing=0.05, nx=12)
-    d2 = difference_quotient(g, axis=0, order=2)
-    np.testing.assert_allclose(d2.values, 6.0, rtol=1e-9)
-    assert d2.shape == (10, 6)
-    assert d2.origin == (0.05, 0.0)
-
-
-def test_dq_order2_is_backward_of_forward_bitwise():
-    rng = np.random.Generator(np.random.Philox(31))
-    g = GridSampling((0.2, -0.1), 0.07, rng.normal(size=(9, 7)))
-    direct = difference_quotient(g, axis=0, order=2)
-    composed = difference_quotient(difference_quotient(g, axis=0), axis=0,
-                                   backward=True)
-    np.testing.assert_array_equal(direct.values, composed.values)
-    assert direct.origin == composed.origin
-
-
 def test_dq_validation():
     g = lattice_of(lambda x, y: x, nx=2, ny=2)
     with pytest.raises(ValueError):
         difference_quotient(g, axis=2)
-    with pytest.raises(ValueError):
-        difference_quotient(g, axis=0, order=3)
     with pytest.raises(SamplingError):
         difference_quotient(difference_quotient(g, axis=0), axis=0)
 
@@ -386,44 +359,6 @@ def test_integrability_split_rejects_small_q():
     with pytest.raises(PreconditionError):
         integrability_split_report(u, ExponentField.constant(1.8), 1.0,
                                    ExponentField.constant(1.9), 0.1, qctx)
-
-
-# --- logarithm bound ------------------------------------------------------------
-
-
-def test_log_bound_vacuous_for_flat_function():
-    mesh = triangulate_convex(SQUARE, 0.2)
-    qctx = QuadratureContext(mesh)
-    u = P1Function.interpolate(mesh, parse_field("0.1*x"))
-    out = log_bound_check(u, 1e-6, 0.5, qctx)
-    assert out["vacuous"] and out["satisfied"]
-    assert out["max_ratio"] == 0.0
-    assert out["omega1_measure"] == 0.0
-
-
-def test_log_bound_sharpness():
-    # ln(v)/v^(s/2) peaks at v = e^(2/s) with value 2/(e s); a gradient of
-    # that size lands right on the bound
-    s = 0.5
-    slope = math.exp(2.0 / s)
-    mesh = triangulate_convex(SQUARE, 0.3)
-    qctx = QuadratureContext(mesh)
-    u = P1Function.interpolate(mesh, parse_field(f"{slope}*x"))
-    out = log_bound_check(u, 1e-12, s, qctx)
-    assert not out["vacuous"]
-    assert out["satisfied"]
-    assert out["bound"] == pytest.approx(2.0 / (math.e * s), rel=1e-14)
-    assert out["max_ratio"] == pytest.approx(out["bound"], rel=1e-6)
-    assert out["max_ratio"] <= out["bound"] + 1e-12
-    assert out["omega1_measure"] == pytest.approx(1.0, rel=1e-12)
-
-
-def test_log_bound_validates_s():
-    mesh = triangulate_convex(SQUARE, 0.3)
-    qctx = QuadratureContext(mesh)
-    u = P1Function.zero(mesh)
-    with pytest.raises(ValueError):
-        log_bound_check(u, 1e-6, 1.0, qctx)
 
 
 # --- curvature identity -----------------------------------------------------------

@@ -225,8 +225,6 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         square_spec(newton_tol=0.0)
     with pytest.raises(ValueError):
-        square_spec(s_exponent=1.0)
-    with pytest.raises(ValueError):
         square_spec(mesh_h=-0.1)
 
 
@@ -433,7 +431,7 @@ def test_with_mollified_exponent_masks_source():
     p = ExponentField.from_expression(parse_field("1.5 + x"), SQUARE)
     spec = square_spec(p=p, f=1.0)
     spec2 = with_mollified_exponent(spec, 0.05)
-    assert spec2.p.meta.get("mollified_delta") == 0.05
+    assert spec2.p.field.delta == 0.05
     # deep inside p > 2 territory the masked source is off
     assert spec2.f.evaluate(np.array([0.9]), np.array([0.5]))[0] == 0.0
     assert spec2.f.evaluate(np.array([0.1]), np.array([0.5]))[0] == 1.0
