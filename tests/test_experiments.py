@@ -300,6 +300,15 @@ def test_run_p1_sweep(tmp_path):
     assert result.payload["scaling_recovery"]["bound"] == 1.5
 
 
+def test_run_p1_sweep_records_the_configured_exponent(tmp_path):
+    # the members solve with constant exponents; the sidecar keeps p.expr's
+    cfg = make_config(tmp_path, **{"p1.list": "1.8, 1.5", "p.expr": "2 - 0.5*x",
+                                   "eps.start": "0.1", "eps.stop": "0.1"})
+    run_p1_sweep(cfg)
+    side = json.loads((tmp_path / "out.csv.json").read_text())
+    assert side["exponent"] == {"p1": 1.5, "p2": 2.0, "lip": 0.5}
+
+
 def test_run_p1_sweep_degenerate_fit(tmp_path):
     cfg = make_config(tmp_path, **{"p1.list": "1.8, 1.8",
                                    "eps.start": "0.1", "eps.stop": "0.1"})
@@ -445,6 +454,15 @@ def test_cli_validate_warnings_and_strict(tmp_path, capsys):
     assert cli_main(["validate", str(path)]) == 0
     assert "warning:" in capsys.readouterr().out
     assert cli_main(["validate", "--strict", str(path)]) == 2
+
+
+def test_cli_validate_prints_the_exponent_before_warnings(tmp_path, capsys):
+    path = write_config(tmp_path, **{"p.expr": "2.5"})
+    assert cli_main(["validate", "--strict", str(path)]) == 2
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "exponent: p1 2.5, p2 2.5, lip 0.0"
+    assert len(lines) > 1
+    assert all(line.startswith("warning:") for line in lines[1:])
 
 
 def test_cli_strict_propagates_runner_warnings(tmp_path, capsys):
@@ -714,3 +732,24 @@ def test_cli_audit_failure_is_recorded(tmp_path, capsys, monkeypatch):
     assert "ellipticity_audit" not in side
     lines = (tmp_path / "cli_out.csv").read_text().splitlines()
     assert len(lines) == 1 + 3
+
+
+def test_sample_interior_points_lie_on_the_mesh():
+    from plapx.experiments import _sample_interior_points
+    from plapx.geometry import ConvexDomain, round_corners, triangulate_convex
+
+    dom = round_corners(ConvexDomain.unit_square(), 0.2)
+    mesh = triangulate_convex(dom, 0.3)
+    rng = np.random.Generator(np.random.Philox(0))
+    # the coarse chord polygon leaves part of the rounded domain uncovered
+    cand = rng.uniform(0, 1, size=(4000, 2))
+    cand = cand[dom.contains(cand)]
+    assert np.any(mesh.locate(cand)[0] < 0)
+    pts = _sample_interior_points(dom, mesh, 1000, rng)
+    assert pts.shape == (1000, 2)
+    assert np.all(dom.contains(pts))
+    assert np.all(mesh.locate(pts)[0] >= 0)
+    first, second = (_sample_interior_points(
+        dom, mesh, 1000, np.random.Generator(np.random.Philox(7)))
+        for _ in range(2))
+    np.testing.assert_array_equal(first, second)

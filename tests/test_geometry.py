@@ -29,6 +29,14 @@ def test_disk_area():
     assert dom.area == pytest.approx(math.pi * 4.0, rel=2e-3)
 
 
+def test_disk_segments_lie_on_the_circle():
+    dom = ConvexDomain.disk(0.5, segments=12)
+    assert len(dom.vertices) == 12
+    np.testing.assert_allclose(np.hypot(dom.vertices[:, 0], dom.vertices[:, 1]),
+                               0.5, rtol=1e-14)
+    assert dom.corner_radius == 0.0
+
+
 def test_rounded_square_area_deficit():
     r = 0.2
     dom = round_corners(ConvexDomain.unit_square(), r)

@@ -154,6 +154,20 @@ def test_dq_forward_of_quadratic():
     np.testing.assert_allclose(dy.values, 0.0, atol=1e-12)
 
 
+def test_dq_forward_is_the_shifted_difference_bitwise():
+    rng = np.random.Generator(np.random.Philox(31))
+    g = GridSampling((0.2, -0.1), 0.07, rng.normal(size=(9, 7)))
+    dx = difference_quotient(g, axis=0)
+    dy = difference_quotient(g, axis=1)
+    np.testing.assert_array_equal(dx.values,
+                                  (g.values[1:] - g.values[:-1]) / 0.07)
+    np.testing.assert_array_equal(dy.values,
+                                  (g.values[:, 1:] - g.values[:, :-1]) / 0.07)
+    assert (dx.shape, dy.shape) == ((8, 7), (9, 6))
+    assert dx.origin == dy.origin == (0.2, -0.1)
+    assert dx.spacing == dy.spacing == 0.07
+
+
 def test_dq_validation():
     g = lattice_of(lambda x, y: x, nx=2, ny=2)
     with pytest.raises(ValueError):

@@ -204,6 +204,23 @@ def test_holder_rejects_nonconjugate_exponents():
                      ExponentField.constant(1.1), qctx)
 
 
+def test_exponent_lip_bounds_sampled_difference_quotients():
+    # sidecars record p's Lipschitz bound; on a convex domain it must bound
+    # every quotient |p(a) - p(b)| / |a - b|, and sin(4x) peaks at x = 0
+    p = ExponentField.from_expression(parse_field("1.7 + 0.2*sin(4*x)"),
+                                      SQUARE)
+    assert p.lip == pytest.approx(0.8, rel=1e-12)
+    rng = np.random.Generator(np.random.Philox(11))
+    pairs = rng.uniform(0, 1, size=(500, 4))
+    # plain loop oracle
+    worst = 0.0
+    for x1, y1, x2, y2 in pairs:
+        pa = 1.7 + 0.2 * math.sin(4 * x1)
+        pb = 1.7 + 0.2 * math.sin(4 * x2)
+        worst = max(worst, abs(pa - pb) / math.hypot(x1 - x2, y1 - y2))
+    assert 0.5 * p.lip < worst <= p.lip
+
+
 def test_exponent_field_estimates():
     p = ExponentField.from_expression(parse_field("2 - 0.5*x"), SQUARE)
     assert p.p1 == pytest.approx(1.5, abs=1e-9)
