@@ -152,14 +152,19 @@ def _gradient_data(u: P1Function, p, eps, qctx: QuadratureContext):
     the nodes, s1 = sum_q w v^(p-2) and s2 = sum_q w (p-2) v^(p-2).  Kept on
     u for the last (p, eps, qctx), matched by identity (never on a writable
     array p); for an array p, pv is p and the entry adds per-triangle
-    arrays only.  At eps = 0 flat triangles make s1, s2 infinite (unread)."""
+    arrays only.  A read-only array p is taken as checked finite by its
+    owner (:class:`DiscreteProblem` checks its ``pv`` once); field objects
+    and writable arrays are checked on every call.  At eps = 0 flat
+    triangles make s1, s2 infinite (unread)."""
+    is_array = isinstance(p, np.ndarray)
     hit = u._flux
     if (hit is not None and hit[0] is p and hit[1] == eps and hit[2] is qctx
-            and not (isinstance(p, np.ndarray) and p.flags.writeable)):
+            and not (is_array and p.flags.writeable)):
         return hit[3:]
     gu = u.triangle_gradients()
     pv = field_values(p, qctx.x, qctx.y)
-    _check_finite(pv, qctx, "exponent")
+    if not is_array or p.flags.writeable:
+        _check_finite(pv, qctx, "exponent")
     v2 = np.einsum("td,td->t", gu, gu) + eps
     with np.errstate(over="ignore", divide="ignore"):
         vpow = v2[:, None] ** (0.5 * (pv - 2.0))
@@ -237,10 +242,9 @@ def _flux_operator(u: P1Function, p, eps, qctx: QuadratureContext,
     _check_eps(eps)
     mesh = u.mesh
     gu, v2, _, s1, s2 = _gradient_data(u, p, eps, qctx)
-    gb = mesh.basis_gradients()
-    local = s1[:, None, None] * np.einsum("tid,tjd->tij", gb, gb)
+    local = s1[:, None, None] * mesh.basis_products()
     if linearize:
-        du = np.einsum("tid,td->ti", gb, gu)
+        du = np.einsum("tid,td->ti", mesh.basis_gradients(), gu)
         local = local + ((s2 / v2)[:, None, None]
                          * np.einsum("ti,tj->tij", du, du))
     pat = mesh.p1_pattern()

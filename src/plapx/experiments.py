@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import regularity
+from .assembly import _LOCATE_TOL
 from .expressions import DifferentiationError, FieldSyntaxError, parse_field
 from .geometry import (ConvexDomain, GeometryError, refine_uniform,
                        round_corners, triangulate_convex)
@@ -348,26 +349,31 @@ def _emit(config, command, columns, rows, payload, mesh=None, solution=None):
 
 
 def _sample_interior_points(domain, mesh, n, rng):
-    """``n`` uniform points inside ``domain`` that ``mesh`` covers: on a
-    rounded domain the mesh's chord polygon leaves slivers of it out."""
+    """``n`` uniform points inside ``domain`` that ``mesh`` covers, and
+    their triangles: on a rounded domain the mesh's chord polygon leaves
+    slivers of it out.  The points are the first ``n`` covered ones drawn;
+    candidates are located in order, only as many as are still missing."""
     lo, hi = domain.bounding_box()
-    pts = np.empty((0, 2))
+    pts, tris = np.empty((0, 2)), np.empty(0, dtype=np.int64)
     margin = 1e-9 * max(hi[0] - lo[0], hi[1] - lo[1])
     for _ in range(64):
         cand = rng.uniform(lo, hi, size=(2 * n, 2))
-        keep = cand[domain.contains(cand, margin=margin)]
-        keep = keep[mesh.locate(keep)[0] >= 0]
-        pts = np.vstack([pts, keep])
-        if len(pts) >= n:
-            return pts[:n]
+        cand = cand[domain.contains(cand, margin=margin)]
+        while len(cand) and len(pts) < n:
+            head, cand = np.split(cand, [n - len(pts)])
+            tri = mesh.locate(head, tol=_LOCATE_TOL)[0]
+            pts = np.vstack([pts, head[tri >= 0]])
+            tris = np.concatenate([tris, tri[tri >= 0]])
+        if len(pts) == n:
+            return pts, tris
     raise RuntimeError("interior point sampling failed")
 
 
 def _ellipticity_audit(u, spec: ProblemSpec, eps: float):
     """Post-hoc coefficient audit on random interior points (config seed)."""
     rng = np.random.Generator(np.random.Philox(spec.seed))
-    pts = _sample_interior_points(spec.domain, u.mesh, 2000, rng)
-    sample = regularity.coefficients(u, spec.p, spec.f, eps, pts)
+    pts, tri = _sample_interior_points(spec.domain, u.mesh, 2000, rng)
+    sample = regularity.coefficients(u, spec.p, spec.f, eps, pts, tri=tri)
     return dataclasses.asdict(regularity.ellipticity_check(
         sample, spec.p.p1, spec.p.p2, trials=4, seed=spec.seed))
 

@@ -281,6 +281,7 @@ class TriMesh:
         # duplicate work
         self._locator = None
         self._basis_gradients = None
+        self._basis_products = None
         self._p1_pattern = None
         self._lattices = {}
 
@@ -346,6 +347,19 @@ class TriMesh:
             g.setflags(write=False)
             self._basis_gradients = g
         return self._basis_gradients
+
+    def basis_products(self):
+        """grad phi_i . grad phi_j per triangle, (m, 3, 3): the element
+        stiffness matrices over unit area.
+
+        Computed on first use and cached read-only on the mesh.
+        """
+        if self._basis_products is None:
+            gb = self.basis_gradients()
+            k = np.einsum("tid,tjd->tij", gb, gb)
+            k.setflags(write=False)
+            self._basis_products = k
+        return self._basis_products
 
     def p1_pattern(self):
         """CSR pattern of P1 matrices on this mesh (cached, read-only)."""

@@ -101,11 +101,15 @@ class CoefficientSample:
 
 
 def coefficients(u: P1Function, p: ExponentField, f, eps,
-                 pts) -> CoefficientSample:
-    """Sample the non-divergence coefficients of the current iterate."""
+                 pts, tri=None) -> CoefficientSample:
+    """Sample the non-divergence coefficients of the current iterate.
+
+    ``tri``, if given, holds the mesh triangle of each point, so the points
+    are not located again.
+    """
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     x, y = pts[:, 0], pts[:, 1]
-    grad = u.gradient_at(x, y)
+    grad = u.gradient_at(x, y) if tri is None else u.triangle_gradients()[tri]
     pv = field_values(p, x, y)
     fv = field_values(f, x, y)
     gpx, gpy = p.gradient(x, y)

@@ -228,7 +228,11 @@ def _backward_error(A, b, x):
 
 
 def linear_solve(A, b, rel_tol=1e-12, lagged=None):
-    """Solve the SPD system A x = b to ||b - Ax|| <= rel_tol ||b||.
+    """Solve the SPD system A x = b to ||b - Ax||_2 <= rel_tol ||b||_2.
+
+    The default 1e-12 holds for every caller but the Newton corrections of
+    :func:`solve_regularized`, which stop once the linear residual is a
+    tenth of ``newton_tol`` (see :meth:`DiscreteProblem.solve_reduced`).
 
     Given a :class:`LaggedFactor` that holds a factor of a matrix of A's
     shape, CG preconditioned by that factor runs first.  If it breaks down
@@ -372,11 +376,18 @@ class DiscreteProblem:
             u, self.pv, None, eps, self.qctx, load=self.load,
             g_data=self.g_boundary if check_boundary else None)
 
-    def solve_reduced(self, A, rhs, g):
-        """Solve A u = rhs on the interior with boundary values ``g``."""
+    def solve_reduced(self, A, rhs, g, atol=0.0):
+        """Solve A u = rhs on the interior with boundary values ``g``.
+
+        The reduced system A' x = b is solved to ||b - A'x||_2 <=
+        max(1e-12 ||b||_2, ``atol``).
+        """
         sys_ = apply_dirichlet(A, rhs, self.mesh, g)
+        bnorm = float(np.linalg.norm(sys_.rhs))
+        rel_tol = max(1e-12, atol / bnorm) if bnorm > 0.0 else 1e-12
         return P1Function(self.mesh,
                           sys_.expand(linear_solve(sys_.operator, sys_.rhs,
+                                                   rel_tol=rel_tol,
                                                    lagged=self.lagged)))
 
 
@@ -401,9 +412,13 @@ def solve_regularized(spec: ProblemSpec, eps: float, u0: P1Function,
     for _ in range(spec.newton_max_iter):
         if res <= spec.newton_tol:
             break
-        # Newton correction: homogeneous Dirichlet data on the Jacobian
+        # Newton correction: homogeneous Dirichlet data on the Jacobian.  A
+        # linear residual r moves the next residual by about r, and
+        # max|r| <= ||r||_2, so solving to ||r||_2 <= newton_tol / 10 costs
+        # the next max-norm residual at most a tenth of newton_tol.
         A = assemble_jacobian(u, problem.pv, eps, problem.qctx)
-        d = problem.solve_reduced(A, -R, 0.0).coeffs
+        d = problem.solve_reduced(A, -R, 0.0,
+                                  atol=0.1 * spec.newton_tol).coeffs
 
         t = 1.0
         for _halve in range(31):

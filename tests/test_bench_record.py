@@ -1,0 +1,71 @@
+"""``tools/bench_record.py build`` on synthetic perfbench result files."""
+
+import importlib.util
+import json
+import os
+import sys
+
+import pytest
+
+TOOL = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
+    __file__))), "tools", "bench_record.py")
+
+
+@pytest.fixture
+def bench_record(monkeypatch):
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location("_bench_record", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def result(tmp_path, name, trace, wall, counts=None):
+    """A result file as perfbench/run.py writes it, with one repetition
+    per wall_s sample."""
+    env = {"OPENBLAS_NUM_THREADS": "1", "PLAPX_THREADS": "1", "nproc": 2,
+           "git_sha": "abc", "src_sha256": name[:6]}
+    if trace:
+        metrics, samples = dict(counts), {}
+    else:
+        samples = {"wall_s": wall, "cpu_s": wall, "setup_s": [0.5] * len(wall),
+                   "peak_rss_mb": [100.0] * len(wall)}
+        metrics = {k: sorted(v)[len(v) // 2] for k, v in samples.items()}
+    record = {"workload": "square", "seed": 1, "trace": trace, "seconds": 5,
+              "env": env, "metrics": metrics, "samples": samples,
+              "repetitions": [{"problems": []} for _ in wall or [0]]}
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(record))
+    return str(path)
+
+
+def test_build_pairs_runs_and_reports_the_claim(tmp_path, bench_record):
+    parent = [result(tmp_path, f"parent{k}", 0, w)
+              for k, w in enumerate(([4.0, 4.2, 4.4], [3.8, 4.0, 4.1],
+                                     [4.4, 4.6, 4.5]))]
+    change = [result(tmp_path, f"change{k}", 0, w)
+              for k, w in enumerate(([3.0, 3.1, 3.2], [4.1, 4.2, 4.3],
+                                     [2.9, 3.0, 3.1]))]
+    counts = {"solver.newton_steps": 21, "geometry.locate_calls": 3,
+              "solver.linear_solve_s": 1.5}
+    parent.append(result(tmp_path, "parent_t", 1, [], counts))
+    change.append(result(tmp_path, "change_t", 1, [],
+                         dict(counts, **{"geometry.locate_calls": 2,
+                                         "solver.linear_solve_s": 0.7})))
+    out = tmp_path / "BENCH.json"
+    assert bench_record.main(["build", "--out", str(out), "--title", "t",
+                              "--claim", "square:wall_s", "--parent",
+                              *parent, "--change", *change]) == 0
+    bench = json.loads(out.read_text())
+    entry = bench["workloads"]["square"]
+    assert entry["pairs"] == 3
+    assert entry["parent"]["wall_s"]["per_run_medians"] == [4.2, 4.0, 4.5]
+    assert entry["change"]["wall_s"]["over_runs"]["median"] == 3.1
+    assert entry["parent"]["wall_s"]["pooled_samples"]["n"] == 9
+    assert entry["change_better"]["wall_s"] == 2
+    assert entry["count_changes"] == {"geometry.locate_calls": [3, 2]}
+    claim = bench["claim"]["result"]
+    assert claim["change_better_pairs"] == 2 and claim["pairs"] == 3
+    assert claim["parent_median"] == 4.2 and claim["change_median"] == 3.1
+    assert claim["parent_quartile_spread"] == pytest.approx(0.25)
+    assert claim["gain_exceeds_parent_spread"] is True

@@ -289,6 +289,73 @@ def test_basis_gradients_cached_read_only():
         g[0, 0, 0] = 1.0
 
 
+def test_basis_products_cached_read_only_and_bitwise():
+    mesh = triangulate_convex(SQUARE, 0.3)
+    k = mesh.basis_products()
+    assert mesh.basis_products() is k
+    assert not k.flags.writeable
+    with pytest.raises(ValueError):
+        k[0, 0, 0] = 1.0
+    gb = mesh.basis_gradients()
+    assert np.array_equal(k, np.einsum("tid,tjd->tij", gb, gb))
+
+
+@pytest.mark.parametrize("linearize", [True, False])
+def test_flux_operator_bitwise_with_products_formed_per_call(linearize):
+    from plapx.assembly import _gradient_data
+
+    mesh = refine_uniform(triangulate_convex(SQUARE, 0.3))
+    qctx = QuadratureContext(mesh)
+    x, y = mesh.points[:, 0], mesh.points[:, 1]
+    u = P1Function(mesh, np.sin(3.0 * x) * np.cos(2.0 * y) + x * x)
+    pv = 1.5 + 0.3 * qctx.x
+    eps = 1e-3
+    build = assemble_jacobian if linearize else weighted_stiffness
+    got = build(u, pv, eps, qctx)
+    # the per-call form the cached products replace
+    gu, v2, _, s1, s2 = _gradient_data(u, pv, eps, qctx)
+    gb = mesh.basis_gradients()
+    local = s1[:, None, None] * np.einsum("tid,tjd->tij", gb, gb)
+    if linearize:
+        du = np.einsum("tid,td->ti", gb, gu)
+        local = local + ((s2 / v2)[:, None, None]
+                         * np.einsum("ti,tj->tij", du, du))
+    pat = mesh.p1_pattern()
+    want = np.bincount(pat.scatter, weights=local.ravel(),
+                       minlength=len(pat.indices))
+    assert np.array_equal(got.indices, pat.indices)
+    assert np.array_equal(got.data, want)
+
+
+def test_exponent_array_checked_unless_read_only(monkeypatch):
+    import plapx.assembly
+    from plapx.varexp import EvaluationError
+
+    mesh = triangulate_convex(SQUARE, 0.3)
+    qctx = QuadratureContext(mesh)
+    checked = []
+    check_finite = plapx.assembly._check_finite
+
+    def counted(vals, ctx, what):
+        checked.append(what)
+        return check_finite(vals, ctx, what)
+
+    monkeypatch.setattr(plapx.assembly, "_check_finite", counted)
+    u = P1Function.interpolate(mesh, lambda x, y: x * y)
+    frozen = 1.5 + 0.3 * qctx.x
+    frozen.setflags(write=False)
+    plapx.assembly.energy(u, frozen, 0.5, qctx)
+    assert checked == []
+    for p in (1.5 + 0.3 * qctx.x, ExponentField.constant(1.7)):
+        checked.clear()
+        plapx.assembly.energy(P1Function(mesh, u.coeffs), p, 0.5, qctx)
+        assert checked == ["exponent"]
+    bad = 1.5 + 0.3 * qctx.x
+    bad[0, 0] = np.nan
+    with pytest.raises(EvaluationError, match="non-finite exponent"):
+        plapx.assembly.energy(P1Function(mesh, u.coeffs), bad, 0.5, qctx)
+
+
 def test_p1_pattern_cached_read_only():
     mesh = triangulate_convex(SQUARE, 0.3)
     pat = mesh.p1_pattern()

@@ -734,7 +734,49 @@ def test_cli_audit_failure_is_recorded(tmp_path, capsys, monkeypatch):
     assert len(lines) == 1 + 3
 
 
+def test_ellipticity_audit_locates_each_point_once(monkeypatch):
+    import dataclasses
+
+    import plapx.regularity
+    from plapx.assembly import P1Function
+    from plapx.experiments import _ellipticity_audit
+    from plapx.geometry import ConvexDomain, TriMesh, triangulate_convex
+    from plapx.solver import ProblemSpec
+    from plapx.varexp import ExponentField
+
+    dom = ConvexDomain.unit_square()
+    mesh = triangulate_convex(dom, 0.2)
+    u = P1Function.interpolate(mesh, lambda x, y: x * x - 0.5 * y)
+    spec = ProblemSpec(domain=dom, p=ExponentField.constant(1.7), f=1.0,
+                       g=0.0, q=ExponentField.constant(4.0), seed=3)
+    calls, samples = [], []
+    locate, coefficients = TriMesh.locate, plapx.regularity.coefficients
+
+    def counted_locate(mesh, pts, tol=1e-10):
+        calls.append(len(pts))
+        return locate(mesh, pts, tol)
+
+    def recorded(*args, **kwargs):
+        samples.append(coefficients(*args, **kwargs))
+        return samples[-1]
+
+    monkeypatch.setattr(TriMesh, "locate", counted_locate)
+    monkeypatch.setattr(plapx.regularity, "coefficients", recorded)
+    report = _ellipticity_audit(u, spec, 1e-2)
+    # the first 2000 candidates of one draw all lie in the mesh: each is
+    # located once, and no further candidate is located
+    assert calls == [2000]
+    monkeypatch.undo()
+    [sample] = samples
+    # the same sample as locating the kept points a second time
+    again = coefficients(u, spec.p, spec.f, 1e-2, sample.points)
+    np.testing.assert_array_equal(sample.grad, again.grad)
+    assert report == dataclasses.asdict(plapx.regularity.ellipticity_check(
+        again, spec.p.p1, spec.p.p2, trials=4, seed=spec.seed))
+
+
 def test_sample_interior_points_lie_on_the_mesh():
+    from plapx.assembly import _LOCATE_TOL
     from plapx.experiments import _sample_interior_points
     from plapx.geometry import ConvexDomain, round_corners, triangulate_convex
 
@@ -745,11 +787,23 @@ def test_sample_interior_points_lie_on_the_mesh():
     cand = rng.uniform(0, 1, size=(4000, 2))
     cand = cand[dom.contains(cand)]
     assert np.any(mesh.locate(cand)[0] < 0)
-    pts = _sample_interior_points(dom, mesh, 1000, rng)
-    assert pts.shape == (1000, 2)
+    pts, tri = _sample_interior_points(dom, mesh, 1000, rng)
+    assert pts.shape == (1000, 2) and tri.shape == (1000,)
     assert np.all(dom.contains(pts))
-    assert np.all(mesh.locate(pts)[0] >= 0)
+    assert np.all(tri >= 0)
+    np.testing.assert_array_equal(tri, mesh.locate(pts, tol=_LOCATE_TOL)[0])
     first, second = (_sample_interior_points(
         dom, mesh, 1000, np.random.Generator(np.random.Philox(7)))
         for _ in range(2))
-    np.testing.assert_array_equal(first, second)
+    np.testing.assert_array_equal(first[0], second[0])
+    np.testing.assert_array_equal(first[1], second[1])
+    # the first 1000 covered points of the draws, as filtering each whole
+    # draw and then truncating gives them
+    rng = np.random.Generator(np.random.Philox(7))
+    lo, hi = dom.bounding_box()
+    kept = []
+    while sum(map(len, kept)) < 1000:
+        cand = rng.uniform(lo, hi, size=(2000, 2))
+        cand = cand[dom.contains(cand, margin=1e-9)]
+        kept.append(cand[mesh.locate(cand, tol=_LOCATE_TOL)[0] >= 0])
+    np.testing.assert_array_equal(first[0], np.vstack(kept)[:1000])

@@ -321,6 +321,80 @@ def test_newton_error_carries_best_iterate():
     assert "no convergence" in str(e)
 
 
+def record_solve_targets(monkeypatch):
+    """Wrap ``plapx.solver.linear_solve`` and the two matrix builders it
+    follows; each solve is logged as (kind, rel_tol, ||b||), where kind
+    names the matrix assembled last."""
+    import inspect
+
+    log, last = [], []
+    linear = solver.linear_solve
+    signature = inspect.signature(linear)
+
+    def recording(*args, **kwargs):
+        bound = signature.bind(*args, **kwargs)
+        bound.apply_defaults()
+        log.append((last[-1], bound.arguments["rel_tol"],
+                    float(np.linalg.norm(bound.arguments["b"]))))
+        return linear(*args, **kwargs)
+
+    def tagged(kind, build):
+        def wrapper(*args, **kwargs):
+            last.append(kind)
+            return build(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(solver, "linear_solve", recording)
+    monkeypatch.setattr(solver, "assemble_jacobian",
+                        tagged("newton", solver.assemble_jacobian))
+    monkeypatch.setattr(solver, "weighted_stiffness",
+                        tagged("frozen", solver.weighted_stiffness))
+    return log
+
+
+def test_newton_corrections_solve_to_a_tenth_of_newton_tol(monkeypatch):
+    log = record_solve_targets(monkeypatch)
+    tol = 1e-9
+    spec = square_spec(p=ExponentField.constant(1.6), newton_tol=tol,
+                       eps_stop=1e-2, eps_factor=0.1, mesh_h=0.1)
+    report = continuation_solve(spec)
+    steps = sum(r.newton_iterations for r in report.records)
+    assert all(r.final_residual <= tol for r in report.records)
+    # the Poisson start solve first, then one solve per Newton step
+    assert [kind for kind, _, _ in log] == ["frozen"] + ["newton"] * steps
+    assert log[0][1] == 1e-12
+    newton = log[1:]
+    for _, rel_tol, bnorm in newton:
+        assert rel_tol == max(1e-12, 0.1 * tol / bnorm)
+    # the last steps of each eps solve only as far as newton_tol needs
+    assert any(rel_tol > 1e-12 for _, rel_tol, _ in newton)
+
+
+def test_fallback_solves_keep_the_tight_target(monkeypatch):
+    log = record_solve_targets(monkeypatch)
+    spec = square_spec(p=ExponentField.constant(1.6), newton_max_iter=1,
+                       newton_tol=1e-9)
+    mesh = triangulate_convex(SQUARE, 0.2)
+    u, stats = solve_regularized(spec, 0.1, P1Function.zero(mesh))
+    assert stats.used_fallback and stats.converged
+    kinds = [kind for kind, _, _ in log]
+    assert kinds[0] == "newton" and kinds.count("newton") == 1
+    assert kinds.count("frozen") >= 2
+    assert all(rel_tol == 1e-12
+               for kind, rel_tol, _ in log if kind == "frozen")
+
+
+def test_unreachable_newton_tol_keeps_every_target_tight(monkeypatch):
+    log = record_solve_targets(monkeypatch)
+    spec = square_spec(p=ExponentField.constant(1.8), newton_tol=1e-30,
+                       newton_max_iter=5)
+    mesh = triangulate_convex(SQUARE, 0.25)
+    with pytest.raises(NewtonError):
+        solve_regularized(spec, 0.5, P1Function.zero(mesh))
+    assert {kind for kind, _, _ in log} == {"newton", "frozen"}
+    assert all(rel_tol == 1e-12 for _, rel_tol, _ in log)
+
+
 # --- radial benchmark -----------------------------------------------------------
 
 

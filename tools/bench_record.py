@@ -1,0 +1,252 @@
+"""Build a BENCH_<n>.json record from perfbench result files.
+
+    python3 tools/bench_record.py count-lu [--root DIR] --out LU.json
+    python3 tools/bench_record.py build --out BENCH_<n>.json \\
+        --title TEXT --claim WORKLOAD:METRIC \\
+        --parent RESULT.json ... --change RESULT.json ... \\
+        [--lu-parent LU.json --lu-change LU.json] [--note TEXT]
+
+``perfbench/run.py`` writes ``perfbench/out/result-<workload>-trace<t>.json``
+and overwrites it on the next run, so copy each one away before the next
+run starts.  ``build`` takes those copies for the parent commit and for the
+change, in run order: the k-th ``--trace 0`` file of a workload on one side
+pairs with the k-th on the other.  For each workload and end-to-end metric
+it records the per-run medians, their median and quartiles, the pooled
+samples' median and quartiles, and in how many pairs the change was better.
+From ``--trace 1`` files it records every per-layer metric of both sides
+and the counts that differ.
+
+perfbench does not count SuperLU's triangular solves.  ``count-lu`` runs
+each perfbench workload once, in this process, on the plapx sources under
+``DIR/src`` (default: this repository), with ``plapx.solver._factor``
+wrapped, and counts the factorizations and the ``solve`` calls on them (one
+call is one forward and one backward triangular solve).  BLAS runs on one
+thread and ``PLAPX_THREADS`` is set as perfbench sets it.
+
+Only the standard library is imported here; ``count-lu`` imports plapx and
+``perfbench/workloads.py`` from DIR.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import statistics
+import sys
+import tempfile
+import threading
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+END_TO_END = ("wall_s", "cpu_s", "setup_s", "peak_rss_mb")
+# per-layer metrics that count work rather than time it
+COUNT_SUFFIXES = ("_calls", "_points", "eps_steps", "newton_steps",
+                  "halvings", "fallback_steps", "line_search_evals",
+                  "bytes_written", "trace.spans", "unreached_sites")
+
+
+def quartiles(values):
+    """Median and quartiles (inclusive method) of a list of numbers."""
+    values = sorted(values)
+    if len(values) == 1:
+        q1 = q3 = values[0]
+    else:
+        q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": statistics.median(values), "q1": q1, "q3": q3,
+            "n": len(values)}
+
+
+def load(paths):
+    """Result files grouped by (workload, trace), each group in the order
+    the paths were given."""
+    groups = {}
+    for path in paths:
+        with open(path, encoding="utf-8") as fh:
+            record = json.load(fh)
+        key = (record["workload"], int(record["trace"]))
+        groups.setdefault(key, []).append(record)
+    return groups
+
+
+def end_to_end(records):
+    """Per-run medians and pooled samples of each end-to-end metric."""
+    out = {}
+    for name in END_TO_END:
+        per_run = [r["metrics"][name] for r in records]
+        pooled = [v for r in records for v in r["samples"][name]]
+        out[name] = {"per_run_medians": per_run,
+                     "over_runs": quartiles(per_run),
+                     "pooled_samples": quartiles(pooled)}
+    reps = [rep for r in records for rep in r["repetitions"]]
+    out["repetitions"] = len(reps)
+    out["repetitions_with_problems"] = sum(1 for rep in reps
+                                           if rep.get("problems"))
+    return out
+
+
+def is_count(name):
+    return name.endswith(COUNT_SUFFIXES)
+
+
+def side_info(records):
+    env = records[0]["env"]
+    return {"git_sha": env.get("git_sha"), "src_sha256": env.get("src_sha256")}
+
+
+def build(args):
+    parent, change = load(args.parent), load(args.change)
+    claim_workload, claim_metric = args.claim.split(":")
+    env_keys = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                "nproc", "affinity", "numpy", "scipy", "blas", "python")
+    first = next(iter(parent.values()))[0]["env"]
+    bench = {
+        "title": args.title,
+        "claim": {"workload": claim_workload, "metric": claim_metric},
+        "sides": {"parent": side_info(next(iter(parent.values()))),
+                  "change": side_info(next(iter(change.values())))},
+        "env": {k: first[k] for k in env_keys if k in first},
+        "method": ("per side and workload: the per-run medians of each "
+                   "end-to-end metric with their median and quartiles, and "
+                   "the pooled samples' median and quartiles; pair k is the "
+                   "k-th run of each side; 'change_better' counts pairs whose "
+                   "change per-run median is lower"),
+        "workloads": {},
+    }
+    if args.note:
+        bench["note"] = args.note
+    for (workload, trace), p_records in sorted(parent.items()):
+        c_records = change.get((workload, trace))
+        if not c_records:
+            continue
+        entry = bench["workloads"].setdefault(workload, {})
+        seeds = sorted({r["seed"] for r in p_records + c_records})
+        if trace == 0:
+            pairs = min(len(p_records), len(c_records))
+            entry["PLAPX_THREADS"] = int(p_records[0]["env"]["PLAPX_THREADS"])
+            entry["seconds"] = p_records[0]["seconds"]
+            entry["seeds"] = seeds
+            entry["pairs"] = pairs
+            entry["parent"] = end_to_end(p_records[:pairs])
+            entry["change"] = end_to_end(c_records[:pairs])
+            entry["change_better"] = {
+                name: sum(1 for p, c in zip(p_records, c_records)
+                          if c["metrics"][name] < p["metrics"][name])
+                for name in END_TO_END}
+            entry["median_change"] = {
+                name: (entry["change"][name]["over_runs"]["median"]
+                       - entry["parent"][name]["over_runs"]["median"])
+                for name in END_TO_END}
+        else:
+            p_m, c_m = p_records[0]["metrics"], c_records[0]["metrics"]
+            entry["traced"] = {"seeds": seeds, "parent": p_m, "change": c_m}
+            entry["count_changes"] = {
+                name: [p_m[name], c_m[name]] for name in p_m
+                if is_count(name) and p_m[name] != c_m.get(name)}
+            entry["traced_correct"] = {
+                "parent": not any(rep.get("problems")
+                                  for rep in p_records[0]["repetitions"]),
+                "change": not any(rep.get("problems")
+                                  for rep in c_records[0]["repetitions"])}
+    if args.lu_parent and args.lu_change:
+        with open(args.lu_parent, encoding="utf-8") as fh:
+            lu_parent = json.load(fh)
+        with open(args.lu_change, encoding="utf-8") as fh:
+            lu_change = json.load(fh)
+        for workload, entry in bench["workloads"].items():
+            if workload in lu_parent and workload in lu_change:
+                entry["lu"] = {"parent": lu_parent[workload],
+                               "change": lu_change[workload]}
+        bench["lu_how"] = lu_parent.get("_how")
+
+    claimed = bench["workloads"].get(claim_workload, {})
+    if "parent" in claimed:
+        p = claimed["parent"][claim_metric]["over_runs"]
+        c = claimed["change"][claim_metric]["over_runs"]
+        spread = p["q3"] - p["q1"]
+        better = claimed["change_better"][claim_metric]
+        bench["claim"]["result"] = {
+            "parent_median": p["median"], "change_median": c["median"],
+            "relative_change": c["median"] / p["median"] - 1.0,
+            "parent_quartile_spread": spread,
+            "change_better_pairs": better, "pairs": claimed["pairs"],
+            "gain_exceeds_parent_spread": p["median"] - c["median"] > spread}
+
+    with open(args.out, "w", encoding="utf-8") as fh:
+        json.dump(bench, fh, indent=1)
+        fh.write("\n")
+    return 0
+
+
+class _CountedFactor:
+    """A SuperLU factor whose ``solve`` calls are counted."""
+
+    def __init__(self, lu, counts, lock):
+        self._lu, self._counts, self._lock = lu, counts, lock
+
+    def solve(self, *args, **kwargs):
+        with self._lock:
+            self._counts["solves"] += 1
+        return self._lu.solve(*args, **kwargs)
+
+    def __getattr__(self, name):
+        return getattr(self._lu, name)
+
+
+def count_lu(args):
+    root = os.path.abspath(args.root)
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[var] = "1"
+    sys.path[:0] = [os.path.join(root, "src"), os.path.join(root, "perfbench")]
+    import plapx.solver
+    import workloads
+
+    factor, lock = plapx.solver._factor, threading.Lock()
+    counts = {}
+
+    def counted_factor(A):
+        with lock:
+            counts["factorizations"] += 1
+        return _CountedFactor(factor(A), counts, lock)
+
+    plapx.solver._factor = counted_factor
+    result = {"_how": ("SuperLU factorizations and solve calls (one forward "
+                       "and one backward triangular solve each), counted by "
+                       "wrapping plapx.solver._factor; one run per workload, "
+                       "seed 1")}
+    for name, wl in workloads.WORKLOADS.items():
+        os.environ["PLAPX_THREADS"] = str(wl.threads)
+        counts.clear()
+        counts.update(factorizations=0, solves=0)
+        with tempfile.TemporaryDirectory() as workdir:
+            outcome = workloads.run(workloads.Inputs(wl, 1, workdir))
+            problems = workloads.check(outcome, wl,
+                                       workloads.load_reference())
+        result[name] = dict(counts, correct=not problems)
+        print(f"{name}: {result[name]}", file=sys.stderr)
+    with open(args.out, "w", encoding="utf-8") as fh:
+        json.dump(result, fh, indent=1)
+        fh.write("\n")
+    return 0
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    sub = ap.add_subparsers(dest="command", required=True)
+    lu = sub.add_parser("count-lu", help="count LU factorizations and solves")
+    lu.add_argument("--root", default=ROOT)
+    lu.add_argument("--out", required=True)
+    b = sub.add_parser("build", help="write a BENCH json")
+    b.add_argument("--out", required=True)
+    b.add_argument("--title", required=True)
+    b.add_argument("--claim", required=True, help="WORKLOAD:METRIC")
+    b.add_argument("--parent", nargs="+", required=True)
+    b.add_argument("--change", nargs="+", required=True)
+    b.add_argument("--lu-parent")
+    b.add_argument("--lu-change")
+    b.add_argument("--note")
+    args = ap.parse_args(argv)
+    return count_lu(args) if args.command == "count-lu" else build(args)
+
+
+if __name__ == "__main__":
+    sys.exit(main())
