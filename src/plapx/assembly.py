@@ -28,10 +28,6 @@ __all__ = [
     "apply_dirichlet",
 ]
 
-# barycentric tolerance of point evaluation: points within it of the mesh
-# count as inside
-_LOCATE_TOL = 1e-8
-
 
 class P1Function:
     """Piecewise linear function on a TriMesh: one coefficient per vertex,
@@ -47,6 +43,7 @@ class P1Function:
         self.coeffs = coeffs
         self.coeffs.setflags(write=False)
         self._gradients = None
+        self._recovered = None
         self._flux = None
 
     @classmethod
@@ -67,6 +64,28 @@ class P1Function:
             self._gradients = g
         return self._gradients
 
+    def recovered_gradient(self):
+        """Continuous P1 gradient (wx, wy) by area-weighted vertex averaging
+        of the triangle gradients; computed once and cached.
+
+        Sums run over the corners in order, triangles ascending within each,
+        and are then divided by the vertex area sums.
+        """
+        if self._recovered is None:
+            mesh = self.mesh
+            corners = mesh.triangles.T.ravel()
+
+            def vertex_sum(values):
+                return np.bincount(corners, np.tile(values, 3),
+                                   minlength=mesh.n_points)
+
+            weighted = mesh.areas[:, None] * self.triangle_gradients()
+            den = vertex_sum(mesh.areas)
+            self._recovered = tuple(
+                P1Function(mesh, vertex_sum(weighted[:, d]) / den)
+                for d in (0, 1))
+        return self._recovered
+
     def quadrature_values(self, qctx: QuadratureContext):
         if qctx.mesh is not self.mesh:
             raise ValueError("quadrature context belongs to a different mesh")
@@ -79,7 +98,7 @@ class P1Function:
         shape = np.broadcast(x, y).shape
         pts = np.column_stack([np.broadcast_to(x, shape).ravel(),
                                np.broadcast_to(y, shape).ravel()])
-        tri, bary = self.mesh.locate(pts, tol=_LOCATE_TOL)
+        tri, bary = self.mesh.locate(pts)
         _require_inside(tri, pts[:, 0], pts[:, 1])
         return shape, tri, bary
 
@@ -102,7 +121,7 @@ class P1Function:
         The points are located once per (mesh, window), and the location
         is cached on the mesh.
         """
-        tri, bary = self.mesh.locate_lattice(window, tol=_LOCATE_TOL)
+        tri, bary = self.mesh.locate_lattice(window)
         if np.any(tri < 0):
             gx, gy = lattice_points(window)
             _require_inside(tri, gx.ravel(), gy.ravel())
@@ -112,23 +131,6 @@ class P1Function:
         """Piecewise-constant gradient sampled at points, shape (..., 2)."""
         shape, tri, _ = self._locate(x, y)
         return self.triangle_gradients()[tri].reshape(shape + (2,))
-
-    def __add__(self, other):
-        self._check_same(other)
-        return P1Function(self.mesh, self.coeffs + other.coeffs)
-
-    def __sub__(self, other):
-        self._check_same(other)
-        return P1Function(self.mesh, self.coeffs - other.coeffs)
-
-    def __mul__(self, scalar):
-        return P1Function(self.mesh, self.coeffs * float(scalar))
-
-    __rmul__ = __mul__
-
-    def _check_same(self, other):
-        if not isinstance(other, P1Function) or other.mesh is not self.mesh:
-            raise ValueError("operands live on different meshes")
 
     def __repr__(self):
         return f"P1Function({self.mesh.n_points} dofs)"

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import regularity
-from .assembly import _LOCATE_TOL
 from .expressions import DifferentiationError, FieldSyntaxError, parse_field
 from .geometry import (ConvexDomain, GeometryError, refine_uniform,
                        round_corners, triangulate_convex)
@@ -361,7 +360,7 @@ def _sample_interior_points(domain, mesh, n, rng):
         cand = cand[domain.contains(cand, margin=margin)]
         while len(cand) and len(pts) < n:
             head, cand = np.split(cand, [n - len(pts)])
-            tri = mesh.locate(head, tol=_LOCATE_TOL)[0]
+            tri = mesh.locate(head)[0]
             pts = np.vstack([pts, head[tri >= 0]])
             tris = np.concatenate([tris, tri[tri >= 0]])
         if len(pts) == n:

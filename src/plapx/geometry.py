@@ -33,6 +33,9 @@ __all__ = [
 ]
 
 MIN_ANGLE_DEG = 20.0
+# barycentric tolerance of point location: points within it of a triangle
+# count as inside it
+LOCATE_TOL = 1e-8
 # polyline segments per rounded corner
 ARC_SEGMENTS = 16
 
@@ -367,31 +370,30 @@ class TriMesh:
             self._p1_pattern = P1Pattern(self)
         return self._p1_pattern
 
-    def locate(self, pts, tol=1e-10):
+    def locate(self, pts):
         """Containing triangle and barycentric coordinates for query points.
 
         Returns (tri_index, bary); tri_index is -1 for points outside the
-        mesh (beyond the tolerance).
+        mesh (beyond :data:`LOCATE_TOL`).
         """
         if self._locator is None:
             self._locator = _Locator(self)
-        return self._locator.query(np.atleast_2d(np.asarray(pts, float)), tol)
+        return self._locator.query(np.atleast_2d(np.asarray(pts, float)))
 
-    def locate_lattice(self, window, tol=1e-10):
+    def locate_lattice(self, window):
         """:meth:`locate` of the points of a lattice window.
 
         ``window`` is (origin, spacing, nx, ny); the points come in the
         row-major order of their (nx, ny) grid, see :func:`lattice_points`.
-        The result is cached read-only on the mesh per (window, tol).
+        The result is cached read-only on the mesh per window.
         """
         origin, spacing, nx, ny = window
         key = (float(origin[0]), float(origin[1]), float(spacing), int(nx),
-               int(ny), float(tol))
+               int(ny))
         found = self._lattices.get(key)
         if found is None:
             gx, gy = lattice_points(window)
-            found = self.locate(np.column_stack([gx.ravel(), gy.ravel()]),
-                                tol)
+            found = self.locate(np.column_stack([gx.ravel(), gy.ravel()]))
             for arr in found:
                 arr.setflags(write=False)
             self._lattices[key] = found
@@ -505,18 +507,18 @@ class _Locator:
         return np.clip(((pts - self.lo) / self.cell).astype(int), 0,
                        self.n - 1)
 
-    def query(self, pts, tol):
+    def query(self, pts):
         """For each point, the first candidate of its bin that contains it
         (all barycentric coordinates >= 0), else the first one whose
-        smallest coordinate is largest, kept if that is >= -tol."""
+        smallest coordinate is largest, kept if that is >= -LOCATE_TOL."""
         out_t = np.full(len(pts), -1, dtype=np.int64)
         out_b = np.zeros((len(pts), 3))
         for start in range(0, len(pts), self.BATCH):
             sl = slice(start, start + self.BATCH)
-            self._query(pts[sl], tol, out_t[sl], out_b[sl])
+            self._query(pts[sl], out_t[sl], out_b[sl])
         return out_t, out_b
 
-    def _query(self, pts, tol, out_t, out_b):
+    def _query(self, pts, out_t, out_b):
         mesh = self.mesh
         cells = self._cells(pts)
         bin_id = cells[:, 0] * self.n + cells[:, 1]
@@ -540,7 +542,7 @@ class _Locator:
         order = np.lexsort((np.arange(len(pt)), -key, pt))
         rows = np.flatnonzero(count)
         best = order[(np.cumsum(count) - count)[rows]]
-        keep = m[best] >= -tol
+        keep = m[best] >= -LOCATE_TOL
         sel = best[keep]
         out_t[rows[keep]] = t[sel]
         out_b[rows[keep]] = np.column_stack([l0[sel], l1[sel], l2[sel]])

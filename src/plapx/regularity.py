@@ -24,20 +24,15 @@ import numpy as np
 
 from .assembly import P1Function
 from .expressions import parse_field
-from .geometry import lattice_points
 from .varexp import (ExponentField, QuadratureContext, field_values,
                      luxemburg_norm, PreconditionError)
 
 __all__ = [
     "CoefficientSample",
-    "GridSampling",
     "coefficients",
     "ellipticity_check",
     "EllipticityReport",
-    "sample_on_lattice",
-    "difference_quotient",
     "default_window",
-    "recover_gradient",
     "h1_window_distance",
     "h2_estimate_dq",
     "h2_estimate_recovery",
@@ -158,66 +153,6 @@ def ellipticity_check(sample: CoefficientSample, p1: float, p2: float,
                              trials)
 
 
-@dataclass
-class GridSampling:
-    """Values on an axis-aligned lattice: values[ix, iy] sits at
-    origin + (ix*spacing, iy*spacing)."""
-
-    origin: tuple
-    spacing: float
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.ndim != 2:
-            raise SamplingError("lattice values must be 2-d")
-        if not (self.spacing > 0):
-            raise SamplingError("lattice spacing must be positive")
-
-    @property
-    def shape(self):
-        return self.values.shape
-
-    def points(self):
-        return lattice_points((self.origin, self.spacing) + self.shape)
-
-
-def sample_on_lattice(f, origin, spacing, nx, ny, domain=None) -> GridSampling:
-    """Sample a field on a lattice; with a domain, enforce the interior
-    margin of two lattice spacings.  A P1 function is sampled through the
-    lattice location cached on its mesh."""
-    if nx < 2 or ny < 2:
-        raise SamplingError("lattice needs at least 2 points per axis")
-    window = (origin, spacing, nx, ny)
-    gx, gy = lattice_points(window)
-    if domain is not None:
-        pts = np.column_stack([gx.ravel(), gy.ravel()])
-        clearance = domain.line_distance(pts)
-        if np.min(clearance) < 2.0 * spacing - 1e-12:
-            k = int(np.argmin(clearance))
-            raise SamplingError(
-                f"lattice point ({pts[k, 0]:.6g}, {pts[k, 1]:.6g}) violates "
-                f"the 2h margin (clearance {clearance[k]:.3e})")
-    if isinstance(f, P1Function):
-        vals = f.lattice_values(window)
-    else:
-        vals = field_values(f, gx, gy)
-    return GridSampling((float(origin[0]), float(origin[1])), float(spacing),
-                        vals)
-
-
-def difference_quotient(grid: GridSampling, axis: int) -> GridSampling:
-    """Forward lattice difference quotient (F(x + h e_k) - F(x))/h along an
-    axis, attached at x."""
-    if axis not in (0, 1):
-        raise ValueError("axis must be 0 or 1")
-    v = grid.values
-    if v.shape[axis] < 2:
-        raise SamplingError("lattice too small for a difference quotient")
-    return GridSampling(tuple(grid.origin), grid.spacing,
-                        np.diff(v, axis=axis) / grid.spacing)
-
-
 def _polygon_centroid(poly):
     x, y = poly[:, 0], poly[:, 1]
     xn, yn = np.roll(x, -1), np.roll(y, -1)
@@ -276,45 +211,24 @@ def default_window(domain, spacing):
         f"(requested spacing {spacing:.3g})")
 
 
-def recover_gradient(u: P1Function):
-    """Continuous P1 gradient by area-weighted vertex averaging.
-
-    Sums run over the corners in order, triangles ascending within each.
-    """
-    mesh = u.mesh
-    corners = mesh.triangles.T.ravel()
-
-    def vertex_sum(values):
-        return np.bincount(corners, np.tile(values, 3),
-                           minlength=mesh.n_points)
-
-    weighted = mesh.areas[:, None] * u.triangle_gradients()
-    den = vertex_sum(mesh.areas)
-    return tuple(P1Function(mesh, vertex_sum(weighted[:, d]) / den)
-                 for d in (0, 1))
-
-
-def h2_estimate_dq(u: P1Function, window, recovered=None) -> float:
-    """Interior H2 seminorm estimate: l2 lattice norm of first difference
-    quotients of the recovered gradient components.
+def h2_estimate_dq(u: P1Function, window) -> float:
+    """Interior H2 seminorm estimate: l2 lattice norm of the forward
+    difference quotients of the recovered gradient components.
 
     The components are sampled on the lattice ``window`` through the
-    location of its points cached on the mesh.  ``recovered`` is
-    ``recover_gradient(u)`` when the caller already has it.
+    location of its points cached on the mesh.
     """
-    origin, spacing, nx, ny = window
+    spacing = window[1]
     if u.mesh.h > spacing + 1e-12:
         _warnings.warn(
             f"mesh size {u.mesh.h:.3g} exceeds lattice spacing "
             f"{spacing:.3g}; difference quotients may be under-resolved",
             RuntimeWarning, stacklevel=2)
-    wx, wy = recovered or recover_gradient(u)
     total = 0.0
-    for comp in (wx, wy):
-        grid = sample_on_lattice(comp, origin, spacing, nx, ny)
+    for comp in u.recovered_gradient():
+        vals = comp.lattice_values(window)
         for axis in (0, 1):
-            d = difference_quotient(grid, axis)
-            total += float(np.sum(d.values ** 2))
+            total += float(np.sum((np.diff(vals, axis=axis) / spacing) ** 2))
     return math.sqrt(spacing * spacing * total)
 
 
@@ -325,24 +239,21 @@ def h1_window_distance(ua: P1Function, ub: P1Function, window) -> float:
     and recovered gradients) on the same lattice, which must lie inside
     both domains.
     """
-    origin, spacing, nx, ny = window
+    spacing = window[1]
     total = 0.0
     for fa, fb in ((ua, ub),
-                   *zip(recover_gradient(ua), recover_gradient(ub))):
-        ga = sample_on_lattice(fa, origin, spacing, nx, ny)
-        gb = sample_on_lattice(fb, origin, spacing, nx, ny)
-        total += float(np.sum((ga.values - gb.values) ** 2))
+                   *zip(ua.recovered_gradient(), ub.recovered_gradient())):
+        total += float(np.sum((fa.lattice_values(window)
+                               - fb.lattice_values(window)) ** 2))
     return math.sqrt(spacing * spacing * total)
 
 
-def h2_estimate_recovery(u: P1Function, recovered=None) -> float:
+def h2_estimate_recovery(u: P1Function) -> float:
     """Global H2 seminorm estimate: L2 norm of the element gradients of the
-    recovered gradient components (``recovered``, when given, is
-    ``recover_gradient(u)``)."""
-    wx, wy = recovered or recover_gradient(u)
+    recovered gradient components."""
     mesh = u.mesh
     total = 0.0
-    for comp in (wx, wy):
+    for comp in u.recovered_gradient():
         g = comp.triangle_gradients()
         total += float(np.sum(mesh.areas * np.einsum("td,td->t", g, g)))
     return math.sqrt(total)

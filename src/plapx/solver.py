@@ -465,15 +465,14 @@ def _record_for(u, problem: DiscreteProblem, eps, stats, window):
     pv, w = problem.pv, problem.qctx.weights
     gu = u.triangle_gradients()
     steep = np.einsum("td,td->t", gu, gu)[:, None] > 1.0
-    recovered = regularity.recover_gradient(u)
     return EpsRecord(
         eps=eps,
         newton_iterations=stats.iterations,
         final_residual=stats.final_residual,
         energy=energy(u, pv, eps, problem.qctx),
         grad_lp_norm=regularity.lp_gradient_norm(u, pv, problem.qctx),
-        h2_dq=regularity.h2_estimate_dq(u, window, recovered=recovered),
-        h2_recovery=regularity.h2_estimate_recovery(u, recovered=recovered),
+        h2_dq=regularity.h2_estimate_dq(u, window),
+        h2_recovery=regularity.h2_estimate_recovery(u),
         meas_A1=float(np.sum(w * (pv == 2.0))),
         meas_A2=float(np.sum(w * (pv < 2.0))),
         meas_Omega1=float(np.sum(w * steep)),

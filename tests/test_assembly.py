@@ -67,17 +67,6 @@ def test_triangle_gradients_constant_field():
     np.testing.assert_allclose(g[:, 1], 0.0, atol=1e-12)
 
 
-def test_p1function_arithmetic():
-    mesh, _ = make(0.4)
-    u = P1Function.interpolate(mesh, parse_field("x"))
-    v = P1Function.interpolate(mesh, parse_field("y"))
-    w = u + v * 2.0 - u
-    np.testing.assert_allclose(w.coeffs, 2.0 * mesh.points[:, 1], atol=1e-14)
-    other_mesh, _ = make(0.3)
-    with pytest.raises(ValueError):
-        u + P1Function.zero(other_mesh)
-
-
 def test_quadrature_values_match_evaluate():
     mesh, qctx = make(0.35)
     u = P1Function.interpolate(mesh, parse_field("x*y"))

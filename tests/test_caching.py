@@ -128,9 +128,9 @@ def test_lattice_located_once_per_mesh_and_window(monkeypatch):
     calls = []
     locate = TriMesh.locate
 
-    def counted(mesh, pts, tol=1e-10):
+    def counted(mesh, pts):
         calls.append(len(pts))
-        return locate(mesh, pts, tol)
+        return locate(mesh, pts)
 
     monkeypatch.setattr(TriMesh, "locate", counted)
     spec = ProblemSpec(domain=SQUARE, p=ExponentField.constant(1.7), f=1.0,

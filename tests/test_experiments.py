@@ -342,6 +342,33 @@ def test_run_domain_sweep(tmp_path):
     assert "window" in result.payload
 
 
+def test_domain_sweep_recovers_each_gradient_once(tmp_path, monkeypatch):
+    import plapx.experiments
+    from plapx.assembly import P1Function
+
+    solve, recovered = (plapx.experiments.continuation_solve,
+                        P1Function.recovered_gradient)
+    reports, returned = [], []
+
+    def recorded(*args, **kwargs):
+        reports.append(solve(*args, **kwargs))
+        return reports[-1]
+
+    def counted(u):
+        returned.append(recovered(u))
+        return returned[-1]
+
+    monkeypatch.setattr(plapx.experiments, "continuation_solve", recorded)
+    monkeypatch.setattr(P1Function, "recovered_gradient", counted)
+    result = run_domain_sweep(make_config(
+        tmp_path, **{"radius.list": "0.3, 0.2, 0.1", "mesh.h": "0.25",
+                     "eps.stop": "0.05"}))
+    assert [math.isnan(row[5]) for row in result.rows] == [True, False, False]
+    # one build per eps record; the window distances reuse the solutions'
+    builds = len({id(r) for r in returned})
+    assert builds == sum(len(r.records) for r in reports) == 9
+
+
 def test_run_domain_sweep_validation(tmp_path):
     with pytest.raises(ConfigError):
         run_domain_sweep(make_config(tmp_path))
@@ -752,9 +779,9 @@ def test_ellipticity_audit_locates_each_point_once(monkeypatch):
     calls, samples = [], []
     locate, coefficients = TriMesh.locate, plapx.regularity.coefficients
 
-    def counted_locate(mesh, pts, tol=1e-10):
+    def counted_locate(mesh, pts):
         calls.append(len(pts))
-        return locate(mesh, pts, tol)
+        return locate(mesh, pts)
 
     def recorded(*args, **kwargs):
         samples.append(coefficients(*args, **kwargs))
@@ -776,7 +803,6 @@ def test_ellipticity_audit_locates_each_point_once(monkeypatch):
 
 
 def test_sample_interior_points_lie_on_the_mesh():
-    from plapx.assembly import _LOCATE_TOL
     from plapx.experiments import _sample_interior_points
     from plapx.geometry import ConvexDomain, round_corners, triangulate_convex
 
@@ -791,7 +817,7 @@ def test_sample_interior_points_lie_on_the_mesh():
     assert pts.shape == (1000, 2) and tri.shape == (1000,)
     assert np.all(dom.contains(pts))
     assert np.all(tri >= 0)
-    np.testing.assert_array_equal(tri, mesh.locate(pts, tol=_LOCATE_TOL)[0])
+    np.testing.assert_array_equal(tri, mesh.locate(pts)[0])
     first, second = (_sample_interior_points(
         dom, mesh, 1000, np.random.Generator(np.random.Philox(7)))
         for _ in range(2))
@@ -805,5 +831,5 @@ def test_sample_interior_points_lie_on_the_mesh():
     while sum(map(len, kept)) < 1000:
         cand = rng.uniform(lo, hi, size=(2000, 2))
         cand = cand[dom.contains(cand, margin=1e-9)]
-        kept.append(cand[mesh.locate(cand, tol=_LOCATE_TOL)[0] >= 0])
+        kept.append(cand[mesh.locate(cand)[0] >= 0])
     np.testing.assert_array_equal(first[0], np.vstack(kept)[:1000])

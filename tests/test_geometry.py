@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from plapx import geometry
-from plapx.geometry import (ConvexDomain, GeometryError, ParameterError,
-                            TriMesh, lattice_points,
+from plapx.geometry import (LOCATE_TOL, ConvexDomain, GeometryError,
+                            ParameterError, TriMesh, lattice_points,
                             load_mesh, refine_uniform, round_corners,
                             save_mesh, triangulate_convex)
 
@@ -431,7 +431,7 @@ def reference_locate(mesh, pts, tol):
 
 def locator_probes(mesh, seed):
     """Vertices, points on edges, points just outside the boundary (within
-    and beyond the tolerances used) and random points in the bounding box."""
+    and beyond the tolerance) and random points in the bounding box."""
     rng = np.random.Generator(np.random.Philox(seed))
     t = mesh.triangles
     p = mesh.points
@@ -451,12 +451,11 @@ def locator_probes(mesh, seed):
     (ConvexDomain.unit_square(), 0.1),
     (round_corners(ConvexDomain.unit_square(), 0.25), 0.09),
 ])
-@pytest.mark.parametrize("tol", [1e-10, 1e-8])
-def test_locate_matches_reference_bit_for_bit(dom, h, tol):
+def test_locate_matches_reference_bit_for_bit(dom, h):
     mesh = triangulate_convex(dom, h)
     pts = locator_probes(mesh, seed=5)
-    tri, bary = mesh.locate(pts, tol=tol)
-    want_t, want_b = reference_locate(mesh, pts, tol)
+    tri, bary = mesh.locate(pts)
+    want_t, want_b = reference_locate(mesh, pts, LOCATE_TOL)
     np.testing.assert_array_equal(tri, want_t)
     np.testing.assert_array_equal(bary.view(np.int64), want_b.view(np.int64))
     # the probes reach every branch: contained, outside within tol, missed
@@ -466,15 +465,14 @@ def test_locate_matches_reference_bit_for_bit(dom, h, tol):
 def test_locate_lattice_cached_per_window():
     mesh = triangulate_convex(ConvexDomain.unit_square(), 0.2)
     window = ((0.1, 0.15), 0.07, 11, 9)
-    tri, bary = mesh.locate_lattice(window, tol=1e-8)
-    assert mesh.locate_lattice(window, tol=1e-8)[0] is tri
+    tri, bary = mesh.locate_lattice(window)
+    assert mesh.locate_lattice(window)[0] is tri
     assert not tri.flags.writeable and not bary.flags.writeable
     gx, gy = lattice_points(window)
-    want_t, want_b = mesh.locate(np.column_stack([gx.ravel(), gy.ravel()]),
-                                 tol=1e-8)
+    want_t, want_b = mesh.locate(np.column_stack([gx.ravel(), gy.ravel()]))
     np.testing.assert_array_equal(tri, want_t)
     np.testing.assert_array_equal(bary, want_b)
-    other = mesh.locate_lattice(((0.1, 0.15), 0.07, 11, 8), tol=1e-8)[0]
+    other = mesh.locate_lattice(((0.1, 0.15), 0.07, 11, 8))[0]
     assert other is not tri and len(other) == 88
 
 

@@ -6,17 +6,14 @@ import scipy.special
 
 from plapx.assembly import P1Function
 from plapx.expressions import parse_field
-from plapx.geometry import ConvexDomain, triangulate_convex
+from plapx.geometry import ConvexDomain, lattice_points, triangulate_convex
 from plapx.regularity import (CoefficientSample, PreconditionError,
                               SamplingError, coefficients,
                               curvature_identity_check, default_window,
-                              difference_quotient, ellipticity_check,
-                              h1_window_distance, h2_estimate_dq,
-                              h2_estimate_recovery, integrability_split_report,
-                              lp_gradient_norm,
-                              p1_scaling_report, recover_gradient,
-                              sample_on_lattice, split_exponents,
-                              GridSampling)
+                              ellipticity_check, h1_window_distance,
+                              h2_estimate_dq, h2_estimate_recovery,
+                              integrability_split_report, lp_gradient_norm,
+                              p1_scaling_report, split_exponents)
 from plapx.solver import ProblemSpec, continuation_solve
 from plapx.varexp import ExponentField, QuadratureContext
 
@@ -132,61 +129,14 @@ def test_ellipticity_deterministic_in_seed():
     assert (a.low_margin, a.high_margin) == (b.low_margin, b.high_margin)
 
 
-# --- lattices and difference quotients -------------------------------------------
+# --- lattice windows --------------------------------------------------------------
 
 
-def lattice_of(f, origin=(0.0, 0.0), spacing=0.1, nx=8, ny=6):
-    xs = origin[0] + spacing * np.arange(nx)
-    ys = origin[1] + spacing * np.arange(ny)
-    gx, gy = np.meshgrid(xs, ys, indexing="ij")
-    return GridSampling(origin, spacing, f(gx, gy))
-
-
-def test_dq_forward_of_quadratic():
-    g = lattice_of(lambda x, y: x ** 2)
-    d = difference_quotient(g, axis=0)
-    gx, _ = d.points()
-    np.testing.assert_allclose(d.values, 2 * gx + g.spacing, rtol=1e-12)
-    assert d.shape == (7, 6)
-    assert d.origin == g.origin
-    # no variation along y
-    dy = difference_quotient(g, axis=1)
-    np.testing.assert_allclose(dy.values, 0.0, atol=1e-12)
-
-
-def test_dq_forward_is_the_shifted_difference_bitwise():
-    rng = np.random.Generator(np.random.Philox(31))
-    g = GridSampling((0.2, -0.1), 0.07, rng.normal(size=(9, 7)))
-    dx = difference_quotient(g, axis=0)
-    dy = difference_quotient(g, axis=1)
-    np.testing.assert_array_equal(dx.values,
-                                  (g.values[1:] - g.values[:-1]) / 0.07)
-    np.testing.assert_array_equal(dy.values,
-                                  (g.values[:, 1:] - g.values[:, :-1]) / 0.07)
-    assert (dx.shape, dy.shape) == ((8, 7), (9, 6))
-    assert dx.origin == dy.origin == (0.2, -0.1)
-    assert dx.spacing == dy.spacing == 0.07
-
-
-def test_dq_validation():
-    g = lattice_of(lambda x, y: x, nx=2, ny=2)
-    with pytest.raises(ValueError):
-        difference_quotient(g, axis=2)
-    with pytest.raises(SamplingError):
-        difference_quotient(difference_quotient(g, axis=0), axis=0)
-
-
-def test_sample_on_lattice_enforces_margin():
-    # a corner point 0.1 from the boundary violates the 2h = 0.2 margin
-    with pytest.raises(SamplingError) as err:
-        sample_on_lattice(parse_field("x"), (0.1, 0.1), 0.1, 4, 4,
-                          domain=SQUARE)
-    assert "margin" in str(err.value)
-    g = sample_on_lattice(parse_field("x*y"), (0.25, 0.25), 0.1, 6, 6,
-                          domain=SQUARE)
-    assert g.shape == (6, 6)
-    gx, gy = g.points()
-    np.testing.assert_allclose(g.values, gx * gy, rtol=1e-13)
+def assert_window_margin(domain, window):
+    gx, gy = lattice_points(window)
+    clearance = domain.line_distance(np.column_stack([gx.ravel(),
+                                                      gy.ravel()]))
+    assert np.all(clearance >= 2.0 * window[1])
 
 
 def test_default_window_centered_with_margin():
@@ -196,7 +146,7 @@ def test_default_window_centered_with_margin():
     assert origin[0] + 0.5 * (nx - 1) * s == pytest.approx(0.5, abs=1e-9)
     assert origin[1] + 0.5 * (ny - 1) * s == pytest.approx(0.5, abs=1e-9)
     # every lattice point keeps the 2h clearance
-    sample_on_lattice(0.0, origin, s, nx, ny, domain=SQUARE)
+    assert_window_margin(SQUARE, (origin, s, nx, ny))
 
 
 def test_default_window_halves_spacing_when_needed():
@@ -204,7 +154,7 @@ def test_default_window_halves_spacing_when_needed():
     origin, s, nx, ny = default_window(SQUARE, 0.4)
     assert s < 0.4
     assert nx >= 3 and ny >= 3
-    sample_on_lattice(0.0, origin, s, nx, ny, domain=SQUARE)
+    assert_window_margin(SQUARE, (origin, s, nx, ny))
 
 
 def test_default_window_gives_up_on_tiny_domain():
@@ -216,12 +166,29 @@ def test_default_window_gives_up_on_tiny_domain():
 # --- gradient recovery and H2 estimates -------------------------------------------
 
 
-def test_recover_gradient_linear_exact():
+def test_recovered_gradient_cached_read_only_and_linear_exact():
     mesh = triangulate_convex(SQUARE, 0.23)
     u = P1Function.interpolate(mesh, parse_field("2*x - y + 1"))
-    wx, wy = recover_gradient(u)
+    recovered = u.recovered_gradient()
+    assert u.recovered_gradient() is recovered
+    wx, wy = recovered
+    assert not wx.coeffs.flags.writeable and not wy.coeffs.flags.writeable
     np.testing.assert_allclose(wx.coeffs, 2.0, atol=1e-13)
     np.testing.assert_allclose(wy.coeffs, -1.0, atol=1e-13)
+
+
+def test_h2_dq_is_the_lattice_difference_sum_bitwise():
+    mesh = triangulate_convex(SQUARE, 0.05)
+    rng = np.random.Generator(np.random.Philox(31))
+    u = P1Function(mesh, rng.normal(size=mesh.n_points))
+    window = default_window(SQUARE, 2.0 * mesh.h)
+    s = window[1]
+    total = 0.0
+    for comp in u.recovered_gradient():
+        vals = comp.evaluate(*lattice_points(window))
+        for axis in (0, 1):
+            total += float(np.sum((np.diff(vals, axis=axis) / s) ** 2))
+    assert h2_estimate_dq(u, window) == math.sqrt(s * s * total)
 
 
 def test_h2_dq_quadratic_density():
@@ -249,7 +216,7 @@ def test_h2_estimators_are_homogeneous():
     window = default_window(SQUARE, 2.0 * mesh.h)
     for est in (lambda w: h2_estimate_dq(w, window), h2_estimate_recovery):
         base = est(u)
-        scaled = est(u * 3.0)
+        scaled = est(P1Function(mesh, 3.0 * u.coeffs))
         assert scaled == pytest.approx(3.0 * base, rel=1e-12)
 
 
