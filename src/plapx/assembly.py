@@ -227,7 +227,9 @@ def assemble_residual(u: P1Function, p, f, eps, qctx: QuadratureContext,
     mesh = u.mesh
     gu, _, _, s1, _ = _gradient_data(u, p, eps, qctx)
     gb = mesh.basis_gradients()
-    R = _vertex_sum(mesh, np.einsum("t,tid,td->ti", s1, gb, gu))
+    # explicit products, summed over d in einsum's order: the same bits
+    R = _vertex_sum(mesh, (s1[:, None] * gb[:, :, 0]) * gu[:, None, 0]
+                    + (s1[:, None] * gb[:, :, 1]) * gu[:, None, 1])
     R -= assemble_load(f, qctx) if load is None else load
     R[mesh.is_boundary] = 0.0
     return R

@@ -70,6 +70,11 @@ class ConvexDomain:
     ``corner_radius > 0`` every corner is replaced by an inscribed circular
     arc sampled with ``ARC_SEGMENTS`` polyline segments; the effective
     boundary is then the rounded polyline and ``area`` means its area.
+
+    The polyline's edge arrays are built once, read-only, as (E, 1)
+    columns.  The boundary kernels (``line_distance``, ``project``,
+    ``boundary_distance``) work edge-major on (E, N) arrays and reduce over
+    the edges, with the same per-element formulas as point by point.
     """
 
     def __init__(self, vertices, corner_radius=0.0):
@@ -106,6 +111,16 @@ class ConvexDomain:
             self._anchors = np.empty(0, dtype=np.int64)
         self._polyline.setflags(write=False)
         self._anchors.setflags(write=False)
+        # the polyline's edges as read-only (E, 1) columns: start x and y,
+        # edge x and y, length and squared length
+        a = self._polyline
+        e = np.roll(a, -1, axis=0) - a
+        self._edges = tuple(
+            np.ascontiguousarray(c)[:, None]
+            for c in (a[:, 0], a[:, 1], e[:, 0], e[:, 1],
+                      np.hypot(e[:, 0], e[:, 1]), np.einsum("ij,ij->i", e, e)))
+        for c in self._edges:
+            c.setflags(write=False)
 
     @classmethod
     def unit_square(cls):
@@ -187,33 +202,24 @@ class ConvexDomain:
         boundary, which makes it safe for margin checks.
         """
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        a = self._polyline
-        b = np.roll(a, -1, axis=0)
-        e = b - a
-        elen = np.hypot(e[:, 0], e[:, 1])
-        dx = pts[:, None, 0] - a[None, :, 0]
-        dy = pts[:, None, 1] - a[None, :, 1]
-        cross = e[None, :, 0] * dy - e[None, :, 1] * dx
-        return np.min(cross / elen[None, :], axis=1)
+        ax, ay, ex, ey, elen, _ = self._edges
+        cross = ex * (pts[:, 1] - ay) - ey * (pts[:, 0] - ax)
+        return np.min(cross / elen, axis=0)
 
     def contains(self, pts, margin=0.0):
         return self.line_distance(pts) >= margin
 
     def _nearest_boundary_point(self, pts):
         """The point of the boundary polyline closest to each of ``pts``."""
-        a = self._polyline
-        e = np.roll(a, -1, axis=0) - a
-        ee = np.einsum("ij,ij->i", e, e)
-        dx = pts[:, None, 0] - a[None, :, 0]
-        dy = pts[:, None, 1] - a[None, :, 1]
-        t = np.clip((dx * e[None, :, 0] + dy * e[None, :, 1]) / ee[None, :],
-                    0.0, 1.0)
-        cx = a[None, :, 0] + t * e[None, :, 0]
-        cy = a[None, :, 1] + t * e[None, :, 1]
-        d2 = (pts[:, None, 0] - cx) ** 2 + (pts[:, None, 1] - cy) ** 2
-        best = np.argmin(d2, axis=1)
-        rows = np.arange(len(pts))
-        return np.column_stack([cx[rows, best], cy[rows, best]])
+        ax, ay, ex, ey, _, ee = self._edges
+        px, py = pts[:, 0], pts[:, 1]
+        t = np.clip(((px - ax) * ex + (py - ay) * ey) / ee, 0.0, 1.0)
+        cx = ax + t * ex
+        cy = ay + t * ey
+        d2 = (px - cx) ** 2 + (py - cy) ** 2
+        best = np.argmin(d2, axis=0)
+        cols = np.arange(len(pts))
+        return np.column_stack([cx[best, cols], cy[best, cols]])
 
     def boundary_distance(self, pts):
         """Exact unsigned distance from points to the boundary polyline."""

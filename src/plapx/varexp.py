@@ -315,13 +315,14 @@ class _MollifiedField:
     reproduced exactly and both the sup-distance and Lipschitz guarantees
     survive discretization.
 
-    Every offset is shorter than delta, so a point whose ``line_distance``
-    clears delta (plus a roundoff margin) stays inside under all of them,
-    where projection is the identity; only the other points are projected,
-    once per offset.  The field keeps its last result, keyed on the exact
-    bits of x and y: a solve evaluates it on the validation samples and on
-    the quadrature nodes, once for p and once for the masked source each.
-    Every call returns a fresh array.
+    A point whose ``line_distance`` clears an offset's length (plus a
+    roundoff margin) stays inside under that offset, where projection is
+    the identity.  So ``line_distance`` is computed once per call, and each
+    offset projects only the points it can carry out of the domain (and any
+    with a NaN distance).  The field keeps its last result, keyed on the
+    exact bits of x and y: a solve evaluates it on the validation samples
+    and on the quadrature nodes, once for p and once for the masked source
+    each.  Every call returns a fresh array.
     """
 
     def __init__(self, base, domain, delta):
@@ -339,10 +340,12 @@ class _MollifiedField:
         w = ww[keep] * bump
         self.offsets = self.delta * np.column_stack([wx[keep], wy[keep]])
         self.weights = w / w.sum()
-        # the absolute term covers the rounding of line_distance, which
-        # scales with the coordinates, when delta is tiny
-        self._clearance = (self.delta * (1.0 + 1e-9) + 1e-12
-                           * float(np.max(np.abs(domain.bounding_box()))))
+        # per-offset reach: the absolute term covers the rounding of
+        # line_distance, which scales with the coordinates, when the offset
+        # is tiny
+        self._reach = (np.hypot(self.offsets[:, 0], self.offsets[:, 1])
+                       * (1.0 + 1e-9) + 1e-12
+                       * float(np.max(np.abs(domain.bounding_box()))))
         # (x, y, values) of the last call, replaced in one assignment
         self._last = None
 
@@ -362,12 +365,13 @@ class _MollifiedField:
         shape = np.broadcast(x, y).shape
         xs = np.broadcast_to(x, shape).ravel()
         ys = np.broadcast_to(y, shape).ravel()
-        # a NaN distance counts as near, so project sees it as before
-        near = ~(self.domain.line_distance(np.column_stack([xs, ys]))
-                 >= self._clearance)
+        depth = self.domain.line_distance(np.column_stack([xs, ys]))
         acc = np.zeros(xs.shape)
-        for (ox, oy), w in zip(self.offsets, self.weights):
+        for (ox, oy), w, reach in zip(self.offsets, self.weights,
+                                      self._reach):
             shifted = np.column_stack([xs - ox, ys - oy])
+            # a NaN distance counts as near, so project sees it as before
+            near = ~(depth >= reach)
             shifted[near] = self.domain.project(shifted[near])
             acc += w * field_values(self.base, shifted[:, 0], shifted[:, 1])
         return acc.reshape(shape)

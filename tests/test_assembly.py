@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg
 
-from plapx.assembly import (P1Function, PreconditionError, apply_dirichlet,
-                            assemble_jacobian, assemble_load,
-                            assemble_residual, energy, weighted_stiffness)
+from plapx.assembly import (P1Function, PreconditionError, _gradient_data,
+                            _vertex_sum, apply_dirichlet, assemble_jacobian,
+                            assemble_load, assemble_residual, energy,
+                            weighted_stiffness)
 from plapx.expressions import parse_field
-from plapx.geometry import ConvexDomain, triangulate_convex
+from plapx.geometry import ConvexDomain, round_corners, triangulate_convex
 from plapx.varexp import ExponentField, QuadratureContext
 
 SQUARE = ConvexDomain.unit_square()
@@ -284,3 +285,31 @@ def test_energy_at_eps_zero_is_finite_and_warning_free():
         J = energy(P1Function.zero(mesh), ExponentField.constant(1.5), 0.0,
                    qctx)
     assert J == 0.0
+
+
+@pytest.mark.parametrize("dom,h", [
+    (SQUARE, 0.05),
+    (round_corners(SQUARE, 0.2), 0.08),
+    (ConvexDomain.regular_polygon(7), 0.15)],
+    ids=["square", "rounded", "heptagon"])
+def test_residual_matches_the_einsum_kernel_bitwise(dom, h):
+    # the residual's element term is written as explicit products; it must
+    # reproduce einsum("t,tid,td->ti") bit for bit, so Newton paths and
+    # every output stay fixed
+    mesh = triangulate_convex(dom, h)
+    qctx = QuadratureContext(mesh)
+    p = ExponentField.from_expression(
+        parse_field("1.3 + 0.5*x*x + 0.2*y"), dom)
+    f = parse_field("1 + x")
+    gb = mesh.basis_gradients()
+    rng = np.random.default_rng(15)
+    for scale in (1e-3, 1.0, 30.0):
+        u = P1Function(mesh, scale * rng.standard_normal(mesh.n_points))
+        for eps in (1.0, 1e-3, 1e-8):
+            R = assemble_residual(u, p, f, eps, qctx)
+            _, _, _, s1, _ = _gradient_data(u, p, eps, qctx)
+            ref = _vertex_sum(mesh, np.einsum("t,tid,td->ti", s1, gb,
+                                              u.triangle_gradients()))
+            ref -= assemble_load(f, qctx)
+            ref[mesh.is_boundary] = 0.0
+            assert np.array_equal(R, ref)

@@ -130,6 +130,104 @@ def test_boundary_distance_is_the_projection_gap(dom):
                                   np.hypot(gap[:, 0], gap[:, 1]))
 
 
+def reference_line_distance(dom, pts):
+    """Point-major ``line_distance``: (N, E) arrays, reduced over edges."""
+    a = dom.polyline
+    e = np.roll(a, -1, axis=0) - a
+    elen = np.hypot(e[:, 0], e[:, 1])
+    dx = pts[:, None, 0] - a[None, :, 0]
+    dy = pts[:, None, 1] - a[None, :, 1]
+    cross = e[None, :, 0] * dy - e[None, :, 1] * dx
+    return np.min(cross / elen[None, :], axis=1)
+
+
+def reference_nearest(dom, pts):
+    """Point-major nearest point of the boundary polyline."""
+    a = dom.polyline
+    e = np.roll(a, -1, axis=0) - a
+    ee = np.einsum("ij,ij->i", e, e)
+    dx = pts[:, None, 0] - a[None, :, 0]
+    dy = pts[:, None, 1] - a[None, :, 1]
+    t = np.clip((dx * e[None, :, 0] + dy * e[None, :, 1]) / ee[None, :],
+                0.0, 1.0)
+    cx = a[None, :, 0] + t * e[None, :, 0]
+    cy = a[None, :, 1] + t * e[None, :, 1]
+    d2 = (pts[:, None, 0] - cx) ** 2 + (pts[:, None, 1] - cy) ** 2
+    best = np.argmin(d2, axis=1)
+    rows = np.arange(len(pts))
+    return np.column_stack([cx[rows, best], cy[rows, best]])
+
+
+KERNEL_DOMAINS = {
+    "square": ConvexDomain.unit_square(),
+    "disk": ConvexDomain.disk(1.0),
+    "rounded": round_corners(ConvexDomain.unit_square(), 0.2),
+    "heptagon": ConvexDomain.regular_polygon(7),
+    "triangle": ConvexDomain([(0.0, 0.0), (1.0, 0.0), (0.3, 0.8)]),
+}
+
+
+def kernel_probes(dom):
+    """Random points inside and outside, polyline vertices, edge midpoints,
+    and points with NaN or infinite coordinates."""
+    lo, hi = dom.bounding_box()
+    rand = np.random.default_rng(15).uniform(lo - 0.5, hi + 0.5, (600, 2))
+    poly = dom.polyline
+    mids = 0.5 * (poly + np.roll(poly, -1, axis=0))
+    special = [(v, w) for v in (np.nan, np.inf, -np.inf, 0.5)
+               for w in (np.nan, np.inf, -np.inf, 0.5)]
+    return np.vstack([rand, poly, mids, special])
+
+
+def assert_same_values(got, want, pts):
+    """Equal values, with NaN where the reference is NaN.  The bits match
+    too, except the sign of a zero (at a polyline vertex two edges give 0.0
+    and -0.0, and the reduction order picks one) and the sign of a NaN from
+    an infinite input coordinate."""
+    got = np.asarray(got, dtype=float)
+    want = np.asarray(want, dtype=float)
+    assert got.shape == want.shape
+    assert np.array_equal(got, want, equal_nan=True)
+    differ = got.view(np.uint64) != want.view(np.uint64)
+    nan_sign = differ & np.isnan(want)
+    assert np.array_equal(differ, nan_sign | (differ & (want == 0.0)))
+    rows = nan_sign.reshape(len(pts), -1).any(axis=1)
+    assert np.all(np.isinf(pts[rows]).any(axis=1))
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_DOMAINS))
+def test_boundary_kernels_match_point_major_reference(name):
+    dom = KERNEL_DOMAINS[name]
+    pts = kernel_probes(dom)
+    with np.errstate(invalid="ignore"):
+        depth = reference_line_distance(dom, pts)
+        nearest = reference_nearest(dom, pts)
+        assert_same_values(dom.line_distance(pts), depth, pts)
+        assert_same_values(dom._nearest_boundary_point(pts), nearest, pts)
+        gap = pts - nearest
+        assert_same_values(dom.boundary_distance(pts),
+                           np.hypot(gap[:, 0], gap[:, 1]), pts)
+        outside = ~(depth >= 0.0)
+        proj = pts.copy()
+        proj[outside] = reference_nearest(dom, pts[outside])
+        assert_same_values(dom.project(pts), proj, pts)
+    # the sample covers points inside, outside and on the boundary
+    assert np.any(depth > 0) and np.any(depth < 0)
+    assert np.any(np.abs(depth) <= 1e-15) and np.any(np.isnan(depth))
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_DOMAINS))
+def test_boundary_edge_arrays_cached_read_only(name):
+    dom = KERNEL_DOMAINS[name]
+    edges = dom._edges
+    assert len(edges) == 6
+    for col in edges:
+        assert col.shape == (len(dom.polyline), 1)
+        assert not col.flags.writeable
+        with pytest.raises(ValueError):
+            col[0, 0] = 0.0
+
+
 def test_boundary_anchors():
     dom = round_corners(ConvexDomain.unit_square(), 0.2)
     anchors = dom.boundary_anchors

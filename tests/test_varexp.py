@@ -5,6 +5,7 @@ import pytest
 import scipy.integrate
 import scipy.optimize
 
+from plapx import geometry
 from plapx.expressions import parse_field
 from plapx.geometry import (ConvexDomain, refine_uniform, round_corners,
                             triangulate_convex)
@@ -365,3 +366,54 @@ def test_mollified_field_matches_per_offset_projection(name, expr, delta):
         value = moll.evaluate(float(x), float(y))
         assert isinstance(value, float)
         assert value == reference_mollified(moll, float(x), float(y))
+
+
+def reach_probes(domain, moll):
+    """For every offset length r, points at line distance r and at the
+    offset's reach (r plus the roundoff margin), each moved a few ulps either
+    way: off the middle of two edges, and on the inward bisector of two
+    polyline vertices, where two edge lines are equally near."""
+    poly = domain.polyline
+    u_in, u_out, turn = geometry._turns(poly)
+    n_in = np.column_stack([-u_in[:, 1], u_in[:, 0]])
+    n_out = np.column_stack([-u_out[:, 1], u_out[:, 0]])
+    bisector = n_in + n_out
+    bisector /= np.hypot(bisector[:, 0], bisector[:, 1])[:, None]
+    # distance along the bisector per unit of line distance
+    stretch = 1.0 / np.cos(0.5 * turn)
+    picks = (0, len(poly) // 2 + 1)
+    mids = 0.5 * (poly + np.roll(poly, -1, axis=0))
+    radii = np.hypot(moll.offsets[:, 0], moll.offsets[:, 1])
+    dists = []
+    for t in np.concatenate([radii, moll._reach]):
+        for _ in range(4):
+            t = np.nextafter(t, 0.0)
+        for _ in range(9):
+            dists.append(t)
+            t = np.nextafter(t, np.inf)
+    dists = np.array(dists)[:, None]
+    pts = [mids[k] + dists * n_out[k] for k in picks]
+    pts += [poly[k] + dists * stretch[k] * bisector[k] for k in picks]
+    return np.vstack(pts)
+
+
+@pytest.mark.parametrize("delta", [0.05, 0.2])
+@pytest.mark.parametrize("name", ["square", "rounded_square"])
+def test_mollified_field_reach_margin(name, delta):
+    # each offset projects only the points it can carry out of the domain;
+    # points at exactly that reach, in an edge's middle and near a vertex,
+    # give the same bits as projecting every point under every offset
+    domain = ORACLE_DOMAINS[name]
+    pd = mollify_exponent(ExponentField.from_expression(
+        parse_field("1.5 + 0.25*abs(x - 0.5) + 0.1*y*y"), domain), delta)
+    moll = pd.field
+    pts = reach_probes(domain, moll)
+    depth = domain.line_distance(pts)
+    # the probes straddle every offset's reach within a few ulps
+    for reach in moll._reach:
+        gap = depth - reach
+        assert np.any((gap < 0) & (gap > -1e-15))
+        assert np.any((gap >= 0) & (gap < 1e-15))
+    x, y = pts[:, 0], pts[:, 1]
+    assert np.array_equal(moll.evaluate(x, y),
+                          reference_mollified(moll, x, y))
