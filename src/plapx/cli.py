@@ -86,10 +86,13 @@ def main(argv=None):
         result = _RUNNERS[args.command](config)
         if args.mesh_out:
             mesh = result.mesh
-            if mesh is None:
+            # a failed run without a mesh may have failed to build it: do
+            # not try again outside the recorded call
+            if mesh is None and not result.failed:
                 mesh = config.working_mesh()
-            save_mesh(mesh, args.mesh_out)
-            print(f"wrote mesh to {args.mesh_out}")
+            if mesh is not None:
+                save_mesh(mesh, args.mesh_out)
+                print(f"wrote mesh to {args.mesh_out}")
         for w in result.payload.get("validation_warnings", []):
             print(f"warning: {w}", file=sys.stderr)
         print(f"wrote {result.csv_path} ({len(result.rows)} rows) "

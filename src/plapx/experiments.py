@@ -321,6 +321,16 @@ def _solve(build):
         return None, err
 
 
+def _mesh_or_failure(payload, build):
+    """The mesh ``build()`` returns, or None with its :class:`GeometryError`
+    entered in the payload's failures."""
+    try:
+        return build()
+    except GeometryError as err:
+        payload["failures"].append({"mesh": str(err)})
+        return None
+
+
 def _record_warnings(payload, results):
     """Each validation warning of the (report, error) ``results`` enters the
     payload once, in order; returns ``results``."""
@@ -381,8 +391,10 @@ def _run_continuation(config: ExperimentConfig, command, final_only):
     """Continuation solve; on failure the records that finished (plus the
     failed one) are kept and the failure goes to the sidecar."""
     spec = config.spec
-    mesh = config.working_mesh()
     payload = _payload_base(config, command, EpsRecord.COLUMNS)
+    mesh = _mesh_or_failure(payload, config.working_mesh)
+    if mesh is None:
+        return _emit(config, command, EpsRecord.COLUMNS, [], payload)
     [(report, err)] = _record_warnings(payload, [_solve(lambda: (spec, mesh))])
     if report is None:
         records, solution = err.records, None
@@ -447,13 +459,17 @@ def run_convergence(config: ExperimentConfig) -> ExperimentResult:
         raise ConfigError(
             "key 'mesh.refinements': need at least 2 levels for orders")
     spec = config.spec
-
-    meshes = [config.base_mesh()]
-    while len(meshes) < config.refinements:
-        meshes.append(refine_uniform(meshes[-1]))
-
     payload = _payload_base(config, "convergence", CONVERGENCE_COLUMNS)
 
+    def levels():
+        meshes = [config.base_mesh()]
+        while len(meshes) < config.refinements:
+            meshes.append(refine_uniform(meshes[-1]))
+        return meshes
+
+    meshes = _mesh_or_failure(payload, levels)
+    if meshes is None:
+        return _emit(config, "convergence", CONVERGENCE_COLUMNS, [], payload)
     results = _solve_members(payload, lambda mesh: (spec, mesh), meshes)
     rows = []
     prev = None
@@ -488,8 +504,10 @@ def run_p1_sweep(config: ExperimentConfig) -> ExperimentResult:
     for v in config.p1_list:
         if not (1.0 < v):
             raise ConfigError(f"key 'p1.list': exponent {v} must exceed 1")
-    mesh = config.working_mesh()
     payload = _payload_base(config, "sweep-p1", P1_COLUMNS)
+    mesh = _mesh_or_failure(payload, config.working_mesh)
+    if mesh is None:
+        return _emit(config, "sweep-p1", P1_COLUMNS, [], payload)
 
     def member(p1):
         return config.problem_spec(p=ExponentField.constant(p1)), mesh

@@ -3,9 +3,9 @@
 One solve fixes eps and drives the residual of the discrete system to
 tolerance with Newton steps, backtracking on the residual norm; if Newton
 stalls, a frozen-coefficient fallback iteration takes over.  Continuation
-sweeps eps geometrically from eps_start to eps_stop, warm-starting each
-solve from the previous solution, and records the diagnostics used by the
-sweep commands.
+sweeps eps geometrically from eps_start to eps_stop, starting each solve
+after the second from the secant prediction through the two previous
+solutions, and records the diagnostics used by the sweep commands.
 """
 
 from __future__ import annotations
@@ -480,13 +480,22 @@ def _record_for(u, problem: DiscreteProblem, eps, stats, window):
 
 
 def continuation_solve(spec: ProblemSpec, mesh=None) -> SolveReport:
-    """Geometric eps sweep with warm starts; one EpsRecord per eps.
+    """Geometric eps sweep with secant predictions; one EpsRecord per eps.
 
     The first solve starts from the linear Poisson solution with the same
     source and boundary data (exact for p = 2, a sound initial guess
-    otherwise).  A failure in :data:`SOLVE_ERRORS` is re-raised carrying
-    ``records`` (what finished, plus the failed record when Newton left a
-    best iterate), ``failed_eps`` and the validation ``warnings``.
+    otherwise), the second from the first solution.  Each later solve
+    starts from the secant through the two previous solutions, linear in
+    eps: u_k + c (u_k - u_{k-1}) with c = (eps_{k+1} - eps_k) / (eps_k -
+    eps_{k-1}) from the schedule's values.  Near eps = 0 the solution moves
+    like c eps, so the last starts can already meet ``newton_tol`` and
+    their records show 0 Newton steps.  Both solutions hold the Dirichlet
+    data, so their difference is exactly 0 there and the prediction keeps
+    it bit for bit.
+
+    A failure in :data:`SOLVE_ERRORS` is re-raised carrying ``records``
+    (what finished, plus the failed record when Newton left a best
+    iterate), ``failed_eps`` and the validation ``warnings``.
     """
     schedule = spec.eps_schedule()
     records, warnings, eps = [], [], schedule[0]
@@ -499,8 +508,17 @@ def continuation_solve(spec: ProblemSpec, mesh=None) -> SolveReport:
         stiff = weighted_stiffness(P1Function.zero(mesh), 2.0, 1.0,
                                    problem.qctx)
         u = problem.solve_reduced(stiff, problem.load, problem.g_boundary)
-        for eps in schedule:
-            u, stats = solve_regularized(spec, eps, u, problem=problem)
+        # the coefficients of the solution one eps back, never the Poisson
+        # start; only the array is kept, not what its P1Function caches
+        prev = None
+        for k, eps in enumerate(schedule):
+            start = u
+            if prev is not None:
+                back, last = schedule[k - 2], schedule[k - 1]
+                c = (eps - last) / (last - back)
+                start = P1Function(mesh, u.coeffs + c * (u.coeffs - prev))
+            prev = u.coeffs if k > 0 else None
+            u, stats = solve_regularized(spec, eps, start, problem=problem)
             records.append(_record_for(u, problem, eps, stats, window))
     except SOLVE_ERRORS as err:
         best = getattr(err, "best", None)

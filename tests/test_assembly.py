@@ -313,3 +313,36 @@ def test_residual_matches_the_einsum_kernel_bitwise(dom, h):
             ref -= assemble_load(f, qctx)
             ref[mesh.is_boundary] = 0.0
             assert np.array_equal(R, ref)
+
+
+@pytest.mark.parametrize("dom,h", [
+    (SQUARE, 0.05),
+    (round_corners(SQUARE, 0.2), 0.08),
+    (ConvexDomain.regular_polygon(7), 0.15)],
+    ids=["square", "rounded", "heptagon"])
+def test_flux_kernel_and_jacobian_match_einsum_bitwise(dom, h):
+    # |grad u|^2 and grad phi_i . grad u are written as explicit products;
+    # they must reproduce einsum("td,td->t") and einsum("tid,td->ti") bit
+    # for bit, so the Jacobian, the Newton paths and every output stay fixed
+    mesh = triangulate_convex(dom, h)
+    qctx = QuadratureContext(mesh)
+    p = ExponentField.from_expression(
+        parse_field("1.3 + 0.5*x*x + 0.2*y"), dom)
+    gb = mesh.basis_gradients()
+    pat = mesh.p1_pattern()
+    rng = np.random.default_rng(16)
+    for scale in (1e-3, 1.0, 30.0):
+        u = P1Function(mesh, scale * rng.standard_normal(mesh.n_points))
+        gu = u.triangle_gradients()
+        for eps in (1.0, 1e-3, 1e-8):
+            _, v2, _, s1, s2 = _gradient_data(u, p, eps, qctx)
+            assert np.array_equal(v2, np.einsum("td,td->t", gu, gu) + eps)
+            du = np.einsum("tid,td->ti", gb, gu)
+            local = (s1[:, None, None] * mesh.basis_products()
+                     + (s2 / v2)[:, None, None]
+                     * np.einsum("ti,tj->tij", du, du))
+            ref = np.bincount(pat.scatter, weights=local.ravel(),
+                              minlength=len(pat.indices))
+            J = assemble_jacobian(u, p, eps, qctx)
+            assert np.array_equal(J.indices, pat.indices)
+            assert np.array_equal(J.data, ref)

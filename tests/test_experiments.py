@@ -634,6 +634,37 @@ def test_cli_unmeshable_domain_member_is_recorded(tmp_path, capsys,
     assert lines[2].split(",")[-1] == "nan"
 
 
+@pytest.mark.parametrize("command,overrides", [
+    ("solve", {}),
+    ("sweep-eps", {}),
+    ("sweep-p1", {"p1.list": "1.8, 1.5"}),
+    ("convergence", {"u.exact.expr": "x*y", "mesh.refinements": "2"}),
+])
+def test_cli_mesh_failure_is_recorded(tmp_path, capsys, monkeypatch,
+                                      command, overrides):
+    # commands that solve on one mesh (or one refinement ladder) build it
+    # before any solve; a failure there is a "failures" entry too
+    import plapx.experiments
+    from plapx.geometry import GeometryError
+
+    def triangulate(dom, h):
+        raise GeometryError("could not reach min angle 20.0 deg")
+
+    monkeypatch.setattr(plapx.experiments, "triangulate_convex", triangulate)
+    path = write_config(tmp_path, **overrides)
+    mesh_path = tmp_path / "grid.mesh"
+    assert cli_main([command, str(path), "--mesh-out", str(mesh_path)]) == 1
+    err = capsys.readouterr().err
+    assert "failure:" in err and "error:" not in err
+    assert not mesh_path.exists()
+    side = json.loads((tmp_path / "cli_out.csv.json").read_text())
+    assert side["failures"] == [
+        {"mesh": "could not reach min angle 20.0 deg"}]
+    assert "mesh" not in side
+    lines = (tmp_path / "cli_out.csv").read_text().splitlines()
+    assert lines == [",".join(side["columns"])]
+
+
 def test_cli_field_evaluation_failure_is_recorded(tmp_path, capsys):
     path = write_config(tmp_path, **{"f.expr": "sqrt(x - 0.5)"})
     assert cli_main(["sweep-eps", str(path)]) == 1

@@ -432,7 +432,8 @@ def test_continuation_records_follow_schedule():
     np.testing.assert_allclose([r.eps for r in report.records], sched)
     assert all(r.converged for r in report.records)
     assert all(r.final_residual <= spec.newton_tol for r in report.records)
-    # warm starts keep the late iteration counts small
+    # starting from the previous solution, then from the secant prediction,
+    # keeps the late iteration counts small
     assert report.records[-1].newton_iterations <= 6
     for rec in report.records:
         assert len(rec.row()) == len(EpsRecord.COLUMNS)
@@ -461,6 +462,57 @@ def test_continuation_failure_attaches_partial_records():
     assert e.failed_eps == 1.0
     assert len(e.records) == 1
     assert not e.records[0].converged
+
+
+def test_continuation_starts_from_the_secant_prediction(monkeypatch):
+    # g = x, and a schedule whose last step (1e-3 -> 3e-4) has another ratio
+    spec = square_spec(p=ExponentField.from_expression(
+        parse_field("2 - 0.5*x"), SQUARE), g=parse_field("x"),
+        eps_factor=0.1, eps_stop=3e-4, mesh_h=0.25)
+    sched = spec.eps_schedule()
+    np.testing.assert_allclose(sched, [1.0, 0.1, 0.01, 1e-3, 3e-4])
+    starts, solutions = [], []
+    real = solver.solve_regularized
+
+    def recording(spec, eps, u0, problem=None):
+        starts.append(u0.coeffs.copy())
+        u, stats = real(spec, eps, u0, problem=problem)
+        solutions.append(u.coeffs.copy())
+        return u, stats
+
+    monkeypatch.setattr(solver, "solve_regularized", recording)
+    report = continuation_solve(spec)
+    mesh = report.mesh
+    assert len(starts) == len(sched)
+
+    problem = DiscreteProblem.build(spec, mesh)
+    stiff = weighted_stiffness(P1Function.zero(mesh), 2.0, 1.0, problem.qctx)
+    poisson = problem.solve_reduced(stiff, problem.load, problem.g_boundary)
+    assert np.array_equal(starts[0], poisson.coeffs)
+    assert np.array_equal(starts[1], solutions[0])
+    for k in range(2, len(sched)):
+        c = (sched[k] - sched[k - 1]) / (sched[k - 1] - sched[k - 2])
+        last, back = solutions[k - 1], solutions[k - 2]
+        assert np.array_equal(starts[k], last + c * (last - back))
+        assert not np.array_equal(starts[k], last)
+    bnd = mesh.is_boundary
+    for start in starts:
+        assert np.array_equal(start[bnd], mesh.points[bnd, 0])
+
+
+def test_predicted_starts_can_need_no_newton_step():
+    # demos/square.cfg physics at h = 0.1: near eps = 0 the solution moves
+    # like c eps, so the secant start of a late eps already meets newton_tol
+    spec = square_spec(p=ExponentField.from_expression(
+        parse_field("2 - 0.5*x"), SQUARE), g=parse_field("x"),
+        eps_stop=1e-6, mesh_h=0.1)
+    records = continuation_solve(spec).records
+    assert len(records) == 13
+    idle = [r for r in records if r.newton_iterations == 0]
+    assert idle
+    for rec in records:
+        assert rec.converged
+        assert rec.final_residual <= spec.newton_tol
 
 
 # --- hypotheses and sources ------------------------------------------------------
