@@ -59,7 +59,10 @@ class P1Function:
         """Constant gradient per triangle, shape (m, 2); read-only."""
         if self._gradients is None:
             gb = self.mesh.basis_gradients()
-            g = np.einsum("ti,tid->td", self.coeffs[self.mesh.triangles], gb)
+            c = self.coeffs[self.mesh.triangles]
+            # explicit products in einsum's order: the same bits
+            g = np.stack([c[:, 0] * gb[:, 0, d] + c[:, 1] * gb[:, 1, d]
+                          + c[:, 2] * gb[:, 2, d] for d in (0, 1)], axis=1)
             g.setflags(write=False)
             self._gradients = g
         return self._gradients

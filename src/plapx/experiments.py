@@ -22,8 +22,8 @@ import numpy as np
 
 from . import regularity
 from .expressions import DifferentiationError, FieldSyntaxError, parse_field
-from .geometry import (ConvexDomain, GeometryError, refine_uniform,
-                       round_corners, triangulate_convex)
+from .geometry import (ConvexDomain, GeometryError, ParameterError,
+                       refine_uniform, round_corners, triangulate_convex)
 from .solver import SOLVE_ERRORS, EpsRecord, ProblemSpec, continuation_solve
 from .varexp import ExponentField, QuadratureContext, field_values
 
@@ -189,7 +189,19 @@ class ExperimentConfig:
         if "u.exact.expr" in raw:
             u_exact = _get_expr(raw, "u.exact.expr")
         p1_list = _get_floats(raw, "p1.list")
+        if any(not v > 1.0 for v in p1_list):
+            raise ConfigError("key 'p1.list': exponents must exceed 1")
         radius_list = _get_floats(raw, "radius.list")
+        if any(not r > 0 for r in radius_list):
+            raise ConfigError("key 'radius.list': radii must be positive")
+        if any(not b < a for a, b in zip(radius_list, radius_list[1:])):
+            raise ConfigError("key 'radius.list': radii must be strictly "
+                              "decreasing")
+        for r in radius_list[:1]:  # the largest: if it rounds, all do
+            try:
+                round_corners(ConvexDomain(verts), r)
+            except ParameterError as err:
+                raise ConfigError(f"key 'radius.list': {err}")
         identity_exprs = []
         for piece in raw.get("identity.exprs", "").split(";"):
             piece = piece.strip()
@@ -501,9 +513,6 @@ def run_p1_sweep(config: ExperimentConfig) -> ExperimentResult:
     """Continuation per constant exponent in p1.list; fit in the sidecar."""
     if not config.p1_list:
         raise ConfigError("key 'p1.list' is required and must be non-empty")
-    for v in config.p1_list:
-        if not (1.0 < v):
-            raise ConfigError(f"key 'p1.list': exponent {v} must exceed 1")
     payload = _payload_base(config, "sweep-p1", P1_COLUMNS)
     mesh = _mesh_or_failure(payload, config.working_mesh)
     if mesh is None:
@@ -547,11 +556,6 @@ def run_domain_sweep(config: ExperimentConfig) -> ExperimentResult:
     if not radii:
         raise ConfigError("key 'radius.list' is required and must be "
                           "non-empty")
-    if any(not r > 0 for r in radii):
-        raise ConfigError("key 'radius.list': radii must be positive")
-    if any(not b < a for a, b in zip(radii, radii[1:])):
-        raise ConfigError("key 'radius.list': radii must be strictly "
-                          "decreasing")
     base = ConvexDomain(config.spec.domain.vertices)
     domains = [round_corners(base, r) for r in radii]
     # nested domains: the first (most rounded) is contained in all others

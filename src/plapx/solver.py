@@ -64,9 +64,10 @@ class NewtonError(RuntimeError):
         self.history = list(history or [])
 
 
-# Failures of one continuation solve that sweep drivers record and survive;
-# a field that cannot be evaluated (EvaluationError is one) is among them.
-SOLVE_ERRORS = (NewtonError, LinearSolveError, FieldEvaluationError)
+# Failures of one continuation solve that the commands record and survive,
+# among them fields that cannot be evaluated or that break the hypotheses.
+SOLVE_ERRORS = (NewtonError, LinearSolveError, FieldEvaluationError,
+                HypothesisError)
 
 
 @dataclass
@@ -339,16 +340,17 @@ def with_mollified_exponent(spec: ProblemSpec, delta: float) -> ProblemSpec:
 class DiscreteProblem:
     """What stays fixed while a spec is solved on one mesh.
 
-    Built once per continuation solve: the quadrature context, p at its
-    nodes, the load vector (f and p checked finite here, once) and the
-    Dirichlet values at the boundary vertices, all read-only.  The mesh
-    caches basis gradients and the P1 pattern, each iterate what it
-    determines (see :class:`P1Function`).  ``lagged`` holds the factor
-    that preconditions every linear solve after the first.
+    Built once per continuation solve: the quadrature context, p and f at
+    its nodes (``pv``, ``fv``), the load vector (f and p checked finite
+    here, once) and the Dirichlet values at the boundary vertices, all
+    read-only.  The mesh caches basis gradients and the P1 pattern, each
+    iterate what it determines (see :class:`P1Function`).  ``lagged`` holds
+    the factor that preconditions every linear solve after the first.
     """
 
     qctx: QuadratureContext
     pv: np.ndarray
+    fv: np.ndarray
     load: np.ndarray
     g_boundary: np.ndarray
     lagged: LaggedFactor = dc_field(default_factory=LaggedFactor,
@@ -357,15 +359,16 @@ class DiscreteProblem:
     @classmethod
     def build(cls, spec: ProblemSpec, mesh):
         qctx = QuadratureContext(mesh)
-        load = assemble_load(spec.f, qctx)
+        fv = field_values(spec.f, qctx.x, qctx.y)
+        load = assemble_load(fv, qctx)
         pv = field_values(spec.p, qctx.x, qctx.y)
         _check_finite(pv, qctx, "exponent")
         bnd = mesh.is_boundary
         g_boundary = field_values(spec.g, mesh.points[bnd, 0],
                                   mesh.points[bnd, 1])
-        for arr in (pv, load, g_boundary):
+        for arr in (pv, fv, load, g_boundary):
             arr.setflags(write=False)
-        return cls(qctx, pv, load, g_boundary)
+        return cls(qctx, pv, fv, load, g_boundary)
 
     @property
     def mesh(self):
@@ -493,18 +496,20 @@ def continuation_solve(spec: ProblemSpec, mesh=None) -> SolveReport:
     data, so their difference is exactly 0 there and the prediction keeps
     it bit for bit.
 
-    A failure in :data:`SOLVE_ERRORS` is re-raised carrying ``records``
-    (what finished, plus the failed record when Newton left a best
-    iterate), ``failed_eps`` and the validation ``warnings``.
+    :func:`validate_spec` runs on the built :class:`DiscreteProblem`, so a
+    :class:`HypothesisError` comes after meshing.  A failure in
+    :data:`SOLVE_ERRORS` is re-raised carrying ``records`` (what finished,
+    plus the failed record when Newton left a best iterate), ``failed_eps``
+    and the validation ``warnings``.
     """
     schedule = spec.eps_schedule()
     records, warnings, eps = [], [], schedule[0]
     try:
-        warnings = validate_spec(spec)
         if mesh is None:
             mesh = triangulate_convex(spec.domain, spec.mesh_h)
         window = regularity.default_window(spec.domain, 2.0 * mesh.h)
         problem = DiscreteProblem.build(spec, mesh)
+        warnings = validate_spec(spec, problem)
         stiff = weighted_stiffness(P1Function.zero(mesh), 2.0, 1.0,
                                    problem.qctx)
         u = problem.solve_reduced(stiff, problem.load, problem.g_boundary)
@@ -534,44 +539,30 @@ def continuation_solve(spec: ProblemSpec, mesh=None) -> SolveReport:
     return SolveReport(records, u, mesh, warnings)
 
 
-def validate_spec(spec: ProblemSpec):
-    """Check standing hypotheses on a dense sample of the domain.
-
-    p reaching 1 or below anywhere is a hard error; a source that is active
-    where p > 2, or an integrability exponent q at most 2 on {p <= 2},
-    produces warnings.
-    """
-    lo, hi = spec.domain.bounding_box()
-    n = max(32, int(math.ceil(math.sqrt(
-        2.0 * 10000 * (hi[0] - lo[0]) * (hi[1] - lo[1])
-        / max(spec.domain.area, 1e-300)) / 1.4)))
-    gx, gy = np.meshgrid(np.linspace(lo[0], hi[0], n),
-                         np.linspace(lo[1], hi[1], n))
-    pts = np.column_stack([gx.ravel(), gy.ravel()])
-    pts = pts[spec.domain.contains(pts)]
-    xs, ys = pts[:, 0], pts[:, 1]
-
-    pv = field_values(spec.p, xs, ys)
+def validate_spec(spec: ProblemSpec, problem: DiscreteProblem):
+    """Check the standing hypotheses where the solve evaluates: p and f from
+    ``problem``'s ``pv`` and ``fv``, and q, at its quadrature nodes.  p <= 1
+    at a node (or ``spec.p.p1`` <= 1) is a :class:`HypothesisError` naming
+    the node, raised after meshing; a source active where p > 2, or q <= 2
+    where p <= 2, is a warning with its share of |Omega_h|."""
+    qctx, pv, w = problem.qctx, problem.pv, problem.qctx.weights
     if np.min(pv) <= 1.0 or spec.p.p1 <= 1.0:
-        k = int(np.argmin(pv))
+        k = np.unravel_index(np.argmin(pv), pv.shape)
         raise HypothesisError(
-            f"exponent reaches {np.min(pv):.6g} <= 1 near "
-            f"({xs[k]:.6g}, {ys[k]:.6g}); the problem class requires p > 1")
-
+            f"exponent reaches {min(pv[k], spec.p.p1):.6g} <= 1 (least at a "
+            f"node: {pv[k]:.6g} at ({qctx.x[k]:.6g}, {qctx.y[k]:.6g}))")
     warnings = []
-    fv = np.abs(field_values(spec.f, xs, ys))
-    fscale = float(np.max(fv)) if fv.size else 0.0
-    active_above = (pv > 2.0) & (fv > 1e-12 * max(1.0, fscale))
+    fv = np.abs(problem.fv)
+    active_above = (pv > 2.0) & (fv > 1e-12 * max(1.0, np.max(fv)))
     if np.any(active_above):
-        frac = float(np.mean(active_above))
+        frac = np.sum(w * active_above) / np.sum(w)
         warnings.append(
-            f"source is nonzero where p > 2 on {100 * frac:.1f}% of samples "
-            "(degenerate-direction compatibility is lost there)")
-    qv = field_values(spec.q, xs, ys)
-    bad_q = (pv <= 2.0) & (qv <= 2.0)
+            f"source is nonzero where p > 2 on {100 * frac:.1f}% of the "
+            "domain (degenerate-direction compatibility is lost there)")
+    bad_q = (pv <= 2.0) & (field_values(spec.q, qctx.x, qctx.y) <= 2.0)
     if np.any(bad_q):
-        frac = float(np.mean(bad_q))
+        frac = np.sum(w * bad_q) / np.sum(w)
         warnings.append(
-            f"integrability exponent q <= 2 on {100 * frac:.1f}% of the "
-            "region where p <= 2 (q must exceed 2 there)")
+            f"integrability exponent q <= 2 where p <= 2, on "
+            f"{100 * frac:.1f}% of the domain (q must exceed 2 there)")
     return warnings

@@ -320,9 +320,9 @@ class _MollifiedField:
     the identity.  So ``line_distance`` is computed once per call, and each
     offset projects only the points it can carry out of the domain (and any
     with a NaN distance).  The field keeps its last result, keyed on the
-    exact bits of x and y: a solve evaluates it on the validation samples
-    and on the quadrature nodes, once for p and once for the masked source
-    each.  Every call returns a fresh array.
+    exact bits of x and y: a solve evaluates it on the quadrature nodes
+    only, once for p and once for the masked source, and ``validate_spec``
+    reads those values.  Every call returns a fresh array.
     """
 
     def __init__(self, base, domain, delta):

@@ -346,3 +346,23 @@ def test_flux_kernel_and_jacobian_match_einsum_bitwise(dom, h):
             J = assemble_jacobian(u, p, eps, qctx)
             assert np.array_equal(J.indices, pat.indices)
             assert np.array_equal(J.data, ref)
+
+
+@pytest.mark.parametrize("dom,h", [
+    (SQUARE, 0.05),
+    (round_corners(SQUARE, 0.2), 0.08),
+    (ConvexDomain.regular_polygon(7), 0.15)],
+    ids=["square", "rounded", "heptagon"])
+def test_triangle_gradients_match_einsum_bitwise(dom, h):
+    # the gradient per triangle is three explicit products per component;
+    # it must reproduce einsum("ti,tid->td") bit for bit, so every iterate's
+    # gradients, and so every output, stay fixed
+    mesh = triangulate_convex(dom, h)
+    gb = mesh.basis_gradients()
+    rng = np.random.default_rng(17)
+    for scale in (1e-3, 1.0, 30.0):
+        u = P1Function(mesh, scale * rng.standard_normal(mesh.n_points))
+        ref = np.einsum("ti,tid->td", u.coeffs[mesh.triangles], gb)
+        gu = u.triangle_gradients()
+        assert gu.shape == ref.shape and not gu.flags.writeable
+        assert np.array_equal(gu.view(np.uint64), ref.view(np.uint64))

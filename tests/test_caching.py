@@ -21,7 +21,8 @@ from plapx.experiments import ExperimentConfig, run_domain_sweep, run_p1_sweep
 from plapx.expressions import parse_field
 from plapx.geometry import (ConvexDomain, TriMesh, refine_uniform,
                             triangulate_convex)
-from plapx.solver import (NewtonError, ProblemSpec, continuation_solve,
+from plapx.solver import (DiscreteProblem, NewtonError, ProblemSpec,
+                          continuation_solve, validate_spec,
                           with_mollified_exponent)
 from plapx.varexp import ExponentField, QuadratureContext, mollify_exponent
 
@@ -86,12 +87,13 @@ def test_mollified_exponent_evaluated_once_per_point_set():
                     eps_stop=0.1, mesh_h=0.15), 0.05)
     offsets = len(spec.p.field.offsets)
     mesh = triangulate_convex(SQUARE, 0.15)
+    base.calls = 0
     for _ in range(2):
-        base.calls = 0
         continuation_solve(spec, mesh=mesh)
-        # p and the masked source share one evaluation on the validation
-        # samples and one on the quadrature nodes
-        assert base.calls == 2 * offsets
+        # p and the masked source share one evaluation on the quadrature
+        # nodes; validate_spec reads the problem's values, so nothing
+        # evicts them and a second solve on the mesh is served from them
+        assert base.calls == 1 * offsets
     # the last solve left the quadrature nodes' values; a fresh context
     # has the same bits, so both calls below are served from them
     qctx = QuadratureContext(mesh)
@@ -100,7 +102,19 @@ def test_mollified_exponent_evaluated_once_per_point_set():
     first[:] = 0.0
     again = spec.p.field.evaluate(qctx.x, qctx.y)
     assert again is not first and np.array_equal(again, kept)
-    assert base.calls == 2 * offsets
+    assert base.calls == 1 * offsets
+
+
+def test_validate_spec_evaluates_no_mollified_exponent():
+    base = CountingBase("1.6 + 0.3*x")
+    p = ExponentField(base, p1=1.6, p2=1.9, lip=0.3, domain=SQUARE)
+    spec = with_mollified_exponent(
+        ProblemSpec(domain=SQUARE, p=p, f=1.0, g=0.0,
+                    q=ExponentField.constant(4.0), mesh_h=0.15), 0.05)
+    problem = DiscreteProblem.build(spec, triangulate_convex(SQUARE, 0.15))
+    base.calls = 0
+    assert validate_spec(spec, problem) == []
+    assert base.calls == 0
 
 
 def test_mollified_memo_shared_across_threads():
@@ -235,11 +249,21 @@ def test_flux_kernel_runs_once_per_residual(monkeypatch, newton_max_iter):
     calls = {"assemble_residual": 0, "assemble_jacobian": 0,
              "weighted_stiffness": 0, "energy": 0}
     field_values = plapx.assembly.field_values
+    assemble_load = plapx.solver.assemble_load
+    loading = []
 
     def counted_field_values(f, x, y):
-        if np.shape(x) == node_shape and f is not spec.f:
+        # the load reads the source's values at the nodes, not p
+        if np.shape(x) == node_shape and not loading:
             exponent_evals.append(type(f).__name__)
         return field_values(f, x, y)
+
+    def load(*args, **kwargs):
+        loading.append(True)
+        try:
+            return assemble_load(*args, **kwargs)
+        finally:
+            loading.pop()
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -248,6 +272,7 @@ def test_flux_kernel_runs_once_per_residual(monkeypatch, newton_max_iter):
         return wrapper
 
     monkeypatch.setattr(plapx.assembly, "field_values", counted_field_values)
+    monkeypatch.setattr(plapx.solver, "assemble_load", load)
     for name in calls:
         monkeypatch.setattr(plapx.solver, name,
                             counted(name, getattr(plapx.solver, name)))

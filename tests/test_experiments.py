@@ -473,7 +473,7 @@ def test_cli_validate_clean(tmp_path, capsys):
     assert cli_main(["validate", str(path)]) == 0
     assert capsys.readouterr().out.splitlines() == [
         "exponent: p1 1.5, p2 2.0, lip 0.5",
-        "ok: hypotheses hold on the sampled domain"]
+        "ok: hypotheses hold at the mesh's quadrature nodes"]
 
 
 def test_cli_validate_warnings_and_strict(tmp_path, capsys):
@@ -481,6 +481,31 @@ def test_cli_validate_warnings_and_strict(tmp_path, capsys):
     assert cli_main(["validate", str(path)]) == 0
     assert "warning:" in capsys.readouterr().out
     assert cli_main(["validate", "--strict", str(path)]) == 2
+
+
+def test_cli_validate_meshes_once_and_saves_that_mesh(tmp_path, capsys,
+                                                    monkeypatch):
+    # validate checks the working mesh's nodes; --mesh-out writes that mesh
+    import plapx.experiments
+    calls = []
+    real = plapx.experiments.triangulate_convex
+
+    def counted(dom, h):
+        calls.append(h)
+        return real(dom, h)
+
+    monkeypatch.setattr(plapx.experiments, "triangulate_convex", counted)
+    path = write_config(tmp_path, **{"mesh.refinements": "1"})
+    assert cli_main(["validate", str(path)]) == 0
+    assert calls == [0.3]
+    mesh_path = tmp_path / "grid.mesh"
+    assert cli_main(["validate", str(path), "--mesh-out",
+                     str(mesh_path)]) == 0
+    assert calls == [0.3, 0.3]
+    saved = load_mesh(mesh_path)
+    want = ExperimentConfig.load(path).working_mesh()
+    np.testing.assert_array_equal(saved.points, want.points)
+    np.testing.assert_array_equal(saved.triangles, want.triangles)
 
 
 def test_cli_validate_prints_the_exponent_before_warnings(tmp_path, capsys):
@@ -675,6 +700,20 @@ def test_cli_field_evaluation_failure_is_recorded(tmp_path, capsys):
     assert lines == [",".join(EpsRecord.COLUMNS)]
 
 
+def test_cli_exponent_reaching_1_is_recorded(tmp_path, capsys):
+    # p = 1 + x loads (its sampled p1 is 1) and breaks p > 1: the check at
+    # the quadrature nodes fails the solve like any other recorded failure
+    path = write_config(tmp_path, **{"p.expr": "1 + x"})
+    assert cli_main(["solve", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "failure:" in err and "error:" not in err
+    side = json.loads((tmp_path / "cli_out.csv.json").read_text())
+    [failure] = side["failures"]
+    assert failure["reason"].startswith("exponent reaches 1 <= 1 (least at")
+    lines = (tmp_path / "cli_out.csv").read_text().splitlines()
+    assert lines == [",".join(EpsRecord.COLUMNS)]
+
+
 def test_cli_convergence_records_a_failed_validation_per_level(
         tmp_path, capsys, monkeypatch):
     import plapx.solver
@@ -699,7 +738,9 @@ def test_cli_convergence_records_a_failed_validation_per_level(
     assert side["validation_warnings"] == []
     lines = (tmp_path / "cli_out.csv").read_text().splitlines()
     assert lines == [",".join(CONVERGENCE_COLUMNS)]
-    assert len(calls) == 3
+    # the source fails at the quadrature nodes, where the problem is built
+    # before validate_spec runs on it
+    assert len(calls) == 0
 
 
 def test_failed_run_keeps_validation_warnings(tmp_path):

@@ -518,17 +518,25 @@ def test_predicted_starts_can_need_no_newton_step():
 # --- hypotheses and sources ------------------------------------------------------
 
 
+def validated(spec):
+    """validate_spec on the problem a solve of ``spec`` builds."""
+    mesh = triangulate_convex(spec.domain, spec.mesh_h)
+    return validate_spec(spec, DiscreteProblem.build(spec, mesh))
+
+
 def test_validate_spec_hard_error_for_low_exponent():
     # claimed bounds pass construction but the actual field dips below 1
     p = ExponentField(parse_field("1.5 - x"), p1=1.2, p2=1.5, lip=1.0)
     spec = square_spec(p=p)
-    with pytest.raises(HypothesisError):
-        validate_spec(spec)
+    with pytest.raises(HypothesisError) as err:
+        validated(spec)
+    # the message names the quadrature node where p is least
+    assert "<= 1 (least at a node: " in str(err.value)
 
 
 def test_validate_spec_warns_on_active_source_above_2():
     spec = square_spec(p=ExponentField.constant(2.5))
-    warnings = validate_spec(spec)
+    warnings = validated(spec)
     assert len(warnings) == 1
     assert "p > 2" in warnings[0]
 
@@ -536,12 +544,26 @@ def test_validate_spec_warns_on_active_source_above_2():
 def test_validate_spec_warns_on_small_q():
     spec = square_spec(p=ExponentField.constant(1.8),
                        q=ExponentField.constant(2.0))
-    warnings = validate_spec(spec)
+    warnings = validated(spec)
     assert any("q" in w for w in warnings)
 
 
 def test_validate_spec_clean():
-    assert validate_spec(square_spec(p=ExponentField.constant(1.8))) == []
+    assert validated(square_spec(p=ExponentField.constant(1.8))) == []
+
+
+def test_validate_spec_shares_are_fractions_of_the_mesh_area():
+    # p > 2 exactly on x > 0.5 and f = 1: the warned share is the
+    # quadrature measure of {p > 2}, over |Omega_h|
+    spec = square_spec(p=ExponentField.from_expression(
+        parse_field("1.5 + x"), SQUARE), mesh_h=0.1)
+    mesh = triangulate_convex(SQUARE, 0.1)
+    problem = DiscreteProblem.build(spec, mesh)
+    w = problem.qctx.weights
+    share = np.sum(w * (problem.pv > 2.0)) / np.sum(w)
+    [warning] = validate_spec(spec, problem)
+    assert f"on {100 * share:.1f}% of the domain" in warning
+    assert 0.45 < share < 0.55
 
 
 def test_masked_source_pointwise():
