@@ -274,8 +274,8 @@ def assemble_jacobian(u: P1Function, p, eps,
 def weighted_stiffness(u: P1Function, p, eps,
                        qctx: QuadratureContext) -> sp.csr_matrix:
     """Frozen-coefficient operator: integral of v^(p-2) grad phi_j . grad
-    phi_i with v evaluated at the current iterate (the fallback iteration
-    matrix; also the plain stiffness matrix when p is 2)."""
+    phi_i with v evaluated at the current iterate; with p = 2 it is the
+    plain stiffness matrix of the Poisson start."""
     return _flux_operator(u, p, eps, qctx, linearize=False)
 
 

@@ -1,11 +1,12 @@
 """Damped Newton continuation for the regularized problem.
 
 One solve fixes eps and drives the residual of the discrete system to
-tolerance with Newton steps, backtracking on the residual norm; if Newton
-stalls, a frozen-coefficient fallback iteration takes over.  Continuation
-sweeps eps geometrically from eps_start to eps_stop, starting each solve
-after the second from the secant prediction through the two previous
-solutions, and records the diagnostics used by the sweep commands.
+tolerance with Newton steps, backtracking on the residual norm, and raises
+:class:`NewtonError` when the line search finds no step or the step budget
+runs out.  Continuation sweeps eps geometrically from eps_start to
+eps_stop, starting each solve after the second from the secant prediction
+through the two previous solutions, and records the diagnostics used by
+the sweep commands.
 """
 
 from __future__ import annotations
@@ -111,7 +112,8 @@ class ProblemSpec:
 
 @dataclass
 class SolveStats:
-    """One fixed-eps solve: residuals, Newton step sizes, fallback use."""
+    """One fixed-eps solve: residuals and Newton step sizes
+    (``used_fallback`` is always False; perfbench's tracer reads it)."""
 
     iterations: int
     final_residual: float
@@ -432,36 +434,18 @@ def solve_regularized(spec: ProblemSpec, eps: float, u0: P1Function,
                 break
             t *= 0.5
         else:
-            break  # no step length passed: the fallback takes over
+            break  # no step length passed
         u, R, res = trial, R_trial, res_trial
         steps.append(t)
         history.append(res)
 
     if res <= spec.newton_tol:
         return u, SolveStats(len(steps), res, history, steps, True)
-
-    # frozen-coefficient fallback: solve A(u_k) u_{k+1} = load with the
-    # Dirichlet data, which is globally contractive for mild exponents
-    best_u, best_res = u, res
-    stall = 0
-    for _ in range(200):
-        M = weighted_stiffness(u, problem.pv, eps, problem.qctx)
-        u = problem.solve_reduced(M, problem.load, problem.g_boundary)
-        res = float(np.max(np.abs(problem.residual(u, eps))))
-        history.append(res)
-        if res < best_res:
-            best_u, best_res = u, res
-            stall = 0
-        else:
-            stall += 1
-        if res <= spec.newton_tol:
-            return u, SolveStats(len(steps), res, history, steps, True,
-                                 used_fallback=True)
-        if stall >= 10:
-            break
+    # every accepted step lowered the residual, so the last iterate is the
+    # best one
     raise NewtonError(
-        f"no convergence at eps={eps:.3e}: residual {best_res:.3e} after "
-        f"{len(history) - 1} steps", best=best_u, history=history)
+        f"no convergence at eps={eps:.3e}: residual {res:.3e} after "
+        f"{len(steps)} steps", best=u, history=history)
 
 
 def _record_for(u, problem: DiscreteProblem, eps, stats, window):
@@ -500,10 +484,12 @@ def continuation_solve(spec: ProblemSpec, mesh=None) -> SolveReport:
     :class:`HypothesisError` comes after meshing.  A failure in
     :data:`SOLVE_ERRORS` is re-raised carrying ``records`` (what finished,
     plus the failed record when Newton left a best iterate), ``failed_eps``
-    and the validation ``warnings``.
+    (None when no eps solve had started) and the validation ``warnings``.
     """
     schedule = spec.eps_schedule()
-    records, warnings, eps = [], [], schedule[0]
+    # None until the first eps solve starts: a failure while the problem is
+    # built, checked or started from Poisson belongs to no eps
+    records, warnings, eps = [], [], None
     try:
         if mesh is None:
             mesh = triangulate_convex(spec.domain, spec.mesh_h)
@@ -528,9 +514,8 @@ def continuation_solve(spec: ProblemSpec, mesh=None) -> SolveReport:
     except SOLVE_ERRORS as err:
         best = getattr(err, "best", None)
         if best is not None:
-            stats = SolveStats(max(len(err.history) - 1, 0),
-                               min(err.history), err.history, [], False,
-                               used_fallback=True)
+            stats = SolveStats(len(err.history) - 1, err.history[-1],
+                               err.history, [], False)
             records.append(_record_for(best, problem, eps, stats, window))
         err.records = records
         err.failed_eps = eps

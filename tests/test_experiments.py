@@ -710,6 +710,7 @@ def test_cli_exponent_reaching_1_is_recorded(tmp_path, capsys):
     side = json.loads((tmp_path / "cli_out.csv.json").read_text())
     [failure] = side["failures"]
     assert failure["reason"].startswith("exponent reaches 1 <= 1 (least at")
+    assert failure["eps"] is None  # no eps solve started
     lines = (tmp_path / "cli_out.csv").read_text().splitlines()
     assert lines == [",".join(EpsRecord.COLUMNS)]
 

@@ -5,7 +5,7 @@ import scipy.sparse as sp
 import plapx.solver as solver
 from plapx.assembly import (P1Function, apply_dirichlet, assemble_jacobian,
                             assemble_load, energy, weighted_stiffness)
-from plapx.expressions import parse_field
+from plapx.expressions import FieldEvaluationError, parse_field
 from plapx.geometry import ConvexDomain, triangulate_convex
 from plapx.solver import (BACKWARD_ERROR_TOL, DiscreteProblem, EpsRecord,
                           HypothesisError, LaggedFactor, LinearSolveError,
@@ -297,19 +297,28 @@ def test_functional_descends_from_cold_start():
     assert functional(u) <= functional(u0) + 1e-12
 
 
-def test_fallback_engages_when_newton_budget_is_tiny():
+def test_tiny_newton_budget_fails_with_the_last_newton_iterate():
+    # one Newton step cannot reach the tolerance; no other iteration takes
+    # over, and the error hands back that step's iterate and residuals
     spec = square_spec(p=ExponentField.constant(1.6), newton_max_iter=1,
                        newton_tol=1e-9)
     mesh = triangulate_convex(SQUARE, 0.2)
-    u, stats = solve_regularized(spec, 0.1, P1Function.zero(mesh))
-    assert stats.converged
-    assert stats.used_fallback
-    assert stats.final_residual <= 1e-9
+    u0 = P1Function.zero(mesh)
+    with pytest.raises(NewtonError, match=r"after 1 steps$") as err:
+        solve_regularized(spec, 0.1, u0)
+    e = err.value
+    problem = DiscreteProblem.build(spec, mesh)
+    A = assemble_jacobian(u0, problem.pv, 0.1, problem.qctx)
+    step = problem.solve_reduced(A, -problem.residual(u0, 0.1), 0.0,
+                                 atol=0.1 * spec.newton_tol)
+    np.testing.assert_array_equal(e.best.coeffs, step.coeffs)
+    assert len(e.history) == 2 and e.history[1] < e.history[0]
+    assert e.history[1] == np.max(np.abs(problem.residual(e.best, 0.1)))
 
 
 def test_newton_error_carries_best_iterate():
-    # an unreachable tolerance forces both phases to give up; the error must
-    # hand back the best iterate and the residual trace
+    # an unreachable tolerance makes Newton give up; the error must hand
+    # back the best iterate and the residual trace
     spec = square_spec(p=ExponentField.constant(1.8), newton_tol=1e-30)
     mesh = triangulate_convex(SQUARE, 0.25)
     with pytest.raises(NewtonError) as err:
@@ -370,20 +379,6 @@ def test_newton_corrections_solve_to_a_tenth_of_newton_tol(monkeypatch):
     assert any(rel_tol > 1e-12 for _, rel_tol, _ in newton)
 
 
-def test_fallback_solves_keep_the_tight_target(monkeypatch):
-    log = record_solve_targets(monkeypatch)
-    spec = square_spec(p=ExponentField.constant(1.6), newton_max_iter=1,
-                       newton_tol=1e-9)
-    mesh = triangulate_convex(SQUARE, 0.2)
-    u, stats = solve_regularized(spec, 0.1, P1Function.zero(mesh))
-    assert stats.used_fallback and stats.converged
-    kinds = [kind for kind, _, _ in log]
-    assert kinds[0] == "newton" and kinds.count("newton") == 1
-    assert kinds.count("frozen") >= 2
-    assert all(rel_tol == 1e-12
-               for kind, rel_tol, _ in log if kind == "frozen")
-
-
 def test_unreachable_newton_tol_keeps_every_target_tight(monkeypatch):
     log = record_solve_targets(monkeypatch)
     spec = square_spec(p=ExponentField.constant(1.8), newton_tol=1e-30,
@@ -391,7 +386,7 @@ def test_unreachable_newton_tol_keeps_every_target_tight(monkeypatch):
     mesh = triangulate_convex(SQUARE, 0.25)
     with pytest.raises(NewtonError):
         solve_regularized(spec, 0.5, P1Function.zero(mesh))
-    assert {kind for kind, _, _ in log} == {"newton", "frozen"}
+    assert {kind for kind, _, _ in log} == {"newton"}
     assert all(rel_tol == 1e-12 for _, rel_tol, _ in log)
 
 
@@ -462,6 +457,17 @@ def test_continuation_failure_attaches_partial_records():
     assert e.failed_eps == 1.0
     assert len(e.records) == 1
     assert not e.records[0].converged
+
+
+def test_failure_before_any_eps_solve_has_no_eps():
+    # the source cannot be evaluated at the quadrature nodes, so the
+    # problem is never built and no eps solve starts
+    spec = square_spec(f=parse_field("sqrt(x - 0.5)"))
+    with pytest.raises(FieldEvaluationError,
+                       match="sqrt of a negative argument") as err:
+        continuation_solve(spec)
+    assert err.value.failed_eps is None
+    assert err.value.records == []
 
 
 def test_continuation_starts_from_the_secant_prediction(monkeypatch):
