@@ -95,16 +95,6 @@ class P1Function:
         return np.einsum("qi,ti->tq", qctx.bary,
                          self.coeffs[self.mesh.triangles])
 
-    def _locate(self, x, y):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        shape = np.broadcast(x, y).shape
-        pts = np.column_stack([np.broadcast_to(x, shape).ravel(),
-                               np.broadcast_to(y, shape).ravel()])
-        tri, bary = self.mesh.locate(pts)
-        _require_inside(tri, pts[:, 0], pts[:, 1])
-        return shape, tri, bary
-
     def _gather(self, tri, bary):
         """Values at located points: barycentric combinations of the
         coefficients at the corners."""
@@ -113,7 +103,13 @@ class P1Function:
 
     def evaluate(self, x, y):
         """Point evaluation anywhere in the mesh (vectorized)."""
-        shape, tri, bary = self._locate(x, y)
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        shape = np.broadcast(x, y).shape
+        pts = np.column_stack([np.broadcast_to(x, shape).ravel(),
+                               np.broadcast_to(y, shape).ravel()])
+        tri, bary = self.mesh.locate(pts)
+        _require_inside(tri, pts[:, 0], pts[:, 1])
         out = self._gather(tri, bary).reshape(shape)
         return float(out) if out.ndim == 0 else out
 
@@ -129,11 +125,6 @@ class P1Function:
             gx, gy = lattice_points(window)
             _require_inside(tri, gx.ravel(), gy.ravel())
         return self._gather(tri, bary).reshape(window[2], window[3])
-
-    def gradient_at(self, x, y):
-        """Piecewise-constant gradient sampled at points, shape (..., 2)."""
-        shape, tri, _ = self._locate(x, y)
-        return self.triangle_gradients()[tri].reshape(shape + (2,))
 
     def __repr__(self):
         return f"P1Function({self.mesh.n_points} dofs)"
@@ -157,19 +148,15 @@ def _gradient_data(u: P1Function, p, eps, qctx: QuadratureContext):
     the nodes, s1 = sum_q w v^(p-2) and s2 = sum_q w (p-2) v^(p-2).  Kept on
     u for the last (p, eps, qctx), matched by identity (never on a writable
     array p); for an array p, pv is p and the entry adds per-triangle
-    arrays only.  A read-only array p is taken as checked finite by its
-    owner (:class:`DiscreteProblem` checks its ``pv`` once); field objects
-    and writable arrays are checked on every call.  At eps = 0 flat
+    arrays only.  pv is checked finite on every miss.  At eps = 0 flat
     triangles make s1, s2 infinite (unread)."""
-    is_array = isinstance(p, np.ndarray)
     hit = u._flux
     if (hit is not None and hit[0] is p and hit[1] == eps and hit[2] is qctx
-            and not (is_array and p.flags.writeable)):
+            and not (isinstance(p, np.ndarray) and p.flags.writeable)):
         return hit[3:]
     gu = u.triangle_gradients()
     pv = field_values(p, qctx.x, qctx.y)
-    if not is_array or p.flags.writeable:
-        _check_finite(pv, qctx, "exponent")
+    _check_finite(pv, qctx, "exponent")
     # |gu|^2 as explicit products in einsum's order: the same bits
     v2 = (gu[:, 0] * gu[:, 0] + gu[:, 1] * gu[:, 1]) + eps
     with np.errstate(over="ignore", divide="ignore"):

@@ -15,8 +15,7 @@ from .experiments import (ExperimentConfig, run_convergence,
                           thread_count)
 from .expressions import FieldEvaluationError
 from .geometry import GeometryError, save_mesh
-from .solver import (DiscreteProblem, LinearSolveError, NewtonError,
-                     validate_spec)
+from .solver import DiscreteProblem, LinearSolveError, NewtonError
 from .varexp import NonconvergenceError
 
 _RUNNERS = {
@@ -74,13 +73,12 @@ def main(argv=None):
             spec, p = config.spec, config.spec.p
             print(f"exponent: p1 {p.p1!r}, p2 {p.p2!r}, lip {p.lip!r}")
             problem = DiscreteProblem.build(spec, config.working_mesh())
-            warnings = validate_spec(spec, problem)
-            for w in warnings:
+            for w in problem.warnings:
                 print(f"warning: {w}")
             if args.mesh_out:
                 save_mesh(problem.mesh, args.mesh_out)
                 print(f"wrote mesh to {args.mesh_out}")
-            if warnings:
+            if problem.warnings:
                 return 2 if args.strict else 0
             print("ok: hypotheses hold at the mesh's quadrature nodes")
             return 0

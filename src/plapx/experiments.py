@@ -369,32 +369,29 @@ def _emit(config, command, columns, rows, payload, mesh=None, solution=None):
                             sidecar_path, payload, mesh, solution)
 
 
-def _sample_interior_points(domain, mesh, n, rng):
-    """``n`` uniform points inside ``domain`` that ``mesh`` covers, and
-    their triangles: on a rounded domain the mesh's chord polygon leaves
-    slivers of it out.  The points are the first ``n`` covered ones drawn;
-    candidates are located in order, only as many as are still missing."""
-    lo, hi = domain.bounding_box()
-    pts, tris = np.empty((0, 2)), np.empty(0, dtype=np.int64)
-    margin = 1e-9 * max(hi[0] - lo[0], hi[1] - lo[1])
-    for _ in range(64):
-        cand = rng.uniform(lo, hi, size=(2 * n, 2))
-        cand = cand[domain.contains(cand, margin=margin)]
-        while len(cand) and len(pts) < n:
-            head, cand = np.split(cand, [n - len(pts)])
-            tri = mesh.locate(head)[0]
-            pts = np.vstack([pts, head[tri >= 0]])
-            tris = np.concatenate([tris, tri[tri >= 0]])
-        if len(pts) == n:
-            return pts, tris
-    raise RuntimeError("interior point sampling failed")
+def _sample_mesh_points(mesh, n, rng):
+    """``n`` uniform points of ``mesh`` and their triangles: a triangle is
+    drawn with probability proportional to its area, and a point in it from
+    barycentric coordinates (1 - a - b, a, b), with (a, b) reflected into
+    the lower-left half of the unit square."""
+    r = rng.random((n, 3))
+    cum_area = np.cumsum(mesh.areas)
+    tri = np.searchsorted(cum_area, cum_area[-1] * r[:, 0])
+    ab = r[:, 1:]
+    flip = ab[:, 0] + ab[:, 1] > 1.0
+    ab[flip] = 1.0 - ab[flip]
+    v = mesh.points[mesh.triangles[tri]]
+    pts = (v[:, 0] + ab[:, :1] * (v[:, 1] - v[:, 0])
+           + ab[:, 1:] * (v[:, 2] - v[:, 0]))
+    return pts, tri
 
 
 def _ellipticity_audit(u, spec: ProblemSpec, eps: float):
-    """Post-hoc coefficient audit on random interior points (config seed)."""
+    """Post-hoc coefficient audit at uniform random points of the mesh
+    (config seed)."""
     rng = np.random.Generator(np.random.Philox(spec.seed))
-    pts, tri = _sample_interior_points(spec.domain, u.mesh, 2000, rng)
-    sample = regularity.coefficients(u, spec.p, spec.f, eps, pts, tri=tri)
+    pts, tri = _sample_mesh_points(u.mesh, 2000, rng)
+    sample = regularity.coefficients(u, spec.p, spec.f, eps, pts, tri)
     return dataclasses.asdict(regularity.ellipticity_check(
         sample, spec.p.p1, spec.p.p2, trials=4, seed=spec.seed))
 
@@ -558,10 +555,14 @@ def run_domain_sweep(config: ExperimentConfig) -> ExperimentResult:
                           "non-empty")
     base = ConvexDomain(config.spec.domain.vertices)
     domains = [round_corners(base, r) for r in radii]
-    # nested domains: the first (most rounded) is contained in all others
-    window = regularity.default_window(domains[0], 2.0 * config.spec.mesh_h)
-
     payload = _payload_base(config, "sweep-domain", DOMAIN_COLUMNS)
+    # nested domains: the first (most rounded) is contained in all others
+    try:
+        window = regularity.default_window(domains[0],
+                                           2.0 * config.spec.mesh_h)
+    except regularity.SamplingError as err:
+        payload["failures"].append({"window": str(err)})
+        return _emit(config, "sweep-domain", DOMAIN_COLUMNS, [], payload)
     payload["window"] = {"origin": list(window[0]), "spacing": window[1],
                          "nx": window[2], "ny": window[3]}
 

@@ -96,20 +96,16 @@ class CoefficientSample:
 
 
 def coefficients(u: P1Function, p: ExponentField, f, eps,
-                 pts, tri=None) -> CoefficientSample:
-    """Sample the non-divergence coefficients of the current iterate.
-
-    ``tri``, if given, holds the mesh triangle of each point, so the points
-    are not located again.
-    """
+                 pts, tri) -> CoefficientSample:
+    """Sample the non-divergence coefficients of the current iterate at the
+    points ``pts`` of the mesh triangles ``tri``."""
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     x, y = pts[:, 0], pts[:, 1]
-    grad = u.gradient_at(x, y) if tri is None else u.triangle_gradients()[tri]
     pv = field_values(p, x, y)
     fv = field_values(f, x, y)
     gpx, gpy = p.gradient(x, y)
-    return CoefficientSample.from_state(pts, grad, pv, fv,
-                                        np.column_stack([gpx, gpy]), eps)
+    return CoefficientSample.from_state(pts, u.triangle_gradients()[tri], pv,
+                                        fv, np.column_stack([gpx, gpy]), eps)
 
 
 @dataclass

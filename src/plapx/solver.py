@@ -66,9 +66,10 @@ class NewtonError(RuntimeError):
 
 
 # Failures of one continuation solve that the commands record and survive,
-# among them fields that cannot be evaluated or that break the hypotheses.
+# among them fields that cannot be evaluated or that break the hypotheses,
+# and domains too thin for the lattice window of the H2 estimate.
 SOLVE_ERRORS = (NewtonError, LinearSolveError, FieldEvaluationError,
-                HypothesisError)
+                HypothesisError, regularity.SamplingError)
 
 
 @dataclass
@@ -342,19 +343,21 @@ def with_mollified_exponent(spec: ProblemSpec, delta: float) -> ProblemSpec:
 class DiscreteProblem:
     """What stays fixed while a spec is solved on one mesh.
 
-    Built once per continuation solve: the quadrature context, p and f at
-    its nodes (``pv``, ``fv``), the load vector (f and p checked finite
-    here, once) and the Dirichlet values at the boundary vertices, all
-    read-only.  The mesh caches basis gradients and the P1 pattern, each
-    iterate what it determines (see :class:`P1Function`).  ``lagged`` holds
-    the factor that preconditions every linear solve after the first.
+    Built once per continuation solve: the quadrature context, p at its
+    nodes (``pv``), the load vector (f and p checked finite here, once) and
+    the Dirichlet values at the boundary vertices, all read-only, and the
+    ``warnings`` of :func:`validate_spec`, which checks p and f at the
+    nodes while f's values are still at hand; they are not kept.  The mesh
+    caches basis gradients and the P1 pattern, each iterate what it
+    determines (see :class:`P1Function`).  ``lagged`` holds the factor that
+    preconditions every linear solve after the first.
     """
 
     qctx: QuadratureContext
     pv: np.ndarray
-    fv: np.ndarray
     load: np.ndarray
     g_boundary: np.ndarray
+    warnings: tuple
     lagged: LaggedFactor = dc_field(default_factory=LaggedFactor,
                                     compare=False, repr=False)
 
@@ -368,9 +371,10 @@ class DiscreteProblem:
         bnd = mesh.is_boundary
         g_boundary = field_values(spec.g, mesh.points[bnd, 0],
                                   mesh.points[bnd, 1])
-        for arr in (pv, fv, load, g_boundary):
+        warnings = validate_spec(spec, qctx, pv, fv)
+        for arr in (pv, load, g_boundary):
             arr.setflags(write=False)
-        return cls(qctx, pv, fv, load, g_boundary)
+        return cls(qctx, pv, load, g_boundary, tuple(warnings))
 
     @property
     def mesh(self):
@@ -480,8 +484,8 @@ def continuation_solve(spec: ProblemSpec, mesh=None) -> SolveReport:
     data, so their difference is exactly 0 there and the prediction keeps
     it bit for bit.
 
-    :func:`validate_spec` runs on the built :class:`DiscreteProblem`, so a
-    :class:`HypothesisError` comes after meshing.  A failure in
+    :func:`validate_spec` runs while the :class:`DiscreteProblem` is
+    built, so a :class:`HypothesisError` comes after meshing.  A failure in
     :data:`SOLVE_ERRORS` is re-raised carrying ``records`` (what finished,
     plus the failed record when Newton left a best iterate), ``failed_eps``
     (None when no eps solve had started) and the validation ``warnings``.
@@ -495,7 +499,7 @@ def continuation_solve(spec: ProblemSpec, mesh=None) -> SolveReport:
             mesh = triangulate_convex(spec.domain, spec.mesh_h)
         window = regularity.default_window(spec.domain, 2.0 * mesh.h)
         problem = DiscreteProblem.build(spec, mesh)
-        warnings = validate_spec(spec, problem)
+        warnings = list(problem.warnings)
         stiff = weighted_stiffness(P1Function.zero(mesh), 2.0, 1.0,
                                    problem.qctx)
         u = problem.solve_reduced(stiff, problem.load, problem.g_boundary)
@@ -524,20 +528,21 @@ def continuation_solve(spec: ProblemSpec, mesh=None) -> SolveReport:
     return SolveReport(records, u, mesh, warnings)
 
 
-def validate_spec(spec: ProblemSpec, problem: DiscreteProblem):
-    """Check the standing hypotheses where the solve evaluates: p and f from
-    ``problem``'s ``pv`` and ``fv``, and q, at its quadrature nodes.  p <= 1
-    at a node (or ``spec.p.p1`` <= 1) is a :class:`HypothesisError` naming
-    the node, raised after meshing; a source active where p > 2, or q <= 2
-    where p <= 2, is a warning with its share of |Omega_h|."""
-    qctx, pv, w = problem.qctx, problem.pv, problem.qctx.weights
+def validate_spec(spec: ProblemSpec, qctx: QuadratureContext, pv, fv):
+    """Check the standing hypotheses where the solve evaluates: p and f
+    from their values ``pv`` and ``fv`` at the nodes of ``qctx``, and q
+    there.  p <= 1 at a node (or ``spec.p.p1`` <= 1) is a
+    :class:`HypothesisError` naming the node, raised after meshing; a
+    source active where p > 2, or q <= 2 where p <= 2, is a warning with
+    its share of |Omega_h|.  :meth:`DiscreteProblem.build` calls it."""
+    w = qctx.weights
     if np.min(pv) <= 1.0 or spec.p.p1 <= 1.0:
         k = np.unravel_index(np.argmin(pv), pv.shape)
         raise HypothesisError(
             f"exponent reaches {min(pv[k], spec.p.p1):.6g} <= 1 (least at a "
             f"node: {pv[k]:.6g} at ({qctx.x[k]:.6g}, {qctx.y[k]:.6g}))")
     warnings = []
-    fv = np.abs(problem.fv)
+    fv = np.abs(fv)
     active_above = (pv > 2.0) & (fv > 1e-12 * max(1.0, np.max(fv)))
     if np.any(active_above):
         frac = np.sum(w * active_above) / np.sum(w)

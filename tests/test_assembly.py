@@ -55,9 +55,6 @@ def test_interpolate_linear_is_exact():
     ys = np.array([0.21, 0.5, 0.4])
     np.testing.assert_allclose(u.evaluate(xs, ys), xs + 2 * ys,
                                rtol=0, atol=1e-13)
-    g = u.gradient_at(xs, ys)
-    np.testing.assert_allclose(g[:, 0], 1.0, atol=1e-13)
-    np.testing.assert_allclose(g[:, 1], 2.0, atol=1e-13)
 
 
 def test_triangle_gradients_constant_field():

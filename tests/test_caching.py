@@ -24,7 +24,8 @@ from plapx.geometry import (ConvexDomain, TriMesh, refine_uniform,
 from plapx.solver import (DiscreteProblem, NewtonError, ProblemSpec,
                           continuation_solve, validate_spec,
                           with_mollified_exponent)
-from plapx.varexp import ExponentField, QuadratureContext, mollify_exponent
+from plapx.varexp import (ExponentField, QuadratureContext, field_values,
+                          mollify_exponent)
 
 SQUARE = ConvexDomain.unit_square()
 
@@ -112,8 +113,10 @@ def test_validate_spec_evaluates_no_mollified_exponent():
         ProblemSpec(domain=SQUARE, p=p, f=1.0, g=0.0,
                     q=ExponentField.constant(4.0), mesh_h=0.15), 0.05)
     problem = DiscreteProblem.build(spec, triangulate_convex(SQUARE, 0.15))
+    qctx = problem.qctx
+    fv = field_values(spec.f, qctx.x, qctx.y)
     base.calls = 0
-    assert validate_spec(spec, problem) == []
+    assert validate_spec(spec, qctx, problem.pv, fv) == []
     assert base.calls == 0
 
 
@@ -367,7 +370,7 @@ def test_flux_operator_bitwise_with_products_formed_per_call(linearize):
     assert np.array_equal(got.data, want)
 
 
-def test_exponent_array_checked_unless_read_only(monkeypatch):
+def test_exponent_array_checked_on_every_miss(monkeypatch):
     import plapx.assembly
     from plapx.varexp import EvaluationError
 
@@ -384,16 +387,22 @@ def test_exponent_array_checked_unless_read_only(monkeypatch):
     u = P1Function.interpolate(mesh, lambda x, y: x * y)
     frozen = 1.5 + 0.3 * qctx.x
     frozen.setflags(write=False)
-    plapx.assembly.energy(u, frozen, 0.5, qctx)
-    assert checked == []
-    for p in (1.5 + 0.3 * qctx.x, ExponentField.constant(1.7)):
+    for p in (frozen, 1.5 + 0.3 * qctx.x, ExponentField.constant(1.7)):
         checked.clear()
         plapx.assembly.energy(P1Function(mesh, u.coeffs), p, 0.5, qctx)
         assert checked == ["exponent"]
+    # a hit on the read-only array is not checked again
+    v = P1Function(mesh, u.coeffs)
+    plapx.assembly.energy(v, frozen, 0.5, qctx)
+    checked.clear()
+    plapx.assembly.energy(v, frozen, 0.5, qctx)
+    assert checked == []
+    # a NaN is caught in a read-only array as in a writable one
     bad = 1.5 + 0.3 * qctx.x
     bad[0, 0] = np.nan
-    with pytest.raises(EvaluationError, match="non-finite exponent"):
-        plapx.assembly.energy(P1Function(mesh, u.coeffs), bad, 0.5, qctx)
+    for p in (bad, np.broadcast_to(bad, bad.shape)):
+        with pytest.raises(EvaluationError, match="non-finite exponent"):
+            plapx.assembly.energy(P1Function(mesh, u.coeffs), p, 0.5, qctx)
 
 
 def test_p1_pattern_cached_read_only():

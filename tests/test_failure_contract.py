@@ -2,10 +2,10 @@
 loads exits 0, 1 or 2, and an exit 1 leaves a CSV and a sidecar whose
 ``"failures"`` entry says why, never a bare ``error:`` line.
 
-Configs derive from ``demos/square.cfg``; the corner radius, mesh.h,
-eps.stop, newton.tol and the radius list vary, and the lists carry NaN,
-zero, negative and too-large members.  Meshes stay coarse, so the search
-runs in a few seconds.
+Configs derive from ``demos/square.cfg``; the domain, the corner radius,
+mesh.h, eps.stop, newton.tol and the radius list vary, and the lists carry
+NaN, zero, negative and too-large members.  Meshes stay coarse, so the
+search runs in a few seconds.
 """
 
 import contextlib
@@ -48,6 +48,13 @@ def demo_text(overrides):
     return "\n".join(lines) + "\n"
 
 
+# each domain's vertices with the mesh sizes drawn for it: the unit square,
+# and a 1 x 0.03 strip that fits no lattice window with margin
+DOMAINS = {
+    "0,0; 1,0; 1,1; 0,1": [0.2, 0.3, 0.45],
+    "0,0; 1,0; 1,0.03; 0,0.03": [0.05],
+}
+
 # mostly valid radii, so most lists load; each bad kind still comes up
 radii = st.sampled_from([0.4, 0.3, 0.2, 0.15, 0.1, 0.05, 0.025, 0.0, -0.1,
                          math.nan, 0.6])
@@ -56,10 +63,12 @@ radii = st.sampled_from([0.4, 0.3, 0.2, 0.15, 0.1, 0.05, 0.025, 0.0, -0.1,
 @st.composite
 def runs(draw):
     command = draw(st.sampled_from(sorted(COMMAND_KEYS)))
+    vertices = draw(st.sampled_from(sorted(DOMAINS)))
     overrides = {
+        "domain.vertices": vertices,
         "domain.corner_radius": repr(draw(st.sampled_from(
             [0.0, 0.0, 0.05, 0.2, 0.45, 0.45, -0.1, math.nan]))),
-        "mesh.h": repr(draw(st.sampled_from([0.2, 0.3, 0.45]))),
+        "mesh.h": repr(draw(st.sampled_from(DOMAINS[vertices]))),
         "eps.stop": repr(draw(st.sampled_from([1.0, 1e-2, 1e-4, 1e-6,
                                                2.0]))),
         "newton.tol": repr(draw(st.sampled_from([1e-10, 1e-6, 1e-14,

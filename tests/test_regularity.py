@@ -63,7 +63,7 @@ def test_coefficients_from_solution_field():
     u = P1Function.interpolate(mesh, parse_field("x"))
     p = ExponentField.constant(3.0)
     pts = np.array([[0.5, 0.5], [0.25, 0.7]])
-    s = coefficients(u, p, 5.0, 1.0, pts)
+    s = coefficients(u, p, 5.0, 1.0, pts, mesh.locate(pts)[0])
     np.testing.assert_allclose(s.grad[:, 0], 1.0, atol=1e-12)
     np.testing.assert_allclose(s.a11, 1.5, rtol=1e-12)
     np.testing.assert_allclose(s.a_rhs, 5.0 / math.sqrt(2.0), rtol=1e-12)

@@ -11,7 +11,7 @@ from plapx.solver import (BACKWARD_ERROR_TOL, DiscreteProblem, EpsRecord,
                           HypothesisError, LaggedFactor, LinearSolveError,
                           NewtonError, ProblemSpec, continuation_solve,
                           linear_solve, masked_source, solve_regularized,
-                          validate_spec, with_mollified_exponent)
+                          with_mollified_exponent)
 from plapx.varexp import ExponentField, QuadratureContext
 
 SQUARE = ConvexDomain.unit_square()
@@ -525,9 +525,10 @@ def test_predicted_starts_can_need_no_newton_step():
 
 
 def validated(spec):
-    """validate_spec on the problem a solve of ``spec`` builds."""
+    """The validate_spec warnings of the problem a solve of ``spec``
+    builds."""
     mesh = triangulate_convex(spec.domain, spec.mesh_h)
-    return validate_spec(spec, DiscreteProblem.build(spec, mesh))
+    return list(DiscreteProblem.build(spec, mesh).warnings)
 
 
 def test_validate_spec_hard_error_for_low_exponent():
@@ -567,7 +568,7 @@ def test_validate_spec_shares_are_fractions_of_the_mesh_area():
     problem = DiscreteProblem.build(spec, mesh)
     w = problem.qctx.weights
     share = np.sum(w * (problem.pv > 2.0)) / np.sum(w)
-    [warning] = validate_spec(spec, problem)
+    [warning] = problem.warnings
     assert f"on {100 * share:.1f}% of the domain" in warning
     assert 0.45 < share < 0.55
 
