@@ -13,10 +13,8 @@ from .experiments import (ExperimentConfig, run_convergence,
                           run_domain_sweep, run_eps_sweep,
                           run_identity_check, run_p1_sweep, run_solve,
                           thread_count)
-from .expressions import FieldEvaluationError
-from .geometry import GeometryError, save_mesh
-from .solver import DiscreteProblem, LinearSolveError, NewtonError
-from .varexp import NonconvergenceError
+from .geometry import save_mesh
+from .solver import SOLVE_ERRORS, DiscreteProblem
 
 _RUNNERS = {
     "solve": run_solve,
@@ -37,9 +35,9 @@ _HELP = {
     "validate": "check the standing hypotheses, print warnings",
 }
 
-_KNOWN_ERRORS = (GeometryError, LinearSolveError, NewtonError,
-                 FieldEvaluationError, NonconvergenceError, OSError,
-                 ValueError)
+# a run records these in its sidecar once the config has loaded; before
+# that, and for I/O, they end the command with an error line
+_KNOWN_ERRORS = SOLVE_ERRORS + (OSError,)
 
 
 def build_parser():
@@ -54,9 +52,10 @@ def build_parser():
     for name in list(_RUNNERS) + ["validate"]:
         sp = sub.add_parser(name, help=_HELP[name])
         sp.add_argument("config", help="experiment config file")
-        sp.add_argument("--mesh-out", metavar="PATH", default=None,
-                        help="also write the working mesh in the plain-text "
-                             "mesh format")
+        if name != "check-identity":  # the identity check uses no mesh
+            sp.add_argument("--mesh-out", metavar="PATH", default=None,
+                            help="also write the working mesh in the "
+                                 "plain-text mesh format")
         sp.add_argument("--strict", action="store_true",
                         help="treat validation warnings as errors (exit 2)")
     return ap
@@ -84,15 +83,9 @@ def main(argv=None):
             return 0
 
         result = _RUNNERS[args.command](config)
-        if args.mesh_out:
-            mesh = result.mesh
-            # a failed run without a mesh may have failed to build it: do
-            # not try again outside the recorded call
-            if mesh is None and not result.failed:
-                mesh = config.working_mesh()
-            if mesh is not None:
-                save_mesh(mesh, args.mesh_out)
-                print(f"wrote mesh to {args.mesh_out}")
+        if getattr(args, "mesh_out", None) and result.mesh is not None:
+            save_mesh(result.mesh, args.mesh_out)
+            print(f"wrote mesh to {args.mesh_out}")
         for w in result.payload.get("validation_warnings", []):
             print(f"warning: {w}", file=sys.stderr)
         print(f"wrote {result.csv_path} ({len(result.rows)} rows) "

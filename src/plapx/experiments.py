@@ -7,6 +7,11 @@ whose float cells are ``repr`` round-trips (byte-identical reruns with one
 thread) and a JSON sidecar holding the resolved config, the package
 version, and run-specific extras (validation warnings, ellipticity audit,
 scaling fits, failures).
+
+Once a config has loaded, every error of :data:`~plapx.solver.SOLVE_ERRORS`
+that a run meets (meshing, solving, the audit, the lattice window, an
+identity check) is a ``"failures"`` entry, with the CSV and sidecar still
+written; :func:`_attempt` is the one place that catches it.
 """
 
 from __future__ import annotations
@@ -22,8 +27,8 @@ import numpy as np
 
 from . import regularity
 from .expressions import DifferentiationError, FieldSyntaxError, parse_field
-from .geometry import (ConvexDomain, GeometryError, ParameterError,
-                       refine_uniform, round_corners, triangulate_convex)
+from .geometry import (ConvexDomain, ParameterError, refine_uniform,
+                       round_corners, triangulate_convex)
 from .solver import SOLVE_ERRORS, EpsRecord, ProblemSpec, continuation_solve
 from .varexp import ExponentField, QuadratureContext, field_values
 
@@ -298,7 +303,6 @@ class ExperimentResult:
     sidecar_path: str
     payload: dict
     mesh: object = None
-    solution: object = None
 
     @property
     def failed(self):
@@ -320,27 +324,23 @@ def _payload_base(config: ExperimentConfig, command: str, columns):
     }
 
 
-_RECORDED_ERRORS = SOLVE_ERRORS + (GeometryError,)
-
-
-def _solve(build):
-    """One continuation solve of the (spec, mesh) that ``build()`` returns:
-    (report, None), or (None, error) when meshing or the solve fails in a
-    way a run records and survives."""
+def _attempt(fn):
+    """(fn(), None), or (None, error) when ``fn`` fails with one of
+    :data:`SOLVE_ERRORS`: the run layer's one catch of a failure that a
+    run records and survives."""
     try:
-        return continuation_solve(*build()), None
-    except _RECORDED_ERRORS as err:
+        return fn(), None
+    except SOLVE_ERRORS as err:
         return None, err
 
 
 def _mesh_or_failure(payload, build):
-    """The mesh ``build()`` returns, or None with its :class:`GeometryError`
-    entered in the payload's failures."""
-    try:
-        return build()
-    except GeometryError as err:
+    """The mesh ``build()`` returns, or None with its failure entered in
+    the payload's failures."""
+    mesh, err = _attempt(build)
+    if err is not None:
         payload["failures"].append({"mesh": str(err)})
-        return None
+    return mesh
 
 
 def _record_warnings(payload, results):
@@ -357,16 +357,17 @@ def _solve_members(payload, member, items):
     possibly in threads: (report, None) or (None, error) per item, in
     order."""
     return _record_warnings(payload, _map_ordered(
-        lambda item: _solve(lambda: member(item)), items))
+        lambda item: _attempt(lambda: continuation_solve(*member(item))),
+        items))
 
 
-def _emit(config, command, columns, rows, payload, mesh=None, solution=None):
+def _emit(config, command, columns, rows, payload, mesh=None):
     csv_path = config.output_path
     sidecar_path = csv_path + ".json"
     write_csv(csv_path, columns, rows)
     write_sidecar(sidecar_path, payload)
     return ExperimentResult(command, tuple(columns), rows, csv_path,
-                            sidecar_path, payload, mesh, solution)
+                            sidecar_path, payload, mesh)
 
 
 def _sample_mesh_points(mesh, n, rng):
@@ -387,13 +388,15 @@ def _sample_mesh_points(mesh, n, rng):
 
 
 def _ellipticity_audit(u, spec: ProblemSpec, eps: float):
-    """Post-hoc coefficient audit at uniform random points of the mesh
-    (config seed)."""
-    rng = np.random.Generator(np.random.Philox(spec.seed))
+    """Post-hoc coefficient audit at uniform random points of the mesh.
+    The points and the directions come from two streams spawned from the
+    config seed, so neither reuses the other's random words."""
+    points_seed, directions_seed = np.random.SeedSequence(spec.seed).spawn(2)
+    rng = np.random.Generator(np.random.Philox(points_seed))
     pts, tri = _sample_mesh_points(u.mesh, 2000, rng)
     sample = regularity.coefficients(u, spec.p, spec.f, eps, pts, tri)
     return dataclasses.asdict(regularity.ellipticity_check(
-        sample, spec.p.p1, spec.p.p2, trials=4, seed=spec.seed))
+        sample, spec.p.p1, spec.p.p2, trials=4, seed=directions_seed))
 
 
 def _run_continuation(config: ExperimentConfig, command, final_only):
@@ -404,23 +407,23 @@ def _run_continuation(config: ExperimentConfig, command, final_only):
     mesh = _mesh_or_failure(payload, config.working_mesh)
     if mesh is None:
         return _emit(config, command, EpsRecord.COLUMNS, [], payload)
-    [(report, err)] = _record_warnings(payload, [_solve(lambda: (spec, mesh))])
+    [(report, err)] = _record_warnings(
+        payload, [_attempt(lambda: continuation_solve(spec, mesh))])
     if report is None:
-        records, solution = err.records, None
+        records = err.records
         payload["failures"] = [{"eps": err.failed_eps, "reason": str(err)}]
     else:
-        records, solution = report.records, report.solution
-    rows = [r.row() for r in (records[-1:] if final_only else records)]
-    if solution is not None:
-        try:
-            payload["ellipticity_audit"] = _ellipticity_audit(
-                solution, spec, spec.eps_stop)
-        except _RECORDED_ERRORS as err:
+        records = report.records
+        audit, err = _attempt(lambda: _ellipticity_audit(
+            report.solution, spec, spec.eps_stop))
+        if err is None:
+            payload["ellipticity_audit"] = audit
+        else:
             payload["failures"].append({"audit": str(err)})
+    rows = [r.row() for r in (records[-1:] if final_only else records)]
     payload["mesh"] = {"n_points": mesh.n_points,
                        "n_triangles": mesh.n_triangles, "h": mesh.h}
-    return _emit(config, command, EpsRecord.COLUMNS, rows, payload, mesh,
-                 solution)
+    return _emit(config, command, EpsRecord.COLUMNS, rows, payload, mesh)
 
 
 def run_solve(config: ExperimentConfig) -> ExperimentResult:
@@ -482,15 +485,13 @@ def run_convergence(config: ExperimentConfig) -> ExperimentResult:
     results = _solve_members(payload, lambda mesh: (spec, mesh), meshes)
     rows = []
     prev = None
-    solution = None
     for level, (mesh, (report, err)) in enumerate(zip(meshes, results)):
         if report is None:
             # the next level then has no order: it needs two solved levels
             payload["failures"].append({"level": level, "reason": str(err)})
             prev = None
             continue
-        solution = report.solution
-        l2, h1 = l2_h1_errors(solution, config.u_exact)
+        l2, h1 = l2_h1_errors(report.solution, config.u_exact)
         if prev is None:
             l2_order = h1_order = math.nan
         else:
@@ -500,7 +501,7 @@ def run_convergence(config: ExperimentConfig) -> ExperimentResult:
         rows.append([level, mesh.h, l2, h1, l2_order, h1_order])
         prev = (mesh.h, l2, h1)
     return _emit(config, "convergence", CONVERGENCE_COLUMNS, rows, payload,
-                 meshes[0], solution)
+                 meshes[0])
 
 
 P1_COLUMNS = ("p1",) + EpsRecord.COLUMNS
@@ -557,10 +558,9 @@ def run_domain_sweep(config: ExperimentConfig) -> ExperimentResult:
     domains = [round_corners(base, r) for r in radii]
     payload = _payload_base(config, "sweep-domain", DOMAIN_COLUMNS)
     # nested domains: the first (most rounded) is contained in all others
-    try:
-        window = regularity.default_window(domains[0],
-                                           2.0 * config.spec.mesh_h)
-    except regularity.SamplingError as err:
+    window, err = _attempt(lambda: regularity.default_window(
+        domains[0], 2.0 * config.spec.mesh_h))
+    if err is not None:
         payload["failures"].append({"window": str(err)})
         return _emit(config, "sweep-domain", DOMAIN_COLUMNS, [], payload)
     payload["window"] = {"origin": list(window[0]), "spacing": window[1],
@@ -603,16 +603,13 @@ def run_identity_check(config: ExperimentConfig) -> ExperimentResult:
     payload = _payload_base(config, "check-identity", IDENTITY_COLUMNS)
 
     def member(src):
-        try:
-            rep = regularity.curvature_identity_check(src)
-        except Exception as err:  # noqa: BLE001 - recorded, not swallowed
-            return src, None, f"{type(err).__name__}: {err}"
-        return src, rep, None
+        return _attempt(lambda: regularity.curvature_identity_check(src))
 
     rows = []
-    for src, rep, reason in _map_ordered(member, exprs):
+    for src, (rep, err) in zip(exprs, _map_ordered(member, exprs)):
         if rep is None:
-            payload["failures"].append({"expr": src, "reason": reason})
+            payload["failures"].append(
+                {"expr": src, "reason": f"{type(err).__name__}: {err}"})
             continue
         rows.append([src, rep.lhs, rep.rhs, rep.abs_err])
     return _emit(config, "check-identity", IDENTITY_COLUMNS, rows, payload)

@@ -125,7 +125,8 @@ def ellipticity_check(sample: CoefficientSample, p1: float, p2: float,
     """Uniform ellipticity sandwich over random unit directions.
 
     For every sample and ``trials`` random unit vectors xi, checks
-    min(p1-1, 1) - tol <= xi.a.xi <= max(p2-1, 1) + tol.
+    min(p1-1, 1) - tol <= xi.a.xi <= max(p2-1, 1) + tol.  The directions
+    come from ``Philox(seed)``: ``seed`` is an int or a ``SeedSequence``.
     """
     if not (1.0 < p1 <= p2):
         raise ValueError("need 1 < p1 <= p2")

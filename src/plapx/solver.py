@@ -24,9 +24,9 @@ from .assembly import (P1Function, apply_dirichlet, assemble_jacobian,
                        assemble_load, assemble_residual, energy,
                        weighted_stiffness)
 from .expressions import FieldEvaluationError
-from .geometry import triangulate_convex
-from .varexp import (ExponentField, QuadratureContext, _check_finite,
-                     field_values)
+from .geometry import GeometryError, triangulate_convex
+from .varexp import (ExponentField, NonconvergenceError, QuadratureContext,
+                     _check_finite, field_values)
 
 __all__ = [
     "ProblemSpec",
@@ -65,11 +65,14 @@ class NewtonError(RuntimeError):
         self.history = list(history or [])
 
 
-# Failures of one continuation solve that the commands record and survive,
-# among them fields that cannot be evaluated or that break the hypotheses,
-# and domains too thin for the lattice window of the H2 estimate.
-SOLVE_ERRORS = (NewtonError, LinearSolveError, FieldEvaluationError,
-                HypothesisError, regularity.SamplingError)
+# The one list of failures a run records in its sidecar and survives; the
+# CLI also knows them (with OSError) as the errors that end a command
+# before its run starts, say while its config loads.  ValueError covers
+# HypothesisError, regularity.SamplingError (a domain too thin for the H2
+# lattice window), geometry.ParameterError (a mesh.h below the triangle
+# cap) and varexp.PreconditionError.
+SOLVE_ERRORS = (GeometryError, LinearSolveError, NewtonError,
+                FieldEvaluationError, NonconvergenceError, ValueError)
 
 
 @dataclass
@@ -486,9 +489,11 @@ def continuation_solve(spec: ProblemSpec, mesh=None) -> SolveReport:
 
     :func:`validate_spec` runs while the :class:`DiscreteProblem` is
     built, so a :class:`HypothesisError` comes after meshing.  A failure in
-    :data:`SOLVE_ERRORS` is re-raised carrying ``records`` (what finished,
-    plus the failed record when Newton left a best iterate), ``failed_eps``
-    (None when no eps solve had started) and the validation ``warnings``.
+    :data:`SOLVE_ERRORS`, meshing included (a ``mesh.h`` below the triangle
+    cap is a ``ParameterError``), is re-raised carrying ``records`` (what
+    finished, plus the failed record when Newton left a best iterate),
+    ``failed_eps`` (None when no eps solve had started) and the validation
+    ``warnings``.
     """
     schedule = spec.eps_schedule()
     # None until the first eps solve starts: a failure while the problem is

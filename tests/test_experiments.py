@@ -402,6 +402,20 @@ def test_run_identity_check_records_bad_expression(tmp_path):
     assert "PreconditionError" in fail["reason"]
 
 
+def test_run_identity_check_raises_an_error_outside_the_list(tmp_path,
+                                                             monkeypatch):
+    # only the recorded errors become failures entries; anything else is a
+    # bug and surfaces
+    import plapx.regularity
+
+    def broken(src):
+        raise TypeError("unsupported operand")
+
+    monkeypatch.setattr(plapx.regularity, "curvature_identity_check", broken)
+    with pytest.raises(TypeError, match="unsupported operand"):
+        run_identity_check(make_config(tmp_path))
+
+
 # --- threading -------------------------------------------------------------------
 
 
@@ -549,6 +563,12 @@ def test_cli_solver_failure_exit_code(tmp_path, capsys):
 def test_cli_mesh_out(tmp_path, capsys):
     path = write_config(tmp_path)
     mesh_path = tmp_path / "grid.mesh"
+    # the identity check uses no mesh, so it offers none to write
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["check-identity", str(path), "--mesh-out", str(mesh_path)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --mesh-out" in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == ["cfg.txt"]
     assert cli_main(["solve", str(path), "--mesh-out", str(mesh_path)]) == 0
     saved = load_mesh(mesh_path)
     want = ExperimentConfig.load(path).working_mesh()
@@ -688,6 +708,36 @@ def test_cli_mesh_failure_is_recorded(tmp_path, capsys, monkeypatch,
     assert "mesh" not in side
     lines = (tmp_path / "cli_out.csv").read_text().splitlines()
     assert lines == [",".join(side["columns"])]
+
+
+@pytest.mark.parametrize("command,overrides", [
+    ("solve", {}),
+    ("sweep-eps", {}),
+    ("sweep-p1", {"p1.list": "1.5, 1.8"}),
+    ("convergence", {"u.exact.expr": "x*y", "mesh.refinements": "2"}),
+    ("sweep-domain", {"radius.list": "0.2, 0.1"}),
+])
+def test_cli_too_small_mesh_h_is_recorded(tmp_path, capsys, command,
+                                          overrides):
+    # a mesh.h below the triangle cap raises before meshing; it used to end
+    # every command with a bare error and no output
+    path = write_config(tmp_path, **{"mesh.h": "0.001"}, **overrides)
+    mesh_path = tmp_path / "grid.mesh"
+    assert cli_main([command, str(path), "--mesh-out", str(mesh_path)]) == 1
+    err = capsys.readouterr().err
+    assert "failure:" in err and "error:" not in err
+    assert not mesh_path.exists()
+    side = json.loads((tmp_path / "cli_out.csv.json").read_text())
+    lines = (tmp_path / "cli_out.csv").read_text().splitlines()
+    assert lines == [",".join(side["columns"])]
+    if command == "sweep-domain":
+        assert [item["radius"] for item in side["failures"]] == [0.2, 0.1]
+        reasons = [item["reason"] for item in side["failures"]]
+    else:
+        [item] = side["failures"]
+        reasons = [item["mesh"]]
+    assert all(r.startswith("h_target 0.001 absurdly small: about ")
+               for r in reasons)
 
 
 STRIP = {"domain.vertices": "0,0; 1,0; 1,0.03; 0,0.03", "mesh.h": "0.05",
@@ -870,7 +920,7 @@ def test_ellipticity_audit_samples_the_mesh(monkeypatch):
 
     import plapx.regularity
     from plapx.assembly import P1Function
-    from plapx.experiments import _ellipticity_audit
+    from plapx.experiments import _ellipticity_audit, _sample_mesh_points
     from plapx.geometry import (ConvexDomain, TriMesh, round_corners,
                                 triangulate_convex)
     from plapx.solver import ProblemSpec
@@ -883,8 +933,9 @@ def test_ellipticity_audit_samples_the_mesh(monkeypatch):
     u = P1Function.interpolate(mesh, lambda x, y: x * x - 0.5 * y)
     spec = ProblemSpec(domain=dom, p=ExponentField.constant(1.7), f=1.0,
                        g=0.0, q=ExponentField.constant(4.0), seed=3)
-    calls, samples = [], []
+    calls, samples, seeds = [], [], []
     locate, coefficients = TriMesh.locate, plapx.regularity.coefficients
+    check = plapx.regularity.ellipticity_check
 
     def counted_locate(mesh, pts):
         calls.append(len(pts))
@@ -894,8 +945,14 @@ def test_ellipticity_audit_samples_the_mesh(monkeypatch):
         samples.append((pts, tri))
         return coefficients(u, p, f, eps, pts, tri)
 
+    def recorded_check(*args, seed, **kwargs):
+        seeds.append(seed)
+        return check(*args, seed=seed, **kwargs)
+
     monkeypatch.setattr(TriMesh, "locate", counted_locate)
     monkeypatch.setattr(plapx.regularity, "coefficients", recorded)
+    monkeypatch.setattr(plapx.regularity, "ellipticity_check",
+                        recorded_check)
     reports = [_ellipticity_audit(u, spec, 1e-2) for _ in range(2)]
     assert calls == []
     monkeypatch.undo()
@@ -910,7 +967,15 @@ def test_ellipticity_audit_samples_the_mesh(monkeypatch):
     np.testing.assert_array_equal(pts, again[0])
     np.testing.assert_array_equal(tri, again[1])
     assert reports[0] == reports[1]
-    assert reports[0] == dataclasses.asdict(
-        plapx.regularity.ellipticity_check(
-            coefficients(u, spec.p, spec.f, 1e-2, pts, tri), spec.p.p1,
-            spec.p.p2, trials=4, seed=spec.seed))
+    # points and directions come from two streams spawned from the seed
+    points_seed, directions_seed = np.random.SeedSequence(spec.seed).spawn(2)
+    rng = np.random.Generator(np.random.Philox(points_seed))
+    np.testing.assert_array_equal(pts, _sample_mesh_points(mesh, 2000, rng)[0])
+    assert reports[0] == dataclasses.asdict(check(
+        coefficients(u, spec.p, spec.f, 1e-2, pts, tri), spec.p.p1,
+        spec.p.p2, trials=4, seed=directions_seed))
+    # the directions reuse no word of the seed's own stream, which drew
+    # both points and directions before
+    xi, shared = (np.random.Generator(np.random.Philox(s)).normal(
+        size=(4, 2000, 2)) for s in (seeds[0], spec.seed))
+    assert not np.any(xi == shared)

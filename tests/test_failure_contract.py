@@ -3,9 +3,9 @@ loads exits 0, 1 or 2, and an exit 1 leaves a CSV and a sidecar whose
 ``"failures"`` entry says why, never a bare ``error:`` line.
 
 Configs derive from ``demos/square.cfg``; the domain, the corner radius,
-mesh.h, eps.stop, newton.tol and the radius list vary, and the lists carry
-NaN, zero, negative and too-large members.  Meshes stay coarse, so the
-search runs in a few seconds.
+mesh.h (one value below the triangle cap), eps.stop, newton.tol and the
+radius list vary, and the lists carry NaN, zero, negative and too-large
+members.  Meshes stay coarse, so the search runs in a few seconds.
 """
 
 import contextlib
@@ -48,10 +48,11 @@ def demo_text(overrides):
     return "\n".join(lines) + "\n"
 
 
-# each domain's vertices with the mesh sizes drawn for it: the unit square,
-# and a 1 x 0.03 strip that fits no lattice window with margin
+# each domain's vertices with the mesh sizes drawn for it: the unit square
+# (0.001 is below the triangle cap, so it fails before meshing), and a
+# 1 x 0.03 strip that fits no lattice window with margin
 DOMAINS = {
-    "0,0; 1,0; 1,1; 0,1": [0.2, 0.3, 0.45],
+    "0,0; 1,0; 1,1; 0,1": [0.2, 0.3, 0.45, 0.001],
     "0,0; 1,0; 1,0.03; 0,0.03": [0.05],
 }
 

@@ -470,6 +470,18 @@ def test_failure_before_any_eps_solve_has_no_eps():
     assert err.value.records == []
 
 
+def test_too_small_mesh_h_is_a_recorded_solve_failure():
+    # meshing belongs to the solve when no mesh is given: a mesh.h below
+    # the triangle cap fails like any other failure before the first eps
+    from plapx.geometry import ParameterError
+    with pytest.raises(ParameterError, match="absurdly small") as err:
+        continuation_solve(square_spec(mesh_h=0.001))
+    assert isinstance(err.value, solver.SOLVE_ERRORS)
+    assert err.value.records == []
+    assert err.value.failed_eps is None
+    assert err.value.warnings == []
+
+
 def test_continuation_starts_from_the_secant_prediction(monkeypatch):
     # g = x, and a schedule whose last step (1e-3 -> 3e-4) has another ratio
     spec = square_spec(p=ExponentField.from_expression(
