@@ -86,8 +86,10 @@ def main(argv=None):
         if getattr(args, "mesh_out", None) and result.mesh is not None:
             save_mesh(result.mesh, args.mesh_out)
             print(f"wrote mesh to {args.mesh_out}")
-        for w in result.payload.get("validation_warnings", []):
+        for w in result.payload["validation_warnings"]:
             print(f"warning: {w}", file=sys.stderr)
+        for w in result.payload["diagnostic_warnings"]:
+            print(f"diagnostic: {w}", file=sys.stderr)
         print(f"wrote {result.csv_path} ({len(result.rows)} rows) "
               f"and {result.sidecar_path}")
         if result.failed:

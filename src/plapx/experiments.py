@@ -5,13 +5,17 @@ A config is a flat UTF-8 text file of ``section.key = value`` lines with
 functions) are expression strings over x and y.  Every run writes a CSV
 whose float cells are ``repr`` round-trips (byte-identical reruns with one
 thread) and a JSON sidecar holding the resolved config, the package
-version, and run-specific extras (validation warnings, ellipticity audit,
-scaling fits, failures).
+version, and run-specific extras (validation and diagnostic warnings,
+ellipticity audit, scaling fits, failures).
 
 Once a config has loaded, every error of :data:`~plapx.solver.SOLVE_ERRORS`
-that a run meets (meshing, solving, the audit, the lattice window, an
-identity check) is a ``"failures"`` entry, with the CSV and sidecar still
-written; :func:`_attempt` is the one place that catches it.
+that a run meets (meshing, solving, the audit, an identity check) is a
+``"failures"`` entry, with the CSV and sidecar still written;
+:func:`_attempt` is the one place that catches it.  A diagnostic that
+cannot be computed (a domain that fits no lattice window, an estimator
+that fails) is not a failure: its cell is ``nan`` and the sidecar's
+``"diagnostic_warnings"`` says why.  A run builds only the per-eps
+records of the rows it writes.
 """
 
 from __future__ import annotations
@@ -27,8 +31,8 @@ import numpy as np
 
 from . import regularity
 from .expressions import DifferentiationError, FieldSyntaxError, parse_field
-from .geometry import (ConvexDomain, ParameterError, refine_uniform,
-                       round_corners, triangulate_convex)
+from .geometry import (MAX_TRIANGLES, ConvexDomain, ParameterError,
+                       refine_uniform, round_corners, triangulate_convex)
 from .solver import SOLVE_ERRORS, EpsRecord, ProblemSpec, continuation_solve
 from .varexp import ExponentField, QuadratureContext, field_values
 
@@ -242,9 +246,20 @@ class ExperimentConfig:
 
     def working_mesh(self, domain=None):
         mesh = self.base_mesh(domain)
+        _check_refinable(mesh, self.refinements)
         for _ in range(self.refinements):
             mesh = refine_uniform(mesh)
         return mesh
+
+
+def _check_refinable(mesh, times):
+    """Raise ParameterError, before any refinement, when refining ``mesh``
+    uniformly ``times`` times would pass the meshing triangle cap."""
+    count = mesh.n_triangles * 4 ** times
+    if count > MAX_TRIANGLES:
+        raise ParameterError(
+            f"{times} uniform refinements of {mesh.n_triangles} triangles "
+            f"make {count}, more than {MAX_TRIANGLES:.0f}")
 
 
 def thread_count():
@@ -320,6 +335,7 @@ def _payload_base(config: ExperimentConfig, command: str, columns):
         "seed": config.spec.seed,
         "exponent": {"p1": p.p1, "p2": p.p2, "lip": p.lip},
         "validation_warnings": [],
+        "diagnostic_warnings": [],
         "failures": [],
     }
 
@@ -344,21 +360,26 @@ def _mesh_or_failure(payload, build):
 
 
 def _record_warnings(payload, results):
-    """Each validation warning of the (report, error) ``results`` enters the
-    payload once, in order; returns ``results``."""
-    warnings = [w for report, err in results
-                for w in getattr(report or err, "warnings", ())]
-    payload["validation_warnings"] = list(dict.fromkeys(warnings))
-    return results
+    """Each validation and diagnostic warning of the (report, error)
+    ``results`` enters the payload once, in order, after those already
+    there.  Call it once the rows are built, since records are built on
+    read; an error from before a solve (a member's mesh) has no report."""
+    reports = [report or getattr(err, "report", None)
+               for report, err in results]
+    for key, attr in (("validation_warnings", "warnings"),
+                      ("diagnostic_warnings", "diagnostic_warnings")):
+        payload[key] = list(dict.fromkeys(
+            payload[key] + [w for r in reports if r is not None
+                            for w in getattr(r, attr)]))
 
 
-def _solve_members(payload, member, items):
+def _solve_members(member, items):
     """Build and solve the (spec, mesh) ``member(item)`` of each item,
     possibly in threads: (report, None) or (None, error) per item, in
     order."""
-    return _record_warnings(payload, _map_ordered(
+    return _map_ordered(
         lambda item: _attempt(lambda: continuation_solve(*member(item))),
-        items))
+        items)
 
 
 def _emit(config, command, columns, rows, payload, mesh=None):
@@ -407,20 +428,22 @@ def _run_continuation(config: ExperimentConfig, command, final_only):
     mesh = _mesh_or_failure(payload, config.working_mesh)
     if mesh is None:
         return _emit(config, command, EpsRecord.COLUMNS, [], payload)
-    [(report, err)] = _record_warnings(
-        payload, [_attempt(lambda: continuation_solve(spec, mesh))])
-    if report is None:
-        records = err.records
-        payload["failures"] = [{"eps": err.failed_eps, "reason": str(err)}]
-    else:
-        records = report.records
-        audit, err = _attempt(lambda: _ellipticity_audit(
+    report, err = _attempt(lambda: continuation_solve(spec, mesh))
+    if err is None:
+        audit, audit_err = _attempt(lambda: _ellipticity_audit(
             report.solution, spec, spec.eps_stop))
-        if err is None:
+        if audit_err is None:
             payload["ellipticity_audit"] = audit
         else:
-            payload["failures"].append({"audit": str(err)})
-    rows = [r.row() for r in (records[-1:] if final_only else records)]
+            payload["failures"].append({"audit": str(audit_err)})
+    else:
+        payload["failures"] = [{"eps": err.report.failed_eps,
+                                "reason": str(err)}]
+    solved = report or err.report
+    records = ([solved.final()] if final_only and solved.steps
+               else solved.records)
+    rows = [r.row() for r in records]
+    _record_warnings(payload, [(report, err)])
     payload["mesh"] = {"n_points": mesh.n_points,
                        "n_triangles": mesh.n_triangles, "h": mesh.h}
     return _emit(config, command, EpsRecord.COLUMNS, rows, payload, mesh)
@@ -475,6 +498,7 @@ def run_convergence(config: ExperimentConfig) -> ExperimentResult:
 
     def levels():
         meshes = [config.base_mesh()]
+        _check_refinable(meshes[0], config.refinements - 1)
         while len(meshes) < config.refinements:
             meshes.append(refine_uniform(meshes[-1]))
         return meshes
@@ -482,7 +506,7 @@ def run_convergence(config: ExperimentConfig) -> ExperimentResult:
     meshes = _mesh_or_failure(payload, levels)
     if meshes is None:
         return _emit(config, "convergence", CONVERGENCE_COLUMNS, [], payload)
-    results = _solve_members(payload, lambda mesh: (spec, mesh), meshes)
+    results = _solve_members(lambda mesh: (spec, mesh), meshes)
     rows = []
     prev = None
     for level, (mesh, (report, err)) in enumerate(zip(meshes, results)):
@@ -500,6 +524,7 @@ def run_convergence(config: ExperimentConfig) -> ExperimentResult:
             h1_order = math.log(prev[2] / h1) / ratio
         rows.append([level, mesh.h, l2, h1, l2_order, h1_order])
         prev = (mesh.h, l2, h1)
+    _record_warnings(payload, results)
     return _emit(config, "convergence", CONVERGENCE_COLUMNS, rows, payload,
                  meshes[0])
 
@@ -521,7 +546,7 @@ def run_p1_sweep(config: ExperimentConfig) -> ExperimentResult:
 
     rows = []
     fit_p1, fit_dq, fit_rec = [], [], []
-    results = _solve_members(payload, member, config.p1_list)
+    results = _solve_members(member, config.p1_list)
     for p1, (report, err) in zip(config.p1_list, results):
         if report is None:
             payload["failures"].append({"p1": p1, "reason": str(err)})
@@ -531,6 +556,7 @@ def run_p1_sweep(config: ExperimentConfig) -> ExperimentResult:
         fit_p1.append(p1)
         fit_dq.append(final.h2_dq)
         fit_rec.append(final.h2_recovery)
+    _record_warnings(payload, results)
 
     def fit_payload(values):
         if len(fit_p1) < 2:
@@ -560,16 +586,17 @@ def run_domain_sweep(config: ExperimentConfig) -> ExperimentResult:
     # nested domains: the first (most rounded) is contained in all others
     window, err = _attempt(lambda: regularity.default_window(
         domains[0], 2.0 * config.spec.mesh_h))
-    if err is not None:
-        payload["failures"].append({"window": str(err)})
-        return _emit(config, "sweep-domain", DOMAIN_COLUMNS, [], payload)
-    payload["window"] = {"origin": list(window[0]), "spacing": window[1],
-                         "nx": window[2], "ny": window[3]}
+    if err is None:
+        payload["window"] = {"origin": list(window[0]),
+                             "spacing": window[1], "nx": window[2],
+                             "ny": window[3]}
+    else:
+        payload["diagnostic_warnings"].append(f"h1_window_dist is nan: {err}")
 
     def member(dom):
         return config.problem_spec(domain=dom), config.working_mesh(dom)
 
-    results = _solve_members(payload, member, domains)
+    results = _solve_members(member, domains)
     rows = []
     first_mesh = None
     prev_solution = None
@@ -581,7 +608,7 @@ def run_domain_sweep(config: ExperimentConfig) -> ExperimentResult:
         if first_mesh is None:
             first_mesh = report.mesh
         final = report.final()
-        if prev_solution is None:
+        if prev_solution is None or window is None:
             dist = math.nan
         else:
             dist = regularity.h1_window_distance(prev_solution,
@@ -589,6 +616,7 @@ def run_domain_sweep(config: ExperimentConfig) -> ExperimentResult:
         rows.append([r, dom.area, base.area - dom.area, final.h2_dq,
                      final.h2_recovery, dist])
         prev_solution = report.solution
+    _record_warnings(payload, results)
     return _emit(config, "sweep-domain", DOMAIN_COLUMNS, rows, payload,
                  first_mesh)
 

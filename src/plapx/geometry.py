@@ -33,6 +33,8 @@ __all__ = [
 ]
 
 MIN_ANGLE_DEG = 20.0
+# most triangles a mesh may have, checked before meshing or refining
+MAX_TRIANGLES = 4e5
 # barycentric tolerance of point location: points within it of a triangle
 # count as inside it
 LOCATE_TOL = 1e-8
@@ -812,7 +814,7 @@ def triangulate_convex(dom: ConvexDomain, h_target: float) -> TriMesh:
     if not (h_target > 0):
         raise ParameterError("h_target must be positive")
     est_triangles = 4.0 * dom.area / (h_target * h_target * math.sqrt(3.0) / 4)
-    if est_triangles > 4e5:
+    if est_triangles > MAX_TRIANGLES:
         raise ParameterError(
             f"h_target {h_target} absurdly small: about {est_triangles:.0f} "
             "triangles")

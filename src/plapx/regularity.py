@@ -17,7 +17,6 @@ curvature identity that drives the convex-domain estimate.
 from __future__ import annotations
 
 import math
-import warnings as _warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -213,14 +212,11 @@ def h2_estimate_dq(u: P1Function, window) -> float:
     difference quotients of the recovered gradient components.
 
     The components are sampled on the lattice ``window`` through the
-    location of its points cached on the mesh.
+    location of its points cached on the mesh.  A spacing below the mesh
+    size under-resolves the quotients; :class:`~plapx.solver.SolveReport`
+    warns of that once per report.
     """
     spacing = window[1]
-    if u.mesh.h > spacing + 1e-12:
-        _warnings.warn(
-            f"mesh size {u.mesh.h:.3g} exceeds lattice spacing "
-            f"{spacing:.3g}; difference quotients may be under-resolved",
-            RuntimeWarning, stacklevel=2)
     total = 0.0
     for comp in u.recovered_gradient():
         vals = comp.lattice_values(window)

@@ -5,13 +5,15 @@ tolerance with Newton steps, backtracking on the residual norm, and raises
 :class:`NewtonError` when the line search finds no step or the step budget
 runs out.  Continuation sweeps eps geometrically from eps_start to
 eps_stop, starting each solve after the second from the secant prediction
-through the two previous solutions, and records the diagnostics used by
-the sweep commands.
+through the two previous solutions.  It keeps what each eps solve produced;
+its :class:`SolveReport` builds the diagnostics of an eps (an
+:class:`EpsRecord`) only when a caller reads it.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass, field as dc_field
 
@@ -57,22 +59,30 @@ class HypothesisError(ValueError):
 
 
 class NewtonError(RuntimeError):
-    """Nonconvergence; carries the best iterate and the residual history."""
+    """Nonconvergence; carries the best iterate (``best``) and the
+    :class:`SolveStats` of the failed solve (``stats``: its residuals and
+    the lengths of the steps it took, ``converged`` False)."""
 
-    def __init__(self, message, best=None, history=None):
+    def __init__(self, message, best=None, stats=None):
         super().__init__(message)
         self.best = best
-        self.history = list(history or [])
+        self.stats = stats
 
 
 # The one list of failures a run records in its sidecar and survives; the
 # CLI also knows them (with OSError) as the errors that end a command
 # before its run starts, say while its config loads.  ValueError covers
-# HypothesisError, regularity.SamplingError (a domain too thin for the H2
-# lattice window), geometry.ParameterError (a mesh.h below the triangle
-# cap) and varexp.PreconditionError.
+# HypothesisError, geometry.ParameterError (a mesh.h below the triangle
+# cap) and varexp.PreconditionError.  A diagnostic that fails with one of
+# them, such as regularity.SamplingError (a domain too thin for the H2
+# lattice window), gives a NaN and a warning instead (see SolveReport).
 SOLVE_ERRORS = (GeometryError, LinearSolveError, NewtonError,
                 FieldEvaluationError, NonconvergenceError, ValueError)
+
+
+# Most eps steps a spec may ask for.  The longest schedule of the shipped
+# configs and tests has 13 (1 to 1e-6 at factor 10^-1/2).
+MAX_EPS_STEPS = 1000
 
 
 @dataclass
@@ -97,6 +107,13 @@ class ProblemSpec:
             raise ValueError("need 0 < eps_stop <= eps_start <= 1")
         if not (0.0 < self.eps_factor < 1.0):
             raise ValueError("eps_factor must lie in (0, 1)")
+        # the length of eps_schedule(), counted without building it
+        steps = 1 + math.ceil(math.log(self.eps_stop / self.eps_start)
+                              / math.log(self.eps_factor) - 1e-9)
+        if steps > MAX_EPS_STEPS:
+            raise ValueError(
+                f"eps schedule of {steps} steps, more than {MAX_EPS_STEPS} "
+                "(raise eps_stop or lower eps_factor)")
         if not (self.newton_tol > 0):
             raise ValueError("newton_tol must be positive")
         if self.newton_max_iter < 1:
@@ -149,15 +166,99 @@ class EpsRecord:
         return [getattr(self, name) for name in self.COLUMNS]
 
 
-@dataclass
+@dataclass(eq=False)
 class SolveReport:
-    records: list
-    solution: P1Function
+    """What a continuation solve produced; each eps's :class:`EpsRecord`
+    is built when first read, then kept.
+
+    ``steps`` holds (eps, SolveStats, coefficients, energy) per eps solve;
+    ``problem`` is their :class:`DiscreteProblem` without its kept factor
+    (None if the solve failed before it, ``mesh`` too if meshing failed);
+    ``failed_eps`` is the failed eps of a failure's partial report.
+    :meth:`final` builds the last record only, from ``solution``, whose
+    recovered gradient later callers reuse.  A diagnostic that fails with
+    one of :data:`SOLVE_ERRORS` (say, no ``h2_dq`` window fits the domain)
+    is NaN, with one line in ``diagnostic_warnings``; an ``h2_dq`` window
+    finer than the mesh gets a line too.
+    """
+
+    domain: object
     mesh: object
-    warnings: list = dc_field(default_factory=list)
+    problem: object
+    steps: list
+    failed_eps: float = None
+    diagnostic_warnings: list = dc_field(default_factory=list)
+
+    def __post_init__(self):
+        self._records = [None] * len(self.steps)
+
+    @property
+    def warnings(self):
+        """The validation warnings (none before the problem is built)."""
+        return [] if self.problem is None else list(self.problem.warnings)
+
+    @property
+    def records(self):
+        return [self._record_for(k) for k in range(len(self.steps))]
 
     def final(self) -> EpsRecord:
-        return self.records[-1]
+        return self._record_for(len(self.steps) - 1)
+
+    @functools.cached_property
+    def solution(self) -> P1Function:
+        return P1Function(self.mesh, self.steps[-1][2])
+
+    def _warn(self, message):
+        if message not in self.diagnostic_warnings:
+            self.diagnostic_warnings.append(message)
+
+    def _estimate(self, column, fn, *args):
+        """fn(*args), or NaN and a diagnostic warning when it fails."""
+        try:
+            return fn(*args)
+        except SOLVE_ERRORS as err:
+            self._warn(f"{column} is nan: {err}")
+            return math.nan
+
+    @functools.cached_property
+    def _window(self):
+        """The ``h2_dq`` lattice window on this mesh.  A SamplingError when
+        none fits is not cached: each record meets it again."""
+        window = regularity.default_window(self.domain, 2.0 * self.mesh.h)
+        if self.mesh.h > window[1] + 1e-12:
+            self._warn(f"h2_dq: mesh size {self.mesh.h:.3g} exceeds lattice "
+                       f"spacing {window[1]:.3g}; difference quotients may "
+                       "be under-resolved")
+        return window
+
+    def _h2_dq(self, u):
+        return regularity.h2_estimate_dq(u, self._window)
+
+    def _record_for(self, k):
+        if self._records[k] is None:
+            eps, stats, coeffs, J = self.steps[k]
+            u = (self.solution if k == len(self.steps) - 1
+                 else P1Function(self.mesh, coeffs))
+            pv, qctx = self.problem.pv, self.problem.qctx
+            w = qctx.weights
+            gu = u.triangle_gradients()
+            steep = np.einsum("td,td->t", gu, gu)[:, None] > 1.0
+            self._records[k] = EpsRecord(
+                eps=eps,
+                newton_iterations=stats.iterations,
+                final_residual=stats.final_residual,
+                energy=J,
+                grad_lp_norm=self._estimate(
+                    "grad_lp_norm", regularity.lp_gradient_norm, u, pv,
+                    qctx),
+                h2_dq=self._estimate("h2_dq", self._h2_dq, u),
+                h2_recovery=self._estimate(
+                    "h2_recovery", regularity.h2_estimate_recovery, u),
+                meas_A1=float(np.sum(w * (pv == 2.0))),
+                meas_A2=float(np.sum(w * (pv < 2.0))),
+                meas_Omega1=float(np.sum(w * steep)),
+                converged=stats.converged)
+        return self._records[k]
 
 
 # PCG iterations allowed with a kept factor before the matrix is factored
@@ -446,35 +547,19 @@ def solve_regularized(spec: ProblemSpec, eps: float, u0: P1Function,
         steps.append(t)
         history.append(res)
 
-    if res <= spec.newton_tol:
-        return u, SolveStats(len(steps), res, history, steps, True)
+    stats = SolveStats(len(steps), res, history, steps, res <= spec.newton_tol)
+    if stats.converged:
+        return u, stats
     # every accepted step lowered the residual, so the last iterate is the
     # best one
     raise NewtonError(
         f"no convergence at eps={eps:.3e}: residual {res:.3e} after "
-        f"{len(steps)} steps", best=u, history=history)
-
-
-def _record_for(u, problem: DiscreteProblem, eps, stats, window):
-    pv, w = problem.pv, problem.qctx.weights
-    gu = u.triangle_gradients()
-    steep = np.einsum("td,td->t", gu, gu)[:, None] > 1.0
-    return EpsRecord(
-        eps=eps,
-        newton_iterations=stats.iterations,
-        final_residual=stats.final_residual,
-        energy=energy(u, pv, eps, problem.qctx),
-        grad_lp_norm=regularity.lp_gradient_norm(u, pv, problem.qctx),
-        h2_dq=regularity.h2_estimate_dq(u, window),
-        h2_recovery=regularity.h2_estimate_recovery(u),
-        meas_A1=float(np.sum(w * (pv == 2.0))),
-        meas_A2=float(np.sum(w * (pv < 2.0))),
-        meas_Omega1=float(np.sum(w * steep)),
-        converged=stats.converged)
+        f"{len(steps)} steps", best=u, stats=stats)
 
 
 def continuation_solve(spec: ProblemSpec, mesh=None) -> SolveReport:
-    """Geometric eps sweep with secant predictions; one EpsRecord per eps.
+    """Geometric eps sweep with secant predictions; a :class:`SolveReport`
+    with one (eps, SolveStats, coefficients, energy) step per eps.
 
     The first solve starts from the linear Poisson solution with the same
     source and boundary data (exact for p = 2, a sound initial guess
@@ -485,26 +570,25 @@ def continuation_solve(spec: ProblemSpec, mesh=None) -> SolveReport:
     like c eps, so the last starts can already meet ``newton_tol`` and
     their records show 0 Newton steps.  Both solutions hold the Dirichlet
     data, so their difference is exactly 0 there and the prediction keeps
-    it bit for bit.
+    it bit for bit.  Each energy is taken as its eps is solved, from the
+    flux kernel the last residual left on the iterate.
 
     :func:`validate_spec` runs while the :class:`DiscreteProblem` is
     built, so a :class:`HypothesisError` comes after meshing.  A failure in
     :data:`SOLVE_ERRORS`, meshing included (a ``mesh.h`` below the triangle
-    cap is a ``ParameterError``), is re-raised carrying ``records`` (what
-    finished, plus the failed record when Newton left a best iterate),
-    ``failed_eps`` (None when no eps solve had started) and the validation
-    ``warnings``.
+    cap is a ``ParameterError``), is re-raised carrying ``report``: the eps
+    solves that finished, plus the failed one when Newton left a best
+    iterate, and ``failed_eps`` (None when no eps solve had started).
+    Either way the factor kept for the linear solves is released.
     """
     schedule = spec.eps_schedule()
     # None until the first eps solve starts: a failure while the problem is
     # built, checked or started from Poisson belongs to no eps
-    records, warnings, eps = [], [], None
+    steps, eps, problem = [], None, None
     try:
         if mesh is None:
             mesh = triangulate_convex(spec.domain, spec.mesh_h)
-        window = regularity.default_window(spec.domain, 2.0 * mesh.h)
         problem = DiscreteProblem.build(spec, mesh)
-        warnings = list(problem.warnings)
         stiff = weighted_stiffness(P1Function.zero(mesh), 2.0, 1.0,
                                    problem.qctx)
         u = problem.solve_reduced(stiff, problem.load, problem.g_boundary)
@@ -519,18 +603,19 @@ def continuation_solve(spec: ProblemSpec, mesh=None) -> SolveReport:
                 start = P1Function(mesh, u.coeffs + c * (u.coeffs - prev))
             prev = u.coeffs if k > 0 else None
             u, stats = solve_regularized(spec, eps, start, problem=problem)
-            records.append(_record_for(u, problem, eps, stats, window))
+            steps.append((eps, stats, u.coeffs,
+                          energy(u, problem.pv, eps, problem.qctx)))
     except SOLVE_ERRORS as err:
         best = getattr(err, "best", None)
         if best is not None:
-            stats = SolveStats(len(err.history) - 1, err.history[-1],
-                               err.history, [], False)
-            records.append(_record_for(best, problem, eps, stats, window))
-        err.records = records
-        err.failed_eps = eps
-        err.warnings = warnings
+            steps.append((eps, err.stats, best.coeffs,
+                          energy(best, problem.pv, eps, problem.qctx)))
+        err.report = SolveReport(spec.domain, mesh, problem, steps, eps)
         raise
-    return SolveReport(records, u, mesh, warnings)
+    finally:
+        if problem is not None:
+            problem.lagged.lu = None
+    return SolveReport(spec.domain, mesh, problem, steps)
 
 
 def validate_spec(spec: ProblemSpec, qctx: QuadratureContext, pv, fv):

@@ -229,7 +229,7 @@ def test_backward_error_acceptance_keeps_no_factor(monkeypatch):
     with pytest.raises(NewtonError,
                        match=r"no convergence at eps=1\.000e\+00") as err:
         continuation_solve(spec, mesh=mesh)
-    steps = len(err.value.history) - 1
+    steps = err.value.stats.iterations
     assert str(err.value).endswith(f" after {steps} steps")
     assert len(accepted) >= steps - 1
     # the Poisson start and at most steps + 1 Newton corrections: one
@@ -290,7 +290,7 @@ def test_flux_kernel_runs_once_per_residual(monkeypatch, newton_max_iter):
         with pytest.raises(NewtonError, match=r"eps=1\.000e\+00.* after 1 "
                            r"steps$") as err:
             continuation_solve(spec, mesh=mesh)
-        records = err.value.records
+        records = err.value.report.records
         assert [r.converged for r in records] == [False]
     else:
         records = continuation_solve(spec, mesh=mesh).records

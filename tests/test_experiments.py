@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -164,6 +165,52 @@ def test_working_mesh_applies_refinements(tmp_path):
     assert fine.n_triangles == 4 * base.n_triangles
 
 
+def test_eps_schedule_past_the_cap_does_not_load(tmp_path, capsys):
+    # eps.factor 0.999999 asks for about 13.8 million eps steps
+    overrides = {"eps.start": "1", "eps.stop": "1e-6",
+                 "eps.factor": "0.999999"}
+    with pytest.raises(ConfigError,
+                       match=r"^eps schedule of 13815\d{3} steps, more than "
+                             r"1000 "):
+        make_config(tmp_path, **overrides)
+    path = write_config(tmp_path, **overrides)
+    assert cli_main(["solve", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("error: eps schedule of ")
+    assert sorted(os.listdir(tmp_path)) == ["cfg.txt"]
+
+
+def test_eps_schedule_cap_admits_its_own_length(tmp_path):
+    from plapx.solver import MAX_EPS_STEPS
+    cfg = make_config(tmp_path, **{"eps.start": "1", "eps.factor": "0.5",
+                                   "eps.stop": repr(0.5 ** 999)})
+    assert len(cfg.spec.eps_schedule()) == MAX_EPS_STEPS
+    with pytest.raises(ConfigError, match="eps schedule of 1001 steps"):
+        make_config(tmp_path, **{"eps.start": "1", "eps.factor": "0.5",
+                                 "eps.stop": repr(0.5 ** 1000)})
+
+
+@pytest.mark.parametrize("command,overrides", [
+    ("solve", {"mesh.refinements": "12"}),
+    ("convergence", {"mesh.refinements": "12", "u.exact.expr": "x*y"}),
+])
+def test_refinements_past_the_triangle_cap_fail_before_refining(
+        tmp_path, capsys, monkeypatch, command, overrides):
+    import plapx.experiments
+
+    def refuse(mesh):
+        raise AssertionError("refined a mesh past the cap")
+
+    monkeypatch.setattr(plapx.experiments, "refine_uniform", refuse)
+    path = write_config(tmp_path, **overrides)
+    assert cli_main([command, str(path)]) == 1
+    assert "error:" not in capsys.readouterr().err
+    side = json.loads((tmp_path / "cli_out.csv.json").read_text())
+    [failure] = side["failures"]
+    levels = 12 if command == "solve" else 11
+    assert re.fullmatch(rf"{levels} uniform refinements of \d+ triangles "
+                        r"make \d+, more than 400000", failure["mesh"])
+
+
 # --- csv / sidecar emission ------------------------------------------------------
 
 
@@ -244,6 +291,28 @@ def test_run_eps_sweep_rows(tmp_path):
     assert eps_col == sorted(eps_col, reverse=True)
     assert eps_col[-1] == 0.01
     assert not result.failed
+
+
+def test_runs_build_only_the_records_they_write(tmp_path, monkeypatch):
+    import plapx.regularity
+    calls = []
+    h2_dq = plapx.regularity.h2_estimate_dq
+
+    def counted(u, window):
+        calls.append(u)
+        return h2_dq(u, window)
+
+    monkeypatch.setattr(plapx.regularity, "h2_estimate_dq", counted)
+    overrides = {"eps.start": "1", "eps.stop": "0.01", "p.expr": "1.8"}
+    assert len(run_solve(make_config(tmp_path, **overrides)).rows) == 1
+    assert len(calls) == 1
+    calls.clear()
+    assert len(run_eps_sweep(make_config(tmp_path, **overrides)).rows) == 5
+    assert len(calls) == 5
+    calls.clear()
+    run_convergence(make_config(tmp_path, **overrides, **{
+        "u.exact.expr": "x*y", "mesh.refinements": "2"}))
+    assert calls == []
 
 
 def test_run_eps_sweep_records_failure(tmp_path):
@@ -364,9 +433,9 @@ def test_domain_sweep_recovers_each_gradient_once(tmp_path, monkeypatch):
         tmp_path, **{"radius.list": "0.3, 0.2, 0.1", "mesh.h": "0.25",
                      "eps.stop": "0.05"}))
     assert [math.isnan(row[5]) for row in result.rows] == [True, False, False]
-    # one build per eps record; the window distances reuse the solutions'
-    builds = len({id(r) for r in returned})
-    assert builds == sum(len(r.records) for r in reports) == 9
+    # one build per member, for its final record; the window distances
+    # reuse the solutions'
+    assert len({id(r) for r in returned}) == len(reports) == 3
 
 
 def test_run_domain_sweep_validation(tmp_path):
@@ -745,30 +814,46 @@ STRIP = {"domain.vertices": "0,0; 1,0; 1,0.03; 0,0.03", "mesh.h": "0.05",
          "eps.stop": "1e-2"}
 
 
-@pytest.mark.parametrize("command,overrides", [
-    ("solve", {}),
-    ("sweep-eps", {}),
-    ("sweep-p1", {"p1.list": "1.5, 1.8"}),
-    ("convergence", {"u.exact.expr": "x*y", "mesh.refinements": "2"}),
-    ("sweep-domain", {"radius.list": "0.01, 0.005"}),
+# convergence builds no h2_dq, so it needs no window; sweep-domain's
+# members mesh finer near their rounded corners, so their own h2_dq windows
+# fit, but the shared window of h1_window_dist (twice mesh.h) does not
+@pytest.mark.parametrize("command,overrides,nan_columns", [
+    ("solve", {}, ["h2_dq"]),
+    ("sweep-eps", {}, ["h2_dq"]),
+    ("sweep-p1", {"p1.list": "1.5, 1.8"}, ["h2_dq"]),
+    ("convergence", {"u.exact.expr": "x*y", "mesh.refinements": "2"}, []),
+    ("sweep-domain", {"radius.list": "0.01, 0.005"}, ["h1_window_dist"]),
 ])
-@pytest.mark.filterwarnings("ignore:mesh size .* exceeds lattice spacing")
-def test_cli_thin_strip_window_failure_is_recorded(tmp_path, capsys,
-                                                   command, overrides):
+def test_cli_thin_strip_without_window_still_solves(tmp_path, capsys,
+                                                    command, overrides,
+                                                    nan_columns):
     # a 1 x 0.03 strip fits no lattice window with margin at this mesh
-    # size; the failure used to end the run with a bare error and no output
+    # size: every solve still runs and writes its row, with the window's
+    # column nan and one diagnostic warning naming the requested spacing
     path = write_config(tmp_path, **STRIP, **overrides)
-    assert cli_main([command, str(path)]) == 1
+    assert cli_main([command, str(path)]) == 0
     err = capsys.readouterr().err
-    assert "failure:" in err and "error:" not in err
+    assert "failure:" not in err and "error:" not in err
     side = json.loads((tmp_path / "cli_out.csv.json").read_text())
-    assert side["failures"]
-    assert all("no lattice window with margin fits inside the domain"
-               in str(item) for item in side["failures"])
-    if command in ("solve", "sweep-eps"):
-        assert side["failures"][0]["eps"] is None
-    lines = (tmp_path / "cli_out.csv").read_text().splitlines()
-    assert lines[0] == ",".join(side["columns"])
+    assert side["failures"] == []
+    with open(tmp_path / "cli_out.csv", encoding="utf-8") as fh:
+        header, *rows = [line.split(",") for line in fh.read().splitlines()]
+    assert header == side["columns"] and rows
+    for k, column in enumerate(header):
+        if column in nan_columns:
+            assert all(row[k] == "nan" for row in rows)
+        elif column in ("h2_dq", "h2_recovery", "energy", "h1_error"):
+            assert all(row[k] != "nan" for row in rows)
+    # h2_dq asks for a spacing of twice its mesh's size, the shared window
+    # for twice mesh.h; the other warnings are under-resolved windows
+    nan_warnings = [w for w in side["diagnostic_warnings"] if " is nan: " in w]
+    assert [w.split(" ")[0] for w in nan_warnings] == nan_columns
+    for warning in nan_warnings:
+        assert re.search(r": no lattice window with margin fits inside the "
+                         r"domain \(requested spacing 0\.\d+\)$", warning)
+    if command == "sweep-domain":
+        assert nan_warnings[0].endswith("(requested spacing 0.1)")
+    assert all(f"diagnostic: {w}" in err for w in side["diagnostic_warnings"])
 
 
 def test_cli_field_evaluation_failure_is_recorded(tmp_path, capsys):

@@ -3,9 +3,12 @@ loads exits 0, 1 or 2, and an exit 1 leaves a CSV and a sidecar whose
 ``"failures"`` entry says why, never a bare ``error:`` line.
 
 Configs derive from ``demos/square.cfg``; the domain, the corner radius,
-mesh.h (one value below the triangle cap), eps.stop, newton.tol and the
-radius list vary, and the lists carry NaN, zero, negative and too-large
-members.  Meshes stay coarse, so the search runs in a few seconds.
+mesh.h (one value below the triangle cap), mesh.refinements (one value
+past it), eps.stop, eps.factor (one value that asks for millions of eps
+steps), newton.tol and the radius list vary, and the lists carry NaN,
+zero, negative and too-large members.  Each oversized member must fail
+before its mesh or schedule is built, and the meshes that are built stay
+coarse, so the search runs in a few seconds.
 """
 
 import contextlib
@@ -15,7 +18,6 @@ import math
 import os
 import tempfile
 
-import pytest
 from hypothesis import HealthCheck, given, seed, settings
 from hypothesis import strategies as st
 
@@ -31,7 +33,7 @@ COMMAND_KEYS = {
     "sweep-eps": {},
     "sweep-p1": {"p1.list": "1.5, 2.5"},
     "sweep-domain": {},
-    "convergence": {"u.exact.expr": "x*y", "mesh.refinements": "2"},
+    "convergence": {"u.exact.expr": "x*y"},
 }
 
 
@@ -50,7 +52,7 @@ def demo_text(overrides):
 
 # each domain's vertices with the mesh sizes drawn for it: the unit square
 # (0.001 is below the triangle cap, so it fails before meshing), and a
-# 1 x 0.03 strip that fits no lattice window with margin
+# 1 x 0.03 strip that fits no lattice window with margin (h2_dq is nan)
 DOMAINS = {
     "0,0; 1,0; 1,1; 0,1": [0.2, 0.3, 0.45, 0.001],
     "0,0; 1,0; 1,0.03; 0,0.03": [0.05],
@@ -72,6 +74,11 @@ def runs(draw):
         "mesh.h": repr(draw(st.sampled_from(DOMAINS[vertices]))),
         "eps.stop": repr(draw(st.sampled_from([1.0, 1e-2, 1e-4, 1e-6,
                                                2.0]))),
+        "eps.factor": repr(draw(st.sampled_from([10 ** -0.5, 0.1,
+                                                 0.999999]))),
+        # convergence needs two levels; 12 refinements pass the cap
+        "mesh.refinements": repr(draw(st.sampled_from(
+            [2, 12] if command == "convergence" else [0, 0, 1, 12]))),
         "newton.tol": repr(draw(st.sampled_from([1e-10, 1e-6, 1e-14,
                                                  1e-30, 1e-30]))),
     }
@@ -82,7 +89,6 @@ def runs(draw):
     return command, overrides, draw(st.booleans())
 
 
-@pytest.mark.filterwarnings("ignore:mesh size .* exceeds lattice spacing")
 @seed(20240617)
 @settings(max_examples=40, deadline=None, database=None,
           suppress_health_check=[HealthCheck.too_slow])

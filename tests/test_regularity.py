@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -232,11 +233,23 @@ def test_h2_cross_estimator_densities_agree():
     assert dq_density == pytest.approx(rec_density, rel=0.25)
 
 
-def test_h2_dq_warns_on_coarse_mesh():
-    mesh = triangulate_convex(SQUARE, 0.3)
-    u = P1Function.interpolate(mesh, parse_field("x^2"))
-    with pytest.warns(RuntimeWarning, match="under-resolved"):
-        h2_estimate_dq(u, ((0.4, 0.4), 0.05, 3, 3))
+def test_h2_dq_on_coarse_mesh_is_one_report_warning():
+    # at mesh.h 0.3 the window of the unit square halves its spacing below
+    # the mesh size; the report says so once, naming the spacing it used,
+    # and the estimator itself warns of nothing
+    spec = ProblemSpec(domain=SQUARE, p=ExponentField.constant(2.0), f=1.0,
+                       g=0.0, q=ExponentField.constant(4.0), eps_start=0.5,
+                       eps_stop=0.05, mesh_h=0.3)
+    report = continuation_solve(spec)
+    spacing = default_window(SQUARE, 2.0 * report.mesh.h)[1]
+    assert spacing < report.mesh.h
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        records = report.records + report.records
+    assert all(math.isfinite(r.h2_dq) for r in records)
+    assert report.diagnostic_warnings == [
+        f"h2_dq: mesh size {report.mesh.h:.3g} exceeds lattice spacing "
+        f"{spacing:.3g}; difference quotients may be under-resolved"]
 
 
 def test_h1_window_distance_properties():

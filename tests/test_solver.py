@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import plapx.regularity as regularity
 import plapx.solver as solver
 from plapx.assembly import (P1Function, apply_dirichlet, assemble_jacobian,
                             assemble_load, energy, weighted_stiffness)
@@ -312,8 +313,10 @@ def test_tiny_newton_budget_fails_with_the_last_newton_iterate():
     step = problem.solve_reduced(A, -problem.residual(u0, 0.1), 0.0,
                                  atol=0.1 * spec.newton_tol)
     np.testing.assert_array_equal(e.best.coeffs, step.coeffs)
-    assert len(e.history) == 2 and e.history[1] < e.history[0]
-    assert e.history[1] == np.max(np.abs(problem.residual(e.best, 0.1)))
+    history = e.stats.residual_history
+    assert len(history) == 2 and history[1] < history[0]
+    assert history[1] == np.max(np.abs(problem.residual(e.best, 0.1)))
+    assert e.stats.iterations == 1 and not e.stats.converged
 
 
 def test_newton_error_carries_best_iterate():
@@ -325,8 +328,8 @@ def test_newton_error_carries_best_iterate():
         solve_regularized(spec, 0.5, P1Function.zero(mesh))
     e = err.value
     assert isinstance(e.best, P1Function)
-    assert len(e.history) >= 2
-    assert min(e.history) < 1e-10
+    assert len(e.stats.residual_history) >= 2
+    assert min(e.stats.residual_history) < 1e-10
     assert "no convergence" in str(e)
 
 
@@ -448,15 +451,58 @@ def test_continuation_measures():
     assert rec.h2_dq > 0.0 and rec.h2_recovery > 0.0
 
 
-def test_continuation_failure_attaches_partial_records():
+def test_report_builds_each_record_once_on_read(monkeypatch):
+    calls = []
+    h2_dq = regularity.h2_estimate_dq
+
+    def counted(u, window):
+        calls.append(u)
+        return h2_dq(u, window)
+
+    monkeypatch.setattr(regularity, "h2_estimate_dq", counted)
+    report = continuation_solve(square_spec(p=ExponentField.constant(1.8),
+                                            eps_stop=1e-2, mesh_h=0.25))
+    assert calls == []
+    final = report.final()
+    assert calls == [report.solution]
+    records = report.records
+    assert len(calls) == len(records) == len(report.steps) == 5
+    assert records[-1] is final and report.records == records
+    report.final()
+    assert len(calls) == 5
+    assert report.problem.lagged.lu is None
+
+
+def test_continuation_failure_attaches_partial_report():
     spec = square_spec(p=ExponentField.constant(1.8), eps_stop=1e-2,
                        newton_tol=1e-30, mesh_h=0.3)
     with pytest.raises(NewtonError) as err:
         continuation_solve(spec)
+    report = err.value.report
+    assert report.failed_eps == 1.0
+    assert len(report.records) == 1
+    assert not report.records[0].converged
+    assert report.problem.lagged.lu is None
+
+
+def test_failed_eps_record_keeps_its_newton_steps():
+    # the failed eps's record and stats are the failed solve's own: its
+    # step count and step sizes, halved ones included, not a count rebuilt
+    # from the residuals
+    spec = square_spec(p=ExponentField.constant(1.05), f=20.0, eps_stop=1e-2,
+                       mesh_h=0.3)
+    with pytest.raises(NewtonError) as err:
+        continuation_solve(spec)
     e = err.value
-    assert e.failed_eps == 1.0
-    assert len(e.records) == 1
-    assert not e.records[0].converged
+    eps, stats, coeffs, _ = e.report.steps[-1]
+    assert eps == 1.0 and stats is e.stats
+    assert len(stats.step_sizes) == stats.iterations
+    assert min(stats.step_sizes) < 1.0  # the line search halved a step
+    record = e.report.records[-1]
+    assert not record.converged
+    assert record.newton_iterations == len(stats.step_sizes)
+    assert record.final_residual == stats.residual_history[-1]
+    np.testing.assert_array_equal(coeffs, e.best.coeffs)
 
 
 def test_failure_before_any_eps_solve_has_no_eps():
@@ -466,8 +512,8 @@ def test_failure_before_any_eps_solve_has_no_eps():
     with pytest.raises(FieldEvaluationError,
                        match="sqrt of a negative argument") as err:
         continuation_solve(spec)
-    assert err.value.failed_eps is None
-    assert err.value.records == []
+    assert err.value.report.failed_eps is None
+    assert err.value.report.records == []
 
 
 def test_too_small_mesh_h_is_a_recorded_solve_failure():
@@ -477,9 +523,10 @@ def test_too_small_mesh_h_is_a_recorded_solve_failure():
     with pytest.raises(ParameterError, match="absurdly small") as err:
         continuation_solve(square_spec(mesh_h=0.001))
     assert isinstance(err.value, solver.SOLVE_ERRORS)
-    assert err.value.records == []
-    assert err.value.failed_eps is None
-    assert err.value.warnings == []
+    report = err.value.report
+    assert report.records == []
+    assert report.failed_eps is None
+    assert report.warnings == [] and report.mesh is None
 
 
 def test_continuation_starts_from_the_secant_prediction(monkeypatch):
