@@ -307,6 +307,14 @@ def holder_check(f, g, p: ExponentField, q: ExponentField, s: ExponentField,
     return HolderCheck(lhs, rhs, bool(lhs <= rhs + 1e-9))
 
 
+# (point, offset) pairs the mollifier handles at once.  A batch holds their
+# shifted coordinates, projections and base values, so the bound is one on
+# memory: on the h = 0.1 benchmark solve (303,408 pairs), unbounded batches
+# raised the peak RSS by 8-9 MB, batches of 65,536 pairs by 3 MB and
+# batches of 16,384 by under 1 MB.
+MOLLIFY_BATCH_PAIRS = 16384
+
+
 class _MollifiedField:
     """Mollification of an exponent extended constantly outside the domain.
 
@@ -315,14 +323,26 @@ class _MollifiedField:
     reproduced exactly and both the sup-distance and Lipschitz guarantees
     survive discretization.
 
-    A point whose ``line_distance`` clears an offset's length (plus a
-    roundoff margin) stays inside under that offset, where projection is
-    the identity.  So ``line_distance`` is computed once per call, and each
-    offset projects only the points it can carry out of the domain (and any
-    with a NaN distance).  The field keeps its last result, keyed on the
-    exact bits of x and y: a solve evaluates it on the quadrature nodes
-    only, once for p and once for the masked source, and ``validate_spec``
-    reads those values.  Every call returns a fresh array.
+    Projection is the identity on the domain, so only the (point, offset)
+    pairs that a conservative test cannot keep inside are projected.  The
+    signed distance to an edge line is linear: shifting a point by -o
+    lowers its distance to edge line e by n_e . o (n_e the inward unit
+    normal).  An edge line at least the largest offset's reach away (its
+    length plus a roundoff margin) cannot be crossed, so each point keeps
+    only its near edge lines, and a point with none is never projected.  A
+    pair whose least clearance over its point's near edge lines is at least
+    the offset's margin stays inside; every other pair (a NaN distance
+    included) goes to ``project``, which decides it.
+
+    Points run in chunks of at most ``MOLLIFY_BATCH_PAIRS``, and a chunk's
+    points through the offsets in batches of at most that many pairs, with
+    one ``project`` call and one evaluation of the base per batch.  Each
+    point sums its offsets' terms in offset order, so the result has the
+    bits of projecting every point under one offset at a time.  The field
+    keeps its last result, keyed on the exact bits of x and y: a solve
+    evaluates it on the quadrature nodes only, once for p and once for the
+    masked source, and ``validate_spec`` reads those values.  Every call
+    returns a fresh array.
     """
 
     def __init__(self, base, domain, delta):
@@ -340,12 +360,22 @@ class _MollifiedField:
         w = ww[keep] * bump
         self.offsets = self.delta * np.column_stack([wx[keep], wy[keep]])
         self.weights = w / w.sum()
-        # per-offset reach: the absolute term covers the rounding of
-        # line_distance, which scales with the coordinates, when the offset
-        # is tiny
-        self._reach = (np.hypot(self.offsets[:, 0], self.offsets[:, 1])
-                       * (1.0 + 1e-9) + 1e-12
-                       * float(np.max(np.abs(domain.bounding_box()))))
+        radius = np.hypot(self.offsets[:, 0], self.offsets[:, 1])
+        # per-offset roundoff margin of a clearance: the absolute term
+        # covers the rounding of distances, which scales with the
+        # coordinates, when the offset is tiny
+        self._margin = 1e-9 * radius + 1e-12 * float(
+            np.max(np.abs(domain.bounding_box())))
+        self._reach = radius + self._margin
+        # the polyline's edge lines: start points and inward unit normals as
+        # (E, 1) columns, and n_e . o for each offset (rows) and edge
+        a = domain.polyline
+        e = np.roll(a, -1, axis=0) - a
+        elen = np.hypot(e[:, 0], e[:, 1])
+        nx, ny = -e[:, 1] / elen, e[:, 0] / elen
+        self._lines = (a[:, 0, None], a[:, 1, None], nx[:, None], ny[:, None])
+        self._push = (self.offsets[:, 0, None] * nx
+                      + self.offsets[:, 1, None] * ny)
         # (x, y, values) of the last call, replaced in one assignment
         self._last = None
 
@@ -365,16 +395,56 @@ class _MollifiedField:
         shape = np.broadcast(x, y).shape
         xs = np.broadcast_to(x, shape).ravel()
         ys = np.broadcast_to(y, shape).ravel()
-        depth = self.domain.line_distance(np.column_stack([xs, ys]))
-        acc = np.zeros(xs.shape)
-        for (ox, oy), w, reach in zip(self.offsets, self.weights,
-                                      self._reach):
-            shifted = np.column_stack([xs - ox, ys - oy])
-            # a NaN distance counts as near, so project sees it as before
-            near = ~(depth >= reach)
-            shifted[near] = self.domain.project(shifted[near])
-            acc += w * field_values(self.base, shifted[:, 0], shifted[:, 1])
+        acc = np.empty(xs.shape)
+        for lo in range(0, xs.size, MOLLIFY_BATCH_PAIRS):
+            chunk = slice(lo, lo + MOLLIFY_BATCH_PAIRS)
+            acc[chunk] = self._mollify_chunk(xs[chunk], ys[chunk])
         return acc.reshape(shape)
+
+    def _mollify_chunk(self, xs, ys):
+        ax, ay, nx, ny = self._lines
+        dist = nx * (xs - ax) + ny * (ys - ay)
+        # (point, edge) pairs with the edge line within reach, by point; a
+        # NaN distance counts as near
+        point, edge = np.nonzero(~(dist.T >= np.max(self._reach)))
+        near, first = np.unique(point, return_index=True)
+        deep = np.ones(xs.shape, dtype=bool)
+        deep[near] = False
+        acc = np.empty(xs.shape)
+        acc[deep] = self._sum_offsets(xs[deep], ys[deep])
+        acc[near] = self._sum_offsets(xs[near], ys[near],
+                                      (dist[edge, point], edge, first))
+        return acc
+
+    def _sum_offsets(self, xs, ys, lines=None):
+        """The weighted sum over the offsets at points that are never
+        projected, or, given ``lines`` = (distances, edges, first index per
+        point) of their near edge lines, at points that may be."""
+        acc = np.zeros(xs.shape)
+        if not xs.size:
+            return acc
+        width = xs.size if lines is None else max(xs.size, lines[0].size)
+        step = max(1, MOLLIFY_BATCH_PAIRS // width)
+        for lo in range(0, len(self.offsets), step):
+            batch = slice(lo, lo + step)
+            ox, oy = self.offsets[batch].T
+            shifted_x = xs - ox[:, None]
+            shifted_y = ys - oy[:, None]
+            if lines is not None:
+                dist, edge, first = lines
+                clearance = np.minimum.reduceat(
+                    dist - self._push[batch][:, edge], first, axis=1)
+                out = ~(clearance >= self._margin[batch, None])
+                if out.any():
+                    moved = self.domain.project(
+                        np.column_stack([shifted_x[out], shifted_y[out]]))
+                    shifted_x[out] = moved[:, 0]
+                    shifted_y[out] = moved[:, 1]
+            vals = field_values(self.base, shifted_x.ravel(),
+                                shifted_y.ravel()).reshape(shifted_x.shape)
+            for w, row in zip(self.weights[batch], vals):
+                acc += w * row
+        return acc
 
 
 def _same_bits(a, b):

@@ -52,11 +52,20 @@ def test_build_pairs_runs_and_reports_the_claim(tmp_path, bench_record):
     change.append(result(tmp_path, "change_t", 1, [],
                          dict(counts, **{"geometry.locate_calls": 2,
                                          "solver.linear_solve_s": 0.7})))
+    ratios = []
+    for side, ratio in (("parent", 1.4), ("change", 1.2)):
+        path = tmp_path / f"ratio-{side}.json"
+        path.write_text(json.dumps({"meshed": {"ratio": ratio}}))
+        ratios.append(str(path))
     out = tmp_path / "BENCH.json"
     assert bench_record.main(["build", "--out", str(out), "--title", "t",
                               "--claim", "square:wall_s", "--parent",
-                              *parent, "--change", *change]) == 0
+                              *parent, "--change", *change,
+                              "--ratio-parent", ratios[0],
+                              "--ratio-change", ratios[1]]) == 0
     bench = json.loads(out.read_text())
+    assert bench["mollified_ratio"] == {"parent": {"meshed": {"ratio": 1.4}},
+                                        "change": {"meshed": {"ratio": 1.2}}}
     entry = bench["workloads"]["square"]
     assert entry["pairs"] == 3
     assert entry["parent"]["wall_s"]["per_run_medians"] == [4.2, 4.0, 4.5]
@@ -69,3 +78,26 @@ def test_build_pairs_runs_and_reports_the_claim(tmp_path, bench_record):
     assert claim["parent_median"] == 4.2 and claim["change_median"] == 3.1
     assert claim["parent_quartile_spread"] == pytest.approx(0.25)
     assert claim["gain_exceeds_parent_spread"] is True
+
+
+def test_mollified_ratio_times_both_sides(bench_record, monkeypatch):
+    # the record pins BLAS threads and puts the sources on the path; undo it
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                "PLAPX_THREADS"):
+        monkeypatch.setenv(var, "1")
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    record = bench_record.ratio_record(bench_record.ROOT, rounds=1, solves=1,
+                                       mesh_h=0.4)
+    assert record["rounds"] == 1 and record["solves_per_side"] == 1
+    assert record["mesh_h"] == 0.4
+    for mode in ("meshed", "prebuilt"):
+        entry = record[mode]
+        assert set(entry) == {"plain_median_s", "mollified_median_s", "ratio",
+                              "round_ratios", "plain_newton_steps",
+                              "mollified_newton_steps"}
+        assert entry["plain_median_s"] > 0 and entry["mollified_median_s"] > 0
+        assert entry["ratio"] == (entry["mollified_median_s"]
+                                  / entry["plain_median_s"])
+        assert len(entry["round_ratios"]) == 1
+        assert entry["plain_newton_steps"] > 0
+        assert entry["mollified_newton_steps"] > 0

@@ -68,14 +68,15 @@ def test_fields_at_quadrature_nodes_evaluated_once_per_solve():
 
 
 class CountingBase:
-    """An exponent with an ``evaluate`` method that counts its calls."""
+    """An exponent with an ``evaluate`` method that counts the points it
+    evaluates."""
 
     def __init__(self, text):
         self.expr = parse_field(text)
-        self.calls = 0
+        self.points = 0
 
     def evaluate(self, x, y):
-        self.calls += 1
+        self.points += np.broadcast(x, y).size
         return self.expr.evaluate(x, y)
 
 
@@ -86,24 +87,25 @@ def test_mollified_exponent_evaluated_once_per_point_set():
         ProblemSpec(domain=SQUARE, p=p, f=1.0, g=0.0,
                     q=ExponentField.constant(4.0), eps_start=1.0,
                     eps_stop=0.1, mesh_h=0.15), 0.05)
-    offsets = len(spec.p.field.offsets)
     mesh = triangulate_convex(SQUARE, 0.15)
-    base.calls = 0
+    qctx = QuadratureContext(mesh)
+    # the base runs once at every (node, offset) pair, in batches
+    pairs = len(spec.p.field.offsets) * qctx.x.size
+    base.points = 0
     for _ in range(2):
         continuation_solve(spec, mesh=mesh)
         # p and the masked source share one evaluation on the quadrature
         # nodes; validate_spec reads the problem's values, so nothing
         # evicts them and a second solve on the mesh is served from them
-        assert base.calls == 1 * offsets
+        assert base.points == pairs
     # the last solve left the quadrature nodes' values; a fresh context
     # has the same bits, so both calls below are served from them
-    qctx = QuadratureContext(mesh)
     first = spec.p.field.evaluate(qctx.x, qctx.y)
     kept = first.copy()
     first[:] = 0.0
     again = spec.p.field.evaluate(qctx.x, qctx.y)
     assert again is not first and np.array_equal(again, kept)
-    assert base.calls == 1 * offsets
+    assert base.points == pairs
 
 
 def test_validate_spec_evaluates_no_mollified_exponent():
@@ -115,9 +117,9 @@ def test_validate_spec_evaluates_no_mollified_exponent():
     problem = DiscreteProblem.build(spec, triangulate_convex(SQUARE, 0.15))
     qctx = problem.qctx
     fv = field_values(spec.f, qctx.x, qctx.y)
-    base.calls = 0
+    base.points = 0
     assert validate_spec(spec, qctx, problem.pv, fv) == []
-    assert base.calls == 0
+    assert base.points == 0
 
 
 def test_mollified_memo_shared_across_threads():

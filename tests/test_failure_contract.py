@@ -5,10 +5,11 @@ loads exits 0, 1 or 2, and an exit 1 leaves a CSV and a sidecar whose
 Configs derive from ``demos/square.cfg``; the domain, the corner radius,
 mesh.h (one value below the triangle cap), mesh.refinements (one value
 past it), eps.stop, eps.factor (one value that asks for millions of eps
-steps), newton.tol and the radius list vary, and the lists carry NaN,
-zero, negative and too-large members.  Each oversized member must fail
-before its mesh or schedule is built, and the meshes that are built stay
-coarse, so the search runs in a few seconds.
+steps), newton.tol, newton.max_iter (0 does not load), p (one that
+reaches 1), g (one undefined on part of the boundary) and the radius list
+vary, and the lists carry NaN, zero, negative and too-large members.  Each
+oversized member must fail before its mesh or schedule is built, and the
+meshes that are built stay coarse, so the search runs in a few seconds.
 """
 
 import contextlib
@@ -81,6 +82,12 @@ def runs(draw):
             [2, 12] if command == "convergence" else [0, 0, 1, 12]))),
         "newton.tol": repr(draw(st.sampled_from([1e-10, 1e-6, 1e-14,
                                                  1e-30, 1e-30]))),
+        # p reaches 1 on the left edge; sqrt(x - 0.5) is undefined on the
+        # boundary where x < 0.5; 0 Newton steps do not load
+        "p.expr": draw(st.sampled_from(["2 - 0.5*x", "1.6 + 0.3*y",
+                                        "1 + x"])),
+        "g.expr": draw(st.sampled_from(["x", "0", "sqrt(x - 0.5)"])),
+        "newton.max_iter": repr(draw(st.sampled_from([30, 30, 0]))),
     }
     if command == "sweep-domain" or draw(st.booleans()):
         overrides["radius.list"] = ", ".join(repr(r) for r in sorted(

@@ -5,7 +5,7 @@ import pytest
 import scipy.integrate
 import scipy.optimize
 
-from plapx import geometry
+from plapx import geometry, varexp
 from plapx.expressions import parse_field
 from plapx.geometry import (ConvexDomain, refine_uniform, round_corners,
                             triangulate_convex)
@@ -414,6 +414,95 @@ def test_mollified_field_reach_margin(name, delta):
         gap = depth - reach
         assert np.any((gap < 0) & (gap > -1e-15))
         assert np.any((gap >= 0) & (gap < 1e-15))
+    x, y = pts[:, 0], pts[:, 1]
+    assert np.array_equal(moll.evaluate(x, y),
+                          reference_mollified(moll, x, y))
+
+
+@pytest.mark.parametrize("delta", [0.05, 0.2])
+@pytest.mark.parametrize("name", sorted(ORACLE_DOMAINS))
+def test_mollified_field_small_batches(name, delta, monkeypatch):
+    # batches of 50 pairs cut the points into chunks of 50 and the offsets
+    # into batches of one or a few; a single deep point runs its offsets as
+    # one batch of 50 and a ragged one
+    monkeypatch.setattr(varexp, "MOLLIFY_BATCH_PAIRS", 50)
+    domain = ORACLE_DOMAINS[name]
+    moll = mollify_exponent(ExponentField.from_expression(
+        parse_field("2 + 0.3*sin(3*x)*cos(2*y)"), domain), delta).field
+    assert len(moll.offsets) % 50 != 0
+    pts = oracle_points(domain, delta)
+    x, y = pts[:, 0], pts[:, 1]
+    assert np.array_equal(moll.evaluate(x, y),
+                          reference_mollified(moll, x, y))
+    lo, hi = domain.bounding_box()
+    for px, py in (0.5 * (lo + hi), pts[-1]):
+        value = moll.evaluate(px, py)
+        assert isinstance(value, float)
+        assert value == reference_mollified(moll, px, py)
+    empty = moll.evaluate(np.empty(0), np.empty(0))
+    assert empty.shape == (0,)
+
+
+def test_mollified_field_calls_stay_within_the_batch_bound(monkeypatch):
+    # more points than the bound: a chunk of 50 points takes its offsets one
+    # at a time, and neither the base nor project sees more than 50 pairs
+    monkeypatch.setattr(varexp, "MOLLIFY_BATCH_PAIRS", 50)
+    domain = ORACLE_DOMAINS["rounded_square"]
+    p = ExponentField.from_expression(parse_field("1.6 + 0.3*x + 0.1*y"),
+                                      domain)
+    sizes = {"base": [], "project": []}
+
+    def base(x, y):
+        sizes["base"].append(np.size(x))
+        return field_values(p.field, x, y)
+
+    project = domain.project
+
+    def counted_project(pts):
+        sizes["project"].append(len(pts))
+        return project(pts)
+
+    monkeypatch.setattr(domain, "project", counted_project)
+    moll = mollify_exponent(ExponentField(base, p.p1, p.p2, p.lip,
+                                          domain=domain), 0.2).field
+    pts = oracle_points(domain, 0.2)
+    assert len(pts) > 50
+    got = moll.evaluate(pts[:, 0], pts[:, 1])
+    assert max(sizes["base"]) <= 50 and max(sizes["project"]) <= 50
+    # every (point, offset) pair is evaluated once
+    assert sum(sizes["base"]) == len(moll.offsets) * len(pts)
+    assert sizes["project"]
+    assert np.array_equal(got, reference_mollified(moll, pts[:, 0],
+                                                   pts[:, 1]))
+
+
+@pytest.mark.parametrize("name", ["square", "heptagon"])
+def test_mollified_field_edge_line_probes(name):
+    # for every offset, points that the offset carries to within a few ulps
+    # of an edge line, on either side: the clearance test must leave each
+    # such pair to project, which decides it as the reference does.  The
+    # base turns a one-ulp move of a point into a change of its value, so a
+    # clearance test without its roundoff margin fails on the heptagon
+    domain = ORACLE_DOMAINS[name]
+    moll = mollify_exponent(ExponentField.from_expression(
+        parse_field("2 + sin(1e8*x)*cos(1e8*y)"), domain), 0.2).field
+    poly = domain.polyline
+    _, u_out, _ = geometry._turns(poly)
+    normals = np.column_stack([-u_out[:, 1], u_out[:, 0]])
+    mids = 0.5 * (poly + np.roll(poly, -1, axis=0))
+    pts, shifted = [], []
+    for k in range(len(poly)):
+        n = normals[k]
+        # p - o lands on edge k's line, moved along it by o's tangential part
+        on_line = mids[k] + (moll.offsets @ n)[:, None] * n
+        for j in range(-6, 7):
+            probe = on_line + j * np.spacing(1.0) * n
+            pts.append(probe)
+            shifted.append(probe - moll.offsets)
+    pts, shifted = np.vstack(pts), np.vstack(shifted)
+    depth = domain.line_distance(shifted)
+    assert np.all(np.abs(depth) < 1e-14)
+    assert np.any(depth < 0) and np.any(depth >= 0)
     x, y = pts[:, 0], pts[:, 1]
     assert np.array_equal(moll.evaluate(x, y),
                           reference_mollified(moll, x, y))
