@@ -30,9 +30,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import regularity
-from .expressions import DifferentiationError, FieldSyntaxError, parse_field
-from .geometry import (MAX_TRIANGLES, ConvexDomain, ParameterError,
-                       refine_uniform, round_corners, triangulate_convex)
+from .expressions import DifferentiationError, parse_field
+from .geometry import (MAX_TRIANGLES, ConvexDomain, GeometryError,
+                       ParameterError, refine_uniform, round_corners,
+                       triangulate_convex)
 from .solver import SOLVE_ERRORS, EpsRecord, ProblemSpec, continuation_solve
 from .varexp import ExponentField, QuadratureContext, field_values
 
@@ -84,9 +85,7 @@ def _parse_lines(text):
             continue
         if "=" not in body:
             raise ConfigError(f"line {lineno}: expected 'key = value'")
-        key, value = body.split("=", 1)
-        key = key.strip()
-        value = value.strip()
+        key, value = (part.strip() for part in body.split("=", 1))
         if not key or not value:
             raise ConfigError(f"line {lineno}: empty key or value")
         if key in raw:
@@ -100,59 +99,89 @@ def _parse_lines(text):
     return raw
 
 
-def _get_float(raw, key):
+def _read(raw, key, parse, default=None):
+    """``parse(raw[key])``, or ``default`` for an absent key.  The config
+    reader's one catch: a rejected value is a ConfigError naming ``key``."""
+    if key not in raw:
+        return default
     try:
-        return float(raw[key])
-    except ValueError:
-        raise ConfigError(f"key '{key}': not a number ({raw[key]!r})")
-
-
-def _get_int(raw, key):
-    try:
-        return int(raw[key])
-    except ValueError:
-        raise ConfigError(f"key '{key}': not an integer ({raw[key]!r})")
-
-
-def _get_expr(raw, key):
-    try:
-        return parse_field(raw[key])
-    except FieldSyntaxError as err:
+        return parse(raw[key])
+    except (ValueError, ArithmeticError, GeometryError) as err:
         raise ConfigError(f"key '{key}': {err}")
 
 
-def _get_floats(raw, key):
-    """The comma-separated numbers of an optional key ([] when absent)."""
+def _scalar(convert, kind):
+    """A parser of one value that ``convert`` reads (``kind`` names it)."""
+    def parse(text):
+        try:
+            return convert(text)
+        except ValueError:
+            raise ValueError(f"not {kind} ({text!r})")
+    return parse
+
+
+_number, _integer = _scalar(float, "a number"), _scalar(int, "an integer")
+
+
+def _count(text):
+    n = _integer(text)
+    if n < 0:
+        raise ValueError("must be >= 0")
+    return n
+
+
+def _pieces(text, sep):
+    """The non-blank ``sep``-separated pieces of ``text``, stripped."""
+    return [piece for piece in map(str.strip, text.split(sep)) if piece]
+
+
+def _numbers(text):
     out = []
-    for piece in raw.get(key, "").split(","):
-        piece = piece.strip()
-        if not piece:
-            continue
+    for piece in _pieces(text, ","):
         try:
             out.append(float(piece))
         except ValueError:
-            raise ConfigError(f"key '{key}': bad entry {piece!r}")
+            raise ValueError(f"bad entry {piece!r}")
     return out
 
 
-def _parse_vertices(raw):
+def _exponents(text):
+    values = _numbers(text)
+    if any(not v > 1.0 for v in values):
+        raise ValueError("exponents must exceed 1")
+    return values
+
+
+def _polygon(text):
+    """The unrounded convex polygon of ``x,y; x,y; ...`` text."""
     pts = []
-    for pair in raw["domain.vertices"].split(";"):
-        pair = pair.strip()
-        if not pair:
-            continue
+    for pair in _pieces(text, ";"):
         halves = pair.split(",")
         if len(halves) != 2:
-            raise ConfigError(
-                f"key 'domain.vertices': expected 'x,y' pairs, got {pair!r}")
+            raise ValueError(f"expected 'x,y' pairs, got {pair!r}")
         try:
             pts.append((float(halves[0]), float(halves[1])))
         except ValueError:
-            raise ConfigError(
-                f"key 'domain.vertices': bad coordinate in {pair!r}")
-    if len(pts) < 3:
-        raise ConfigError("key 'domain.vertices': need at least 3 vertices")
-    return pts
+            raise ValueError(f"bad coordinate in {pair!r}")
+    return ConvexDomain(pts)
+
+
+def _radii(text, polygon):
+    radii = _numbers(text)
+    if any(not r > 0 for r in radii):
+        raise ValueError("radii must be positive")
+    if any(not b < a for a, b in zip(radii, radii[1:])):
+        raise ValueError("radii must be strictly decreasing")
+    for r in radii[:1]:  # the largest: if it rounds, all do
+        round_corners(polygon, r)
+    return radii
+
+
+def _identity_exprs(text):
+    exprs = _pieces(text, ";")
+    for piece in exprs:
+        parse_field(piece)
+    return exprs
 
 
 @dataclass
@@ -169,65 +198,38 @@ class ExperimentConfig:
     @classmethod
     def from_text(cls, text):
         raw = _parse_lines(text)
-        verts = _parse_vertices(raw)
-        radius = _get_float(raw, "domain.corner_radius")
-        if not radius >= 0:
-            raise ConfigError("key 'domain.corner_radius': must be >= 0")
-        domain = ConvexDomain(verts, corner_radius=radius)
-        p_expr = _get_expr(raw, "p.expr")
-        q_expr = _get_expr(raw, "q.expr")
-        refinements = _get_int(raw, "mesh.refinements")
-        if refinements < 0:
-            raise ConfigError("key 'mesh.refinements': must be >= 0")
-        seed = _get_int(raw, "seed")
+        polygon = _read(raw, "domain.vertices", _polygon)
+        domain = _read(raw, "domain.corner_radius", lambda text: ConvexDomain(
+            polygon.vertices, corner_radius=_number(text)))
+
+        def exponent(text):
+            return ExponentField.from_expression(text, domain)
+
         spec_values = dict(
             domain=domain,
-            p=ExponentField.from_expression(p_expr, domain),
-            f=_get_expr(raw, "f.expr"),
-            g=_get_expr(raw, "g.expr"),
-            q=ExponentField.from_expression(q_expr, domain),
-            eps_start=_get_float(raw, "eps.start"),
-            eps_stop=_get_float(raw, "eps.stop"),
-            eps_factor=_get_float(raw, "eps.factor"),
-            mesh_h=_get_float(raw, "mesh.h"),
-            newton_tol=_get_float(raw, "newton.tol"),
-            newton_max_iter=_get_int(raw, "newton.max_iter"),
-            seed=seed,
-        )
-        u_exact = None
-        if "u.exact.expr" in raw:
-            u_exact = _get_expr(raw, "u.exact.expr")
-        p1_list = _get_floats(raw, "p1.list")
-        if any(not v > 1.0 for v in p1_list):
-            raise ConfigError("key 'p1.list': exponents must exceed 1")
-        radius_list = _get_floats(raw, "radius.list")
-        if any(not r > 0 for r in radius_list):
-            raise ConfigError("key 'radius.list': radii must be positive")
-        if any(not b < a for a, b in zip(radius_list, radius_list[1:])):
-            raise ConfigError("key 'radius.list': radii must be strictly "
-                              "decreasing")
-        for r in radius_list[:1]:  # the largest: if it rounds, all do
-            try:
-                round_corners(ConvexDomain(verts), r)
-            except ParameterError as err:
-                raise ConfigError(f"key 'radius.list': {err}")
-        identity_exprs = []
-        for piece in raw.get("identity.exprs", "").split(";"):
-            piece = piece.strip()
-            if piece:
-                try:
-                    parse_field(piece)
-                except FieldSyntaxError as err:
-                    raise ConfigError(f"key 'identity.exprs': {err}")
-                identity_exprs.append(piece)
+            p=_read(raw, "p.expr", exponent),
+            f=_read(raw, "f.expr", parse_field),
+            g=_read(raw, "g.expr", parse_field),
+            q=_read(raw, "q.expr", exponent),
+            eps_start=_read(raw, "eps.start", _number),
+            eps_stop=_read(raw, "eps.stop", _number),
+            eps_factor=_read(raw, "eps.factor", _number),
+            mesh_h=_read(raw, "mesh.h", _number),
+            newton_tol=_read(raw, "newton.tol", _number),
+            newton_max_iter=_read(raw, "newton.max_iter", _integer),
+            seed=_read(raw, "seed", _count))
         try:
             spec = ProblemSpec(**spec_values)
         except ValueError as err:
             raise ConfigError(str(err))
-        return cls(raw=raw, spec=spec, refinements=refinements,
-                   output_path=raw["output.path"], u_exact=u_exact,
-                   p1_list=p1_list, radius_list=radius_list,
-                   identity_exprs=identity_exprs)
+        return cls(
+            raw=raw, spec=spec, output_path=raw["output.path"],
+            refinements=_read(raw, "mesh.refinements", _count),
+            u_exact=_read(raw, "u.exact.expr", parse_field),
+            p1_list=_read(raw, "p1.list", _exponents, []),
+            radius_list=_read(raw, "radius.list",
+                              lambda text: _radii(text, polygon), []),
+            identity_exprs=_read(raw, "identity.exprs", _identity_exprs, []))
 
     @classmethod
     def load(cls, path):
@@ -239,27 +241,23 @@ class ExperimentConfig:
         or ``domain=``."""
         return dataclasses.replace(self.spec, **overrides)
 
-    def base_mesh(self, domain=None):
-        spec = self.spec
-        return triangulate_convex(spec.domain if domain is None else domain,
-                                  spec.mesh_h)
+    def meshes(self, levels, domain=None):
+        """The base mesh of ``domain`` (the configured one by default) and
+        ``levels - 1`` uniform refinements, coarsest first; ParameterError,
+        before refining, when the finest would pass the triangle cap."""
+        out = [triangulate_convex(domain or self.spec.domain,
+                                  self.spec.mesh_h)]
+        count = out[0].n_triangles * 4 ** (levels - 1)
+        if count > MAX_TRIANGLES:
+            raise ParameterError(
+                f"{levels - 1} uniform refinements of {out[0].n_triangles} "
+                f"triangles make {count}, more than {MAX_TRIANGLES:.0f}")
+        while len(out) < levels:
+            out.append(refine_uniform(out[-1]))
+        return out
 
     def working_mesh(self, domain=None):
-        mesh = self.base_mesh(domain)
-        _check_refinable(mesh, self.refinements)
-        for _ in range(self.refinements):
-            mesh = refine_uniform(mesh)
-        return mesh
-
-
-def _check_refinable(mesh, times):
-    """Raise ParameterError, before any refinement, when refining ``mesh``
-    uniformly ``times`` times would pass the meshing triangle cap."""
-    count = mesh.n_triangles * 4 ** times
-    if count > MAX_TRIANGLES:
-        raise ParameterError(
-            f"{times} uniform refinements of {mesh.n_triangles} triangles "
-            f"make {count}, more than {MAX_TRIANGLES:.0f}")
+        return self.meshes(self.refinements + 1, domain)[-1]
 
 
 def thread_count():
@@ -359,20 +357,6 @@ def _mesh_or_failure(payload, build):
     return mesh
 
 
-def _record_warnings(payload, results):
-    """Each validation and diagnostic warning of the (report, error)
-    ``results`` enters the payload once, in order, after those already
-    there.  Call it once the rows are built, since records are built on
-    read; an error from before a solve (a member's mesh) has no report."""
-    reports = [report or getattr(err, "report", None)
-               for report, err in results]
-    for key, attr in (("validation_warnings", "warnings"),
-                      ("diagnostic_warnings", "diagnostic_warnings")):
-        payload[key] = list(dict.fromkeys(
-            payload[key] + [w for r in reports if r is not None
-                            for w in getattr(r, attr)]))
-
-
 def _solve_members(member, items):
     """Build and solve the (spec, mesh) ``member(item)`` of each item,
     possibly in threads: (report, None) or (None, error) per item, in
@@ -382,13 +366,23 @@ def _solve_members(member, items):
         items)
 
 
-def _emit(config, command, columns, rows, payload, mesh=None):
-    csv_path = config.output_path
-    sidecar_path = csv_path + ".json"
-    write_csv(csv_path, columns, rows)
-    write_sidecar(sidecar_path, payload)
-    return ExperimentResult(command, tuple(columns), rows, csv_path,
-                            sidecar_path, payload, mesh)
+def _emit(config, payload, rows, results=(), mesh=None):
+    """Write a run's CSV and sidecar, the command and columns read from
+    ``payload``.  First each validation and diagnostic warning of the
+    (report, error) ``results`` enters the payload once, in order: here,
+    after the rows, because records are built on read and warn then."""
+    reports = [report or getattr(err, "report", None)
+               for report, err in results]
+    for key, attr in (("validation_warnings", "warnings"),
+                      ("diagnostic_warnings", "diagnostic_warnings")):
+        payload[key] = list(dict.fromkeys(
+            payload[key] + [w for r in reports if r is not None
+                            for w in getattr(r, attr)]))
+    path = config.output_path
+    write_csv(path, payload["columns"], rows)
+    write_sidecar(path + ".json", payload)
+    return ExperimentResult(payload["command"], tuple(payload["columns"]),
+                            rows, path, path + ".json", payload, mesh)
 
 
 def _sample_mesh_points(mesh, n, rng):
@@ -427,7 +421,7 @@ def _run_continuation(config: ExperimentConfig, command, final_only):
     payload = _payload_base(config, command, EpsRecord.COLUMNS)
     mesh = _mesh_or_failure(payload, config.working_mesh)
     if mesh is None:
-        return _emit(config, command, EpsRecord.COLUMNS, [], payload)
+        return _emit(config, payload, [])
     report, err = _attempt(lambda: continuation_solve(spec, mesh))
     if err is None:
         audit, audit_err = _attempt(lambda: _ellipticity_audit(
@@ -442,11 +436,10 @@ def _run_continuation(config: ExperimentConfig, command, final_only):
     solved = report or err.report
     records = ([solved.final()] if final_only and solved.steps
                else solved.records)
-    rows = [r.row() for r in records]
-    _record_warnings(payload, [(report, err)])
     payload["mesh"] = {"n_points": mesh.n_points,
                        "n_triangles": mesh.n_triangles, "h": mesh.h}
-    return _emit(config, command, EpsRecord.COLUMNS, rows, payload, mesh)
+    return _emit(config, payload, [r.row() for r in records],
+                 [(report, err)], mesh)
 
 
 def run_solve(config: ExperimentConfig) -> ExperimentResult:
@@ -493,20 +486,12 @@ def run_convergence(config: ExperimentConfig) -> ExperimentResult:
     if config.refinements < 2:
         raise ConfigError(
             "key 'mesh.refinements': need at least 2 levels for orders")
-    spec = config.spec
     payload = _payload_base(config, "convergence", CONVERGENCE_COLUMNS)
-
-    def levels():
-        meshes = [config.base_mesh()]
-        _check_refinable(meshes[0], config.refinements - 1)
-        while len(meshes) < config.refinements:
-            meshes.append(refine_uniform(meshes[-1]))
-        return meshes
-
-    meshes = _mesh_or_failure(payload, levels)
+    meshes = _mesh_or_failure(payload,
+                              lambda: config.meshes(config.refinements))
     if meshes is None:
-        return _emit(config, "convergence", CONVERGENCE_COLUMNS, [], payload)
-    results = _solve_members(lambda mesh: (spec, mesh), meshes)
+        return _emit(config, payload, [])
+    results = _solve_members(lambda mesh: (config.spec, mesh), meshes)
     rows = []
     prev = None
     for level, (mesh, (report, err)) in enumerate(zip(meshes, results)):
@@ -524,9 +509,7 @@ def run_convergence(config: ExperimentConfig) -> ExperimentResult:
             h1_order = math.log(prev[2] / h1) / ratio
         rows.append([level, mesh.h, l2, h1, l2_order, h1_order])
         prev = (mesh.h, l2, h1)
-    _record_warnings(payload, results)
-    return _emit(config, "convergence", CONVERGENCE_COLUMNS, rows, payload,
-                 meshes[0])
+    return _emit(config, payload, rows, results, meshes[0])
 
 
 P1_COLUMNS = ("p1",) + EpsRecord.COLUMNS
@@ -539,34 +522,29 @@ def run_p1_sweep(config: ExperimentConfig) -> ExperimentResult:
     payload = _payload_base(config, "sweep-p1", P1_COLUMNS)
     mesh = _mesh_or_failure(payload, config.working_mesh)
     if mesh is None:
-        return _emit(config, "sweep-p1", P1_COLUMNS, [], payload)
+        return _emit(config, payload, [])
 
     def member(p1):
         return config.problem_spec(p=ExponentField.constant(p1)), mesh
 
     rows = []
-    fit_p1, fit_dq, fit_rec = [], [], []
     results = _solve_members(member, config.p1_list)
     for p1, (report, err) in zip(config.p1_list, results):
         if report is None:
             payload["failures"].append({"p1": p1, "reason": str(err)})
             continue
-        final = report.final()
-        rows.append([p1] + final.row())
-        fit_p1.append(p1)
-        fit_dq.append(final.h2_dq)
-        fit_rec.append(final.h2_recovery)
-    _record_warnings(payload, results)
+        rows.append([p1] + report.final().row())
 
-    def fit_payload(values):
-        if len(fit_p1) < 2:
+    def fit_payload(column):
+        if len(rows) < 2:
             return {"error": "fewer than 2 successful sweep members"}
-        return dataclasses.asdict(regularity.p1_scaling_report(fit_p1,
-                                                               values))
+        i = P1_COLUMNS.index(column)
+        return dataclasses.asdict(regularity.p1_scaling_report(
+            [row[0] for row in rows], [row[i] for row in rows]))
 
-    payload["scaling_dq"] = fit_payload(fit_dq)
-    payload["scaling_recovery"] = fit_payload(fit_rec)
-    return _emit(config, "sweep-p1", P1_COLUMNS, rows, payload, mesh)
+    payload["scaling_dq"] = fit_payload("h2_dq")
+    payload["scaling_recovery"] = fit_payload("h2_recovery")
+    return _emit(config, payload, rows, results, mesh)
 
 
 DOMAIN_COLUMNS = ("radius", "area", "area_deficit", "h2_dq", "h2_recovery",
@@ -598,15 +576,12 @@ def run_domain_sweep(config: ExperimentConfig) -> ExperimentResult:
 
     results = _solve_members(member, domains)
     rows = []
-    first_mesh = None
     prev_solution = None
     for r, dom, (report, err) in zip(radii, domains, results):
         if report is None:
             payload["failures"].append({"radius": r, "reason": str(err)})
             prev_solution = None
             continue
-        if first_mesh is None:
-            first_mesh = report.mesh
         final = report.final()
         if prev_solution is None or window is None:
             dist = math.nan
@@ -616,9 +591,8 @@ def run_domain_sweep(config: ExperimentConfig) -> ExperimentResult:
         rows.append([r, dom.area, base.area - dom.area, final.h2_dq,
                      final.h2_recovery, dist])
         prev_solution = report.solution
-    _record_warnings(payload, results)
-    return _emit(config, "sweep-domain", DOMAIN_COLUMNS, rows, payload,
-                 first_mesh)
+    first_mesh = next((r.mesh for r, _ in results if r is not None), None)
+    return _emit(config, payload, rows, results, first_mesh)
 
 
 IDENTITY_COLUMNS = ("expr", "lhs", "rhs", "abs_err")
@@ -629,15 +603,13 @@ def run_identity_check(config: ExperimentConfig) -> ExperimentResult:
     function (a built-in trio when identity.exprs is absent)."""
     exprs = list(config.identity_exprs) or list(DEFAULT_IDENTITY_EXPRS)
     payload = _payload_base(config, "check-identity", IDENTITY_COLUMNS)
-
-    def member(src):
-        return _attempt(lambda: regularity.curvature_identity_check(src))
-
+    results = _map_ordered(lambda src: _attempt(
+        lambda: regularity.curvature_identity_check(src)), exprs)
     rows = []
-    for src, (rep, err) in zip(exprs, _map_ordered(member, exprs)):
+    for src, (rep, err) in zip(exprs, results):
         if rep is None:
             payload["failures"].append(
                 {"expr": src, "reason": f"{type(err).__name__}: {err}"})
             continue
         rows.append([src, rep.lhs, rep.rhs, rep.abs_err])
-    return _emit(config, "check-identity", IDENTITY_COLUMNS, rows, payload)
+    return _emit(config, payload, rows)

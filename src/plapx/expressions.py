@@ -126,7 +126,8 @@ class Num(ScalarFieldExpr):
         object.__setattr__(self, "value", float(value))
 
     def _eval(self, x, y):
-        return np.full(np.broadcast(x, y).shape, self.value)
+        # a float: evaluate() broadcasts the result to the points' shape
+        return self.value
 
     def _diff(self, var):
         return Num(0.0)
@@ -205,6 +206,10 @@ class BinOp(ScalarFieldExpr):
         bad = _first_bad((a == 0) & (b < 0), x, y)
         if bad is not None:
             raise FieldEvaluationError("zero raised to a negative power", *bad)
+        if np.ndim(b) == 0:
+            # np.power rounds a stride-0 exponent of 2, 0.5 or -1 by other
+            # kernels than a full array of it; keep the full array's bits
+            b = np.full(np.broadcast(x, y).shape, b)
         return np.power(a, b)
 
     def _diff(self, var):

@@ -148,6 +148,24 @@ def test_config_spec_errors_become_config_errors(tmp_path):
     assert str(err.value) == "need 0 < eps_stop <= eps_start <= 1"
 
 
+@pytest.mark.parametrize("key,value,reason", [
+    pytest.param(key, value, reason, id=key) for key, value, reason in [
+        ("q.expr", "0.5", "exponent lower bound 0.5 is below 1"),
+        ("p.expr", "sqrt(x - 0.5)", "sqrt of a negative argument at point "),
+        ("domain.vertices", "0,0; 1,0; 0,1; 1,1",
+         "vertices are not in convex CCW position"),
+        ("domain.corner_radius", "0.6",
+         "corner_radius must be below half the shortest edge"),
+        ("seed", "-1", "must be >= 0"),
+    ]])
+def test_load_failures_name_their_key(tmp_path, capsys, key, value, reason):
+    path = write_config(tmp_path, **{key: value})
+    assert cli_main(["solve", str(path)]) == 1
+    assert capsys.readouterr().err.startswith(
+        f"error: key '{key}': {reason}")
+    assert sorted(os.listdir(tmp_path)) == ["cfg.txt"]
+
+
 def test_problem_spec_overrides_leave_config_spec_alone(tmp_path):
     from plapx.varexp import ExponentField
 
@@ -160,7 +178,7 @@ def test_problem_spec_overrides_leave_config_spec_alone(tmp_path):
 
 def test_working_mesh_applies_refinements(tmp_path):
     cfg = make_config(tmp_path, **{"mesh.refinements": "1"})
-    base = cfg.base_mesh()
+    base = cfg.meshes(1)[0]
     fine = cfg.working_mesh()
     assert fine.n_triangles == 4 * base.n_triangles
 
@@ -209,6 +227,32 @@ def test_refinements_past_the_triangle_cap_fail_before_refining(
     levels = 12 if command == "solve" else 11
     assert re.fullmatch(rf"{levels} uniform refinements of \d+ triangles "
                         r"make \d+, more than 400000", failure["mesh"])
+
+
+def test_audit_of_an_exponent_without_closed_form_gradient(
+        tmp_path, monkeypatch):
+    # max has no symbolic derivative, so the audit's p gradient comes from
+    # central differences
+    import plapx.varexp
+
+    central, sizes = plapx.varexp._central_gradient, []
+
+    def counted(f, x, y, h):
+        sizes.append(np.size(x))
+        return central(f, x, y, h)
+
+    monkeypatch.setattr(plapx.varexp, "_central_gradient", counted)
+    path = write_config(tmp_path, **{"p.expr": "max(1.5, 2 - x)",
+                                     "mesh.h": "0.2"})
+    assert cli_main(["solve", str(path)]) == 0
+    side = json.loads((tmp_path / "cli_out.csv.json").read_text())
+    assert side["ellipticity_audit"]["satisfied"] is True
+    assert 2000 in sizes
+    p = ExperimentConfig.load(path).spec.p
+    gx, gy = p.gradient(np.array([0.1, 0.3, 0.45, 0.55, 0.7, 0.9]),
+                        np.array([0.2, 0.8, 0.5, 0.5, 0.1, 0.6]))
+    np.testing.assert_allclose(gx, [-1, -1, -1, 0, 0, 0], atol=1e-8)
+    np.testing.assert_allclose(gy, 0.0, atol=1e-8)
 
 
 # --- csv / sidecar emission ------------------------------------------------------
@@ -938,13 +982,12 @@ def test_convergence_rejects_an_exact_solution_without_derivative(
 
 def test_run_convergence_survives_a_failed_level(tmp_path, monkeypatch):
     import plapx.experiments
-    from plapx.geometry import refine_uniform
     from plapx.solver import LinearSolveError
 
     cfg = make_config(tmp_path, **{"u.exact.expr": "x*y", "f.expr": "0",
                                    "g.expr": "x*y", "mesh.refinements": "3",
                                    "mesh.h": "0.4"})
-    finest = refine_uniform(refine_uniform(cfg.base_mesh())).n_points
+    finest = cfg.meshes(3)[-1].n_points
     real = plapx.experiments.continuation_solve
 
     def failing_on_finest(spec, mesh=None):

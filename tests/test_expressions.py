@@ -133,6 +133,33 @@ def test_domain_error_names_the_point():
     assert info.value.point == (0.5, 1.5)
 
 
+@pytest.mark.parametrize("src,value", [
+    ("4", 4.0), ("-(2)", -2.0), ("min(1, 2)", 1.0), ("2^0.5", 2.0 ** 0.5)])
+def test_constant_expressions_fill_the_points_shape(src, value):
+    x = np.linspace(0.0, 1.0, 6).reshape(2, 3)
+    got = parse_field(src).evaluate(x, 0.5)
+    assert got.shape == (2, 3) and got.dtype == float
+    assert got.flags.writeable
+    assert np.all(got == value)
+
+
+@pytest.mark.parametrize("exponent", [2.0, 0.5, -1.0])
+def test_constant_powers_keep_the_bits_of_a_full_exponent_array(exponent):
+    # np.power rounds a stride-0 exponent of 2, 0.5 or -1 by other kernels
+    # than a full array of the same value
+    x = np.random.default_rng(3).uniform(0.01, 2.0, 20000)
+    got = parse_field(f"x^{exponent!r}").evaluate(x, 0.0)
+    want = np.power(x, np.full(x.shape, exponent))
+    assert got.tobytes() == want.tobytes()
+
+
+def test_constant_division_by_zero_names_the_first_point():
+    xs = np.array([0.25, 0.5])
+    with pytest.raises(FieldEvaluationError) as info:
+        parse_field("1/(1 - 1)").evaluate(xs, np.array([0.75, 1.0]))
+    assert info.value.point == (0.25, 0.75)
+
+
 def test_no_silent_nan():
     # a NaN would propagate quietly through quadrature sums; the contract
     # is an exception instead

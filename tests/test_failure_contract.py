@@ -1,13 +1,19 @@
 """The failure contract, searched by property: every run of a config that
 loads exits 0, 1 or 2, and an exit 1 leaves a CSV and a sidecar whose
-``"failures"`` entry says why, never a bare ``error:`` line.
+``"failures"`` entry says why, never a bare ``error:`` line.  A config
+that does not load raises ConfigError, and its command prints an
+``error:`` line and exits 1.
 
-Configs derive from ``demos/square.cfg``; the domain, the corner radius,
-mesh.h (one value below the triangle cap), mesh.refinements (one value
-past it), eps.stop, eps.factor (one value that asks for millions of eps
-steps), newton.tol, newton.max_iter (0 does not load), p (one that
-reaches 1), g (one undefined on part of the boundary) and the radius list
-vary, and the lists carry NaN, zero, negative and too-large members.  Each
+Configs derive from ``demos/square.cfg``.  Each draw sets the domain, the
+corner radius, mesh.h, mesh.refinements, eps.stop, eps.factor,
+newton.tol, newton.max_iter, p, q, g, the seed and (for sweep-domain, and
+at random otherwise) the radius list, all to good values but at most one,
+which takes a bad value: one that does not load (a non-convex polygon, a
+negative, NaN or too-large radius, p undefined on part of the domain, q
+below 1, a negative seed, 0 Newton steps, an eps schedule past its cap,
+a NaN, zero or negative radius in the list) or one that fails at run time
+(mesh.h below the triangle cap, refinements past it, a Newton tolerance
+out of reach, p reaching 1, g undefined on part of the boundary).  Each
 oversized member must fail before its mesh or schedule is built, and the
 meshes that are built stay coarse, so the search runs in a few seconds.
 """
@@ -23,7 +29,7 @@ from hypothesis import HealthCheck, given, seed, settings
 from hypothesis import strategies as st
 
 from plapx.cli import main as cli_main
-from plapx.experiments import ExperimentConfig
+from plapx.experiments import ConfigError, ExperimentConfig
 
 DEMO = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
     __file__))), "demos", "square.cfg")
@@ -51,47 +57,75 @@ def demo_text(overrides):
     return "\n".join(lines) + "\n"
 
 
-# each domain's vertices with the mesh sizes drawn for it: the unit square
-# (0.001 is below the triangle cap, so it fails before meshing), and a
-# 1 x 0.03 strip that fits no lattice window with margin (h2_dq is nan)
+# each domain's good mesh sizes, corner radii and sweep radii: the unit
+# square, and a 1 x 0.03 strip that fits no lattice window with margin
+# (h2_dq is nan)
 DOMAINS = {
-    "0,0; 1,0; 1,1; 0,1": [0.2, 0.3, 0.45, 0.001],
-    "0,0; 1,0; 1,0.03; 0,0.03": [0.05],
+    "0,0; 1,0; 1,1; 0,1": {
+        "mesh.h": [0.2, 0.3, 0.45], "domain.corner_radius": [0.0, 0.05, 0.2],
+        "radii": [0.4, 0.3, 0.2, 0.15, 0.1, 0.05, 0.025]},
+    "0,0; 1,0; 1,0.03; 0,0.03": {
+        "mesh.h": [0.05], "domain.corner_radius": [0.0],
+        "radii": [0.01, 0.005]},
 }
 
-# mostly valid radii, so most lists load; each bad kind still comes up
-radii = st.sampled_from([0.4, 0.3, 0.2, 0.15, 0.1, 0.05, 0.025, 0.0, -0.1,
-                         math.nan, 0.6])
+# the good values of the other keys, and the bad values of every key
+GOOD = {
+    "eps.stop": [1.0, 1e-2, 1e-4, 1e-6],
+    "eps.factor": [10 ** -0.5, 0.1],
+    "mesh.refinements": [0, 0, 1],
+    "newton.tol": [1e-10, 1e-6],
+    "newton.max_iter": [30],
+    "p.expr": ["2 - 0.5*x", "1.6 + 0.3*y"],
+    "q.expr": ["4", "2.5"],
+    "g.expr": ["x", "0"],
+    "seed": [0, 7],
+}
+BAD = {
+    "domain.vertices": ["0,0; 1,0; 0,1; 1,1"],
+    "domain.corner_radius": [-0.1, math.nan, 0.6],
+    "mesh.h": [1e-4],
+    "eps.stop": [2.0],
+    "eps.factor": [0.999999],
+    "mesh.refinements": [12],
+    "newton.tol": [1e-14, 1e-30],
+    "newton.max_iter": [0],
+    # p = 1 + x reaches 1 on the left edge; sqrt(x - 0.5) is undefined
+    # where x < 0.5
+    "p.expr": ["1 + x", "sqrt(x - 0.5)"],
+    "q.expr": ["0.5"],
+    "g.expr": ["sqrt(x - 0.5)"],
+    "seed": [-1],
+    "radius.list": [0.0, -0.1, math.nan, 0.6],
+}
 
 
 @st.composite
 def runs(draw):
     command = draw(st.sampled_from(sorted(COMMAND_KEYS)))
     vertices = draw(st.sampled_from(sorted(DOMAINS)))
-    overrides = {
-        "domain.vertices": vertices,
-        "domain.corner_radius": repr(draw(st.sampled_from(
-            [0.0, 0.0, 0.05, 0.2, 0.45, 0.45, -0.1, math.nan]))),
-        "mesh.h": repr(draw(st.sampled_from(DOMAINS[vertices]))),
-        "eps.stop": repr(draw(st.sampled_from([1.0, 1e-2, 1e-4, 1e-6,
-                                               2.0]))),
-        "eps.factor": repr(draw(st.sampled_from([10 ** -0.5, 0.1,
-                                                 0.999999]))),
-        # convergence needs two levels; 12 refinements pass the cap
-        "mesh.refinements": repr(draw(st.sampled_from(
-            [2, 12] if command == "convergence" else [0, 0, 1, 12]))),
-        "newton.tol": repr(draw(st.sampled_from([1e-10, 1e-6, 1e-14,
-                                                 1e-30, 1e-30]))),
-        # p reaches 1 on the left edge; sqrt(x - 0.5) is undefined on the
-        # boundary where x < 0.5; 0 Newton steps do not load
-        "p.expr": draw(st.sampled_from(["2 - 0.5*x", "1.6 + 0.3*y",
-                                        "1 + x"])),
-        "g.expr": draw(st.sampled_from(["x", "0", "sqrt(x - 0.5)"])),
-        "newton.max_iter": repr(draw(st.sampled_from([30, 30, 0]))),
-    }
-    if command == "sweep-domain" or draw(st.booleans()):
-        overrides["radius.list"] = ", ".join(repr(r) for r in sorted(
-            draw(st.lists(radii, min_size=1, max_size=3)), reverse=True))
+    domain = DOMAINS[vertices]
+    # a third of the draws carry no bad member
+    bad = draw(st.sampled_from([None] * (len(BAD) // 2) + sorted(BAD)))
+    overrides = {"domain.vertices": vertices}
+    for key in sorted(GOOD) + ["mesh.h", "domain.corner_radius"]:
+        overrides[key] = draw(st.sampled_from(domain.get(key, GOOD.get(key))))
+    if command == "convergence":
+        overrides["mesh.refinements"] = 2  # two levels for an order
+    if bad is not None and bad != "radius.list":
+        overrides[bad] = draw(st.sampled_from(BAD[bad]))
+    if command == "sweep-domain" or bad == "radius.list" or draw(
+            st.booleans()):
+        radii = sorted(draw(st.lists(st.sampled_from(domain["radii"]),
+                                     min_size=1, max_size=3, unique=True)),
+                       reverse=True)
+        if bad == "radius.list":
+            # too large goes first, NaN and too small last
+            r = draw(st.sampled_from(BAD[bad]))
+            radii.insert(0 if r > 0 else len(radii), r)
+        overrides["radius.list"] = ", ".join(repr(r) for r in radii)
+    overrides = {k: v if isinstance(v, str) else repr(v)
+                 for k, v in overrides.items()}
     overrides.update(COMMAND_KEYS[command])
     return command, overrides, draw(st.booleans())
 
@@ -113,7 +147,7 @@ def test_every_failed_run_leaves_csv_and_failures(run):
         err = io.StringIO()
         try:
             ExperimentConfig.load(cfg)
-        except ValueError:
+        except ConfigError:
             # a config that does not load is an error line and exit 1
             with contextlib.redirect_stderr(err), \
                     contextlib.redirect_stdout(io.StringIO()):

@@ -108,6 +108,25 @@ def test_linear_solve_still_rejects_a_singular_system():
     assert "could not reach relative residual 1e-12" in str(err.value)
 
 
+def test_linear_solve_rejects_a_large_backward_error(monkeypatch):
+    # a factor whose solve returns twice the true solution: refinement
+    # alternates between 0 and 2x and ends on x = 0, backward error 1
+    factor = solver._factor
+
+    class Doubling:
+        def __init__(self, lu):
+            self.lu, self.U, self.perm_c = lu, lu.U, lu.perm_c
+
+        def solve(self, b):
+            return 2.0 * self.lu.solve(b)
+
+    monkeypatch.setattr(solver, "_factor", lambda A: Doubling(factor(A)))
+    with pytest.raises(LinearSolveError) as err:
+        linear_solve(sp.diags([4.0, 5.0, 6.0], format="csr"), np.ones(3))
+    assert str(err.value) == ("could not reach relative residual 1e-12 "
+                              "(backward error 1.000e+00)")
+
+
 def test_linear_solve_reports_a_failed_factorization(monkeypatch):
     def out_of_memory(*args, **kwargs):
         raise MemoryError
