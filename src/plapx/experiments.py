@@ -34,7 +34,8 @@ from .expressions import DifferentiationError, parse_field
 from .geometry import (MAX_TRIANGLES, ConvexDomain, GeometryError,
                        ParameterError, refine_uniform, round_corners,
                        triangulate_convex)
-from .solver import SOLVE_ERRORS, EpsRecord, ProblemSpec, continuation_solve
+from .solver import (FIELD_CHECKS, SOLVE_ERRORS, EpsRecord, ProblemSpec,
+                     continuation_solve)
 from .varexp import ExponentField, QuadratureContext, field_values
 
 __all__ = [
@@ -121,6 +122,19 @@ def _scalar(convert, kind):
 
 
 _number, _integer = _scalar(float, "a number"), _scalar(int, "an integer")
+
+
+def _checked(field, parse=_number):
+    """A parser of the value of ``ProblemSpec`` field ``field`` that applies
+    the spec's own check of it (:data:`~plapx.solver.FIELD_CHECKS`)."""
+    test, reason = FIELD_CHECKS[field]
+
+    def read(text):
+        value = parse(text)
+        if not test(value):
+            raise ValueError(reason)
+        return value
+    return read
 
 
 def _count(text):
@@ -213,10 +227,11 @@ class ExperimentConfig:
             q=_read(raw, "q.expr", exponent),
             eps_start=_read(raw, "eps.start", _number),
             eps_stop=_read(raw, "eps.stop", _number),
-            eps_factor=_read(raw, "eps.factor", _number),
-            mesh_h=_read(raw, "mesh.h", _number),
-            newton_tol=_read(raw, "newton.tol", _number),
-            newton_max_iter=_read(raw, "newton.max_iter", _integer),
+            eps_factor=_read(raw, "eps.factor", _checked("eps_factor")),
+            mesh_h=_read(raw, "mesh.h", _checked("mesh_h")),
+            newton_tol=_read(raw, "newton.tol", _checked("newton_tol")),
+            newton_max_iter=_read(raw, "newton.max_iter",
+                                  _checked("newton_max_iter", _integer)),
             seed=_read(raw, "seed", _count))
         try:
             spec = ProblemSpec(**spec_values)

@@ -6,8 +6,12 @@ deterministic: boundary resampling at roughly uniform arclength, a hexagonal
 interior lattice, Delaunay connectivity of the combined point set (exact for
 points in convex position), then 4 to 10 Laplacian smoothing sweeps of the
 points near the boundary, until the 20 degree minimum-angle floor holds.  Each
-attempt runs one Delaunay over all its points; after a sweep only the
-boundary ring is re-triangulated (``_RingDelaunay``), with the same result.
+attempt runs Qhull once, on the points before smoothing.  After a sweep,
+Lawson edge flips repair the previous triangulation (``_flip_to_delaunay``)
+until every interior edge is locally Delaunay by a clear margin, which
+certifies the unique Delaunay triangulation, the one Qhull would return.
+Where the certificate fails (a near tie, an inverted triangle, nearly
+collinear boundary samples), Qhull triangulates all the points.
 """
 
 from __future__ import annotations
@@ -40,6 +44,12 @@ MAX_TRIANGLES = 4e5
 LOCATE_TOL = 1e-8
 # polyline segments per rounded corner
 ARC_SEGMENTS = 16
+# relative in-circle determinant of a near tie between two triangles, and
+# relative doubled area of three nearly collinear boundary samples
+TIE = 1e-9
+COLLINEAR = 1e-9
+# most Lawson flip rounds that repair one smoothing sweep
+FLIP_ROUNDS = 32
 
 
 class GeometryError(RuntimeError):
@@ -659,46 +669,22 @@ def _smooth_round(points, tri, movable):
     return out
 
 
-def _disk_reach(dom, points, t):
-    """Lowest and highest line distance the circumdisks of triangles ``t``
-    can reach: line distance of the circumcentre minus and plus the
-    circumradius (the line distance is 1-Lipschitz).  ``t`` comes from
-    ``_delaunay_triangles``, whose filter makes ``d`` below positive."""
-    a = points[t[:, 0]]
-    b = points[t[:, 1]] - a
-    c = points[t[:, 2]] - a
-    bb = b[:, 0] * b[:, 0] + b[:, 1] * b[:, 1]
-    cc = c[:, 0] * c[:, 0] + c[:, 1] * c[:, 1]
-    d = 2.0 * (b[:, 0] * c[:, 1] - b[:, 1] * c[:, 0])
-    ux = (c[:, 1] * bb - b[:, 1] * cc) / d
-    uy = (b[:, 0] * cc - c[:, 0] * bb) / d
-    centre = dom.line_distance(a + np.column_stack([ux, uy]))
-    radius = np.hypot(ux, uy)
-    return centre - radius, centre + radius
-
-
-def _near_cocircular(points, tri, rel):
-    """Whether two triangles of ``tri`` that share an edge are within a
-    relative ``rel`` of having one circumcircle (in-circle determinant
-    against its absolute-value sum)."""
-    edges = np.concatenate([tri[:, [0, 1]], tri[:, [1, 2]], tri[:, [2, 0]]])
-    key = np.sort(edges, axis=1) @ np.array([len(points), 1])
-    order = np.argsort(key, kind="stable")
-    pair = np.flatnonzero(key[order[1:]] == key[order[:-1]])
-    first, second = order[pair], order[pair + 1]
-    m = len(tri)
-    # the vertex of the second triangle opposite the shared edge
-    d = points[tri[second % m, (second // m + 2) % 3]]
-    p = points[tri[first % m]] - d[:, None, :]
-    lift = np.einsum("kij,kij->ki", p, p)
+def _incircle(a, b, c, d):
+    """Sign of the in-circle determinant of rows ``a``, ``b``, ``c`` (in
+    counterclockwise order) and ``d``: 1 where ``d`` is inside the circle
+    through the other three, -1 where it is outside, and 0 where the
+    determinant is within a relative ``TIE`` of zero against its
+    absolute-value sum (Qhull could break the tie either way)."""
+    p = [q - d for q in (a, b, c)]
     det = perm = 0.0
     for i in range(3):
-        j, k = (i + 1) % 3, (i + 2) % 3
-        u = p[:, j, 0] * p[:, k, 1]
-        v = p[:, k, 0] * p[:, j, 1]
-        det = det + lift[:, i] * (u - v)
-        perm = perm + lift[:, i] * (np.abs(u) + np.abs(v))
-    return bool(np.any(np.abs(det) <= rel * perm))
+        (xi, yi), (xj, yj), (xk, yk) = (p[(i + r) % 3].T for r in range(3))
+        lift = xi * xi + yi * yi
+        u = xj * yk
+        v = xk * yj
+        det = det + lift * (u - v)
+        perm = perm + lift * (np.abs(u) + np.abs(v))
+    return np.where(np.abs(det) <= TIE * perm, 0, np.sign(det))
 
 
 def _uses_all(tri, n):
@@ -719,88 +705,59 @@ def _near_collinear_boundary(bnd, rel):
     return bool(np.any(~exact & ~clear))
 
 
-class _RingDelaunay:
-    """Delaunay triangulations of one point set whose boundary ring moves.
+def _flip_to_delaunay(points, tri):
+    """``_delaunay_triangles(points)`` by Lawson flips from ``tri``, or None.
 
-    ``points`` are a meshing attempt's points before smoothing, boundary
-    samples first, and ``depth`` the line distances of the others; only the
-    rows in ``movable`` ever move.  ``base`` is the one Delaunay over all of
-    them.  Called with moved points, the object returns exactly
-    ``_delaunay_triangles`` of them but triangulates only a ring: the
-    boundary samples and the points with line distance below a level L,
-    where L - M starts at ``MARGIN`` spacings and M is the deepest line
-    distance a moved point had or has.  The result is the ring's triangles
-    whose circumdisk stays below L and the base triangles whose circumdisk
-    lies beyond M: no point is inside those circumdisks, so they are
-    Delaunay triangles of all the points.  It is used only if
-    - the ring's Delaunay uses every ring point, and the result has as
-      many triangles as ``base`` (none is missing);
-    - no two of its triangles near the ring are nearly cocircular (Qhull
-      could break the tie either way);
-    - no three consecutive boundary samples are nearly, but not exactly,
-      collinear (Qhull could keep or drop the sliver).
-    A missing triangle doubles L - M.  A dropped ring point, a tie, a
-    near-collinear boundary or a ring holding more than half the points
-    triangulates all of them.
+    ``tri`` triangulates the points before they moved, in canonical order
+    (as this function and ``_delaunay_triangles`` return it), and the
+    points on its outer edges did not move.  Each round pairs the
+    half-edges by a sorted key, takes the in-circle sign of every interior
+    edge's two triangles and flips an independent set of the illegal edges
+    (each triangle in at most one flip).  When every interior edge is
+    clearly legal, the triangulation is the unique Delaunay triangulation
+    (the Delaunay lemma), which is what Qhull returns.  None means that is
+    not certain: a triangle of ``tri``, or of the result in canonical
+    order, has area <= 0, an edge is within ``TIE`` of cocircular, or
+    ``FLIP_ROUNDS`` rounds did not suffice.
     """
-
-    MARGIN = 2.0     # initial L - M, in spacings
-    SLACK = 1e-6     # circumdisk clearance, in spacings
-    TIE = 1e-9       # relative in-circle determinant
-    COLLINEAR = 1e-9  # relative doubled area of three boundary samples
-
-    def __init__(self, dom, points, depth, movable, spacing):
-        self.dom = dom
-        self.spacing = spacing
-        self.base = _delaunay_triangles(points)
-        self.movable = np.flatnonzero(movable)
-        n_boundary = len(points) - len(depth)
-        self.depth = np.concatenate([np.full(n_boundary, -np.inf), depth])
-        # moving only deepens the ring, so a first ring holding more than
-        # half the points means every call triangulates all of them
-        self.ring_ok = (
-            len(self.movable) > 0
-            and 2 * np.count_nonzero(
-                self.depth < self.depth[self.movable].max()
-                + self.MARGIN * spacing) <= len(points)
-            and _uses_all(self.base, len(points))
-            and not _near_collinear_boundary(points[:n_boundary],
-                                             self.COLLINEAR))
-        if self.ring_ok:
-            self.low, self.high = _disk_reach(dom, points, self.base)
-
-    def __call__(self, points):
-        if not self.ring_ok:
-            return _delaunay_triangles(points)
-        depth = self.depth.copy()
-        depth[self.movable] = self.dom.line_distance(points[self.movable])
-        reach = max(self.depth[self.movable].max(),
-                    depth[self.movable].max())
-        slack = self.SLACK * self.spacing
-        far = self.low > reach + slack
-        margin = self.MARGIN * self.spacing
-        while True:
-            ring = np.flatnonzero(depth < reach + margin)
-            if 2 * len(ring) > len(points):
-                break
-            level = reach + margin - slack
-            local = _delaunay_triangles(points[ring])
-            if not _uses_all(local, len(ring)):
-                break
-            # rows are rotated alike, smallest index first, so a triangle in
-            # both the ring and the base gets the same reach from both and
-            # lands in exactly one part
-            inner = ring[local]
-            inner = inner[_disk_reach(self.dom, points, inner)[1] < level]
-            tri = _canonical_order(np.concatenate(
-                [inner, self.base[far & ~(self.high < level)]]))
-            if len(tri) == len(self.base):
-                near = np.any(depth[tri] < reach + margin, axis=1)
-                if _near_cocircular(points, tri[near], self.TIE):
-                    break
-                return tri
-            margin *= 2.0
-        return _delaunay_triangles(points)
+    if np.any(_signed_areas(points, tri) <= 0):
+        return None
+    t = tri.copy()
+    m, n = len(t), len(points)
+    for rounds in range(FLIP_ROUNDS):
+        # half-edge k m + s runs from corner k of triangle s to corner k + 1,
+        # and the third corner is opposite it
+        start = t.T.ravel()
+        end = t.T[[1, 2, 0]].ravel()
+        opposite = t.T[[2, 0, 1]].ravel()
+        key = np.minimum(start, end) * n + np.maximum(start, end)
+        order = np.argsort(key)
+        pair = np.flatnonzero(key[order[1:]] == key[order[:-1]])
+        first, second = order[pair], order[pair + 1]
+        sign = _incircle(points[start[first]], points[end[first]],
+                         points[opposite[first]], points[opposite[second]])
+        if not np.all(sign):
+            return None
+        bad = np.flatnonzero(sign > 0)
+        if len(bad) == 0:
+            if rounds == 0:  # still ``tri``: canonical, areas checked
+                return t
+            t = _canonical_order(t)
+            return t if np.all(_signed_areas(points, t) > 0) else None
+        # flip each illegal edge that is the lowest illegal edge of both
+        # its triangles: (a, b, c) and (b, a, d) become (a, d, c), (d, b, c)
+        first, second = first[bad], second[bad]
+        rank = np.arange(len(bad))
+        claim = np.full(m, len(bad))
+        np.minimum.at(claim, first % m, rank)
+        np.minimum.at(claim, second % m, rank)
+        take = (claim[first % m] == rank) & (claim[second % m] == rank)
+        first, second = first[take], second[take]
+        a, b = start[first], end[first]
+        c, d = opposite[first], opposite[second]
+        t[first % m] = np.column_stack([a, d, c])
+        t[second % m] = np.column_stack([d, b, c])
+    return None
 
 
 def triangulate_convex(dom: ConvexDomain, h_target: float) -> TriMesh:
@@ -825,16 +782,19 @@ def triangulate_convex(dom: ConvexDomain, h_target: float) -> TriMesh:
         interior = _hex_lattice(dom, spacing, clearance=0.72 * spacing)
         pts = np.vstack([bnd, interior])
         # relax only the ring near the boundary; deep lattice points stay put
-        depth = dom.line_distance(interior)
         movable = np.zeros(len(pts), dtype=bool)
-        movable[len(bnd):] = depth < 2.2 * spacing
-        delaunay = _RingDelaunay(dom, pts, depth, movable, spacing)
-        tri = delaunay.base
+        movable[len(bnd):] = dom.line_distance(interior) < 2.2 * spacing
+        tri = _delaunay_triangles(pts)
+        # Qhull could keep or drop a sliver of nearly collinear samples
+        collinear = _near_collinear_boundary(bnd, COLLINEAR)
         flags = np.arange(len(pts)) < len(bnd)
         # 4 sweeps, then up to 6 more while below the angle floor
         for sweep in range(10):
+            repair = not collinear and _uses_all(tri, len(pts))
             pts = _smooth_round(pts, tri, movable)
-            tri = delaunay(pts)
+            tri = _flip_to_delaunay(pts, tri) if repair else None
+            if tri is None:
+                tri = _delaunay_triangles(pts)
             if sweep >= 3:
                 mesh = TriMesh(pts, tri, flags)
                 angle = mesh.min_angle()

@@ -84,6 +84,14 @@ SOLVE_ERRORS = (GeometryError, LinearSolveError, NewtonError,
 # configs and tests has 13 (1 to 1e-6 at factor 10^-1/2).
 MAX_EPS_STEPS = 1000
 
+# The ProblemSpec checks of one field each: field -> (test, reason).
+FIELD_CHECKS = {
+    "eps_factor": (lambda v: 0.0 < v < 1.0, "must lie in (0, 1)"),
+    "newton_tol": (lambda v: v > 0, "must be positive"),
+    "newton_max_iter": (lambda v: v >= 1, "must be >= 1"),
+    "mesh_h": (lambda v: v > 0, "must be positive"),
+}
+
 
 @dataclass
 class ProblemSpec:
@@ -105,8 +113,9 @@ class ProblemSpec:
     def __post_init__(self):
         if not (0.0 < self.eps_stop <= self.eps_start <= 1.0):
             raise ValueError("need 0 < eps_stop <= eps_start <= 1")
-        if not (0.0 < self.eps_factor < 1.0):
-            raise ValueError("eps_factor must lie in (0, 1)")
+        for name, (test, reason) in FIELD_CHECKS.items():
+            if not test(getattr(self, name)):
+                raise ValueError(f"{name} {reason}")
         # the length of eps_schedule(), counted without building it
         steps = 1 + math.ceil(math.log(self.eps_stop / self.eps_start)
                               / math.log(self.eps_factor) - 1e-9)
@@ -114,12 +123,6 @@ class ProblemSpec:
             raise ValueError(
                 f"eps schedule of {steps} steps, more than {MAX_EPS_STEPS} "
                 "(raise eps_stop or lower eps_factor)")
-        if not (self.newton_tol > 0):
-            raise ValueError("newton_tol must be positive")
-        if self.newton_max_iter < 1:
-            raise ValueError("newton_max_iter must be >= 1")
-        if not (self.mesh_h > 0):
-            raise ValueError("mesh_h must be positive")
 
     def eps_schedule(self):
         values = []

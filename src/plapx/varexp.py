@@ -174,15 +174,19 @@ class ExponentField:
                 break
             n *= 2
         xs, ys = pts[inside, 0], pts[inside, 1]
-        vals = field_values(expr, xs, ys)
-        if not np.all(np.isfinite(vals)):
-            raise EvaluationError("exponent not finite on the domain")
-        try:
-            px, py = (field_values(expr.diff(v), xs, ys) for v in "xy")
-        except DifferentiationError:
-            h = 1e-6 * max(1.0, float(np.max(hi - lo)))
-            px, py = _central_gradient(expr, xs, ys, h)
-        lip = float(np.max(np.hypot(px, py)))
+        # a value or gradient sample that overflows is refused as not
+        # finite, here or by the bound checks, so numpy's warning about it
+        # would only repeat that
+        with np.errstate(all="ignore"):
+            vals = field_values(expr, xs, ys)
+            if not np.all(np.isfinite(vals)):
+                raise EvaluationError("exponent not finite on the domain")
+            try:
+                px, py = (field_values(expr.diff(v), xs, ys) for v in "xy")
+            except DifferentiationError:
+                h = 1e-6 * max(1.0, float(np.max(hi - lo)))
+                px, py = _central_gradient(expr, xs, ys, h)
+            lip = float(np.max(np.hypot(px, py)))
         return cls(expr, float(vals.min()), float(vals.max()), lip,
                    domain=domain)
 

@@ -52,20 +52,27 @@ def test_build_pairs_runs_and_reports_the_claim(tmp_path, bench_record):
     change.append(result(tmp_path, "change_t", 1, [],
                          dict(counts, **{"geometry.locate_calls": 2,
                                          "solver.linear_solve_s": 0.7})))
-    ratios = []
-    for side, ratio in (("parent", 1.4), ("change", 1.2)):
+    ratios, qhull = [], []
+    for side, ratio, calls in (("parent", 1.4, 10), ("change", 1.2, 2)):
         path = tmp_path / f"ratio-{side}.json"
         path.write_text(json.dumps({"meshed": {"ratio": ratio}}))
         ratios.append(str(path))
+        path = tmp_path / f"qhull-{side}.json"
+        path.write_text(json.dumps({"square": {"calls": calls}}))
+        qhull.append(str(path))
     out = tmp_path / "BENCH.json"
     assert bench_record.main(["build", "--out", str(out), "--title", "t",
                               "--claim", "square:wall_s", "--parent",
                               *parent, "--change", *change,
                               "--ratio-parent", ratios[0],
-                              "--ratio-change", ratios[1]]) == 0
+                              "--ratio-change", ratios[1],
+                              "--delaunay-parent", qhull[0],
+                              "--delaunay-change", qhull[1]]) == 0
     bench = json.loads(out.read_text())
     assert bench["mollified_ratio"] == {"parent": {"meshed": {"ratio": 1.4}},
                                         "change": {"meshed": {"ratio": 1.2}}}
+    assert bench["delaunay"] == {"parent": {"square": {"calls": 10}},
+                                 "change": {"square": {"calls": 2}}}
     entry = bench["workloads"]["square"]
     assert entry["pairs"] == 3
     assert entry["parent"]["wall_s"]["per_run_medians"] == [4.2, 4.0, 4.5]
@@ -101,3 +108,19 @@ def test_mollified_ratio_times_both_sides(bench_record, monkeypatch):
         assert len(entry["round_ratios"]) == 1
         assert entry["plain_newton_steps"] > 0
         assert entry["mollified_newton_steps"] > 0
+
+
+def test_count_delaunay_counts_qhull_calls(bench_record, monkeypatch):
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                "PLAPX_THREADS"):
+        monkeypatch.setenv(var, "1")
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    from plapx import geometry
+
+    real = geometry.Delaunay
+    record = bench_record.delaunay_record(bench_record.ROOT,
+                                          ["mollified_h0.1"])
+    assert geometry.Delaunay is real
+    # two meshing attempts at h = 0.1 (251 and 334 points), one call each
+    assert record["mollified_h0.1"] == {"calls": 2, "points": 585,
+                                        "correct": True}

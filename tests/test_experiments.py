@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -157,6 +158,10 @@ def test_config_spec_errors_become_config_errors(tmp_path):
         ("domain.corner_radius", "0.6",
          "corner_radius must be below half the shortest edge"),
         ("seed", "-1", "must be >= 0"),
+        ("newton.max_iter", "0", "must be >= 1"),
+        ("mesh.h", "0", "must be positive"),
+        ("newton.tol", "0", "must be positive"),
+        ("eps.factor", "1", "must lie in (0, 1)"),
     ]])
 def test_load_failures_name_their_key(tmp_path, capsys, key, value, reason):
     path = write_config(tmp_path, **{key: value})
@@ -164,6 +169,15 @@ def test_load_failures_name_their_key(tmp_path, capsys, key, value, reason):
     assert capsys.readouterr().err.startswith(
         f"error: key '{key}': {reason}")
     assert sorted(os.listdir(tmp_path)) == ["cfg.txt"]
+
+
+def test_overflowing_exponent_is_refused_without_a_warning(tmp_path):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError) as err:
+            make_config(tmp_path, **{"p.expr": "exp(1000*x)"})
+    assert str(err.value) == (
+        "key 'p.expr': exponent not finite on the domain")
 
 
 def test_problem_spec_overrides_leave_config_spec_alone(tmp_path):

@@ -1,8 +1,10 @@
 import hashlib
 import math
 
+import hypothesis
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from plapx import geometry
 from plapx.geometry import (LOCATE_TOL, ConvexDomain, GeometryError,
@@ -322,37 +324,42 @@ DOMAINS = {
     **{f"polygon{n}": ConvexDomain.regular_polygon(n)
        for n in (3, 5, 6, 7, 8, 9, 11)},
     **{f"rounded{r}": round_corners(SQUARE, r)
-       for r in (0.05, 0.1, 0.2, 0.4)},
+       for r in (0.025, 0.05, 0.1, 0.2, 0.4)},
 }
 
-# sha256 of the points, triangles and boundary-flag bytes, recorded when
-# every triangulation was one Delaunay of all the points; the comments name
-# the paths each mesh takes now
+# sha256 of the points, triangles and boundary-flag bytes, the same as with
+# Qhull over all the points on every sweep; the comments name the path each
+# mesh takes
 MESH_DIGESTS = {
-    # ring too large: every triangulation over all points
+    # one Qhull call per attempt, flips repair every sweep
     ("square", 0.3): "d7137cbf9165152e0e6bc9688411fd6bba946fa41c492916dfd44a419ec5fc7c",
     ("square", 0.2): "50a835d52c9e69008fe86d0d555b20d0f54ad5f7915b275daf616a709e55d261",
     ("square", 0.1): "1728fa144e0fc6bca267c88db7cf89828754f39b10033a9e0c819a67ee05c156",
     ("disk", 0.2): "5b1ae3091f0b9f9a35464a58681649008a38b050eaacc5d1291f466f830f3ce3",
     ("rounded0.2", 0.12): "2a9a8902e883a51085dc6fe0d504da1d0ba8b4a487a19e7f669e9a33f7c9527c",
-    # quality loop and retried spacings
-    ("rounded0.05", 0.3): "ef1ee87e4c5a37e1c03c2e010bfdcb1150d8ac19451cf1d8d52d7a4e2abffbd8",
-    ("rounded0.4", 0.15): "e59f87ae82f8513f26c665633beafbe01fef9b0bee7556f596599684935830b6",
-    ("polygon11", 0.3): "9b8c704e0c0275f1f72b24b901f8be04912ad32c27ce0b74e5bd710397cc9290",
-    # certified ring
     ("square", 0.04): "aa73eced496c9f15ad9aa39e0b323661dc20f63453e8928204446cdb0cf29e07",
     ("disk", 0.08): "38ce53f7ba5c6befa35bc10bceb0904dfba11e8616d1fd82f87ea9b9cb252edd",
     ("rounded0.1", 0.04): "2cc61c586622878499d0094708b2bedd7b807d5ddeca207369d4b9f4f28cb3e3",
     ("rounded0.2", 0.04): "63730e2ff1645874fd2e02d28a22fd4309602d1c23e7a6ab96b03230df2a7354",
     ("rounded0.4", 0.04): "31405ab713d077bd6f2a838afb96b9c29839a656defb074822b51ff0514bcfc4",
-    # slanted edges: nearly collinear boundary samples, all points
+    # the other meshes the benchmark workloads build
+    ("square", 0.01): "bf16697180f2e87f2dda851651d56a5f58f8ea314a9eb3a6826886ed64c50574",
+    ("rounded0.4", 0.12): "5dd3212f4b4cd0070b7e347db5e00d2a228e0c3991b63837e4b9fe0c7e127102",
+    ("rounded0.1", 0.12): "53311ae14498a2509a94a5b594174449e408283fb4238f2169756ab8528ecefe",
+    ("rounded0.05", 0.12): "0ede1c1a93ac392bc78671c4bb79f7e129d32d61e39fc8dd44e6c31d2b6abba1",
+    ("rounded0.025", 0.12): "fd034b818089ae1237d62eed4b35190ac8c8e1617f905a60655ee05d5a4096eb",
+    # quality loop and retried spacings
+    ("rounded0.05", 0.3): "ef1ee87e4c5a37e1c03c2e010bfdcb1150d8ac19451cf1d8d52d7a4e2abffbd8",
+    ("rounded0.4", 0.15): "e59f87ae82f8513f26c665633beafbe01fef9b0bee7556f596599684935830b6",
+    ("polygon11", 0.3): "9b8c704e0c0275f1f72b24b901f8be04912ad32c27ce0b74e5bd710397cc9290",
+    # slanted edges: nearly collinear boundary samples, Qhull every sweep
     ("triangle", 0.12): "a13ee254053b2b9df9ab560ac9273fcf725dfb927a05e1d203cf50dbe54e2f42",
     ("polygon3", 0.08): "500aaeeb7ca231afcd0bd5f45e529a55153c67c2982e491ee5f9959860e2da97",
     ("polygon5", 0.1): "f9d4e2b73ec4c62144be29af86533a8223851a7afe3d2f1f8b74df56b8b53f79",
     ("polygon6", 0.1): "9c32feeaf975fe2a8007544a049152c1ad9d871ff7f0226ca1c49715f00c68b7",
     ("polygon8", 0.2): "68d29cc9ebd5813b5b29e02f7fd4b8effe9a87b10c68c97b2663adce410fb732",
     ("polygon9", 0.12): "4b4c97253ea75467fd4285fcc08908bd3824b516e136e470416eba03bf3c8be8",
-    # where a ring would drop or keep boundary slivers differently
+    # where a repair would drop or keep boundary slivers differently
     ("polygon11", 0.1): "94748d260d7845e97a957e092469b5e66f778da78a7d9d8e17feba7ef596f509",
     # the heptagon sliver; its first spacing fails the quality loop
     ("polygon7", 0.1): "14b2a220562780947e4be8f61020c923fcb8e2ffd0c78a7497fdde973212db9b",
@@ -363,6 +370,9 @@ MESH_DIGESTS = {
 def test_mesh_bytes_pinned(name, h):
     mesh = triangulate_convex(DOMAINS[name], h)
     assert mesh_digest(mesh) == MESH_DIGESTS[name, h]
+
+
+SQUARE_002 = "ca71367acb23cda7dccfbc55acb7722534d92495a34f410df5fb6f1c676a52e8"
 
 
 def delaunay_sizes(monkeypatch):
@@ -378,59 +388,104 @@ def delaunay_sizes(monkeypatch):
     return sizes
 
 
-def test_one_full_delaunay_per_attempt(monkeypatch):
+def test_one_qhull_call_per_attempt(monkeypatch):
     sizes = delaunay_sizes(monkeypatch)
     mesh = triangulate_convex(SQUARE, 0.02)
-    # rings hold at most half an attempt's points; the point count grows
-    # from one attempt to the next, so each full run has its own count
-    full = [n for n in sizes if 2 * n > mesh.n_points]
-    assert full == sorted(set(full)) and full[-1] == mesh.n_points
-    assert len(full) == 2 and len(sizes) == 10
-    assert mesh_digest(mesh) == (
-        "ca71367acb23cda7dccfbc55acb7722534d92495a34f410df5fb6f1c676a52e8")
+    # two attempts, each triangulated once before smoothing; flips repair
+    # every sweep, and the point count grows from one attempt to the next
+    assert len(sizes) == 2 and sizes[0] < sizes[1] == mesh.n_points
+    assert mesh_digest(mesh) == SQUARE_002
 
 
-def test_ring_grows_until_certified(monkeypatch):
-    monkeypatch.setattr(geometry._RingDelaunay, "MARGIN", 0.25)
+def test_refused_repairs_give_the_same_mesh(monkeypatch):
+    monkeypatch.setattr(geometry, "_flip_to_delaunay", lambda *a: None)
     sizes = delaunay_sizes(monkeypatch)
-    mesh = triangulate_convex(SQUARE, 0.04)
-    assert mesh_digest(mesh) == MESH_DIGESTS["square", 0.04]
-    # one full run, then rings of more than one width, none of them full
-    assert sizes[0] == mesh.n_points
-    assert len(set(sizes[1:])) > 1 and max(sizes[1:]) < mesh.n_points
+    mesh = triangulate_convex(SQUARE, 0.02)
+    # Qhull on every sweep: 2 attempts of 1 + 4 triangulations
+    assert len(sizes) == 10
+    assert mesh_digest(mesh) == SQUARE_002
 
 
-def test_ring_tie_falls_back_to_all_points(monkeypatch):
+def test_grid_tie_is_left_to_qhull(monkeypatch):
     # on a square grid every cell's corners are cocircular, so either
-    # diagonal is Delaunay and only the full set fixes which one Qhull takes
+    # diagonal is Delaunay and only Qhull fixes which one it takes
     k = np.arange(41) / 40.0
     gx, gy = np.meshgrid(k, k, indexing="ij")
     grid = np.column_stack([gx.ravel(), gy.ravel()])
     on_edge = (np.min(grid, axis=1) == 0) | (np.max(grid, axis=1) == 1)
     pts = np.vstack([grid[on_edge], grid[~on_edge]])
-    n_bnd = int(on_edge.sum())
-    depth = SQUARE.line_distance(pts[n_bnd:])
     movable = np.zeros(len(pts), dtype=bool)
-    movable[n_bnd:] = depth < 0.055
-    ring = geometry._RingDelaunay(SQUARE, pts, depth, movable, 0.025)
-    moved = geometry._smooth_round(pts, ring.base, movable)
-    sizes = delaunay_sizes(monkeypatch)
-    ties = []
-    real = geometry._near_cocircular
-    monkeypatch.setattr(geometry, "_near_cocircular",
-                        lambda *a: ties.append(real(*a)) or ties[-1])
-    tri = ring(moved)
-    assert ties == [True]
-    assert len(sizes) == 2 and sizes[0] < len(pts) == sizes[1]
-    np.testing.assert_array_equal(tri, geometry._delaunay_triangles(moved))
+    movable[on_edge.sum():] = SQUARE.line_distance(grid[~on_edge]) < 0.055
+    base = geometry._delaunay_triangles(pts)
+    moved = geometry._smooth_round(pts, base, movable)
+    signs = []
+    real = geometry._incircle
+    monkeypatch.setattr(geometry, "_incircle",
+                        lambda *a: signs.append(real(*a)) or signs[-1])
+    assert geometry._flip_to_delaunay(moved, base) is None
+    assert len(signs) == 1 and np.count_nonzero(signs[0] == 0) > 1000
 
 
-def test_near_cocircular_is_relative():
-    pts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]) * 1e-3
-    tri = np.array([[0, 1, 2], [0, 2, 3]])
-    assert geometry._near_cocircular(pts, tri, 1e-9)
-    pts[3, 1] *= 1.0 + 1e-6
-    assert not geometry._near_cocircular(pts, tri, 1e-9)
+def test_incircle_tie_is_relative():
+    for scale in (1e-3, 1.0, 1e3):
+        a, b, c, d = (np.array([p]) * scale
+                      for p in ([0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]))
+        assert geometry._incircle(a, b, c, d).tolist() == [0]
+        out, inside = d * [1.0, 1.0 + 1e-6], d * [1.0, 1.0 - 1e-6]
+        assert geometry._incircle(a, b, c, out).tolist() == [-1]
+        assert geometry._incircle(a, b, c, inside).tolist() == [1]
+        # below the relative tie bound the sign is not trusted
+        assert geometry._incircle(a, b, c, d * [1.0, 1.0 + 1e-12]).tolist() \
+            == [0]
+
+
+def jittered_square(seed, amplitude, n=60):
+    """Boundary samples of the unit square, ``n`` interior points, their
+    Delaunay triangulation, and the interior points moved by up to
+    ``amplitude`` (kept inside)."""
+    rng = np.random.Generator(np.random.Philox(seed))
+    s = np.arange(8) / 8.0
+    bnd = np.vstack([np.column_stack([s, 0 * s]),
+                     np.column_stack([1 + 0 * s, s]),
+                     np.column_stack([1 - s, 1 + 0 * s]),
+                     np.column_stack([0 * s, 1 - s])])
+    pts = np.vstack([bnd, rng.uniform(0.05, 0.95, size=(n, 2))])
+    moved = pts.copy()
+    moved[len(bnd):] = np.clip(
+        pts[len(bnd):] + amplitude * rng.uniform(-1.0, 1.0, size=(n, 2)),
+        0.01, 0.99)
+    return pts, geometry._delaunay_triangles(pts), moved
+
+
+@hypothesis.seed(20261019)
+@hypothesis.settings(max_examples=150, deadline=None, database=None)
+@hypothesis.given(st.integers(0, 2 ** 32 - 1), st.floats(1e-4, 0.03))
+def test_flip_repair_is_qhull_or_none(seed, amplitude):
+    _, tri, moved = jittered_square(seed, amplitude)
+    got = geometry._flip_to_delaunay(moved, tri)
+    if got is not None:
+        np.testing.assert_array_equal(got,
+                                      geometry._delaunay_triangles(moved))
+
+
+def test_flips_reach_the_delaunay_triangulation(monkeypatch):
+    rounds = []
+    real = geometry._incircle
+    monkeypatch.setattr(geometry, "_incircle",
+                        lambda *a: rounds.append(real(*a)) or rounds[-1])
+    _, tri, moved = jittered_square(5, 0.01)
+    got = geometry._flip_to_delaunay(moved, tri)
+    # 16 illegal edges, then 5, then 1: three rounds of flips
+    assert [np.count_nonzero(s > 0) for s in rounds] == [16, 5, 1, 0]
+    np.testing.assert_array_equal(got, geometry._delaunay_triangles(moved))
+
+
+def test_flip_repair_refuses_an_inverted_triangle():
+    pts, tri, _ = jittered_square(5, 0.0)
+    moved = pts.copy()
+    moved[40] = np.clip(pts[40] + [0.3, 0.0], 0.01, 0.99)  # out of its star
+    assert np.any(geometry._signed_areas(moved, tri) <= 0)
+    assert geometry._flip_to_delaunay(moved, tri) is None
 
 
 def reference_smooth_round(points, tri, movable):

@@ -1,11 +1,13 @@
 """Build a BENCH_<n>.json record from perfbench result files.
 
     python3 tools/bench_record.py count-lu [--root DIR] --out LU.json
+    python3 tools/bench_record.py count-delaunay [--root DIR] --out QHULL.json
     python3 tools/bench_record.py mollified-ratio [--root DIR] --out RATIO.json
     python3 tools/bench_record.py build --out BENCH_<n>.json \\
         --title TEXT --claim WORKLOAD:METRIC \\
         --parent RESULT.json ... --change RESULT.json ... \\
         [--lu-parent LU.json --lu-change LU.json] \\
+        [--delaunay-parent QHULL.json --delaunay-change QHULL.json] \\
         [--ratio-parent RATIO.json --ratio-change RATIO.json] [--note TEXT]
 
 ``perfbench/run.py`` writes ``perfbench/out/result-<workload>-trace<t>.json``
@@ -23,7 +25,10 @@ each perfbench workload once, in this process, on the plapx sources under
 ``DIR/src`` (default: this repository), with ``plapx.solver._factor``
 wrapped, and counts the factorizations and the ``solve`` calls on them (one
 call is one forward and one backward triangular solve).  BLAS runs on one
-thread and ``PLAPX_THREADS`` is set as perfbench sets it.
+thread and ``PLAPX_THREADS`` is set as perfbench sets it.  ``count-delaunay``
+does the same with ``plapx.geometry.Delaunay`` wrapped, and counts the Qhull
+calls and the points they triangulate.  ``build`` copies one such file per
+side into the record's ``delaunay``.
 
 ``mollified-ratio`` measures what a mollified exponent costs: cold
 in-process ``continuation_solve`` calls of the ``mollified_h0.1`` spec with
@@ -35,8 +40,9 @@ each round's ratio and the total Newton steps, on the same sources and
 threads as ``count-lu``.  ``build`` copies one such file per side into the
 record's ``mollified_ratio``.
 
-Only the standard library is imported here; ``count-lu`` and
-``mollified-ratio`` import plapx and ``perfbench/workloads.py`` from DIR.
+Only the standard library is imported here; ``count-lu``,
+``count-delaunay`` and ``mollified-ratio`` import plapx and
+``perfbench/workloads.py`` from DIR.
 """
 
 from __future__ import annotations
@@ -170,12 +176,15 @@ def build(args):
                 entry["lu"] = {"parent": lu_parent[workload],
                                "change": lu_change[workload]}
         bench["lu_how"] = lu_parent.get("_how")
-    if args.ratio_parent and args.ratio_change:
-        bench["mollified_ratio"] = {}
-        for side, path in (("parent", args.ratio_parent),
-                           ("change", args.ratio_change)):
-            with open(path, encoding="utf-8") as fh:
-                bench["mollified_ratio"][side] = json.load(fh)
+    for key, parent_path, change_path in (
+            ("mollified_ratio", args.ratio_parent, args.ratio_change),
+            ("delaunay", args.delaunay_parent, args.delaunay_change)):
+        if parent_path and change_path:
+            bench[key] = {}
+            for side, path in (("parent", parent_path),
+                               ("change", change_path)):
+                with open(path, encoding="utf-8") as fh:
+                    bench[key][side] = json.load(fh)
 
     claimed = bench["workloads"].get(claim_workload, {})
     if "parent" in claimed:
@@ -211,10 +220,36 @@ class _CountedFactor:
         return getattr(self._lu, name)
 
 
+def _run_counted(counts, zero, names=None):
+    """Run each workload in ``names`` (default: all) once, seed 1, with
+    ``counts`` reset to ``zero`` first; per workload, the counts it left
+    and whether its outputs passed the checks."""
+    import workloads
+
+    result = {}
+    for name in names or workloads.WORKLOADS:
+        wl = workloads.WORKLOADS[name]
+        os.environ["PLAPX_THREADS"] = str(wl.threads)
+        counts.update(zero)
+        with tempfile.TemporaryDirectory() as workdir:
+            outcome = workloads.run(workloads.Inputs(wl, 1, workdir))
+            problems = workloads.check(outcome, wl,
+                                       workloads.load_reference())
+        result[name] = dict(counts, correct=not problems)
+        print(f"{name}: {result[name]}", file=sys.stderr)
+    return result
+
+
+def _write(result, path):
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(result, fh, indent=1)
+        fh.write("\n")
+    return 0
+
+
 def count_lu(args):
     _import_sources(os.path.abspath(args.root))
     import plapx.solver
-    import workloads
 
     factor, lock = plapx.solver._factor, threading.Lock()
     counts = {}
@@ -229,20 +264,40 @@ def count_lu(args):
                        "and one backward triangular solve each), counted by "
                        "wrapping plapx.solver._factor; one run per workload, "
                        "seed 1")}
-    for name, wl in workloads.WORKLOADS.items():
-        os.environ["PLAPX_THREADS"] = str(wl.threads)
-        counts.clear()
-        counts.update(factorizations=0, solves=0)
-        with tempfile.TemporaryDirectory() as workdir:
-            outcome = workloads.run(workloads.Inputs(wl, 1, workdir))
-            problems = workloads.check(outcome, wl,
-                                       workloads.load_reference())
-        result[name] = dict(counts, correct=not problems)
-        print(f"{name}: {result[name]}", file=sys.stderr)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(result, fh, indent=1)
-        fh.write("\n")
-    return 0
+    result.update(_run_counted(counts, dict(factorizations=0, solves=0)))
+    return _write(result, args.out)
+
+
+def delaunay_record(root, names=None):
+    """Qhull calls and the points they triangulate, per workload in
+    ``names`` (default: all), counted by wrapping
+    ``plapx.geometry.Delaunay`` for the duration of the runs."""
+    _import_sources(os.path.abspath(root))
+    import plapx.geometry
+
+    real, lock = plapx.geometry.Delaunay, threading.Lock()
+    counts = {}
+
+    def counted(points, *args, **kwargs):
+        with lock:
+            counts["calls"] += 1
+            counts["points"] += len(points)
+        return real(points, *args, **kwargs)
+
+    result = {"_how": ("Qhull Delaunay calls and the points they "
+                       "triangulate, counted by wrapping "
+                       "plapx.geometry.Delaunay; one run per workload, "
+                       "seed 1")}
+    plapx.geometry.Delaunay = counted
+    try:
+        result.update(_run_counted(counts, dict(calls=0, points=0), names))
+    finally:
+        plapx.geometry.Delaunay = real
+    return result
+
+
+def count_delaunay(args):
+    return _write(delaunay_record(args.root), args.out)
 
 
 def _import_sources(root):
@@ -316,11 +371,7 @@ def ratio_record(root, rounds=4, solves=9, mesh_h=None):
 
 
 def mollified_ratio(args):
-    result = ratio_record(args.root)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(result, fh, indent=1)
-        fh.write("\n")
-    return 0
+    return _write(ratio_record(args.root), args.out)
 
 
 def main(argv=None):
@@ -329,6 +380,9 @@ def main(argv=None):
     lu = sub.add_parser("count-lu", help="count LU factorizations and solves")
     lu.add_argument("--root", default=ROOT)
     lu.add_argument("--out", required=True)
+    qhull = sub.add_parser("count-delaunay", help="count Qhull calls")
+    qhull.add_argument("--root", default=ROOT)
+    qhull.add_argument("--out", required=True)
     ratio = sub.add_parser("mollified-ratio",
                            help="time mollified against plain solves")
     ratio.add_argument("--root", default=ROOT)
@@ -343,10 +397,12 @@ def main(argv=None):
     b.add_argument("--lu-change")
     b.add_argument("--ratio-parent")
     b.add_argument("--ratio-change")
+    b.add_argument("--delaunay-parent")
+    b.add_argument("--delaunay-change")
     b.add_argument("--note")
     args = ap.parse_args(argv)
-    commands = {"count-lu": count_lu, "mollified-ratio": mollified_ratio,
-                "build": build}
+    commands = {"count-lu": count_lu, "count-delaunay": count_delaunay,
+                "mollified-ratio": mollified_ratio, "build": build}
     return commands[args.command](args)
 
 
