@@ -425,11 +425,15 @@ class TriMesh:
 def _edge_table(t):
     """Edges (0, 1), (1, 2), (2, 0) of the triangles ``t``, one block per
     corner pair, and the table of unique sorted edges: ``uniq``, each raw
-    edge's row ``inv`` in it and each unique edge's triangle ``counts``."""
+    edge's row ``inv`` in it and each unique edge's triangle ``counts``.
+    ``t`` is int64, as a :class:`TriMesh` holds it; the edge (lo, hi) is
+    keyed lo n + hi, which sorts as the pair does."""
     raw = np.vstack([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]])
-    uniq, inv, counts = np.unique(np.sort(raw, axis=1), axis=0,
-                                  return_inverse=True, return_counts=True)
-    return raw, uniq, inv, counts
+    lo, hi = raw.min(axis=1), raw.max(axis=1)
+    n = int(hi.max(initial=0)) + 1
+    keys, inv, counts = np.unique(lo * n + hi, return_inverse=True,
+                                  return_counts=True)
+    return raw, np.column_stack([keys // n, keys % n]), inv, counts
 
 
 def _signed_areas(points, triangles):

@@ -237,13 +237,20 @@ class SolveReport:
     def _h2_dq(self, u):
         return regularity.h2_estimate_dq(u, self._window)
 
+    @functools.cached_property
+    def _exponent_measures(self):
+        """(meas_A1, meas_A2): the quadrature measures of {p = 2} and
+        {p < 2}, the same for every eps."""
+        pv, w = self.problem.pv, self.problem.qctx.weights
+        return float(np.sum(w * (pv == 2.0))), float(np.sum(w * (pv < 2.0)))
+
     def _record_for(self, k):
         if self._records[k] is None:
             eps, stats, coeffs, J = self.steps[k]
             u = (self.solution if k == len(self.steps) - 1
                  else P1Function(self.mesh, coeffs))
             pv, qctx = self.problem.pv, self.problem.qctx
-            w = qctx.weights
+            meas_A1, meas_A2 = self._exponent_measures
             gu = u.triangle_gradients()
             steep = np.einsum("td,td->t", gu, gu)[:, None] > 1.0
             self._records[k] = EpsRecord(
@@ -257,9 +264,9 @@ class SolveReport:
                 h2_dq=self._estimate("h2_dq", self._h2_dq, u),
                 h2_recovery=self._estimate(
                     "h2_recovery", regularity.h2_estimate_recovery, u),
-                meas_A1=float(np.sum(w * (pv == 2.0))),
-                meas_A2=float(np.sum(w * (pv < 2.0))),
-                meas_Omega1=float(np.sum(w * steep)),
+                meas_A1=meas_A1,
+                meas_A2=meas_A2,
+                meas_Omega1=float(np.sum(qctx.weights * steep)),
                 converged=stats.converged)
         return self._records[k]
 
@@ -280,12 +287,22 @@ PCG_MAX_ITER = 25
 BACKWARD_ERROR_TOL = 16.0 * np.finfo(float).eps
 
 
+# Corrections y += A^-1 (1 - <A> y) that the H-matrix certificate takes
+# after its start y = A^-1 1 before it gives up.  The unrefined Delaunay
+# meshes give Z-matrices, which certify at the start; the twice-refined
+# criterion-8 meshes certify after 2 to 5.
+CERTIFY_MAX_CORRECTIONS = 8
+
+
 @dataclass
 class LaggedFactor:
     """The factor one continuation solve keeps to precondition later systems.
 
     :func:`linear_solve` fills and replaces ``lu``; nothing else touches it.
     Each :class:`DiscreteProblem` owns one, so threads never share a factor.
+    ``lu`` is the very factor that solved its matrix when the H-matrix
+    certificate proved that matrix SPD, else a second factor of the same
+    matrix; either way nobody has read its ``L`` or ``U``.
     """
 
     lu: object = None
@@ -294,6 +311,65 @@ class LaggedFactor:
 def _factor(A):
     return spla.splu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                      options={"SymmetricMode": True})
+
+
+def _certified_spd(given, A, lu):
+    """True when the factored matrix is proven symmetric positive definite.
+
+    ``given`` is the matrix the caller passed, ``A`` its CSC conversion and
+    ``lu`` the factor of ``A``.  The proof has two parts.  ``given`` is a
+    CSR matrix whose arrays equal those of ``A``, so A equals its
+    transpose; A is in canonical format and its diagonal is positive.  And
+    some y > 0 has <A> y > 0 by more than its rounding error, where the
+    comparison matrix <A> holds |a_ii| on the diagonal and -|a_ij| off it.
+    Then <A> is a nonsingular M-matrix, so A is a symmetric H-matrix with a
+    positive diagonal, hence SPD (Berman and Plemmons, Nonnegative Matrices
+    in the Mathematical Sciences, 1994, ch. 6).
+
+    The factor supplies y: first A^-1 1, then up to CERTIFY_MAX_CORRECTIONS
+    corrections y += A^-1 (1 - <A> y).  <A> y is A y less twice the
+    product with the positive off-diagonal entries.  In the standard model
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2002, 3.5)
+    computing it with k entries a row errs by at most gamma_(3k+1) times
+    (|A| y)_i = 2 a_ii y_i - (<A> y)_i, so a computed value above
+    2 gamma_(3k+4) a_ii y_i proves (<A> y)_i > 0; k times the least normal
+    number covers underflow.  A non-finite value refuses the proof.
+    Nothing here copies A or reads ``lu.L`` or ``lu.U``.
+    """
+    if not (getattr(given, "format", None) == "csr"
+            and A.dtype == np.float64
+            and np.array_equal(given.indptr, A.indptr)
+            and np.array_equal(given.indices, A.indices)
+            and np.array_equal(given.data, A.data)
+            and A.has_canonical_format):
+        return False
+    d = A.diagonal()
+    if not np.all(d > 0.0):
+        return False
+    n = A.shape[0]
+    k = int(np.max(np.diff(A.indptr)))
+    # the positive off-diagonal entries by (row, column, value)
+    pos = np.flatnonzero(A.data > 0.0)
+    cols = np.searchsorted(A.indptr, pos, side="right") - 1
+    rows = A.indices[pos]
+    off = rows != cols
+    rows, cols, vals = rows[off], cols[off], A.data[pos[off]]
+    u = np.finfo(float).eps / 2.0
+    gamma = (3 * k + 4) * u / (1.0 - (3 * k + 4) * u)
+    slack = k * np.finfo(float).tiny
+    ones = np.ones(n)
+    with np.errstate(all="ignore"):
+        y = lu.solve(ones)
+        for step in range(CERTIFY_MAX_CORRECTIONS + 1):
+            if not np.all(np.isfinite(y)):
+                return False
+            z = A @ y - 2.0 * np.bincount(rows, vals * y[cols], minlength=n)
+            if (np.all(y > 0.0) and np.all(np.isfinite(z))
+                    and np.all(z > 2.0 * gamma * (d * y) + slack)):
+                return True
+            if step < CERTIFY_MAX_CORRECTIONS:
+                y = y + lu.solve(ones - z)
+    return False
 
 
 def _pcg(A, b, lu, atol):
@@ -350,12 +426,18 @@ def linear_solve(A, b, rel_tol=1e-12, lagged=None):
     or needs more than PCG_MAX_ITER iterations, A itself is factored.
 
     The factorization is a sparse LU with a symmetric ordering and no
-    partial pivoting, so an indefinite matrix shows up as a nonpositive
-    pivot and is reported by index; the solve takes up to three steps of
-    iterative refinement.  After a pivot-checked solve that reaches the
-    target, ``lagged`` receives a second factor of A: the same pivots, but
-    its ``U`` is never read, so scipy never builds and caches CSC copies of
-    L and U on it.
+    partial pivoting; the solve takes up to three steps of iterative
+    refinement.  A is factored once and first proven SPD by an H-matrix
+    certificate that reads no L or U (see :func:`_certified_spd`; every
+    P1 system of a continuation solve passes it).  After a certified solve
+    that reaches the target, ``lagged`` keeps that factor.  A matrix the
+    certificate cannot prove SPD has its pivots checked instead, so an
+    indefinite one shows up as a nonpositive pivot and is reported by
+    index.  That check reads ``U``, and on that read scipy builds CSC
+    copies of L and U and caches them on the factor for as long as it
+    lives, so after such a solve reaches the target, ``lagged`` receives a
+    second factor of A: SuperLU is deterministic, so it has the same
+    pivots, and its ``U`` is never read.
 
     The refined LU solution is the only candidate.  If it misses the
     target, it is still accepted when its normwise backward error is at
@@ -365,7 +447,7 @@ def linear_solve(A, b, rel_tol=1e-12, lagged=None):
     Otherwise, and when SuperLU fails before any solution exists,
     :class:`LinearSolveError` is raised.
     """
-    A = sp.csc_matrix(A)
+    given, A = A, sp.csc_matrix(A)
     b = np.asarray(b, dtype=float)
     n = A.shape[0]
     if A.shape[0] != A.shape[1] or b.shape != (n,):
@@ -385,13 +467,15 @@ def linear_solve(A, b, rel_tol=1e-12, lagged=None):
     x = None
     try:
         lu = _factor(A)
-        dU = lu.U.diagonal()
-        bad = np.flatnonzero(~(dU.real > 0))
-        if bad.size:
-            k = int(bad[0])
-            raise LinearSolveError(
-                f"non-SPD pivot at elimination index {k} "
-                f"(original unknown {int(lu.perm_c[k])})")
+        certified = _certified_spd(given, A, lu)
+        if not certified:
+            dU = lu.U.diagonal()
+            bad = np.flatnonzero(~(dU.real > 0))
+            if bad.size:
+                k = int(bad[0])
+                raise LinearSolveError(
+                    f"non-SPD pivot at elimination index {k} "
+                    f"(original unknown {int(lu.perm_c[k])})")
         x = lu.solve(b)
         r = b - A @ x
         for _ in range(3):
@@ -400,8 +484,11 @@ def linear_solve(A, b, rel_tol=1e-12, lagged=None):
             x = x + lu.solve(r)
             r = b - A @ x
         if lagged is not None and np.linalg.norm(r) <= atol:
-            del lu
-            lagged.lu = _factor(A)
+            if not certified:
+                # drop the factor that holds L and U before the next one
+                del lu
+                lu = _factor(A)
+            lagged.lu = lu
     except LinearSolveError:
         raise
     except (RuntimeError, MemoryError) as err:

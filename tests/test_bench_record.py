@@ -52,14 +52,20 @@ def test_build_pairs_runs_and_reports_the_claim(tmp_path, bench_record):
     change.append(result(tmp_path, "change_t", 1, [],
                          dict(counts, **{"geometry.locate_calls": 2,
                                          "solver.linear_solve_s": 0.7})))
-    ratios, qhull = [], []
-    for side, ratio, calls in (("parent", 1.4, 10), ("change", 1.2, 2)):
+    ratios, qhull, lu = [], [], []
+    for side, ratio, calls, reads in (("parent", 1.4, 10, 1),
+                                      ("change", 1.2, 2, 0)):
         path = tmp_path / f"ratio-{side}.json"
         path.write_text(json.dumps({"meshed": {"ratio": ratio}}))
         ratios.append(str(path))
         path = tmp_path / f"qhull-{side}.json"
         path.write_text(json.dumps({"square": {"calls": calls}}))
         qhull.append(str(path))
+        path = tmp_path / f"lu-{side}.json"
+        path.write_text(json.dumps({"_how": "counted",
+                                    "square": {"factorizations": 1 + reads,
+                                               "lu_reads": reads}}))
+        lu.append(str(path))
     out = tmp_path / "BENCH.json"
     assert bench_record.main(["build", "--out", str(out), "--title", "t",
                               "--claim", "square:wall_s", "--parent",
@@ -67,13 +73,18 @@ def test_build_pairs_runs_and_reports_the_claim(tmp_path, bench_record):
                               "--ratio-parent", ratios[0],
                               "--ratio-change", ratios[1],
                               "--delaunay-parent", qhull[0],
-                              "--delaunay-change", qhull[1]]) == 0
+                              "--delaunay-change", qhull[1],
+                              "--lu-parent", lu[0],
+                              "--lu-change", lu[1]]) == 0
     bench = json.loads(out.read_text())
     assert bench["mollified_ratio"] == {"parent": {"meshed": {"ratio": 1.4}},
                                         "change": {"meshed": {"ratio": 1.2}}}
     assert bench["delaunay"] == {"parent": {"square": {"calls": 10}},
                                  "change": {"square": {"calls": 2}}}
+    assert bench["lu_how"] == "counted"
     entry = bench["workloads"]["square"]
+    assert entry["lu"] == {"parent": {"factorizations": 2, "lu_reads": 1},
+                           "change": {"factorizations": 1, "lu_reads": 0}}
     assert entry["pairs"] == 3
     assert entry["parent"]["wall_s"]["per_run_medians"] == [4.2, 4.0, 4.5]
     assert entry["change"]["wall_s"]["over_runs"]["median"] == 3.1
@@ -124,3 +135,38 @@ def test_count_delaunay_counts_qhull_calls(bench_record, monkeypatch):
     # two meshing attempts at h = 0.1 (251 and 334 points), one call each
     assert record["mollified_h0.1"] == {"calls": 2, "points": 585,
                                         "correct": True}
+
+
+def test_counted_factor_counts_l_and_u_reads(bench_record):
+    import threading
+
+    import numpy as np
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
+
+    counts = {"solves": 0, "lu_reads": 0}
+    lu = bench_record._CountedFactor(
+        spla.splu(sp.csc_matrix(np.diag([2.0, 3.0]))), counts,
+        threading.Lock())
+    lu.solve(np.ones(2))
+    assert lu.shape == (2, 2) and counts["lu_reads"] == 0
+    lu.U.diagonal()
+    lu.L.diagonal()
+    assert counts == {"solves": 1, "lu_reads": 2}
+
+
+def test_count_lu_counts_factorizations_and_lu_reads(bench_record,
+                                                     monkeypatch):
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                "PLAPX_THREADS"):
+        monkeypatch.setenv(var, "1")
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    from plapx import solver
+
+    real = solver._factor
+    record = bench_record.lu_record(bench_record.ROOT, ["mollified_h0.1"])
+    assert solver._factor is real
+    # the Poisson start is certified SPD and kept, and no L or U is read;
+    # the certificate of that Z-matrix takes one of the 107 solves
+    assert record["mollified_h0.1"] == {"factorizations": 1, "solves": 107,
+                                        "lu_reads": 0, "correct": True}

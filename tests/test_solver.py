@@ -1,13 +1,16 @@
+import hypothesis
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import strategies as st
 
 import plapx.regularity as regularity
 import plapx.solver as solver
 from plapx.assembly import (P1Function, apply_dirichlet, assemble_jacobian,
                             assemble_load, energy, weighted_stiffness)
 from plapx.expressions import FieldEvaluationError, parse_field
-from plapx.geometry import ConvexDomain, triangulate_convex
+from plapx.geometry import (ConvexDomain, refine_uniform, round_corners,
+                            triangulate_convex)
 from plapx.solver import (BACKWARD_ERROR_TOL, DiscreteProblem, EpsRecord,
                           HypothesisError, LaggedFactor, LinearSolveError,
                           NewtonError, ProblemSpec, continuation_solve,
@@ -167,7 +170,7 @@ def test_lagged_factor_of_nearby_matrix_preconditions(splu_calls):
     mesh, qctx, K, b = poisson_system()
     lagged = LaggedFactor()
     linear_solve(K, b, lagged=lagged)
-    assert lagged.lu is not None and len(splu_calls) == 2
+    assert lagged.lu is not None and len(splu_calls) == 1
     # a Newton Jacobian of p = 1.7 near the Poisson solution
     x, y = mesh.points[:, 0], mesh.points[:, 1]
     u = P1Function(mesh, x * (1.0 - x) * y * (1.0 - y))
@@ -176,7 +179,7 @@ def test_lagged_factor_of_nearby_matrix_preconditions(splu_calls):
         np.zeros(mesh.n_points), mesh, 0.0).operator
     kept = lagged.lu
     got = linear_solve(J, b, lagged=lagged)
-    assert len(splu_calls) == 2 and lagged.lu is kept
+    assert len(splu_calls) == 1 and lagged.lu is kept
     assert np.linalg.norm(b - J @ got) <= 1e-12 * np.linalg.norm(b)
     np.testing.assert_allclose(got, linear_solve(J, b), rtol=1e-10)
 
@@ -189,15 +192,15 @@ def test_far_off_lagged_factor_is_replaced_once(splu_calls):
     identity = lagged.lu
     splu_calls.clear()
     # CG on the stiffness matrix with no real preconditioner needs far
-    # more than PCG_MAX_ITER iterations: one pivot-checked factorization
-    # plus the copy the holder keeps
+    # more than PCG_MAX_ITER iterations: one certified factorization, which
+    # the holder keeps
     x = linear_solve(K, b, lagged=lagged)
     assert np.linalg.norm(b - K @ x) <= 1e-12 * np.linalg.norm(b)
-    assert splu_calls == [(n, n), (n, n)]
+    assert splu_calls == [(n, n)]
     assert lagged.lu is not identity
     # the replacement is the factor of K itself
     linear_solve(K, 2.0 * b, lagged=lagged)
-    assert len(splu_calls) == 2
+    assert len(splu_calls) == 1
 
 
 def test_indefinite_matrix_with_spd_lagged_factor_is_rejected():
@@ -217,7 +220,7 @@ def test_shape_change_refactors(splu_calls):
     b = np.arange(1.0, 6.0)
     np.testing.assert_allclose(linear_solve(A, b, lagged=lagged),
                                b / A.diagonal(), rtol=1e-15)
-    assert splu_calls == [(3, 3), (3, 3), (5, 5), (5, 5)]
+    assert splu_calls == [(3, 3), (5, 5)]
     assert lagged.lu.shape == (5, 5)
 
 
@@ -232,6 +235,138 @@ def test_kept_factor_solves_bit_identically_to_checked_factor():
     for rhs in (b, rng.normal(size=b.shape)):
         np.testing.assert_array_equal(lagged.lu.solve(rhs),
                                       checked.solve(rhs))
+
+
+# --- the H-matrix certificate ---------------------------------------------------
+
+
+def certified(A):
+    """Whether linear_solve's certificate proves the CSR matrix A SPD."""
+    C = sp.csc_matrix(A)
+    return solver._certified_spd(A, C, solver._factor(C))
+
+
+@pytest.fixture
+def lu_reads(monkeypatch):
+    """Factorizations (one entry each) and their L/U reads (the count)."""
+    factor, reads = solver._factor, []
+
+    class Watched:
+        def __init__(self, lu):
+            self._lu = lu
+
+        def __getattr__(self, name):
+            if name in ("L", "U"):
+                reads[-1] += 1
+            return getattr(self._lu, name)
+
+    def watched(A):
+        reads.append(0)
+        return Watched(factor(A))
+
+    monkeypatch.setattr(solver, "_factor", watched)
+    return reads
+
+
+@st.composite
+def small_symmetric(draw):
+    """A symmetric matrix of quarter integers, exact in floating point: a
+    Z-matrix with its diagonal near the off-diagonal row sums, such a
+    matrix with one positive pair, any symmetric matrix (often indefinite),
+    or B B^T + I/4 (SPD, mostly not an H-matrix)."""
+    n = draw(st.integers(2, 5))
+    kind = draw(st.sampled_from(("z", "near_z", "symmetric", "gram")))
+    quarters = st.integers(-8, 8).map(lambda k: k / 4.0)
+    B = np.reshape(draw(st.lists(quarters, min_size=n * n,
+                                 max_size=n * n)), (n, n))
+    if kind == "gram":
+        return B @ B.T + 0.25 * np.eye(n)
+    A = np.triu(B, 1)
+    A = A + A.T
+    if kind == "symmetric":
+        return A + np.diag(np.diag(B))
+    A = -np.abs(A)
+    if kind == "near_z":
+        i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2,
+                             unique=True))
+        A[i, j] = A[j, i] = draw(st.integers(1, 4)) / 4.0
+    shift = np.array(draw(st.lists(quarters, min_size=n, max_size=n)))
+    return A + np.diag(np.abs(A).sum(axis=1) + shift)
+
+
+@hypothesis.seed(20261020)
+@hypothesis.settings(max_examples=400, deadline=None, database=None)
+@hypothesis.given(small_symmetric())
+def test_certificate_accepts_only_spd_matrices(A):
+    C = sp.csc_matrix(A)
+    try:
+        lu = solver._factor(C)
+    except RuntimeError:  # exactly singular
+        return
+    if solver._certified_spd(sp.csr_matrix(A), C, lu):
+        assert np.min(np.linalg.eigvalsh(A)) > 0.0
+
+
+def test_certificate_needs_an_h_matrix(splu_calls):
+    # SPD (eigenvalues 2.8, 0.1, 0.1) but <A> has eigenvalue -0.8
+    A = sp.csr_matrix(np.full((3, 3), 0.9) + 0.1 * np.eye(3))
+    b = np.array([1.0, 2.0, 3.0])
+    assert not certified(A)
+    splu_calls.clear()
+    lagged = LaggedFactor()
+    x = linear_solve(A, b, lagged=lagged)
+    # the pivot-checked factor solves, a second factor is kept
+    assert len(splu_calls) == 2 and lagged.lu is not None
+    np.testing.assert_array_equal(x, linear_solve(A, b))
+    np.testing.assert_allclose(x, np.linalg.solve(A.toarray(), b),
+                               rtol=1e-14)
+
+
+def test_certificate_refuses_asymmetric_and_non_finite_matrices():
+    # an M-matrix, so an H-matrix, but not symmetric
+    assert not certified(sp.csr_matrix(np.array([[2.0, -1.0],
+                                                 [-0.5, 2.0]])))
+    with np.errstate(all="ignore"):
+        assert not certified(sp.csr_matrix(np.array([[np.inf, -1.0],
+                                                     [-1.0, 2.0]])))
+        assert not certified(sp.csr_matrix(np.array([[2.0, np.inf],
+                                                     [np.inf, 2.0]])))
+    # SuperLU refuses to factor a NaN matrix; the certificate refuses it
+    # whatever factor it is given
+    A = sp.csr_matrix(np.array([[2.0, np.nan], [np.nan, 2.0]]))
+    assert not solver._certified_spd(A, sp.csc_matrix(A),
+                                     solver._factor(sp.csc_matrix(np.eye(2))))
+    # equal CSR and CSC arrays prove symmetry only when the caller's
+    # matrix is CSR
+    C = sp.csc_matrix(np.array([[2.0, -1.0], [-0.5, 2.0]]))
+    assert not solver._certified_spd(C, C, solver._factor(C))
+
+
+def test_indefinite_matrix_still_reports_its_pivot(lu_reads):
+    A = sp.csr_matrix(np.array([[1.0, 2.0], [2.0, 1.0]]))
+    assert not certified(A)
+    lu_reads.clear()
+    with pytest.raises(LinearSolveError) as err:
+        linear_solve(A, np.array([1.0, 1.0]), lagged=LaggedFactor())
+    assert str(err.value) == ("non-SPD pivot at elimination index 1 "
+                              "(original unknown 0)")
+    assert lu_reads == [1]
+
+
+def test_refined_rounded_poisson_block_is_factored_once(lu_reads):
+    domain = round_corners(SQUARE, 0.025)
+    mesh = refine_uniform(refine_uniform(triangulate_convex(domain, 0.12)))
+    qctx = QuadratureContext(mesh)
+    K = weighted_stiffness(P1Function.zero(mesh), 2.0, 1.0, qctx)
+    sys_ = apply_dirichlet(K, assemble_load(1.0, qctx), mesh, 0.0)
+    A = sys_.operator
+    # not a Z-matrix: the certificate needs its corrections
+    assert np.any(sp.triu(A, 1).data > 0.0)
+    lagged = LaggedFactor()
+    x = linear_solve(A, sys_.rhs, lagged=lagged)
+    assert np.linalg.norm(sys_.rhs - A @ x) <= 1e-12 * np.linalg.norm(
+        sys_.rhs)
+    assert lu_reads == [0] and lagged.lu is not None
 
 
 # --- problem spec --------------------------------------------------------------

@@ -23,8 +23,11 @@ and the counts that differ.
 perfbench does not count SuperLU's triangular solves.  ``count-lu`` runs
 each perfbench workload once, in this process, on the plapx sources under
 ``DIR/src`` (default: this repository), with ``plapx.solver._factor``
-wrapped, and counts the factorizations and the ``solve`` calls on them (one
-call is one forward and one backward triangular solve).  BLAS runs on one
+wrapped, and counts the factorizations, the ``solve`` calls on them (one
+call is one forward and one backward triangular solve) and the reads of a
+factor's ``L`` or ``U`` (on its first such read scipy builds CSC copies of
+both and keeps them on the factor).  ``build`` copies one such file per
+side into each workload's ``lu``.  BLAS runs on one
 thread and ``PLAPX_THREADS`` is set as perfbench sets it.  ``count-delaunay``
 does the same with ``plapx.geometry.Delaunay`` wrapped, and counts the Qhull
 calls and the points they triangulate.  ``build`` copies one such file per
@@ -206,7 +209,8 @@ def build(args):
 
 
 class _CountedFactor:
-    """A SuperLU factor whose ``solve`` calls are counted."""
+    """A SuperLU factor whose ``solve`` calls and ``L``/``U`` reads are
+    counted."""
 
     def __init__(self, lu, counts, lock):
         self._lu, self._counts, self._lock = lu, counts, lock
@@ -217,6 +221,9 @@ class _CountedFactor:
         return self._lu.solve(*args, **kwargs)
 
     def __getattr__(self, name):
+        if name in ("L", "U"):
+            with self._lock:
+                self._counts["lu_reads"] += 1
         return getattr(self._lu, name)
 
 
@@ -247,8 +254,11 @@ def _write(result, path):
     return 0
 
 
-def count_lu(args):
-    _import_sources(os.path.abspath(args.root))
+def lu_record(root, names=None):
+    """SuperLU factorizations, their solve calls and their ``L``/``U``
+    reads, per workload in ``names`` (default: all), counted by wrapping
+    ``plapx.solver._factor`` for the duration of the runs."""
+    _import_sources(os.path.abspath(root))
     import plapx.solver
 
     factor, lock = plapx.solver._factor, threading.Lock()
@@ -259,13 +269,21 @@ def count_lu(args):
             counts["factorizations"] += 1
         return _CountedFactor(factor(A), counts, lock)
 
+    result = {"_how": ("SuperLU factorizations, solve calls (one forward "
+                       "and one backward triangular solve each) and reads "
+                       "of a factor's L or U, counted by wrapping "
+                       "plapx.solver._factor; one run per workload, seed 1")}
     plapx.solver._factor = counted_factor
-    result = {"_how": ("SuperLU factorizations and solve calls (one forward "
-                       "and one backward triangular solve each), counted by "
-                       "wrapping plapx.solver._factor; one run per workload, "
-                       "seed 1")}
-    result.update(_run_counted(counts, dict(factorizations=0, solves=0)))
-    return _write(result, args.out)
+    try:
+        result.update(_run_counted(
+            counts, dict(factorizations=0, solves=0, lu_reads=0), names))
+    finally:
+        plapx.solver._factor = factor
+    return result
+
+
+def count_lu(args):
+    return _write(lu_record(args.root), args.out)
 
 
 def delaunay_record(root, names=None):
