@@ -300,9 +300,10 @@ class LaggedFactor:
 
     :func:`linear_solve` fills and replaces ``lu``; nothing else touches it.
     Each :class:`DiscreteProblem` owns one, so threads never share a factor.
-    ``lu`` is the very factor that solved its matrix when the H-matrix
-    certificate proved that matrix SPD, else a second factor of the same
-    matrix; either way nobody has read its ``L`` or ``U``.
+    ``lu`` is the very factor that solved its matrix.  Nobody has read its
+    ``L`` or ``U`` when the H-matrix certificate proved that matrix SPD;
+    else the pivot check read ``U``, and the factor holds scipy's copies
+    of L and U.
     """
 
     lu: object = None
@@ -427,17 +428,14 @@ def linear_solve(A, b, rel_tol=1e-12, lagged=None):
 
     The factorization is a sparse LU with a symmetric ordering and no
     partial pivoting; the solve takes up to three steps of iterative
-    refinement.  A is factored once and first proven SPD by an H-matrix
-    certificate that reads no L or U (see :func:`_certified_spd`; every
-    P1 system of a continuation solve passes it).  After a certified solve
-    that reaches the target, ``lagged`` keeps that factor.  A matrix the
-    certificate cannot prove SPD has its pivots checked instead, so an
-    indefinite one shows up as a nonpositive pivot and is reported by
-    index.  That check reads ``U``, and on that read scipy builds CSC
-    copies of L and U and caches them on the factor for as long as it
-    lives, so after such a solve reaches the target, ``lagged`` receives a
-    second factor of A: SuperLU is deterministic, so it has the same
-    pivots, and its ``U`` is never read.
+    refinement.  A is factored once, and that factor first proves A SPD:
+    by an H-matrix certificate that reads no L or U (see
+    :func:`_certified_spd`; Poisson blocks nearly always pass it, most
+    Newton Jacobians do not), or else by a pivot check, so an indefinite
+    matrix shows up as a nonpositive pivot and is reported by index.  After a solve that reaches the target, ``lagged``
+    keeps the factor that solved.  The pivot check reads ``U``, and on that
+    read scipy builds CSC copies of L and U and caches them on the factor,
+    so a kept factor of a refused matrix holds them while it is kept.
 
     The refined LU solution is the only candidate.  If it misses the
     target, it is still accepted when its normwise backward error is at
@@ -467,8 +465,7 @@ def linear_solve(A, b, rel_tol=1e-12, lagged=None):
     x = None
     try:
         lu = _factor(A)
-        certified = _certified_spd(given, A, lu)
-        if not certified:
+        if not _certified_spd(given, A, lu):
             dU = lu.U.diagonal()
             bad = np.flatnonzero(~(dU.real > 0))
             if bad.size:
@@ -484,10 +481,6 @@ def linear_solve(A, b, rel_tol=1e-12, lagged=None):
             x = x + lu.solve(r)
             r = b - A @ x
         if lagged is not None and np.linalg.norm(r) <= atol:
-            if not certified:
-                # drop the factor that holds L and U before the next one
-                del lu
-                lu = _factor(A)
             lagged.lu = lu
     except LinearSolveError:
         raise

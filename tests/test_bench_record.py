@@ -52,39 +52,35 @@ def test_build_pairs_runs_and_reports_the_claim(tmp_path, bench_record):
     change.append(result(tmp_path, "change_t", 1, [],
                          dict(counts, **{"geometry.locate_calls": 2,
                                          "solver.linear_solve_s": 0.7})))
-    ratios, qhull, lu = [], [], []
+    ratios, counted = [], []
     for side, ratio, calls, reads in (("parent", 1.4, 10, 1),
                                       ("change", 1.2, 2, 0)):
         path = tmp_path / f"ratio-{side}.json"
         path.write_text(json.dumps({"meshed": {"ratio": ratio}}))
         ratios.append(str(path))
-        path = tmp_path / f"qhull-{side}.json"
-        path.write_text(json.dumps({"square": {"calls": calls}}))
-        qhull.append(str(path))
-        path = tmp_path / f"lu-{side}.json"
-        path.write_text(json.dumps({"_how": "counted",
-                                    "square": {"factorizations": 1 + reads,
-                                               "lu_reads": reads}}))
-        lu.append(str(path))
+        path = tmp_path / f"counts-{side}.json"
+        path.write_text(json.dumps({"_how": "counted", "square": {
+            "lu": {"factorizations": 1 + reads, "lu_reads": reads},
+            "delaunay": {"calls": calls}}}))
+        counted.append(str(path))
     out = tmp_path / "BENCH.json"
     assert bench_record.main(["build", "--out", str(out), "--title", "t",
                               "--claim", "square:wall_s", "--parent",
                               *parent, "--change", *change,
                               "--ratio-parent", ratios[0],
                               "--ratio-change", ratios[1],
-                              "--delaunay-parent", qhull[0],
-                              "--delaunay-change", qhull[1],
-                              "--lu-parent", lu[0],
-                              "--lu-change", lu[1]]) == 0
+                              "--counts-parent", counted[0],
+                              "--counts-change", counted[1]]) == 0
     bench = json.loads(out.read_text())
     assert bench["mollified_ratio"] == {"parent": {"meshed": {"ratio": 1.4}},
                                         "change": {"meshed": {"ratio": 1.2}}}
-    assert bench["delaunay"] == {"parent": {"square": {"calls": 10}},
-                                 "change": {"square": {"calls": 2}}}
-    assert bench["lu_how"] == "counted"
+    assert bench["counts_how"] == "counted"
     entry = bench["workloads"]["square"]
-    assert entry["lu"] == {"parent": {"factorizations": 2, "lu_reads": 1},
-                           "change": {"factorizations": 1, "lu_reads": 0}}
+    assert entry["counts"] == {
+        "parent": {"lu": {"factorizations": 2, "lu_reads": 1},
+                   "delaunay": {"calls": 10}},
+        "change": {"lu": {"factorizations": 1, "lu_reads": 0},
+                   "delaunay": {"calls": 2}}}
     assert entry["pairs"] == 3
     assert entry["parent"]["wall_s"]["per_run_medians"] == [4.2, 4.0, 4.5]
     assert entry["change"]["wall_s"]["over_runs"]["median"] == 3.1
@@ -121,22 +117,6 @@ def test_mollified_ratio_times_both_sides(bench_record, monkeypatch):
         assert entry["mollified_newton_steps"] > 0
 
 
-def test_count_delaunay_counts_qhull_calls(bench_record, monkeypatch):
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-                "PLAPX_THREADS"):
-        monkeypatch.setenv(var, "1")
-    monkeypatch.setattr(sys, "path", list(sys.path))
-    from plapx import geometry
-
-    real = geometry.Delaunay
-    record = bench_record.delaunay_record(bench_record.ROOT,
-                                          ["mollified_h0.1"])
-    assert geometry.Delaunay is real
-    # two meshing attempts at h = 0.1 (251 and 334 points), one call each
-    assert record["mollified_h0.1"] == {"calls": 2, "points": 585,
-                                        "correct": True}
-
-
 def test_counted_factor_counts_l_and_u_reads(bench_record):
     import threading
 
@@ -155,18 +135,22 @@ def test_counted_factor_counts_l_and_u_reads(bench_record):
     assert counts == {"solves": 1, "lu_reads": 2}
 
 
-def test_count_lu_counts_factorizations_and_lu_reads(bench_record,
-                                                     monkeypatch):
+def test_count_counts_factorizations_and_qhull_calls(bench_record,
+                                                    monkeypatch):
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                 "PLAPX_THREADS"):
         monkeypatch.setenv(var, "1")
     monkeypatch.setattr(sys, "path", list(sys.path))
-    from plapx import solver
+    from plapx import geometry, solver
 
-    real = solver._factor
-    record = bench_record.lu_record(bench_record.ROOT, ["mollified_h0.1"])
-    assert solver._factor is real
+    real_factor, real_delaunay = solver._factor, geometry.Delaunay
+    record = bench_record.count_record(bench_record.ROOT, ["mollified_h0.1"])
+    assert solver._factor is real_factor
+    assert geometry.Delaunay is real_delaunay
     # the Poisson start is certified SPD and kept, and no L or U is read;
-    # the certificate of that Z-matrix takes one of the 107 solves
-    assert record["mollified_h0.1"] == {"factorizations": 1, "solves": 107,
-                                        "lu_reads": 0, "correct": True}
+    # the certificate of that Z-matrix takes one of the 107 solves.  Two
+    # meshing attempts at h = 0.1 (251 and 334 points), one Qhull call each.
+    assert record["mollified_h0.1"] == {
+        "lu": {"factorizations": 1, "solves": 107, "lu_reads": 0},
+        "delaunay": {"calls": 2, "points": 585},
+        "correct": True}

@@ -687,6 +687,23 @@ def test_cli_solver_failure_exit_code(tmp_path, capsys):
     assert "failure:" in capsys.readouterr().err
 
 
+def test_cli_p1_sweep_records_a_failed_member(tmp_path, capsys):
+    # one Newton step cannot solve p = 1.5 at eps = 1; p = 2 needs none
+    path = write_config(tmp_path, **{"p1.list": "2, 1.5",
+                                     "newton.max_iter": "1",
+                                     "eps.start": "1", "eps.stop": "1e-2"})
+    assert cli_main(["sweep-p1", str(path)]) == 1
+    assert "failure:" in capsys.readouterr().err
+    side = json.loads((tmp_path / "cli_out.csv.json").read_text())
+    [failure] = side["failures"]
+    assert failure["p1"] == 1.5
+    assert failure["reason"].startswith("no convergence at eps=1.000e+00: ")
+    lines = (tmp_path / "cli_out.csv").read_text().splitlines()
+    assert [line.split(",")[0] for line in lines[1:]] == ["2.0"]
+    for key in ("scaling_dq", "scaling_recovery"):
+        assert side[key] == {"error": "fewer than 2 successful sweep members"}
+
+
 def test_cli_mesh_out(tmp_path, capsys):
     path = write_config(tmp_path)
     mesh_path = tmp_path / "grid.mesh"

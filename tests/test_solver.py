@@ -130,6 +130,37 @@ def test_linear_solve_rejects_a_large_backward_error(monkeypatch):
                               "(backward error 1.000e+00)")
 
 
+def test_failed_refinement_keeps_the_solution(monkeypatch):
+    # once x exists, a SuperLU failure only ends its refinement: x goes on
+    # to the backward-error test, and no factor is kept
+    _, _, K, b = poisson_system()
+    factor, failures = solver._factor, []
+
+    class FailsAfterSolving:
+        def __init__(self, lu):
+            self.lu, self.solved = lu, False
+
+        def __getattr__(self, name):
+            return getattr(self.lu, name)
+
+        def solve(self, rhs):
+            if self.solved:
+                failures.append(rhs)
+                raise RuntimeError("not enough memory")
+            self.solved = np.array_equal(rhs, b)
+            return self.lu.solve(rhs)
+
+    monkeypatch.setattr(solver, "_factor",
+                        lambda A: FailsAfterSolving(factor(A)))
+    lagged = LaggedFactor()
+    # a target below roundoff: x misses it, so refinement runs, and only
+    # its backward error can accept x
+    x = linear_solve(K, b, rel_tol=1e-17, lagged=lagged)
+    assert len(failures) == 1
+    np.testing.assert_array_equal(x, factor(sp.csc_matrix(K)).solve(b))
+    assert lagged.lu is None
+
+
 def test_linear_solve_reports_a_failed_factorization(monkeypatch):
     def out_of_memory(*args, **kwargs):
         raise MemoryError
@@ -315,8 +346,8 @@ def test_certificate_needs_an_h_matrix(splu_calls):
     splu_calls.clear()
     lagged = LaggedFactor()
     x = linear_solve(A, b, lagged=lagged)
-    # the pivot-checked factor solves, a second factor is kept
-    assert len(splu_calls) == 2 and lagged.lu is not None
+    # the pivot-checked factor solves and is kept
+    assert len(splu_calls) == 1 and lagged.lu is not None
     np.testing.assert_array_equal(x, linear_solve(A, b))
     np.testing.assert_allclose(x, np.linalg.solve(A.toarray(), b),
                                rtol=1e-14)
@@ -639,12 +670,20 @@ def test_continuation_failure_attaches_partial_report():
     assert report.problem.lagged.lu is None
 
 
-def test_failed_eps_record_keeps_its_newton_steps():
+def test_failed_eps_record_keeps_its_newton_steps(monkeypatch):
     # the failed eps's record and stats are the failed solve's own: its
     # step count and step sizes, halved ones included, not a count rebuilt
-    # from the residuals
-    spec = square_spec(p=ExponentField.constant(1.05), f=20.0, eps_stop=1e-2,
-                       mesh_h=0.3)
+    # from the residuals.  Each Newton correction is made 4 times too long,
+    # so the line search halves far above the roundoff floor.
+    reduced = DiscreteProblem.solve_reduced
+
+    def overshooting(self, A, rhs, g, atol=0.0):
+        u = reduced(self, A, rhs, g, atol=atol)
+        return P1Function(self.mesh, 4.0 * u.coeffs) if atol > 0 else u
+
+    monkeypatch.setattr(DiscreteProblem, "solve_reduced", overshooting)
+    spec = square_spec(p=ExponentField.constant(1.5), eps_stop=1e-2,
+                       mesh_h=0.3, newton_max_iter=2)
     with pytest.raises(NewtonError) as err:
         continuation_solve(spec)
     e = err.value

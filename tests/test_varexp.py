@@ -166,6 +166,23 @@ def test_luxemburg_newton_matches_bisection(case, scale):
     assert abs(got - want) <= 1e-10 * want
 
 
+def test_luxemburg_safeguard_matches_bisection():
+    # one spike and a large exponent: the modular overflows at the start of
+    # the bracket, so the first Newton step is not finite and the doubling
+    # safeguard takes over
+    qctx = square_qctx(0.12)
+    p = ExponentField.constant(100.0)
+    u = np.ones_like(qctx.x)
+    u.flat[0] = 1e6
+    w = qctx.weights
+    start = np.sum(w * u) / (1.0 + np.sum(w))
+    with np.errstate(over="ignore"):
+        assert math.isinf(modular(u / start, p, qctx))
+        want = bisection_norm(u, p, qctx)
+    got = luxemburg_norm(u, p, qctx)
+    assert abs(got - want) <= 1e-10 * want
+
+
 def test_holder_inequality_randomized():
     qctx = square_qctx(0.15)
     rng = np.random.Generator(np.random.Philox(42))

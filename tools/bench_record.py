@@ -1,13 +1,11 @@
 """Build a BENCH_<n>.json record from perfbench result files.
 
-    python3 tools/bench_record.py count-lu [--root DIR] --out LU.json
-    python3 tools/bench_record.py count-delaunay [--root DIR] --out QHULL.json
+    python3 tools/bench_record.py count [--root DIR] --out COUNTS.json
     python3 tools/bench_record.py mollified-ratio [--root DIR] --out RATIO.json
     python3 tools/bench_record.py build --out BENCH_<n>.json \\
         --title TEXT --claim WORKLOAD:METRIC \\
         --parent RESULT.json ... --change RESULT.json ... \\
-        [--lu-parent LU.json --lu-change LU.json] \\
-        [--delaunay-parent QHULL.json --delaunay-change QHULL.json] \\
+        [--counts-parent COUNTS.json --counts-change COUNTS.json] \\
         [--ratio-parent RATIO.json --ratio-change RATIO.json] [--note TEXT]
 
 ``perfbench/run.py`` writes ``perfbench/out/result-<workload>-trace<t>.json``
@@ -20,18 +18,17 @@ samples' median and quartiles, and in how many pairs the change was better.
 From ``--trace 1`` files it records every per-layer metric of both sides
 and the counts that differ.
 
-perfbench does not count SuperLU's triangular solves.  ``count-lu`` runs
-each perfbench workload once, in this process, on the plapx sources under
-``DIR/src`` (default: this repository), with ``plapx.solver._factor``
-wrapped, and counts the factorizations, the ``solve`` calls on them (one
-call is one forward and one backward triangular solve) and the reads of a
+perfbench counts neither SuperLU's triangular solves nor Qhull's calls.
+``count`` runs each perfbench workload once, in this process, on the plapx
+sources under ``DIR/src`` (default: this repository), with
+``plapx.solver._factor`` and ``plapx.geometry.Delaunay`` wrapped.  Under
+``lu`` it counts the factorizations, the ``solve`` calls on them (one call
+is one forward and one backward triangular solve) and the reads of a
 factor's ``L`` or ``U`` (on its first such read scipy builds CSC copies of
-both and keeps them on the factor).  ``build`` copies one such file per
-side into each workload's ``lu``.  BLAS runs on one
-thread and ``PLAPX_THREADS`` is set as perfbench sets it.  ``count-delaunay``
-does the same with ``plapx.geometry.Delaunay`` wrapped, and counts the Qhull
-calls and the points they triangulate.  ``build`` copies one such file per
-side into the record's ``delaunay``.
+both and keeps them on the factor); under ``delaunay``, the Qhull calls and
+the points they triangulate.  BLAS runs on one thread and
+``PLAPX_THREADS`` is set as perfbench sets it.  ``build`` copies one such
+file per side into each workload's ``counts``.
 
 ``mollified-ratio`` measures what a mollified exponent costs: cold
 in-process ``continuation_solve`` calls of the ``mollified_h0.1`` spec with
@@ -40,12 +37,11 @@ field) per solve, 9 solves per side in each of 4 rounds.  It runs them once
 with meshing inside the timed call and once on one prebuilt mesh, and
 writes per side the median time, the mollified/plain ratio of the medians,
 each round's ratio and the total Newton steps, on the same sources and
-threads as ``count-lu``.  ``build`` copies one such file per side into the
+threads as ``count``.  ``build`` copies one such file per side into the
 record's ``mollified_ratio``.
 
-Only the standard library is imported here; ``count-lu``,
-``count-delaunay`` and ``mollified-ratio`` import plapx and
-``perfbench/workloads.py`` from DIR.
+Only the standard library is imported here; ``count`` and
+``mollified-ratio`` import plapx and ``perfbench/workloads.py`` from DIR.
 """
 
 from __future__ import annotations
@@ -169,25 +165,22 @@ def build(args):
                                   for rep in p_records[0]["repetitions"]),
                 "change": not any(rep.get("problems")
                                   for rep in c_records[0]["repetitions"])}
-    if args.lu_parent and args.lu_change:
-        with open(args.lu_parent, encoding="utf-8") as fh:
-            lu_parent = json.load(fh)
-        with open(args.lu_change, encoding="utf-8") as fh:
-            lu_change = json.load(fh)
+    if args.counts_parent and args.counts_change:
+        with open(args.counts_parent, encoding="utf-8") as fh:
+            counts_parent = json.load(fh)
+        with open(args.counts_change, encoding="utf-8") as fh:
+            counts_change = json.load(fh)
         for workload, entry in bench["workloads"].items():
-            if workload in lu_parent and workload in lu_change:
-                entry["lu"] = {"parent": lu_parent[workload],
-                               "change": lu_change[workload]}
-        bench["lu_how"] = lu_parent.get("_how")
-    for key, parent_path, change_path in (
-            ("mollified_ratio", args.ratio_parent, args.ratio_change),
-            ("delaunay", args.delaunay_parent, args.delaunay_change)):
-        if parent_path and change_path:
-            bench[key] = {}
-            for side, path in (("parent", parent_path),
-                               ("change", change_path)):
-                with open(path, encoding="utf-8") as fh:
-                    bench[key][side] = json.load(fh)
+            if workload in counts_parent and workload in counts_change:
+                entry["counts"] = {"parent": counts_parent[workload],
+                                   "change": counts_change[workload]}
+        bench["counts_how"] = counts_parent.get("_how")
+    if args.ratio_parent and args.ratio_change:
+        bench["mollified_ratio"] = {}
+        for side, path in (("parent", args.ratio_parent),
+                           ("change", args.ratio_change)):
+            with open(path, encoding="utf-8") as fh:
+                bench["mollified_ratio"][side] = json.load(fh)
 
     claimed = bench["workloads"].get(claim_workload, {})
     if "parent" in claimed:
@@ -227,23 +220,57 @@ class _CountedFactor:
         return getattr(self._lu, name)
 
 
-def _run_counted(counts, zero, names=None):
-    """Run each workload in ``names`` (default: all) once, seed 1, with
-    ``counts`` reset to ``zero`` first; per workload, the counts it left
-    and whether its outputs passed the checks."""
+def count_record(root, names=None):
+    """Per workload in ``names`` (default: all), one run at seed 1 with
+    ``plapx.solver._factor`` and ``plapx.geometry.Delaunay`` wrapped: the
+    SuperLU factorizations, their solve calls and their ``L``/``U`` reads
+    (``lu``), the Qhull calls and the points they triangulate
+    (``delaunay``), and whether the outputs passed the checks."""
+    _import_sources(os.path.abspath(root))
+    import plapx.geometry
+    import plapx.solver
     import workloads
 
-    result = {}
-    for name in names or workloads.WORKLOADS:
-        wl = workloads.WORKLOADS[name]
-        os.environ["PLAPX_THREADS"] = str(wl.threads)
-        counts.update(zero)
-        with tempfile.TemporaryDirectory() as workdir:
-            outcome = workloads.run(workloads.Inputs(wl, 1, workdir))
-            problems = workloads.check(outcome, wl,
-                                       workloads.load_reference())
-        result[name] = dict(counts, correct=not problems)
-        print(f"{name}: {result[name]}", file=sys.stderr)
+    factor, delaunay = plapx.solver._factor, plapx.geometry.Delaunay
+    lock = threading.Lock()
+    lu, qhull = {}, {}
+
+    def counted_factor(A):
+        with lock:
+            lu["factorizations"] += 1
+        return _CountedFactor(factor(A), lu, lock)
+
+    def counted_delaunay(points, *args, **kwargs):
+        with lock:
+            qhull["calls"] += 1
+            qhull["points"] += len(points)
+        return delaunay(points, *args, **kwargs)
+
+    result = {"_how": ("lu: SuperLU factorizations, solve calls (one "
+                       "forward and one backward triangular solve each) and "
+                       "reads of a factor's L or U, counted by wrapping "
+                       "plapx.solver._factor; delaunay: Qhull calls and the "
+                       "points they triangulate, counted by wrapping "
+                       "plapx.geometry.Delaunay; one run per workload, "
+                       "seed 1")}
+    plapx.solver._factor = counted_factor
+    plapx.geometry.Delaunay = counted_delaunay
+    try:
+        for name in names or workloads.WORKLOADS:
+            wl = workloads.WORKLOADS[name]
+            os.environ["PLAPX_THREADS"] = str(wl.threads)
+            lu.update(factorizations=0, solves=0, lu_reads=0)
+            qhull.update(calls=0, points=0)
+            with tempfile.TemporaryDirectory() as workdir:
+                outcome = workloads.run(workloads.Inputs(wl, 1, workdir))
+                problems = workloads.check(outcome, wl,
+                                           workloads.load_reference())
+            result[name] = {"lu": dict(lu), "delaunay": dict(qhull),
+                            "correct": not problems}
+            print(f"{name}: {result[name]}", file=sys.stderr)
+    finally:
+        plapx.solver._factor = factor
+        plapx.geometry.Delaunay = delaunay
     return result
 
 
@@ -254,68 +281,8 @@ def _write(result, path):
     return 0
 
 
-def lu_record(root, names=None):
-    """SuperLU factorizations, their solve calls and their ``L``/``U``
-    reads, per workload in ``names`` (default: all), counted by wrapping
-    ``plapx.solver._factor`` for the duration of the runs."""
-    _import_sources(os.path.abspath(root))
-    import plapx.solver
-
-    factor, lock = plapx.solver._factor, threading.Lock()
-    counts = {}
-
-    def counted_factor(A):
-        with lock:
-            counts["factorizations"] += 1
-        return _CountedFactor(factor(A), counts, lock)
-
-    result = {"_how": ("SuperLU factorizations, solve calls (one forward "
-                       "and one backward triangular solve each) and reads "
-                       "of a factor's L or U, counted by wrapping "
-                       "plapx.solver._factor; one run per workload, seed 1")}
-    plapx.solver._factor = counted_factor
-    try:
-        result.update(_run_counted(
-            counts, dict(factorizations=0, solves=0, lu_reads=0), names))
-    finally:
-        plapx.solver._factor = factor
-    return result
-
-
-def count_lu(args):
-    return _write(lu_record(args.root), args.out)
-
-
-def delaunay_record(root, names=None):
-    """Qhull calls and the points they triangulate, per workload in
-    ``names`` (default: all), counted by wrapping
-    ``plapx.geometry.Delaunay`` for the duration of the runs."""
-    _import_sources(os.path.abspath(root))
-    import plapx.geometry
-
-    real, lock = plapx.geometry.Delaunay, threading.Lock()
-    counts = {}
-
-    def counted(points, *args, **kwargs):
-        with lock:
-            counts["calls"] += 1
-            counts["points"] += len(points)
-        return real(points, *args, **kwargs)
-
-    result = {"_how": ("Qhull Delaunay calls and the points they "
-                       "triangulate, counted by wrapping "
-                       "plapx.geometry.Delaunay; one run per workload, "
-                       "seed 1")}
-    plapx.geometry.Delaunay = counted
-    try:
-        result.update(_run_counted(counts, dict(calls=0, points=0), names))
-    finally:
-        plapx.geometry.Delaunay = real
-    return result
-
-
-def count_delaunay(args):
-    return _write(delaunay_record(args.root), args.out)
+def count(args):
+    return _write(count_record(args.root), args.out)
 
 
 def _import_sources(root):
@@ -395,12 +362,10 @@ def mollified_ratio(args):
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     sub = ap.add_subparsers(dest="command", required=True)
-    lu = sub.add_parser("count-lu", help="count LU factorizations and solves")
-    lu.add_argument("--root", default=ROOT)
-    lu.add_argument("--out", required=True)
-    qhull = sub.add_parser("count-delaunay", help="count Qhull calls")
-    qhull.add_argument("--root", default=ROOT)
-    qhull.add_argument("--out", required=True)
+    counts = sub.add_parser(
+        "count", help="count LU factorizations, solves and Qhull calls")
+    counts.add_argument("--root", default=ROOT)
+    counts.add_argument("--out", required=True)
     ratio = sub.add_parser("mollified-ratio",
                            help="time mollified against plain solves")
     ratio.add_argument("--root", default=ROOT)
@@ -411,16 +376,14 @@ def main(argv=None):
     b.add_argument("--claim", required=True, help="WORKLOAD:METRIC")
     b.add_argument("--parent", nargs="+", required=True)
     b.add_argument("--change", nargs="+", required=True)
-    b.add_argument("--lu-parent")
-    b.add_argument("--lu-change")
+    b.add_argument("--counts-parent")
+    b.add_argument("--counts-change")
     b.add_argument("--ratio-parent")
     b.add_argument("--ratio-change")
-    b.add_argument("--delaunay-parent")
-    b.add_argument("--delaunay-change")
     b.add_argument("--note")
     args = ap.parse_args(argv)
-    commands = {"count-lu": count_lu, "count-delaunay": count_delaunay,
-                "mollified-ratio": mollified_ratio, "build": build}
+    commands = {"count": count, "mollified-ratio": mollified_ratio,
+                "build": build}
     return commands[args.command](args)
 
 
