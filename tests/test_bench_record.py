@@ -135,22 +135,35 @@ def test_counted_factor_counts_l_and_u_reads(bench_record):
     assert counts == {"solves": 1, "lu_reads": 2}
 
 
-def test_count_counts_factorizations_and_qhull_calls(bench_record,
-                                                    monkeypatch):
+def _count(bench_record, monkeypatch):
+    """``count_record`` on mollified_h0.1, with one BLAS thread."""
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                 "PLAPX_THREADS"):
         monkeypatch.setenv(var, "1")
     monkeypatch.setattr(sys, "path", list(sys.path))
-    from plapx import geometry, solver
-
-    real_factor, real_delaunay = solver._factor, geometry.Delaunay
     record = bench_record.count_record(bench_record.ROOT, ["mollified_h0.1"])
-    assert solver._factor is real_factor
-    assert geometry.Delaunay is real_delaunay
+    assert record["mollified_h0.1"]["correct"] is True
+    return record["mollified_h0.1"]
+
+
+def test_count_delaunay_counts_qhull_calls(bench_record, monkeypatch):
+    from plapx import geometry
+
+    real = geometry.Delaunay
+    record = _count(bench_record, monkeypatch)
+    assert geometry.Delaunay is real
+    # two meshing attempts at h = 0.1 (251 and 334 points), one call each
+    assert record["delaunay"] == {"calls": 2, "points": 585}
+
+
+def test_count_lu_counts_factorizations_and_lu_reads(bench_record,
+                                                     monkeypatch):
+    from plapx import solver
+
+    real = solver._factor
+    record = _count(bench_record, monkeypatch)
+    assert solver._factor is real
     # the Poisson start is certified SPD and kept, and no L or U is read;
-    # the certificate of that Z-matrix takes one of the 107 solves.  Two
-    # meshing attempts at h = 0.1 (251 and 334 points), one Qhull call each.
-    assert record["mollified_h0.1"] == {
-        "lu": {"factorizations": 1, "solves": 107, "lu_reads": 0},
-        "delaunay": {"calls": 2, "points": 585},
-        "correct": True}
+    # the certificate of that Z-matrix takes one of the 107 solves
+    assert record["lu"] == {"factorizations": 1, "solves": 107,
+                            "lu_reads": 0}
