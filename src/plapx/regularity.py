@@ -180,15 +180,12 @@ def default_window(domain, spacing):
         if not fits(1e-6):
             return None
         lo_a, hi_a = 1e-6, 1.0
-        if fits(1.0):
-            lo_a = 1.0
-        else:
-            for _ in range(48):
-                mid = 0.5 * (lo_a + hi_a)
-                if fits(mid):
-                    lo_a = mid
-                else:
-                    hi_a = mid
+        for _ in range(48):
+            mid = 0.5 * (lo_a + hi_a)
+            if fits(mid):
+                lo_a = mid
+            else:
+                hi_a = mid
         return lo_a * half
 
     s = float(spacing)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field as dc_field
 
@@ -116,22 +117,24 @@ class ProblemSpec:
         for name, (test, reason) in FIELD_CHECKS.items():
             if not test(getattr(self, name)):
                 raise ValueError(f"{name} {reason}")
-        # the length of eps_schedule(), counted without building it
-        steps = 1 + math.ceil(math.log(self.eps_stop / self.eps_start)
-                              / math.log(self.eps_factor) - 1e-9)
-        if steps > MAX_EPS_STEPS:
+        # the schedule's loop decides; a log count names a refused length
+        cap = MAX_EPS_STEPS + 1
+        if len(list(itertools.islice(self._eps_values(), cap))) == cap:
+            steps = 1 + math.ceil(math.log(self.eps_stop / self.eps_start)
+                                  / math.log(self.eps_factor) - 1e-9)
             raise ValueError(
-                f"eps schedule of {steps} steps, more than {MAX_EPS_STEPS} "
-                "(raise eps_stop or lower eps_factor)")
+                f"eps schedule of {max(steps, cap)} steps, more than "
+                f"{MAX_EPS_STEPS} (raise eps_stop or lower eps_factor)")
 
-    def eps_schedule(self):
-        values = []
+    def _eps_values(self):
         e = self.eps_start
         while e > self.eps_stop * (1.0 + 1e-9):
-            values.append(e)
+            yield e
             e *= self.eps_factor
-        values.append(self.eps_stop)
-        return values
+        yield self.eps_stop
+
+    def eps_schedule(self):
+        return list(self._eps_values())
 
 
 @dataclass

@@ -221,6 +221,16 @@ def test_eps_schedule_cap_admits_its_own_length(tmp_path):
                                  "eps.stop": repr(0.5 ** 1000)})
 
 
+@pytest.mark.parametrize("factor,stop", [("0.97", "6.094843127e-14"),
+                                         ("0.95", "5.570339734e-23"),
+                                         ("0.919", "2.250069199e-37")])
+def test_eps_cap_counts_with_the_schedule_loop(tmp_path, factor, stop):
+    # each schedule has 1,000 steps, though its log count rounds to 1,001
+    cfg = make_config(tmp_path, **{"eps.start": "1", "eps.factor": factor,
+                                   "eps.stop": stop})
+    assert len(cfg.spec.eps_schedule()) == 1000
+
+
 @pytest.mark.parametrize("command,overrides", [
     ("solve", {"mesh.refinements": "12"}),
     ("convergence", {"mesh.refinements": "12", "u.exact.expr": "x*y"}),

@@ -1,12 +1,10 @@
 """Build a BENCH_<n>.json record from perfbench result files.
 
     python3 tools/bench_record.py count [--root DIR] --out COUNTS.json
-    python3 tools/bench_record.py mollified-ratio [--root DIR] --out RATIO.json
     python3 tools/bench_record.py build --out BENCH_<n>.json \\
         --title TEXT --claim WORKLOAD:METRIC \\
         --parent RESULT.json ... --change RESULT.json ... \\
-        [--counts-parent COUNTS.json --counts-change COUNTS.json] \\
-        [--ratio-parent RATIO.json --ratio-change RATIO.json] [--note TEXT]
+        [--counts-parent COUNTS.json --counts-change COUNTS.json] [--note TEXT]
 
 ``perfbench/run.py`` writes ``perfbench/out/result-<workload>-trace<t>.json``
 and overwrites it on the next run, so copy each one away before the next
@@ -30,18 +28,8 @@ the points they triangulate.  BLAS runs on one thread and
 ``PLAPX_THREADS`` is set as perfbench sets it.  ``build`` copies one such
 file per side into each workload's ``counts``.
 
-``mollified-ratio`` measures what a mollified exponent costs: cold
-in-process ``continuation_solve`` calls of the ``mollified_h0.1`` spec with
-and without the mollifier, alternating, a fresh spec (so a fresh mollified
-field) per solve, 9 solves per side in each of 4 rounds.  It runs them once
-with meshing inside the timed call and once on one prebuilt mesh, and
-writes per side the median time, the mollified/plain ratio of the medians,
-each round's ratio and the total Newton steps, on the same sources and
-threads as ``count``.  ``build`` copies one such file per side into the
-record's ``mollified_ratio``.
-
-Only the standard library is imported here; ``count`` and
-``mollified-ratio`` import plapx and ``perfbench/workloads.py`` from DIR.
+Only the standard library is imported here; ``count`` imports plapx and
+``perfbench/workloads.py`` from DIR.
 """
 
 from __future__ import annotations
@@ -53,7 +41,6 @@ import statistics
 import sys
 import tempfile
 import threading
-import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 END_TO_END = ("wall_s", "cpu_s", "setup_s", "peak_rss_mb")
@@ -175,12 +162,6 @@ def build(args):
                 entry["counts"] = {"parent": counts_parent[workload],
                                    "change": counts_change[workload]}
         bench["counts_how"] = counts_parent.get("_how")
-    if args.ratio_parent and args.ratio_change:
-        bench["mollified_ratio"] = {}
-        for side, path in (("parent", args.ratio_parent),
-                           ("change", args.ratio_change)):
-            with open(path, encoding="utf-8") as fh:
-                bench["mollified_ratio"][side] = json.load(fh)
 
     claimed = bench["workloads"].get(claim_workload, {})
     if "parent" in claimed:
@@ -274,15 +255,12 @@ def count_record(root, names=None):
     return result
 
 
-def _write(result, path):
-    with open(path, "w", encoding="utf-8") as fh:
+def count(args):
+    result = count_record(args.root)
+    with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(result, fh, indent=1)
         fh.write("\n")
     return 0
-
-
-def count(args):
-    return _write(count_record(args.root), args.out)
 
 
 def _import_sources(root):
@@ -293,72 +271,6 @@ def _import_sources(root):
     sys.path[:0] = [os.path.join(root, "src"), os.path.join(root, "perfbench")]
 
 
-def ratio_record(root, rounds=4, solves=9, mesh_h=None):
-    """Mollified/plain timings of cold solves of the ``mollified_h0.1``
-    spec (``mesh_h`` overrides its mesh size)."""
-    _import_sources(os.path.abspath(root))
-    import plapx.geometry
-    import plapx.solver
-    import workloads
-
-    wl = workloads.WORKLOADS["mollified_h0.1"]
-    os.environ["PLAPX_THREADS"] = str(wl.threads)
-    with tempfile.TemporaryDirectory() as workdir:
-        config = workloads.Inputs(wl, 1, workdir).config
-    overrides = {} if mesh_h is None else {"mesh_h": mesh_h}
-    base = config.problem_spec(**overrides)
-
-    def spec(mollified):
-        fresh = config.problem_spec(**overrides)
-        if mollified:
-            fresh = plapx.solver.with_mollified_exponent(
-                fresh, workloads.MOLLIFIER_DELTA)
-        return fresh
-
-    result = {"_how": ("cold in-process continuation_solve of the "
-                       "mollified_h0.1 spec with and without the mollifier "
-                       f"(delta {workloads.MOLLIFIER_DELTA}), alternating, "
-                       "a fresh spec per solve; medians over all rounds; "
-                       "BLAS on one thread"),
-              "rounds": rounds, "solves_per_side": solves,
-              "mesh_h": base.mesh_h}
-    for mode in ("meshed", "prebuilt"):
-        mesh = None
-        if mode == "prebuilt":
-            mesh = plapx.geometry.triangulate_convex(base.domain, base.mesh_h)
-        times = {False: [], True: []}
-        steps = {False: 0, True: 0}
-        round_ratios = []
-        for r in range(rounds):
-            per_round = {False: [], True: []}
-            for k in range(solves):
-                # the side that goes first alternates solve by solve
-                for mollified in ((False, True) if (r + k) % 2 == 0
-                                  else (True, False)):
-                    s = spec(mollified)
-                    t0 = time.perf_counter()
-                    report = plapx.solver.continuation_solve(s, mesh=mesh)
-                    per_round[mollified].append(time.perf_counter() - t0)
-                    steps[mollified] += sum(stats.iterations
-                                            for _, stats, _, _
-                                            in report.steps)
-            round_ratios.append(statistics.median(per_round[True])
-                                / statistics.median(per_round[False]))
-            for side, values in per_round.items():
-                times[side].extend(values)
-        plain, moll = (statistics.median(times[s]) for s in (False, True))
-        result[mode] = {"plain_median_s": plain, "mollified_median_s": moll,
-                        "ratio": moll / plain, "round_ratios": round_ratios,
-                        "plain_newton_steps": steps[False],
-                        "mollified_newton_steps": steps[True]}
-        print(f"{mode}: {result[mode]}", file=sys.stderr)
-    return result
-
-
-def mollified_ratio(args):
-    return _write(ratio_record(args.root), args.out)
-
-
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     sub = ap.add_subparsers(dest="command", required=True)
@@ -366,10 +278,6 @@ def main(argv=None):
         "count", help="count LU factorizations, solves and Qhull calls")
     counts.add_argument("--root", default=ROOT)
     counts.add_argument("--out", required=True)
-    ratio = sub.add_parser("mollified-ratio",
-                           help="time mollified against plain solves")
-    ratio.add_argument("--root", default=ROOT)
-    ratio.add_argument("--out", required=True)
     b = sub.add_parser("build", help="write a BENCH json")
     b.add_argument("--out", required=True)
     b.add_argument("--title", required=True)
@@ -378,12 +286,9 @@ def main(argv=None):
     b.add_argument("--change", nargs="+", required=True)
     b.add_argument("--counts-parent")
     b.add_argument("--counts-change")
-    b.add_argument("--ratio-parent")
-    b.add_argument("--ratio-change")
     b.add_argument("--note")
     args = ap.parse_args(argv)
-    commands = {"count": count, "mollified-ratio": mollified_ratio,
-                "build": build}
+    commands = {"count": count, "build": build}
     return commands[args.command](args)
 
 
