@@ -515,7 +515,8 @@ def run_convergence(config: ExperimentConfig) -> ExperimentResult:
             payload["failures"].append({"level": level, "reason": str(err)})
             prev = None
             continue
-        l2, h1 = l2_h1_errors(report.solution, config.u_exact)
+        l2, h1 = l2_h1_errors(report.solution, config.u_exact,
+                              report.problem.qctx)
         if prev is None:
             l2_order = h1_order = math.nan
         else:
@@ -554,8 +555,12 @@ def run_p1_sweep(config: ExperimentConfig) -> ExperimentResult:
         if len(rows) < 2:
             return {"error": "fewer than 2 successful sweep members"}
         i = P1_COLUMNS.index(column)
-        return dataclasses.asdict(regularity.p1_scaling_report(
-            [row[0] for row in rows], [row[i] for row in rows]))
+        # a nan diagnostic was not measured: it neither fits nor fails
+        fit = [(row[0], row[i]) for row in rows if math.isfinite(row[i])]
+        if len(fit) < 2:
+            return {"error": f"fewer than 2 sweep members with a finite "
+                             f"{column}"}
+        return dataclasses.asdict(regularity.p1_scaling_report(*zip(*fit)))
 
     payload["scaling_dq"] = fit_payload("h2_dq")
     payload["scaling_recovery"] = fit_payload("h2_recovery")

@@ -9,9 +9,13 @@ points near the boundary, until the 20 degree minimum-angle floor holds.  Each
 attempt runs Qhull once, on the points before smoothing.  After a sweep,
 Lawson edge flips repair the previous triangulation (``_flip_to_delaunay``)
 until every interior edge is locally Delaunay by a clear margin, which
-certifies the unique Delaunay triangulation, the one Qhull would return.
-Where the certificate fails (a near tie, an inverted triangle, nearly
-collinear boundary samples), Qhull triangulates all the points.
+certifies the unique Delaunay triangulation of the region bounded by the
+outer edges of the last Qhull call.  Where boundary samples are exactly or
+clearly non-collinear, that is the triangulation Qhull returns on all the
+points; on nearly collinear samples (slanted straight edges) the two can
+differ by slivers along those samples.  Where the certificate fails (a near
+tie, an inverted triangle, too many flip rounds), Qhull triangulates all the
+points.
 """
 
 from __future__ import annotations
@@ -44,10 +48,8 @@ MAX_TRIANGLES = 4e5
 LOCATE_TOL = 1e-8
 # polyline segments per rounded corner
 ARC_SEGMENTS = 16
-# relative in-circle determinant of a near tie between two triangles, and
-# relative doubled area of three nearly collinear boundary samples
+# relative in-circle determinant of a near tie between two triangles
 TIE = 1e-9
-COLLINEAR = 1e-9
 # most Lawson flip rounds that repair one smoothing sweep
 FLIP_ROUNDS = 32
 
@@ -696,38 +698,28 @@ def _uses_all(tri, n):
     return bool(np.all(np.bincount(tri.ravel(), minlength=n)))
 
 
-def _near_collinear_boundary(bnd, rel):
-    """Whether three consecutive boundary samples are collinear within a
-    relative ``rel`` but not exactly, in all three corner orders."""
-    i = np.arange(len(bnd))
-    j, k = np.roll(i, -1), np.roll(i, -2)
-    twice = np.abs(np.stack([_signed_areas(bnd, np.column_stack(r))
-                             for r in ((i, j, k), (j, k, i), (k, i, j))]))
-    span = (np.hypot(*(bnd[j] - bnd[i]).T) * np.hypot(*(bnd[k] - bnd[j]).T))
-    exact = np.all(twice == 0, axis=0)
-    clear = np.all(twice > rel * span, axis=0)
-    return bool(np.any(~exact & ~clear))
-
-
 def _flip_to_delaunay(points, tri):
-    """``_delaunay_triangles(points)`` by Lawson flips from ``tri``, or None.
+    """The Delaunay triangulation of ``points`` by Lawson flips from
+    ``tri``, or None.
 
     ``tri`` triangulates the points before they moved, in canonical order
     (as this function and ``_delaunay_triangles`` return it), and the
     points on its outer edges did not move.  Each round pairs the
     half-edges by a sorted key, takes the in-circle sign of every interior
     edge's two triangles and flips an independent set of the illegal edges
-    (each triangle in at most one flip).  When every interior edge is
-    clearly legal, the triangulation is the unique Delaunay triangulation
-    (the Delaunay lemma), which is what Qhull returns.  None means that is
-    not certain: a triangle of ``tri``, or of the result in canonical
-    order, has area <= 0, an edge is within ``TIE`` of cocircular, or
-    ``FLIP_ROUNDS`` rounds did not suffice.
+    (each triangle in at most one flip).  Flips keep the outer edges, so
+    once every interior edge is clearly legal the result is the unique
+    Delaunay triangulation of the region they bound (the Delaunay lemma):
+    what Qhull returns on ``points``, unless nearly collinear outer points
+    let the two differ by slivers along them.  None means the certificate
+    fails: a point is no corner of ``tri``, a triangle of ``tri`` or of the
+    result in canonical order has area <= 0, an edge is within ``TIE`` of
+    cocircular, or ``FLIP_ROUNDS`` rounds did not suffice.
     """
-    if np.any(_signed_areas(points, tri) <= 0):
+    m, n = len(tri), len(points)
+    if not _uses_all(tri, n) or np.any(_signed_areas(points, tri) <= 0):
         return None
     t = tri.copy()
-    m, n = len(t), len(points)
     for rounds in range(FLIP_ROUNDS):
         # half-edge k m + s runs from corner k of triangle s to corner k + 1,
         # and the third corner is opposite it
@@ -789,14 +781,11 @@ def triangulate_convex(dom: ConvexDomain, h_target: float) -> TriMesh:
         movable = np.zeros(len(pts), dtype=bool)
         movable[len(bnd):] = dom.line_distance(interior) < 2.2 * spacing
         tri = _delaunay_triangles(pts)
-        # Qhull could keep or drop a sliver of nearly collinear samples
-        collinear = _near_collinear_boundary(bnd, COLLINEAR)
         flags = np.arange(len(pts)) < len(bnd)
         # 4 sweeps, then up to 6 more while below the angle floor
         for sweep in range(10):
-            repair = not collinear and _uses_all(tri, len(pts))
             pts = _smooth_round(pts, tri, movable)
-            tri = _flip_to_delaunay(pts, tri) if repair else None
+            tri = _flip_to_delaunay(pts, tri)
             if tri is None:
                 tri = _delaunay_triangles(pts)
             if sweep >= 3:

@@ -431,8 +431,8 @@ def p1_scaling_report(p1_values, h2_values, kappa: float = 1.0) -> ScalingReport
         raise ValueError("need matching lists with at least 2 sweep members")
     if np.any(p1_values <= 1.0):
         raise ValueError("p1 values must exceed 1")
-    if np.any(h2_values <= 0.0):
-        raise ValueError("H2 estimates must be positive")
+    if not np.all(np.isfinite(h2_values) & (h2_values > 0.0)):
+        raise ValueError("H2 estimates must be finite and positive")
     x = np.log(1.0 / (p1_values - 1.0))
     y = np.log(h2_values)
     bound = kappa + 0.5

@@ -104,12 +104,18 @@ def test_counted_factor_counts_l_and_u_reads(bench_record):
     assert counts == {"solves": 1, "lu_reads": 2}
 
 
-def _count(bench_record, monkeypatch):
-    """``count_record`` on mollified_h0.1, with one BLAS thread."""
+def _isolate(monkeypatch):
+    """One BLAS and plapx thread, and the environment and import path that
+    ``count_record`` and ``ladder_record`` set restored afterwards."""
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                 "PLAPX_THREADS"):
         monkeypatch.setenv(var, "1")
     monkeypatch.setattr(sys, "path", list(sys.path))
+
+
+def _count(bench_record, monkeypatch):
+    """``count_record`` on mollified_h0.1, with one BLAS thread."""
+    _isolate(monkeypatch)
     record = bench_record.count_record(bench_record.ROOT, ["mollified_h0.1"])
     assert record["mollified_h0.1"]["correct"] is True
     return record["mollified_h0.1"]
@@ -136,3 +142,38 @@ def test_count_lu_counts_factorizations_and_lu_reads(bench_record,
     # the certificate of that Z-matrix takes one of the 107 solves
     assert record["lu"] == {"factorizations": 1, "solves": 107,
                             "lu_reads": 0}
+
+
+def test_ladder_records_meshes_and_qhull_calls(bench_record, monkeypatch):
+    from plapx import geometry
+
+    real = geometry.Delaunay
+    _isolate(monkeypatch)
+    record = bench_record.ladder_record(bench_record.ROOT,
+                                        [("square", 0.3), ("triangle", 0.12)])
+    assert geometry.Delaunay is real
+    square, triangle = record["pairs"]
+    # the digests pinned for these meshes in tests/test_geometry.py
+    assert square["digest"] == ("d7137cbf9165152e0e6bc9688411fd6bba946fa4"
+                                "1c492916dfd44a419ec5fc7c")
+    assert triangle["digest"] == ("a13ee254053b2b9df9ab560ac9273fcf725dfb92"
+                                  "7a05e1d203cf50dbe54e2f42")
+    assert (square["qhull_calls"], triangle["qhull_calls"]) == (1, 2)
+    assert (triangle["domain"], triangle["h"]) == ("triangle", 0.12)
+    assert triangle["points"] == 346 and triangle["triangles"] == 613
+    assert triangle["min_angle"] >= 20.0 and triangle["mesh_h"] <= 0.12
+    assert record["total"]["qhull_calls"] == 3
+    assert record["total"]["errors"] == 0
+
+
+def test_ladder_records_a_meshing_error(bench_record, monkeypatch):
+    from plapx import geometry
+
+    # no triangle has every angle above 60 degrees
+    monkeypatch.setattr(geometry, "MIN_ANGLE_DEG", 60.5)
+    _isolate(monkeypatch)
+    record = bench_record.ladder_record(bench_record.ROOT, [("square", 0.3)])
+    (entry,) = record["pairs"]
+    assert entry["error"].startswith("could not reach min angle 60.5 deg")
+    assert "digest" not in entry and entry["qhull_calls"] > 0
+    assert record["total"]["errors"] == 1

@@ -17,6 +17,7 @@ from plapx.experiments import (DEFAULT_IDENTITY_EXPRS, ConfigError,
                                thread_count, write_csv, write_sidecar)
 from plapx.geometry import load_mesh
 from plapx.solver import EpsRecord
+from plapx.varexp import QuadratureContext
 
 BASE = {
     "domain.vertices": "0,0; 1,0; 1,1; 0,1",
@@ -403,12 +404,22 @@ def test_run_convergence_requires_exact(tmp_path):
             tmp_path, **{"u.exact.expr": "x*y", "mesh.refinements": "1"}))
 
 
-def test_run_convergence_orders(tmp_path):
+def test_run_convergence_orders(tmp_path, monkeypatch):
     # harmonic exact solution x*y for the p = 2 problem
     cfg = make_config(tmp_path, **{"u.exact.expr": "x*y", "f.expr": "0",
                                    "g.expr": "x*y", "mesh.refinements": "3",
                                    "mesh.h": "0.4"})
+    built = []
+    init = QuadratureContext.__init__
+
+    def counting(self, mesh):
+        built.append(mesh)
+        init(self, mesh)
+
+    monkeypatch.setattr(QuadratureContext, "__init__", counting)
     result = run_convergence(cfg)
+    # one quadrature context per level: the errors reuse the solve's
+    assert len(built) == 3 == len({id(mesh) for mesh in built})
     assert len(result.rows) == 3
     level, h, l2, h1, l2o, h1o = result.rows[0]
     assert level == 0 and math.isnan(l2o) and math.isnan(h1o)
@@ -938,6 +949,12 @@ def test_cli_thin_strip_without_window_still_solves(tmp_path, capsys,
                          r"domain \(requested spacing 0\.\d+\)$", warning)
     if command == "sweep-domain":
         assert nan_warnings[0].endswith("(requested spacing 0.1)")
+    if command == "sweep-p1":
+        # no h2_dq was measured, so there is no fit to judge by the bound
+        assert side["scaling_dq"] == {
+            "error": "fewer than 2 sweep members with a finite h2_dq"}
+        assert "within_bound" in side["scaling_recovery"]
+    assert "NaN" not in (tmp_path / "cli_out.csv.json").read_text()
     assert all(f"diagnostic: {w}" in err for w in side["diagnostic_warnings"])
 
 

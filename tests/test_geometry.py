@@ -252,6 +252,8 @@ def test_boundary_anchors():
     (ConvexDomain.disk(1.0), 0.2),
     (round_corners(ConvexDomain.unit_square(), 0.25), 0.12),
     (ConvexDomain([(0, 0), (2, 0), (0.7, 1.4)]), 0.12),
+    # Qhull on every sweep could not reach the angle floor here
+    (ConvexDomain.regular_polygon(12), 0.1),
 ])
 def test_triangulation_quality(dom, h):
     mesh = triangulate_convex(dom, h)
@@ -327,9 +329,9 @@ DOMAINS = {
        for r in (0.025, 0.05, 0.1, 0.2, 0.4)},
 }
 
-# sha256 of the points, triangles and boundary-flag bytes, the same as with
-# Qhull over all the points on every sweep; the comments name the path each
-# mesh takes
+# sha256 of the points, triangles and boundary-flag bytes; all but the last
+# group are also what Qhull over all the points on every sweep gives.  The
+# comments name the path each mesh takes
 MESH_DIGESTS = {
     # one Qhull call per attempt, flips repair every sweep
     ("square", 0.3): "d7137cbf9165152e0e6bc9688411fd6bba946fa41c492916dfd44a419ec5fc7c",
@@ -352,17 +354,21 @@ MESH_DIGESTS = {
     ("rounded0.05", 0.3): "ef1ee87e4c5a37e1c03c2e010bfdcb1150d8ac19451cf1d8d52d7a4e2abffbd8",
     ("rounded0.4", 0.15): "e59f87ae82f8513f26c665633beafbe01fef9b0bee7556f596599684935830b6",
     ("polygon11", 0.3): "9b8c704e0c0275f1f72b24b901f8be04912ad32c27ce0b74e5bd710397cc9290",
-    # slanted edges: nearly collinear boundary samples, Qhull every sweep
+    # slanted edges: nearly collinear boundary samples, flips repair every
+    # sweep
     ("triangle", 0.12): "a13ee254053b2b9df9ab560ac9273fcf725dfb927a05e1d203cf50dbe54e2f42",
     ("polygon3", 0.08): "500aaeeb7ca231afcd0bd5f45e529a55153c67c2982e491ee5f9959860e2da97",
     ("polygon5", 0.1): "f9d4e2b73ec4c62144be29af86533a8223851a7afe3d2f1f8b74df56b8b53f79",
     ("polygon6", 0.1): "9c32feeaf975fe2a8007544a049152c1ad9d871ff7f0226ca1c49715f00c68b7",
     ("polygon8", 0.2): "68d29cc9ebd5813b5b29e02f7fd4b8effe9a87b10c68c97b2663adce410fb732",
-    ("polygon9", 0.12): "4b4c97253ea75467fd4285fcc08908bd3824b516e136e470416eba03bf3c8be8",
-    # where a repair would drop or keep boundary slivers differently
-    ("polygon11", 0.1): "94748d260d7845e97a957e092469b5e66f778da78a7d9d8e17feba7ef596f509",
     # the heptagon sliver; its first spacing fails the quality loop
     ("polygon7", 0.1): "14b2a220562780947e4be8f61020c923fcb8e2ffd0c78a7497fdde973212db9b",
+    # slanted edges where Qhull on a later sweep adds slivers of area about
+    # 1e-18 along nearly collinear boundary samples; the flips keep the first
+    # Qhull call's outer edges and have none, so the quality loop takes
+    # another path
+    ("polygon9", 0.12): "2951bd5a4ad0fbd8e2ab0923c0f7f2254fa3bc411acfdddf2b809da8f052e9b6",
+    ("polygon11", 0.1): "fe053788b16005462f7d59f6a1db0cb2011a3063f69c8fe5d66e51c096fe8256",
 }
 
 
@@ -388,13 +394,18 @@ def delaunay_sizes(monkeypatch):
     return sizes
 
 
-def test_one_qhull_call_per_attempt(monkeypatch):
+@pytest.mark.parametrize("name,h,digest", [
+    ("square", 0.02, SQUARE_002),
+    # slanted edges
+    ("triangle", 0.12, MESH_DIGESTS["triangle", 0.12]),
+], ids=["square-0.02", "triangle-0.12"])
+def test_one_qhull_call_per_attempt(monkeypatch, name, h, digest):
     sizes = delaunay_sizes(monkeypatch)
-    mesh = triangulate_convex(SQUARE, 0.02)
+    mesh = triangulate_convex(DOMAINS[name], h)
     # two attempts, each triangulated once before smoothing; flips repair
     # every sweep, and the point count grows from one attempt to the next
     assert len(sizes) == 2 and sizes[0] < sizes[1] == mesh.n_points
-    assert mesh_digest(mesh) == SQUARE_002
+    assert mesh_digest(mesh) == digest
 
 
 def test_refused_repairs_give_the_same_mesh(monkeypatch):
@@ -478,6 +489,14 @@ def test_flips_reach_the_delaunay_triangulation(monkeypatch):
     # 16 illegal edges, then 5, then 1: three rounds of flips
     assert [np.count_nonzero(s > 0) for s in rounds] == [16, 5, 1, 0]
     np.testing.assert_array_equal(got, geometry._delaunay_triangles(moved))
+
+
+def test_repair_refuses_an_unused_point():
+    _, tri, moved = jittered_square(3, 0.0)
+    assert geometry._flip_to_delaunay(moved, tri) is not None
+    # a point that is no corner of ``tri``: only Qhull can place it
+    extra = np.vstack([moved, [[0.5, 0.5 + 1e-3]]])
+    assert geometry._flip_to_delaunay(extra, tri) is None
 
 
 def test_flip_repair_refuses_an_inverted_triangle():

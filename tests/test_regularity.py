@@ -433,5 +433,6 @@ def test_scaling_fit_validation():
         p1_scaling_report([1.5, 1.2], [2.0])
     with pytest.raises(ValueError):
         p1_scaling_report([1.0, 1.2], [2.0, 2.0])
-    with pytest.raises(ValueError):
-        p1_scaling_report([1.5, 1.2], [2.0, -1.0])
+    for bad in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite and positive"):
+            p1_scaling_report([1.5, 1.2], [2.0, bad])

@@ -1,6 +1,7 @@
 """Build a BENCH_<n>.json record from perfbench result files.
 
     python3 tools/bench_record.py count [--root DIR] --out COUNTS.json
+    python3 tools/bench_record.py ladder [--root DIR] --out LADDER.json
     python3 tools/bench_record.py build --out BENCH_<n>.json \\
         --title TEXT --claim WORKLOAD:METRIC \\
         --parent RESULT.json ... --change RESULT.json ... \\
@@ -28,22 +29,47 @@ the points they triangulate.  BLAS runs on one thread and
 ``PLAPX_THREADS`` is set as perfbench sets it.  ``build`` copies one such
 file per side into each workload's ``counts``.
 
+``ladder`` meshes every (domain, h) pair of ``LADDER_DOMAINS`` x
+``LADDER_H`` with the plapx sources under ``DIR/src``, ``Delaunay`` wrapped
+as under ``count``.  Per pair it records the sha256 of the mesh's points,
+triangles and boundary-flag bytes (``mesh_digest`` of
+``tests/test_geometry.py``), the point and triangle counts, the min angle,
+the mesh size, the Qhull calls and the seconds, or the error raised.  Run
+it on two checkouts and compare the files to see which meshes a meshing
+change moves.
+
 Only the standard library is imported here; ``count`` imports plapx and
-``perfbench/workloads.py`` from DIR.
+``perfbench/workloads.py`` from DIR, and ``ladder`` imports plapx from DIR.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import statistics
 import sys
 import tempfile
 import threading
+import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 END_TO_END = ("wall_s", "cpu_s", "setup_s", "peak_rss_mb")
+# the meshing ladder: (name, constructor) pairs, the constructor applied to
+# plapx.geometry, and the target sizes each domain is meshed at
+LADDER_DOMAINS = (
+    ("square", lambda g: g.ConvexDomain.unit_square()),
+    ("disk1", lambda g: g.ConvexDomain.disk(1.0)),
+    ("disk0.5", lambda g: g.ConvexDomain.disk(0.5)),
+    ("triangle", lambda g: g.ConvexDomain([(0, 0), (2, 0), (0.7, 1.4)])),
+    *((f"polygon{n}", lambda g, n=n: g.ConvexDomain.regular_polygon(n))
+      for n in (3, 5, 6, 7, 8, 9, 10, 11, 12)),
+    *((f"rounded{r}",
+       lambda g, r=r: g.round_corners(g.ConvexDomain.unit_square(), r))
+      for r in (0.025, 0.05, 0.1, 0.2, 0.3, 0.4)),
+)
+LADDER_H = (0.3, 0.2, 0.15, 0.12, 0.1, 0.08, 0.06)
 # per-layer metrics that count work rather than time it
 COUNT_SUFFIXES = ("_calls", "_points", "eps_steps", "newton_steps",
                   "halvings", "fallback_steps", "line_search_evals",
@@ -201,6 +227,19 @@ class _CountedFactor:
         return getattr(self._lu, name)
 
 
+def _counted_delaunay(delaunay, qhull, lock):
+    """``delaunay`` with its calls and the points they triangulate added
+    to ``qhull``."""
+
+    def counted(points, *args, **kwargs):
+        with lock:
+            qhull["calls"] += 1
+            qhull["points"] += len(points)
+        return delaunay(points, *args, **kwargs)
+
+    return counted
+
+
 def count_record(root, names=None):
     """Per workload in ``names`` (default: all), one run at seed 1 with
     ``plapx.solver._factor`` and ``plapx.geometry.Delaunay`` wrapped: the
@@ -221,12 +260,6 @@ def count_record(root, names=None):
             lu["factorizations"] += 1
         return _CountedFactor(factor(A), lu, lock)
 
-    def counted_delaunay(points, *args, **kwargs):
-        with lock:
-            qhull["calls"] += 1
-            qhull["points"] += len(points)
-        return delaunay(points, *args, **kwargs)
-
     result = {"_how": ("lu: SuperLU factorizations, solve calls (one "
                        "forward and one backward triangular solve each) and "
                        "reads of a factor's L or U, counted by wrapping "
@@ -235,7 +268,7 @@ def count_record(root, names=None):
                        "plapx.geometry.Delaunay; one run per workload, "
                        "seed 1")}
     plapx.solver._factor = counted_factor
-    plapx.geometry.Delaunay = counted_delaunay
+    plapx.geometry.Delaunay = _counted_delaunay(delaunay, qhull, lock)
     try:
         for name in names or workloads.WORKLOADS:
             wl = workloads.WORKLOADS[name]
@@ -255,12 +288,66 @@ def count_record(root, names=None):
     return result
 
 
-def count(args):
-    result = count_record(args.root)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(result, fh, indent=1)
+def ladder_record(root, pairs=None):
+    """``triangulate_convex`` on each (domain name, h) in ``pairs``
+    (default: the whole ladder), with ``plapx.geometry.Delaunay`` wrapped.
+    A pair's entry holds its mesh's digest, sizes, min angle and h, or the
+    error; either way its Qhull calls and seconds."""
+    _import_sources(os.path.abspath(root))
+    import plapx.geometry as geometry
+
+    domains = dict(LADDER_DOMAINS)
+    if pairs is None:
+        pairs = [(name, h) for name, _ in LADDER_DOMAINS for h in LADDER_H]
+    delaunay, qhull = geometry.Delaunay, {}
+    geometry.Delaunay = _counted_delaunay(delaunay, qhull, threading.Lock())
+    entries = []
+    try:
+        for name, h in pairs:
+            dom = domains[name](geometry)
+            qhull.update(calls=0, points=0)
+            entry = {"domain": name, "h": h}
+            start = time.perf_counter()
+            try:
+                mesh = geometry.triangulate_convex(dom, h)
+            except geometry.GeometryError as err:
+                entry["error"] = str(err)
+            else:
+                digest = hashlib.sha256()
+                for arr in (mesh.points, mesh.triangles, mesh.is_boundary):
+                    digest.update(arr.tobytes())
+                entry.update(digest=digest.hexdigest(), points=mesh.n_points,
+                             triangles=mesh.n_triangles,
+                             min_angle=mesh.min_angle(), mesh_h=mesh.h)
+            entry.update(qhull_calls=qhull["calls"],
+                         seconds=time.perf_counter() - start)
+            entries.append(entry)
+            print(f"{name} h={h}: {entry}", file=sys.stderr)
+    finally:
+        geometry.Delaunay = delaunay
+    return {"_how": ("triangulate_convex per (domain, h), with "
+                     "plapx.geometry.Delaunay wrapped to count Qhull calls; "
+                     "digest is the sha256 of the points, triangles and "
+                     "boundary-flag bytes; one run per pair"),
+            "total": {"qhull_calls": sum(e["qhull_calls"] for e in entries),
+                      "seconds": sum(e["seconds"] for e in entries),
+                      "errors": sum(1 for e in entries if "error" in e)},
+            "pairs": entries}
+
+
+def _write(record, path):
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(record, fh, indent=1)
         fh.write("\n")
     return 0
+
+
+def count(args):
+    return _write(count_record(args.root), args.out)
+
+
+def ladder(args):
+    return _write(ladder_record(args.root), args.out)
 
 
 def _import_sources(root):
@@ -274,10 +361,12 @@ def _import_sources(root):
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     sub = ap.add_subparsers(dest="command", required=True)
-    counts = sub.add_parser(
-        "count", help="count LU factorizations, solves and Qhull calls")
-    counts.add_argument("--root", default=ROOT)
-    counts.add_argument("--out", required=True)
+    for name, text in (
+            ("count", "count LU factorizations, solves and Qhull calls"),
+            ("ladder", "mesh the domain ladder: digests and Qhull calls")):
+        runs = sub.add_parser(name, help=text)
+        runs.add_argument("--root", default=ROOT)
+        runs.add_argument("--out", required=True)
     b = sub.add_parser("build", help="write a BENCH json")
     b.add_argument("--out", required=True)
     b.add_argument("--title", required=True)
@@ -288,7 +377,7 @@ def main(argv=None):
     b.add_argument("--counts-change")
     b.add_argument("--note")
     args = ap.parse_args(argv)
-    commands = {"count": count, "build": build}
+    commands = {"count": count, "ladder": ladder, "build": build}
     return commands[args.command](args)
 
 
