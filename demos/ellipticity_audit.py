@@ -1,10 +1,11 @@
-"""Monte Carlo audit of the frozen-coefficient ellipticity sandwich.
+"""Audit of the frozen-coefficient ellipticity sandwich on random states.
 
 The linearized operator has coefficients a_ij = delta_ij +
 (p-2) u_i u_j / v^2 with v^2 = eps + |grad u|^2.  Its eigenvalues are 1
 and 1 + (p-2)|grad u|^2 / v^2, so for p between p1 and p2 every Rayleigh
-quotient should land in [min(p1-1, 1), max(p2-1, 1)].  We hammer that
-claim with random states spanning six orders of magnitude in |grad u|.
+quotient should land in [min(p1-1, 1), max(p2-1, 1)].  The check computes
+both eigenvalues of each matrix; we hammer the claim with random states
+spanning twelve orders of magnitude in |grad u|.
 """
 
 import numpy as np
@@ -30,20 +31,15 @@ sample = CoefficientSample.from_state(
     eps=eps,
 )
 
-rep = ellipticity_check(sample, P1, P2, trials=4, seed=0)
+rep = ellipticity_check(sample, P1, P2)
 print(f"claimed band    [{rep.lower:.3f}, {rep.upper:.3f}]")
 print(f"low margin      {rep.low_margin:.3e}")
 print(f"high margin     {rep.high_margin:.3e}")
-print(f"samples x dirs  {rep.n_samples} x {rep.trials}")
+print(f"samples         {rep.n_samples}")
 print(f"satisfied       {rep.satisfied}")
 
-# eigenvalues directly, as a cross-check on the random directions
-lam2 = 1.0 + (p_vals - 2.0) * mag ** 2 / (eps + mag ** 2)
-print()
-print(f"exact eigenvalue range  [{lam2.min():.6f}, {max(lam2.max(), 1.0):.6f}]")
-
 # a deliberately wrong claim should be caught
-bad = ellipticity_check(sample, 1.9, 2.1, trials=4, seed=0)
+bad = ellipticity_check(sample, 1.9, 2.1)
 print()
 print(f"narrow claim [0.9, 1.1] satisfied: {bad.satisfied} "
       f"(low margin {bad.low_margin:.3f})")

@@ -148,8 +148,9 @@ def _gradient_data(u: P1Function, p, eps, qctx: QuadratureContext):
     the nodes, s1 = sum_q w v^(p-2) and s2 = sum_q w (p-2) v^(p-2).  Kept on
     u for the last (p, eps, qctx), matched by identity (never on a writable
     array p); for an array p, pv is p and the entry adds per-triangle
-    arrays only.  pv is checked finite on every miss.  At eps = 0 flat
-    triangles make s1, s2 infinite (unread)."""
+    arrays only.  pv and v2 are checked finite on every miss, and s1 and
+    s2 for eps > 0; at eps = 0 flat triangles make them infinite
+    (unread)."""
     hit = u._flux
     if (hit is not None and hit[0] is p and hit[1] == eps and hit[2] is qctx
             and not (isinstance(p, np.ndarray) and p.flags.writeable)):
@@ -157,12 +158,18 @@ def _gradient_data(u: P1Function, p, eps, qctx: QuadratureContext):
     gu = u.triangle_gradients()
     pv = field_values(p, qctx.x, qctx.y)
     _check_finite(pv, qctx, "exponent")
-    # |gu|^2 as explicit products in einsum's order: the same bits
-    v2 = (gu[:, 0] * gu[:, 0] + gu[:, 1] * gu[:, 1]) + eps
-    with np.errstate(over="ignore", divide="ignore"):
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        # |gu|^2 as explicit products in einsum's order: the same bits
+        v2 = (gu[:, 0] * gu[:, 0] + gu[:, 1] * gu[:, 1]) + eps
         vpow = v2[:, None] ** (0.5 * (pv - 2.0))
-    data = (gu, v2, pv, np.sum(qctx.weights * vpow, axis=1),
-            np.sum(qctx.weights * vpow * (pv - 2.0), axis=1))
+        s1 = np.sum(qctx.weights * vpow, axis=1)
+        s2 = np.sum(qctx.weights * vpow * (pv - 2.0), axis=1)
+    checked = {"v2": v2, "s1": s1, "s2": s2} if eps > 0 else {"v2": v2}
+    for name, vals in checked.items():
+        if not np.isfinite(vals).all():
+            # named at the first quadrature node of the first bad triangle
+            _check_finite(vals[:, None], qctx, f"flux kernel {name}")
+    data = (gu, v2, pv, s1, s2)
     u._flux = (p, eps, qctx) + data
     return data
 

@@ -418,15 +418,14 @@ def _sample_mesh_points(mesh, n, rng):
 
 
 def _ellipticity_audit(u, spec: ProblemSpec, eps: float):
-    """Post-hoc coefficient audit at uniform random points of the mesh.
-    The points and the directions come from two streams spawned from the
-    config seed, so neither reuses the other's random words."""
-    points_seed, directions_seed = np.random.SeedSequence(spec.seed).spawn(2)
+    """Post-hoc coefficient audit at uniform random points of the mesh,
+    drawn from the first stream spawned from the config seed."""
+    points_seed = np.random.SeedSequence(spec.seed).spawn(1)[0]
     rng = np.random.Generator(np.random.Philox(points_seed))
     pts, tri = _sample_mesh_points(u.mesh, 2000, rng)
     sample = regularity.coefficients(u, spec.p, spec.f, eps, pts, tri)
     return dataclasses.asdict(regularity.ellipticity_check(
-        sample, spec.p.p1, spec.p.p2, trials=4, seed=directions_seed))
+        sample, spec.p.p1, spec.p.p2))
 
 
 def _run_continuation(config: ExperimentConfig, command, final_only):
@@ -490,6 +489,14 @@ CONVERGENCE_COLUMNS = ("level", "h", "l2_error", "h1_error", "l2_order",
                        "h1_order")
 
 
+def _order(coarse, fine, log_ratio):
+    """Observed order between two levels' errors; nan unless both errors
+    are positive (P1 can reproduce the exact solution)."""
+    if coarse > 0 and fine > 0:
+        return math.log(coarse / fine) / log_ratio
+    return math.nan
+
+
 def run_convergence(config: ExperimentConfig) -> ExperimentResult:
     """Refinement study against the configured exact solution."""
     if config.u_exact is None:
@@ -521,10 +528,14 @@ def run_convergence(config: ExperimentConfig) -> ExperimentResult:
             l2_order = h1_order = math.nan
         else:
             ratio = math.log(prev[0] / mesh.h)
-            l2_order = math.log(prev[1] / l2) / ratio
-            h1_order = math.log(prev[2] / h1) / ratio
+            l2_order = _order(prev[1], l2, ratio)
+            h1_order = _order(prev[2], h1, ratio)
         rows.append([level, mesh.h, l2, h1, l2_order, h1_order])
         prev = (mesh.h, l2, h1)
+    if any(not (row[2] > 0 and row[3] > 0) for row in rows):
+        payload["diagnostic_warnings"].append(
+            "l2_order/h1_order: nan next to a level whose error is not "
+            "positive")
     return _emit(config, payload, rows, results, meshes[0])
 
 
@@ -555,11 +566,13 @@ def run_p1_sweep(config: ExperimentConfig) -> ExperimentResult:
         if len(rows) < 2:
             return {"error": "fewer than 2 successful sweep members"}
         i = P1_COLUMNS.index(column)
-        # a nan diagnostic was not measured: it neither fits nor fails
-        fit = [(row[0], row[i]) for row in rows if math.isfinite(row[i])]
+        # a nan diagnostic was not measured and a zero one has no logarithm:
+        # neither fits nor fails
+        fit = [(row[0], row[i]) for row in rows
+               if math.isfinite(row[i]) and row[i] > 0]
         if len(fit) < 2:
-            return {"error": f"fewer than 2 sweep members with a finite "
-                             f"{column}"}
+            return {"error": f"fewer than 2 sweep members with a positive "
+                             f"finite {column}"}
         return dataclasses.asdict(regularity.p1_scaling_report(*zip(*fit)))
 
     payload["scaling_dq"] = fit_payload("h2_dq")

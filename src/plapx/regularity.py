@@ -107,6 +107,11 @@ def coefficients(u: P1Function, p: ExponentField, f, eps,
                                         fv, np.column_stack([gpx, gpy]), eps)
 
 
+# Slack on both sides of the ellipticity sandwich: the eigenvalues carry a
+# few ulps of rounding from a_ij, and 1e-10 is far above that.
+ELLIPTICITY_TOL = 1e-10
+
+
 @dataclass
 class EllipticityReport:
     lower: float
@@ -115,38 +120,29 @@ class EllipticityReport:
     high_margin: float
     satisfied: bool
     n_samples: int
-    trials: int
 
 
-def ellipticity_check(sample: CoefficientSample, p1: float, p2: float,
-                      trials: int = 8, seed: int = 0,
-                      tol: float = 1e-10) -> EllipticityReport:
-    """Uniform ellipticity sandwich over random unit directions.
+def ellipticity_check(sample: CoefficientSample, p1: float,
+                      p2: float) -> EllipticityReport:
+    """Uniform ellipticity sandwich on the eigenvalues of each sample.
 
-    For every sample and ``trials`` random unit vectors xi, checks
-    min(p1-1, 1) - tol <= xi.a.xi <= max(p2-1, 1) + tol.  The directions
-    come from ``Philox(seed)``: ``seed`` is an int or a ``SeedSequence``.
+    The symmetric 2x2 matrix (a_ij) has the eigenvalues
+    (a11 + a22)/2 -+ hypot((a11 - a22)/2, a12), the extremes of xi.a.xi over
+    unit xi.  Checks min(p1-1, 1) - tol <= lambda_min and
+    lambda_max <= max(p2-1, 1) + tol at every sample, with tol =
+    ``ELLIPTICITY_TOL``; the margins are the smallest gaps over the samples.
     """
     if not (1.0 < p1 <= p2):
         raise ValueError("need 1 < p1 <= p2")
-    n = len(sample)
-    rng = np.random.Generator(np.random.Philox(seed))
-    xi = rng.normal(size=(trials, n, 2))
-    norm = np.hypot(xi[..., 0], xi[..., 1])
-    small = norm < 1e-12
-    xi[small] = (1.0, 0.0)
-    norm[small] = 1.0
-    xi /= norm[..., None]
-    q = (xi[..., 0] ** 2 * sample.a11
-         + 2.0 * xi[..., 0] * xi[..., 1] * sample.a12
-         + xi[..., 1] ** 2 * sample.a22)
+    mean = 0.5 * (sample.a11 + sample.a22)
+    radius = np.hypot(0.5 * (sample.a11 - sample.a22), sample.a12)
     lower = min(p1 - 1.0, 1.0)
     upper = max(p2 - 1.0, 1.0)
-    low_margin = float(np.min(q - lower))
-    high_margin = float(np.min(upper - q))
-    ok = low_margin >= -tol and high_margin >= -tol
-    return EllipticityReport(lower, upper, low_margin, high_margin, ok, n,
-                             trials)
+    low_margin = float(np.min(mean - radius - lower))
+    high_margin = float(np.min(upper - (mean + radius)))
+    ok = low_margin >= -ELLIPTICITY_TOL and high_margin >= -ELLIPTICITY_TOL
+    return EllipticityReport(lower, upper, low_margin, high_margin, ok,
+                             len(sample))
 
 
 def _polygon_centroid(poly):

@@ -418,6 +418,18 @@ def _backward_error(A, b, x):
     return math.inf if math.isnan(error) else error
 
 
+def _rhs_norm(b):
+    """||b||_2, computed without a warning; a :class:`LinearSolveError`
+    when it is not finite (its squares overflow past entries of about
+    1e154), since no residual target follows from it."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        bnorm = float(np.linalg.norm(b))
+    if not math.isfinite(bnorm):
+        raise LinearSolveError(
+            f"right-hand side norm ||b||_2 is not finite ({bnorm})")
+    return bnorm
+
+
 def linear_solve(A, b, rel_tol=1e-12, lagged=None):
     """Solve the SPD system A x = b to ||b - Ax||_2 <= rel_tol ||b||_2.
 
@@ -453,7 +465,7 @@ def linear_solve(A, b, rel_tol=1e-12, lagged=None):
     n = A.shape[0]
     if A.shape[0] != A.shape[1] or b.shape != (n,):
         raise ValueError("shape mismatch in linear_solve")
-    bnorm = float(np.linalg.norm(b))
+    bnorm = _rhs_norm(b)
     if bnorm == 0.0:
         return np.zeros(n)
     atol = rel_tol * bnorm
@@ -582,7 +594,7 @@ class DiscreteProblem:
         max(1e-12 ||b||_2, ``atol``).
         """
         sys_ = apply_dirichlet(A, rhs, self.mesh, g)
-        bnorm = float(np.linalg.norm(sys_.rhs))
+        bnorm = _rhs_norm(sys_.rhs)
         rel_tol = max(1e-12, atol / bnorm) if bnorm > 0.0 else 1e-12
         return P1Function(self.mesh,
                           sys_.expand(linear_solve(sys_.operator, sys_.rhs,

@@ -80,7 +80,7 @@ def test_criterion_01_ellipticity_sandwich():
     sample = CoefficientSample.from_state(
         rng.uniform(0, 1, size=(n, 2)), grad, p_vals, np.zeros(n),
         np.zeros((n, 2)), eps)
-    rep = ellipticity_check(sample, 1.2, 3.5, trials=2, seed=0, tol=1e-10)
+    rep = ellipticity_check(sample, 1.2, 3.5)
     assert rep.lower == pytest.approx(0.2)
     assert rep.upper == pytest.approx(2.5)
     assert rep.low_margin >= -1e-10

@@ -9,7 +9,7 @@ from plapx.assembly import (P1Function, PreconditionError, _gradient_data,
                             _vertex_sum, apply_dirichlet, assemble_jacobian,
                             assemble_load, assemble_residual, energy,
                             weighted_stiffness)
-from plapx.expressions import parse_field
+from plapx.expressions import FieldEvaluationError, parse_field
 from plapx.geometry import ConvexDomain, round_corners, triangulate_convex
 from plapx.varexp import ExponentField, QuadratureContext
 
@@ -118,6 +118,21 @@ def test_eps_range_validation():
         energy(u, p, 1.5, qctx)
     with pytest.raises(ValueError):
         assemble_residual(u, p, 0.0, 0.0, qctx)
+
+
+@pytest.mark.parametrize("scale,p,name", [(1e200, 2.0, "v2"),
+                                          (1e150, 5.0, "s1")])
+def test_flux_kernel_names_its_first_overflow(scale, p, name):
+    # |grad u|^2 = 1e400 overflows v2; v2 = 1e300 is finite, but
+    # v2^((5 - 2)/2) overflows s1
+    mesh, qctx = make(0.4)
+    u = P1Function.interpolate(mesh, lambda x, y: scale * x)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FieldEvaluationError,
+                           match=f"^non-finite flux kernel {name} value at "
+                                 r"point \("):
+            assemble_residual(u, ExponentField.constant(p), 0.0, 0.5, qctx)
 
 
 # --- load vector -------------------------------------------------------------

@@ -6,14 +6,16 @@ that does not load raises ConfigError, and its command prints an
 
 Configs derive from ``demos/square.cfg``.  Each draw sets the domain, the
 corner radius, mesh.h, mesh.refinements, eps.stop, eps.factor,
-newton.tol, newton.max_iter, p, q, g, the seed and (for sweep-domain, and
-at random otherwise) the radius list, all to good values but at most one,
-which takes a bad value: one that does not load (a non-convex polygon, a
-negative, NaN or too-large radius, p undefined on part of the domain, q
-below 1, a negative seed, 0 Newton steps, an eps schedule past its cap,
-a NaN, zero or negative radius in the list) or one that fails at run time
-(mesh.h below the triangle cap, refinements past it, a Newton tolerance
-out of reach, p reaching 1, g undefined on part of the boundary).  Each
+newton.tol, newton.max_iter, p, q, f, g, the seed and (for sweep-domain,
+and at random otherwise) the radius list, all to good values but at most
+one, which takes a bad value: one that does not load (a non-convex
+polygon, a negative, NaN or too-large radius, p undefined on part of the
+domain, q below 1, a negative seed, 0 Newton steps, an eps schedule past
+its cap, a NaN, zero or negative radius in the list) or one that fails at
+run time (mesh.h below the triangle cap, refinements past it, a Newton
+tolerance out of reach, p reaching 1, g undefined on part of the
+boundary, a source whose load overflows).  A good f may be 0, so P1
+reproduces the zero solution on the square with g = 0.  Each
 oversized member must fail before its mesh or schedule is built, and the
 meshes that are built stay coarse, so the search runs in a few seconds.
 The bad members that the seeded search never draws run first, as
@@ -80,6 +82,7 @@ GOOD = {
     "newton.max_iter": [30],
     "p.expr": ["2 - 0.5*x", "1.6 + 0.3*y"],
     "q.expr": ["4", "2.5"],
+    "f.expr": ["1", "0", "1/(x - 0.5)"],
     "g.expr": ["x", "0"],
     "seed": [0, 7],
 }
@@ -97,6 +100,8 @@ BAD = {
     "p.expr": ["1 + x", "sqrt(x - 0.5)"],
     "q.expr": ["0.5"],
     "g.expr": ["sqrt(x - 0.5)"],
+    # the load's norm overflows
+    "f.expr": ["1e300"],
     "seed": [-1],
     "radius.list": [0.0, -0.1, math.nan, 0.6],
 }
@@ -144,6 +149,13 @@ def runs(draw):
 @example(("solve", {"newton.max_iter": "0"}, False))
 @example(("solve", {"p.expr": "1 + x"}, False))
 @example(("solve", {"g.expr": "sqrt(x - 0.5)"}, False))
+# zero data: P1 reproduces u = 0, so errors and H2 estimates are 0
+@example(("convergence", {"f.expr": "0", "g.expr": "0", "u.exact.expr": "0",
+                          "mesh.refinements": "2", "mesh.h": "0.3"}, False))
+@example(("sweep-p1", {"f.expr": "0", "g.expr": "0", "p1.list": "1.5, 1.8",
+                       "mesh.h": "0.3"}, False))
+@example(("solve", {"f.expr": "1e300", "mesh.h": "0.2"}, False))
+@example(("solve", {"f.expr": "1e160", "mesh.h": "0.2"}, False))
 def test_every_failed_run_leaves_csv_and_failures(run):
     command, overrides, mesh_out = run
     with tempfile.TemporaryDirectory() as tmp:

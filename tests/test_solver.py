@@ -1,3 +1,5 @@
+import warnings
+
 import hypothesis
 import numpy as np
 import pytest
@@ -72,6 +74,17 @@ def test_linear_solve_rejects_indefinite():
 def test_linear_solve_zero_rhs():
     A = sp.eye(5, format="csr")
     np.testing.assert_array_equal(linear_solve(A, np.zeros(5)), np.zeros(5))
+
+
+def test_linear_solve_names_a_right_hand_side_norm_that_overflows():
+    # entries of 1e160 have a finite norm, but its squares overflow: with
+    # an infinite ||b||_2 the residual target passes any x
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(LinearSolveError,
+                           match=r"right-hand side norm \|\|b\|\|_2 is "
+                                 r"not finite \(inf\)"):
+            linear_solve(sp.eye(3, format="csr"), np.full(3, 1e160))
 
 
 def test_linear_solve_shape_mismatch():
