@@ -58,11 +58,7 @@ class P1Function:
     def triangle_gradients(self):
         """Constant gradient per triangle, shape (m, 2); read-only."""
         if self._gradients is None:
-            gb = self.mesh.basis_gradients()
-            c = self.coeffs[self.mesh.triangles]
-            # explicit products in einsum's order: the same bits
-            g = np.stack([c[:, 0] * gb[:, 0, d] + c[:, 1] * gb[:, 1, d]
-                          + c[:, 2] * gb[:, 2, d] for d in (0, 1)], axis=1)
+            g = (self.mesh.gradient_operator() @ self.coeffs).reshape(-1, 2)
             g.setflags(write=False)
             self._gradients = g
         return self._gradients
@@ -143,13 +139,28 @@ def _check_eps(eps, allow_zero=False):
         raise ValueError(f"eps must lie in (0, 1], got {eps}")
 
 
+def _half_exponent(pv, qctx):
+    """(p - 2) / 2 at the nodes of qctx: the power of v2 in the flux
+    kernel.  Kept read-only on qctx for the last read-only ``pv``, matched
+    by identity, so a solve derives it once."""
+    kept = qctx.kernel_exponent
+    if kept is not None and kept[0] is pv:
+        return kept[1]
+    half = 0.5 * (pv - 2.0)
+    if not pv.flags.writeable:
+        half.setflags(write=False)
+        qctx.kernel_exponent = (pv, half)
+    return half
+
+
 def _gradient_data(u: P1Function, p, eps, qctx: QuadratureContext):
     """The flux kernel of the iterate u: gu, v2 = eps + |gu|^2, pv = p at
     the nodes, s1 = sum_q w v^(p-2) and s2 = sum_q w (p-2) v^(p-2).  Kept on
     u for the last (p, eps, qctx), matched by identity (never on a writable
     array p); for an array p, pv is p and the entry adds per-triangle
-    arrays only.  pv and v2 are checked finite on every miss, and s1 and
-    s2 for eps > 0; at eps = 0 flat triangles make them infinite
+    arrays only.  A miss takes one power of v2 at the nodes and two
+    weighted sums over them.  pv and v2 are checked finite on every miss,
+    and s1 and s2 for eps > 0; at eps = 0 flat triangles make them infinite
     (unread)."""
     hit = u._flux
     if (hit is not None and hit[0] is p and hit[1] == eps and hit[2] is qctx
@@ -158,12 +169,14 @@ def _gradient_data(u: P1Function, p, eps, qctx: QuadratureContext):
     gu = u.triangle_gradients()
     pv = field_values(p, qctx.x, qctx.y)
     _check_finite(pv, qctx, "exponent")
+    half = _half_exponent(pv, qctx)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         # |gu|^2 as explicit products in einsum's order: the same bits
         v2 = (gu[:, 0] * gu[:, 0] + gu[:, 1] * gu[:, 1]) + eps
-        vpow = v2[:, None] ** (0.5 * (pv - 2.0))
-        s1 = np.sum(qctx.weights * vpow, axis=1)
-        s2 = np.sum(qctx.weights * vpow * (pv - 2.0), axis=1)
+        vpow = v2[:, None] ** half
+        s1 = np.einsum("tq,tq->t", qctx.weights, vpow)
+        # 2 w half is w (p - 2) exactly
+        s2 = 2.0 * np.einsum("tq,tq,tq->t", qctx.weights, half, vpow)
     checked = {"v2": v2, "s1": s1, "s2": s2} if eps > 0 else {"v2": v2}
     for name, vals in checked.items():
         if not np.isfinite(vals).all():
@@ -178,9 +191,30 @@ def energy(u: P1Function, p, eps, qctx: QuadratureContext) -> float:
     """J(u) = integral of (1/p(x)) (|grad u|^2 + eps)^(p(x)/2)."""
     _check_eps(eps, allow_zero=True)
     _, v2, pv, _, _ = _gradient_data(u, p, eps, qctx)
+    # one node array, updated in place
+    dens = 0.5 * pv
     with np.errstate(over="ignore"):
-        dens = v2[:, None] ** (0.5 * pv) / pv
-    return float(np.sum(qctx.weights * dens))
+        np.power(v2[:, None], dens, out=dens)
+    dens /= pv
+    dens *= qctx.weights
+    return float(np.sum(dens))
+
+
+def _basis_dot(mesh, gu, scale=None):
+    """grad phi_i . gu per triangle and corner i, (m, 3), each basis
+    gradient times ``scale`` first if given: explicit products summed over
+    d in einsum's order, so einsum("tid,td->ti") and einsum("t,tid,td->ti")
+    give the same bits.  Formed corner by corner, which reads the strided
+    view of the basis gradients faster than broadcasting over it."""
+    gb = mesh.basis_gradients()
+    x, y = gu[:, 0].copy(), gu[:, 1].copy()
+    out = np.empty(gb.shape[:2])
+    for i in range(3):
+        gx, gy = gb[:, i, 0], gb[:, i, 1]
+        if scale is not None:
+            gx, gy = scale * gx, scale * gy
+        out[:, i] = gx * x + gy * y
+    return out
 
 
 def _vertex_sum(mesh, local):
@@ -224,13 +258,14 @@ def assemble_residual(u: P1Function, p, f, eps, qctx: QuadratureContext,
         _verify_boundary_values(u, g_data)
     mesh = u.mesh
     gu, _, _, s1, _ = _gradient_data(u, p, eps, qctx)
-    gb = mesh.basis_gradients()
-    # explicit products, summed over d in einsum's order: the same bits
-    R = _vertex_sum(mesh, (s1[:, None] * gb[:, :, 0]) * gu[:, None, 0]
-                    + (s1[:, None] * gb[:, :, 1]) * gu[:, None, 1])
+    R = _vertex_sum(mesh, _basis_dot(mesh, gu, s1))
     R -= assemble_load(f, qctx) if load is None else load
     R[mesh.is_boundary] = 0.0
     return R
+
+
+# triangles whose local matrices the flux operator forms at once
+OPERATOR_BATCH = 4096
 
 
 def _flux_operator(u: P1Function, p, eps, qctx: QuadratureContext,
@@ -244,16 +279,28 @@ def _flux_operator(u: P1Function, p, eps, qctx: QuadratureContext,
     _check_eps(eps)
     mesh = u.mesh
     gu, v2, _, s1, s2 = _gradient_data(u, p, eps, qctx)
-    local = s1[:, None, None] * mesh.basis_products()
-    if linearize:
-        # explicit products, summed over d in einsum's order: the same bits
-        gb = mesh.basis_gradients()
-        du = gb[:, :, 0] * gu[:, None, 0] + gb[:, :, 1] * gu[:, None, 1]
-        local = local + ((s2 / v2)[:, None, None]
-                         * np.einsum("ti,tj->tij", du, du))
+    products = mesh.basis_products()
+    local = np.empty(products.shape)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if linearize:
+            du = _basis_dot(mesh, gu)
+            c = s2 / v2
+        # in batches of triangles, which bounds the temporaries
+        for lo in range(0, len(local), OPERATOR_BATCH):
+            sl = slice(lo, lo + OPERATOR_BATCH)
+            np.multiply(s1[sl, None, None], products[sl], out=local[sl])
+            if linearize:
+                local[sl] += (c[sl, None, None]
+                              * np.einsum("ti,tj->tij", du[sl], du[sl]))
     pat = mesh.p1_pattern()
     data = np.bincount(pat.scatter, weights=local.ravel(),
                        minlength=len(pat.indices))
+    if not np.isfinite(data).all():
+        # named at the row vertex of the first bad entry
+        k = int(np.flatnonzero(~np.isfinite(data))[0])
+        row = int(np.searchsorted(pat.indptr, k, side="right")) - 1
+        what = "Jacobian" if linearize else "operator"
+        raise EvaluationError(f"non-finite {what} entry", *mesh.points[row])
     return sp.csr_matrix((data, pat.indices, pat.indptr),
                          shape=(mesh.n_points,) * 2)
 

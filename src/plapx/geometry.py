@@ -8,7 +8,9 @@ points in convex position), then 4 to 10 Laplacian smoothing sweeps of the
 points near the boundary, until the 20 degree minimum-angle floor holds.  Each
 attempt runs Qhull once, on the points before smoothing.  After a sweep,
 Lawson edge flips repair the previous triangulation (``_flip_to_delaunay``)
-until every interior edge is locally Delaunay by a clear margin, which
+until every interior edge is locally Delaunay by a clear margin (repairing
+a repair's own result, only edges next to a moved point or a flip are
+tested), which
 certifies the unique Delaunay triangulation of the region bounded by the
 outer edges of the last Qhull call.  Where boundary samples are exactly or
 clearly non-collinear, that is the triangulation Qhull returns on all the
@@ -24,7 +26,10 @@ import functools
 import math
 
 import numpy as np
+# scipy.spatial first: importing scipy.sparse ahead of it makes importing
+# plapx about 20 ms slower
 from scipy.spatial import Delaunay
+import scipy.sparse as sp
 
 __all__ = [
     "ConvexDomain",
@@ -303,7 +308,8 @@ class TriMesh:
         # may race to build one, but a build is pure, so a race costs only
         # duplicate work
         self._locator = None
-        self._basis_gradients = None
+        # (gradient operator, basis gradients), set in one assignment
+        self._gradients = None
         self._basis_products = None
         self._p1_pattern = None
         self._lattices = {}
@@ -352,24 +358,45 @@ class TriMesh:
         return edges, n
 
     def basis_gradients(self):
-        """Gradients of the three P1 basis functions per triangle, (m, 3, 2).
+        """Gradients of the three P1 basis functions per triangle, (m, 3, 2):
+        a read-only view of the data of :meth:`gradient_operator`, the only
+        stored copy.
 
-        Computed on first use and cached read-only on the mesh.
+        Both are computed on first use and cached on the mesh.
         """
-        if self._basis_gradients is None:
+        if self._gradients is None:
+            m = len(self.triangles)
             p = self.points[self.triangles]
             v0, v1, v2 = p[:, 0], p[:, 1], p[:, 2]
-            g = np.empty((len(self.triangles), 3, 2))
+            # g[t, d, i]: derivative d of corner i's basis function
+            g = np.empty((m, 2, 3))
             g[:, 0, 0] = v1[:, 1] - v2[:, 1]
-            g[:, 0, 1] = v2[:, 0] - v1[:, 0]
-            g[:, 1, 0] = v2[:, 1] - v0[:, 1]
+            g[:, 1, 0] = v2[:, 0] - v1[:, 0]
+            g[:, 0, 1] = v2[:, 1] - v0[:, 1]
             g[:, 1, 1] = v0[:, 0] - v2[:, 0]
-            g[:, 2, 0] = v0[:, 1] - v1[:, 1]
-            g[:, 2, 1] = v1[:, 0] - v0[:, 0]
+            g[:, 0, 2] = v0[:, 1] - v1[:, 1]
+            g[:, 1, 2] = v1[:, 0] - v0[:, 0]
             g /= 2.0 * self.areas[:, None, None]
-            g.setflags(write=False)
-            self._basis_gradients = g
-        return self._basis_gradients
+            corners = np.repeat(self.triangles.astype(np.int32)[:, None], 2,
+                                axis=1)
+            op = sp.csr_matrix(
+                (g.reshape(-1), corners.reshape(-1),
+                 np.arange(0, 6 * m + 1, 3, dtype=np.int32)),
+                shape=(2 * m, self.n_points))
+            for arr in (g, op.data, op.indices, op.indptr):
+                arr.setflags(write=False)
+            self._gradients = (op, g.transpose(0, 2, 1))
+        return self._gradients[1]
+
+    def gradient_operator(self):
+        """The P1 gradient as a read-only CSR matrix G, (2m, n): row 2 t + d
+        holds derivative d of the basis functions of triangle t's corners,
+        in corner order, so ``G @ c`` stacks the triangle gradients of the
+        P1 function with coefficients c.  Cached with
+        :meth:`basis_gradients`, whose values are its data."""
+        if self._gradients is None:
+            self.basis_gradients()
+        return self._gradients[0]
 
     def basis_products(self):
         """grad phi_i . grad phi_j per triangle, (m, 3, 3): the element
@@ -474,9 +501,10 @@ class P1Pattern:
     def __init__(self, mesh):
         n = mesh.n_points
         t = mesh.triangles
-        keys, self.scatter = np.unique(
+        keys, scatter = np.unique(
             (np.repeat(t, 3, axis=1) * n + np.tile(t, (1, 3))).ravel(),
             return_inverse=True)
+        self.scatter = scatter.astype(np.int32)
         rows, cols = np.divmod(keys, n)
         inside = ~mesh.is_boundary
         self.interior = np.flatnonzero(inside)
@@ -654,15 +682,23 @@ def _canonical_order(t):
     return t[np.lexsort((t[:, 2], t[:, 1], t[:, 0]))]
 
 
+def _any_corner(mask, tri):
+    """Whether each triangle of ``tri`` has a corner in the point ``mask``."""
+    return mask[tri[:, 0]] | mask[tri[:, 1]] | mask[tri[:, 2]]
+
+
 def _smooth_round(points, tri, movable):
     """One Laplacian sweep: each ``movable`` point that has a neighbour in
     ``tri`` moves to the mean of its neighbours, an edge counting once per
     triangle that has it.  Freezing the far interior keeps the hexagonal
     lattice bit-identical across domains that differ only near the boundary.
+    Only triangles with a movable corner add terms, and only to movable
+    points, so the others are left out.
     """
-    a, b, c = tri.T
+    a, b, c = tri[_any_corner(movable, tri)].T
     # per target, the terms are summed in the order of six passes over the
-    # triangles: (a <- b), (b <- a), (b <- c), (c <- b), (c <- a), (a <- c)
+    # triangles, ascending in each: (a <- b), (b <- a), (b <- c), (c <- b),
+    # (c <- a), (a <- c)
     targets = np.concatenate([a, b, b, c, c, a])
     sources = np.concatenate([b, a, c, b, a, c])
     count = np.bincount(targets, minlength=len(points))
@@ -698,15 +734,15 @@ def _uses_all(tri, n):
     return bool(np.all(np.bincount(tri.ravel(), minlength=n)))
 
 
-def _flip_to_delaunay(points, tri):
+def _flip_to_delaunay(points, tri, moved=None):
     """The Delaunay triangulation of ``points`` by Lawson flips from
     ``tri``, or None.
 
     ``tri`` triangulates the points before they moved, in canonical order
     (as this function and ``_delaunay_triangles`` return it), and the
     points on its outer edges did not move.  Each round pairs the
-    half-edges by a sorted key, takes the in-circle sign of every interior
-    edge's two triangles and flips an independent set of the illegal edges
+    half-edges by a sorted key, takes the in-circle sign of the interior
+    edges it must test and flips an independent set of the illegal edges
     (each triangle in at most one flip).  Flips keep the outer edges, so
     once every interior edge is clearly legal the result is the unique
     Delaunay triangulation of the region they bound (the Delaunay lemma):
@@ -715,21 +751,43 @@ def _flip_to_delaunay(points, tri):
     fails: a point is no corner of ``tri``, a triangle of ``tri`` or of the
     result in canonical order has area <= 0, an edge is within ``TIE`` of
     cocircular, or ``FLIP_ROUNDS`` rounds did not suffice.
+
+    With ``moved`` None every triangle and interior edge is tested.  Given
+    ``moved``, a mask of the points that moved, ``tri`` must be what this
+    function returned for the points before they moved: its edges were
+    certified then, and an edge keeps its sign while its two triangles and
+    their points stay.  The first round then tests the triangles with a
+    moved corner and the edges of those triangles, and each later round
+    the edges of the triangles in an illegal edge of the round before.
+    Every illegal edge is among them, so each round flips what a round
+    that tests every edge flips.
     """
     m, n = len(tri), len(points)
-    if not _uses_all(tri, n) or np.any(_signed_areas(points, tri) <= 0):
+    dirty = (np.ones(m, dtype=bool) if moved is None
+             else _any_corner(moved, tri))
+    if (not _uses_all(tri, n)
+            or np.any(_signed_areas(points, tri[dirty]) <= 0)):
         return None
     t = tri.copy()
     for rounds in range(FLIP_ROUNDS):
-        # half-edge k m + s runs from corner k of triangle s to corner k + 1,
-        # and the third corner is opposite it
-        start = t.T.ravel()
-        end = t.T[[1, 2, 0]].ravel()
-        opposite = t.T[[2, 0, 1]].ravel()
+        # the triangles that may share an edge with a dirty one: those with
+        # a corner in a dirty triangle
+        corner = np.zeros(n, dtype=bool)
+        corner[t[dirty]] = True
+        near = np.flatnonzero(_any_corner(corner, t))
+        # half-edge k len(near) + j runs from corner k of triangle
+        # owner = near[j] to corner k + 1, and the third corner is opposite
+        sub = t[near].T
+        start = sub.ravel()
+        end = sub[[1, 2, 0]].ravel()
+        opposite = sub[[2, 0, 1]].ravel()
+        owner = np.tile(near, 3)
         key = np.minimum(start, end) * n + np.maximum(start, end)
         order = np.argsort(key)
         pair = np.flatnonzero(key[order[1:]] == key[order[:-1]])
         first, second = order[pair], order[pair + 1]
+        test = dirty[owner[first]] | dirty[owner[second]]
+        first, second = first[test], second[test]
         sign = _incircle(points[start[first]], points[end[first]],
                          points[opposite[first]], points[opposite[second]])
         if not np.all(sign):
@@ -743,16 +801,18 @@ def _flip_to_delaunay(points, tri):
         # flip each illegal edge that is the lowest illegal edge of both
         # its triangles: (a, b, c) and (b, a, d) become (a, d, c), (d, b, c)
         first, second = first[bad], second[bad]
+        one, two = owner[first], owner[second]
+        dirty = np.zeros(m, dtype=bool)
+        dirty[one] = dirty[two] = True
         rank = np.arange(len(bad))
         claim = np.full(m, len(bad))
-        np.minimum.at(claim, first % m, rank)
-        np.minimum.at(claim, second % m, rank)
-        take = (claim[first % m] == rank) & (claim[second % m] == rank)
-        first, second = first[take], second[take]
-        a, b = start[first], end[first]
-        c, d = opposite[first], opposite[second]
-        t[first % m] = np.column_stack([a, d, c])
-        t[second % m] = np.column_stack([d, b, c])
+        np.minimum.at(claim, one, rank)
+        np.minimum.at(claim, two, rank)
+        take = (claim[one] == rank) & (claim[two] == rank)
+        a, b = start[first[take]], end[first[take]]
+        c, d = opposite[first[take]], opposite[second[take]]
+        t[one[take]] = np.column_stack([a, d, c])
+        t[two[take]] = np.column_stack([d, b, c])
     return None
 
 
@@ -782,11 +842,14 @@ def triangulate_convex(dom: ConvexDomain, h_target: float) -> TriMesh:
         movable[len(bnd):] = dom.line_distance(interior) < 2.2 * spacing
         tri = _delaunay_triangles(pts)
         flags = np.arange(len(pts)) < len(bnd)
-        # 4 sweeps, then up to 6 more while below the angle floor
+        # 4 sweeps, then up to 6 more while below the angle floor; a repair
+        # of flips' own result tests only what the sweep moved
+        certified = False
         for sweep in range(10):
             pts = _smooth_round(pts, tri, movable)
-            tri = _flip_to_delaunay(pts, tri)
-            if tri is None:
+            tri = _flip_to_delaunay(pts, tri, movable if certified else None)
+            certified = tri is not None
+            if not certified:
                 tri = _delaunay_triangles(pts)
             if sweep >= 3:
                 mesh = TriMesh(pts, tri, flags)

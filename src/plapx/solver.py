@@ -381,30 +381,32 @@ def _pcg(A, b, lu, atol):
 
     Returns x once the true residual norm is at most ``atol``, or None after
     a curvature breakdown (d.Ad <= 0, r.z <= 0 or a non-finite value) or
-    PCG_MAX_ITER iterations.
+    PCG_MAX_ITER iterations.  Its scalars are computed without a warning: a
+    norm or product that overflows is such a non-finite value.
     """
     x = np.zeros_like(b)
     r = b.copy()
-    z = lu.solve(r)
-    rz = float(r @ z)
-    d = z
-    for _ in range(PCG_MAX_ITER):
-        Ad = A @ d
-        dAd = float(d @ Ad)
-        if not (0.0 < dAd < math.inf and 0.0 < rz < math.inf):
-            return None
-        alpha = rz / dAd
-        x += alpha * d
-        r -= alpha * Ad
-        if np.linalg.norm(r) <= atol:
-            # the recursive residual drifts from the true one: test the
-            # latter, and go on from it if it still misses
-            r = b - A @ x
-            if np.linalg.norm(r) <= atol:
-                return x
+    with np.errstate(over="ignore", invalid="ignore"):
         z = lu.solve(r)
-        rz_old, rz = rz, float(r @ z)
-        d = z + (rz / rz_old) * d
+        rz = float(r @ z)
+        d = z
+        for _ in range(PCG_MAX_ITER):
+            Ad = A @ d
+            dAd = float(d @ Ad)
+            if not (0.0 < dAd < math.inf and 0.0 < rz < math.inf):
+                return None
+            alpha = rz / dAd
+            x += alpha * d
+            r -= alpha * Ad
+            if np.linalg.norm(r) <= atol:
+                # the recursive residual drifts from the true one: test the
+                # latter, and go on from it if it still misses
+                r = b - A @ x
+                if np.linalg.norm(r) <= atol:
+                    return x
+            z = lu.solve(r)
+            rz_old, rz = rz, float(r @ z)
+            d = z + (rz / rz_old) * d
     return None
 
 
@@ -677,7 +679,9 @@ def continuation_solve(spec: ProblemSpec, mesh=None) -> SolveReport:
     cap is a ``ParameterError``), is re-raised carrying ``report``: the eps
     solves that finished, plus the failed one when Newton left a best
     iterate, and ``failed_eps`` (None when no eps solve had started).
-    Either way the factor kept for the linear solves is released.
+    Either way the factor kept for the linear solves is released, and so
+    is the flux kernel's exponent (p - 2)/2 kept on the quadrature context:
+    the eps records read neither.
     """
     schedule = spec.eps_schedule()
     # None until the first eps solve starts: a failure while the problem is
@@ -713,6 +717,7 @@ def continuation_solve(spec: ProblemSpec, mesh=None) -> SolveReport:
     finally:
         if problem is not None:
             problem.lagged.lu = None
+            problem.qctx.kernel_exponent = None
     return SolveReport(spec.domain, mesh, problem, steps)
 
 

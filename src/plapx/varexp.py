@@ -88,6 +88,9 @@ class QuadratureContext:
         self.y = self.points[..., 1]
         for arr in (self.points, self.weights, self.x, self.y):
             arr.setflags(write=False)
+        # (pv, (pv - 2) / 2) of the flux kernel's last read-only exponent
+        # array, set by plapx.assembly
+        self.kernel_exponent = None
 
 
 def field_values(f, x, y):
@@ -239,31 +242,30 @@ def luxemburg_norm(u, p: ExponentField, qctx: QuadratureContext, mask=None):
     Returns 0 for a function vanishing at every quadrature node.  Newton
     runs in s = log k on psi(s) = log rho(u/e^s), which is convex and
     decreasing: its slope is minus the mean of p weighted by w |u/k|^p, so
-    one step is exact for a constant exponent, and from any start left of
-    the root the iterates rise monotonically to it.  It starts at the lower
-    end of the bracket [|u|_L1/(1+|Omega|), +inf), which contains the root;
-    every evaluation narrows the bracket, and a step that leaves it (or is
-    not finite, when rho over- or underflows) is replaced by bisection, or
-    by doubling k while the bracket is unbounded.  Stops once a Newton step
-    moves k by at most 1e-10 relative; convergence is quadratic, so
-    the step returned is far more accurate than that.
+    one step is exact for a constant exponent, a step from the right of the
+    root lands left of it, and from any start left of the root the iterates
+    rise monotonically to it.  The root lies in the bracket
+    [|u|_L1/(1+|Omega|), +inf).  Newton starts at the mean of |u|, which is
+    inside it and for p near 2 near the root; every evaluation narrows the
+    bracket, and a step that leaves it (or is not finite, when rho over- or
+    underflows) is replaced by bisection, or by doubling k while the
+    bracket is unbounded.  Stops once a Newton step moves k by at most
+    1e-10 relative; convergence is quadratic, so the step returned is far
+    more accurate than that.
     """
     vals, pv, w = _integrand(u, p, qctx, mask)
     if not np.any((vals > 0) & (w > 0)):
         return 0.0
 
-    l1 = float(np.sum(w * vals))
+    l1 = float(np.vdot(w, vals))
     omega = float(np.sum(w))
     # a floor keeps log finite when every product w |u| underflows
-    lo = math.log(max(l1 / (1.0 + omega), np.finfo(float).tiny))
+    tiny = np.finfo(float).tiny
+    lo = math.log(max(l1 / (1.0 + omega), tiny))
     hi = math.inf
-    s = lo
+    s = max(lo, math.log(max(l1 / omega, tiny)))
     for _ in range(200):
-        with np.errstate(over="ignore"):
-            t = w * (vals / math.exp(s)) ** pv
-            rho = float(np.sum(t))
-            mean_p = float(np.sum(pv * t)) / rho if rho > 0 else math.nan
-        psi = math.log(rho) if rho > 0 else -math.inf
+        psi, mean_p = _log_modular(vals, pv, w, s)
         if psi >= 0.0:
             lo = s
         else:
@@ -280,6 +282,20 @@ def luxemburg_norm(u, p: ExponentField, qctx: QuadratureContext, mask=None):
     if hi == math.inf:
         raise NonconvergenceError("Luxemburg bracket expansion failed")
     raise NonconvergenceError("Luxemburg iteration did not converge")
+
+
+def _log_modular(vals, pv, w, s):
+    """One modular evaluation of :func:`luxemburg_norm`: psi = log rho(u /
+    e^s) (-inf when rho is 0) and the mean of p weighted by the terms of
+    rho (nan when rho is 0)."""
+    # the terms w |u / e^s|^p, formed in one array
+    t = vals / math.exp(s)
+    with np.errstate(over="ignore"):
+        np.power(t, pv, out=t)
+        t *= w
+        rho = float(np.sum(t))
+        mean_p = float(np.vdot(pv, t)) / rho if rho > 0 else math.nan
+    return (math.log(rho) if rho > 0 else -math.inf), mean_p
 
 
 @dataclass

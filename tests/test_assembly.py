@@ -10,7 +10,8 @@ from plapx.assembly import (P1Function, PreconditionError, _gradient_data,
                             assemble_load, assemble_residual, energy,
                             weighted_stiffness)
 from plapx.expressions import FieldEvaluationError, parse_field
-from plapx.geometry import ConvexDomain, round_corners, triangulate_convex
+from plapx.geometry import (ConvexDomain, refine_uniform, round_corners,
+                            triangulate_convex)
 from plapx.varexp import ExponentField, QuadratureContext
 
 SQUARE = ConvexDomain.unit_square()
@@ -133,6 +134,18 @@ def test_flux_kernel_names_its_first_overflow(scale, p, name):
                            match=f"^non-finite flux kernel {name} value at "
                                  r"point \("):
             assemble_residual(u, ExponentField.constant(p), 0.0, 0.5, qctx)
+
+
+def test_jacobian_names_an_entry_that_overflows():
+    # v2, s1 and s2 are finite, but (grad phi_i . grad u)^2 overflows, and
+    # the zero kernel derivative s2 of p = 2 turns it into 0 * inf
+    mesh, qctx = make(0.4)
+    u = P1Function.interpolate(mesh, lambda x, y: 1e154 * x)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FieldEvaluationError,
+                           match=r"^non-finite Jacobian entry at point \("):
+            assemble_jacobian(u, ExponentField.constant(2.0), 0.5, qctx)
 
 
 # --- load vector -------------------------------------------------------------
@@ -363,18 +376,28 @@ def test_flux_kernel_and_jacobian_match_einsum_bitwise(dom, h):
 @pytest.mark.parametrize("dom,h", [
     (SQUARE, 0.05),
     (round_corners(SQUARE, 0.2), 0.08),
-    (ConvexDomain.regular_polygon(7), 0.15)],
-    ids=["square", "rounded", "heptagon"])
+    (ConvexDomain.regular_polygon(7), 0.15),
+    (None, 0.3)],
+    ids=["square", "rounded", "heptagon", "refined"])
 def test_triangle_gradients_match_einsum_bitwise(dom, h):
-    # the gradient per triangle is three explicit products per component;
-    # it must reproduce einsum("ti,tid->td") bit for bit, so every iterate's
-    # gradients, and so every output, stay fixed
-    mesh = triangulate_convex(dom, h)
+    # the gradient per triangle is one product with the gradient operator,
+    # whose rows sum three products in corner order; it must reproduce
+    # einsum("ti,tid->td") on a C-ordered (m, 3, 2) array, and the explicit
+    # products c0 g0 + c1 g1 + c2 g2, bit for bit, so every iterate's
+    # gradients, and so every output, stay fixed.  einsum gets its own copy
+    # in that order: on the strided view basis_gradients() returns it sums
+    # in another order.
+    mesh = (refine_uniform(triangulate_convex(SQUARE, h)) if dom is None
+            else triangulate_convex(dom, h))
     gb = mesh.basis_gradients()
     rng = np.random.default_rng(17)
     for scale in (1e-3, 1.0, 30.0):
         u = P1Function(mesh, scale * rng.standard_normal(mesh.n_points))
-        ref = np.einsum("ti,tid->td", u.coeffs[mesh.triangles], gb)
+        c = u.coeffs[mesh.triangles]
+        ref = np.einsum("ti,tid->td", c, np.ascontiguousarray(gb))
+        products = np.stack([c[:, 0] * gb[:, 0, d] + c[:, 1] * gb[:, 1, d]
+                             + c[:, 2] * gb[:, 2, d] for d in (0, 1)], axis=1)
         gu = u.triangle_gradients()
         assert gu.shape == ref.shape and not gu.flags.writeable
         assert np.array_equal(gu.view(np.uint64), ref.view(np.uint64))
+        assert np.array_equal(gu.view(np.uint64), products.view(np.uint64))

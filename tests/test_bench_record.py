@@ -1,14 +1,17 @@
 """``tools/bench_record.py build`` on synthetic perfbench result files."""
 
+import contextlib
 import importlib.util
+import io
 import json
 import os
 import sys
 
 import pytest
 
-TOOL = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
-    __file__))), "tools", "bench_record.py")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+TOOL = os.path.join(ROOT, "tools", "bench_record.py")
+DEMOS = os.path.join(ROOT, "demos")
 
 
 @pytest.fixture
@@ -142,6 +145,55 @@ def test_count_lu_counts_factorizations_and_lu_reads(bench_record,
     # the certificate of that Z-matrix takes one of the 107 solves
     assert record["lu"] == {"factorizations": 1, "solves": 107,
                             "lu_reads": 0}
+
+
+def test_count_kernel_counts_flux_misses_and_luxemburg_evaluations(
+        bench_record, monkeypatch):
+    from plapx import assembly, varexp
+
+    real = assembly._gradient_data, varexp._log_modular
+    record = _count(bench_record, monkeypatch)
+    assert (assembly._gradient_data, varexp._log_modular) == real
+    # one kernel per residual evaluation and one for the Poisson start;
+    # 7 Luxemburg norms (one per eps record) of 3 modular evaluations each
+    assert record["solver"] == {"newton_steps": 16, "linear_solves": 17}
+    assert record["kernel"] == {"flux_misses": 24,
+                                "luxemburg_evaluations": 21}
+
+
+def run_demo(tmp_path, command, name):
+    """``plapx command demos/name`` with its output moved to tmp_path."""
+    from plapx.cli import main as cli_main
+
+    with open(os.path.join(DEMOS, name), encoding="utf-8") as fh:
+        lines = [line for line in fh.read().splitlines()
+                 if not line.startswith("output.path")]
+    cfg = tmp_path / name
+    cfg.write_text("\n".join(lines + [f"output.path = {tmp_path / 'out.csv'}"])
+                   + "\n", encoding="utf-8")
+    with contextlib.redirect_stdout(io.StringIO()):
+        return cli_main([command, str(cfg)])
+
+
+# Newton steps, linear solves, SuperLU factorizations, flux-kernel misses
+# and Qhull calls of the two demo sweeps
+DEMO_COUNTS = [("sweep-eps", "square.cfg", (20, 21, 1, 34, 1)),
+               ("sweep-domain", "rounding.cfg", (85, 90, 5, 135, 8))]
+
+
+@pytest.mark.parametrize("command,name,want", DEMO_COUNTS,
+                         ids=[f"{c}-{n}" for c, n, _ in DEMO_COUNTS])
+def test_demo_work_counts(bench_record, monkeypatch, tmp_path, command, name,
+                          want):
+    # machine-independent work: a change that moves one of these counts
+    # changes what the solver does, not only how fast
+    _isolate(monkeypatch)
+    with bench_record.counting() as counts:
+        assert run_demo(tmp_path, command, name) == 0
+    solver = counts["solver"]
+    assert (solver["newton_steps"], solver["linear_solves"],
+            counts["lu"]["factorizations"], counts["kernel"]["flux_misses"],
+            counts["delaunay"]["calls"]) == want
 
 
 def test_ladder_records_meshes_and_qhull_calls(bench_record, monkeypatch):

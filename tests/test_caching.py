@@ -332,6 +332,21 @@ def test_basis_gradients_cached_read_only():
     assert not g.flags.writeable
     with pytest.raises(ValueError):
         g[0, 0, 0] = 1.0
+    # the gradient operator's data are the one stored copy
+    G = mesh.gradient_operator()
+    assert mesh.gradient_operator() is G
+    assert G.shape == (2 * mesh.n_triangles, mesh.n_points)
+    assert np.shares_memory(G.data, g)
+    for arr in (G.data, G.indices, G.indptr):
+        assert not arr.flags.writeable
+    assert G.indices.dtype == G.indptr.dtype == np.int32
+    # row 2 t + d: derivative d of triangle t's corner functions in order
+    rows = G.toarray().reshape(mesh.n_triangles, 2, mesh.n_points)
+    for t in (0, mesh.n_triangles // 2, mesh.n_triangles - 1):
+        for d in (0, 1):
+            want = np.zeros(mesh.n_points)
+            want[mesh.triangles[t]] = g[t, :, d]
+            assert np.array_equal(rows[t, d], want)
 
 
 def test_basis_products_cached_read_only_and_bitwise():
@@ -347,6 +362,20 @@ def test_basis_products_cached_read_only_and_bitwise():
 
 @pytest.mark.parametrize("linearize", [True, False])
 def test_flux_operator_bitwise_with_products_formed_per_call(linearize):
+    _check_flux_operator_bitwise(linearize)
+
+
+@pytest.mark.parametrize("linearize", [True, False])
+def test_flux_operator_bitwise_in_batches_ending_mid_list(monkeypatch,
+                                                         linearize):
+    import plapx.assembly
+
+    # batches that end inside the triangle list give the same bits
+    monkeypatch.setattr(plapx.assembly, "OPERATOR_BATCH", 7)
+    _check_flux_operator_bitwise(linearize)
+
+
+def _check_flux_operator_bitwise(linearize):
     from plapx.assembly import _gradient_data
 
     mesh = refine_uniform(triangulate_convex(SQUARE, 0.3))
@@ -370,6 +399,33 @@ def test_flux_operator_bitwise_with_products_formed_per_call(linearize):
                        minlength=len(pat.indices))
     assert np.array_equal(got.indices, pat.indices)
     assert np.array_equal(got.data, want)
+
+
+def test_kernel_exponent_derived_once_per_read_only_array():
+    import plapx.assembly
+
+    mesh = triangulate_convex(SQUARE, 0.3)
+    qctx = QuadratureContext(mesh)
+    frozen = 1.5 + 0.3 * qctx.x
+    frozen.setflags(write=False)
+    for scale in (1.0, 2.0):
+        u = P1Function.interpolate(mesh, lambda x, y: scale * x * y)
+        plapx.assembly.energy(u, frozen, 0.5, qctx)
+        kept_pv, half = qctx.kernel_exponent
+        if scale == 1.0:
+            first = half
+        assert kept_pv is frozen and half is first
+    assert not half.flags.writeable
+    assert np.array_equal(half, 0.5 * (frozen - 2.0))
+    # a writable array may change between calls, so nothing is kept for it
+    plapx.assembly.energy(u, 1.5 + 0.3 * qctx.x, 0.5, qctx)
+    assert qctx.kernel_exponent[1] is first
+    # a continuation solve releases what it kept
+    spec = ProblemSpec(domain=SQUARE, p=ExponentField.constant(1.6), f=1.0,
+                       g=0.0, q=ExponentField.constant(4.0), eps_start=1.0,
+                       eps_stop=1.0, mesh_h=0.3)
+    report = continuation_solve(spec, mesh=mesh)
+    assert report.problem.qctx.kernel_exponent is None
 
 
 def test_exponent_array_checked_on_every_miss(monkeypatch):
@@ -422,18 +478,27 @@ def test_mesh_caches_built_by_racing_threads():
     sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(max_workers=8) as pool:
-            futures = [pool.submit(lambda: (mesh.basis_gradients(),
+            futures = [pool.submit(lambda: (mesh.gradient_operator(),
+                                            mesh.basis_gradients(),
                                             mesh.p1_pattern(),
                                             mesh.locate_lattice(window)))
                        for _ in range(32)]
             results = [f.result(timeout=60) for f in futures]
     finally:
         sys.setswitchinterval(interval)
-    g, pat = mesh.basis_gradients(), mesh.p1_pattern()
+    G, g, pat = (mesh.gradient_operator(), mesh.basis_gradients(),
+                 mesh.p1_pattern())
     tri, bary = mesh.locate_lattice(window)
     assert mesh.basis_gradients() is g and mesh.p1_pattern() is pat
+    assert mesh.gradient_operator() is G and np.shares_memory(G.data, g)
     assert mesh.locate_lattice(window)[0] is tri
-    for g_seen, pat_seen, (tri_seen, bary_seen) in results:
+    # the single-thread build of a fresh copy of the mesh
+    alone = TriMesh(mesh.points, mesh.triangles,
+                    mesh.is_boundary).gradient_operator()
+    for G_seen, g_seen, pat_seen, (tri_seen, bary_seen) in results:
+        for name in ("data", "indices", "indptr"):
+            np.testing.assert_array_equal(getattr(G_seen, name),
+                                          getattr(alone, name))
         np.testing.assert_array_equal(g_seen, g)
         for name in ("scatter", "indptr", "indices", "interior_slots"):
             np.testing.assert_array_equal(getattr(pat_seen, name),

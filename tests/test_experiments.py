@@ -481,6 +481,24 @@ def test_cli_overflowing_load_is_a_named_failure(tmp_path, capsys, f):
         "reason": "right-hand side norm ||b||_2 is not finite (inf)"}]
 
 
+@pytest.mark.parametrize("f,reason", [
+    ("1e153", "non-finite flux kernel v2 value at point ("),
+    ("1e154", "non-finite Jacobian entry at point (")])
+def test_cli_overflow_inside_a_solve_is_a_named_failure(tmp_path, capsys, f,
+                                                       reason):
+    # ||b||_2 is finite: at 1e153 CG's residual norm overflows first (a
+    # breakdown), at 1e154 the Jacobian's (grad phi . grad u)^2
+    path = write_config(tmp_path, **{"p.expr": "2 - 0.5*x", "g.expr": "x",
+                                     "f.expr": f, "mesh.h": "0.2"})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli_main(["solve", str(path)]) == 1
+    assert "RuntimeWarning" not in capsys.readouterr().err
+    side = json.loads((tmp_path / "cli_out.csv.json").read_text())
+    (failure,) = side["failures"]
+    assert failure["eps"] is not None and failure["reason"].startswith(reason)
+
+
 def test_run_p1_sweep(tmp_path):
     cfg = make_config(tmp_path, **{"p1.list": "1.8, 1.5",
                                    "eps.start": "0.1", "eps.stop": "0.1"})

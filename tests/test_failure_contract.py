@@ -156,6 +156,10 @@ def runs(draw):
                        "mesh.h": "0.3"}, False))
 @example(("solve", {"f.expr": "1e300", "mesh.h": "0.2"}, False))
 @example(("solve", {"f.expr": "1e160", "mesh.h": "0.2"}, False))
+# a finite load whose CG residual norm (1e153) or Jacobian (1e154)
+# overflows inside the solve
+@example(("solve", {"f.expr": "1e153", "mesh.h": "0.2"}, False))
+@example(("solve", {"f.expr": "1e154", "mesh.h": "0.2"}, False))
 def test_every_failed_run_leaves_csv_and_failures(run):
     command, overrides, mesh_out = run
     with tempfile.TemporaryDirectory() as tmp:

@@ -87,6 +87,16 @@ def test_linear_solve_names_a_right_hand_side_norm_that_overflows():
             linear_solve(sp.eye(3, format="csr"), np.full(3, 1e160))
 
 
+def test_pcg_breaks_down_on_a_product_that_overflows():
+    # ||b||_2 of entries 1e154 is finite, but r . z overflows with a
+    # preconditioner that keeps r's scale
+    A = sp.csc_matrix(sp.diags([4.0, 5.0, 6.0]))
+    lu = solver._factor(sp.csc_matrix(sp.eye(3)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert solver._pcg(A, np.full(3, 1e154), lu, 1e-3) is None
+
+
 def test_linear_solve_shape_mismatch():
     with pytest.raises(ValueError):
         linear_solve(sp.eye(3, format="csr"), np.ones(4))

@@ -70,6 +70,34 @@ def test_luxemburg_constant_exponent_closed_form():
         assert got == pytest.approx(expected, rel=1e-8)
 
 
+@pytest.mark.parametrize("p_expr,evaluations", [("1.7", 2), ("2 - x/2", 3)])
+def test_luxemburg_modular_evaluations_from_the_mean(monkeypatch, p_expr,
+                                                     evaluations):
+    # Newton starts at the mean of |u|.  For a constant exponent psi is
+    # linear in log k, so one step is exact from any start and the second
+    # evaluation confirms it.  For p = 2 - x/2 (the benchmark's) one more
+    # step is needed; from the bracket's lower end, |u|_L1 / (1 + |Omega|),
+    # these three functions took 4 evaluations each.
+    qctx = square_qctx(0.1)
+    p = ExponentField.from_expression(p_expr, SQUARE)
+    calls = []
+    log_modular = varexp._log_modular
+
+    def counted(*args):
+        calls.append(args[-1])
+        return log_modular(*args)
+
+    monkeypatch.setattr(varexp, "_log_modular", counted)
+    for u in ("1 + x*y", "30*sin(3*x) + 0.001", "0.001*(1 + x)"):
+        vals = field_values(parse_field(u), qctx.x, qctx.y)
+        calls.clear()
+        k = luxemburg_norm(vals, p, qctx)
+        assert len(calls) == evaluations
+        mean = np.sum(qctx.weights * np.abs(vals)) / np.sum(qctx.weights)
+        assert calls[0] == pytest.approx(math.log(mean), rel=0, abs=1e-12)
+        assert modular(vals / k, p, qctx) == pytest.approx(1.0, rel=1e-12)
+
+
 def test_luxemburg_homogeneity_and_unit_ball():
     qctx = square_qctx(0.15)
     p = ExponentField.from_expression(parse_field("1.6 + 0.3*y"), SQUARE)

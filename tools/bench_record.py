@@ -17,22 +17,24 @@ samples' median and quartiles, and in how many pairs the change was better.
 From ``--trace 1`` files it records every per-layer metric of both sides
 and the counts that differ.
 
-perfbench counts neither SuperLU's triangular solves nor Qhull's calls.
-``count`` runs each perfbench workload once, in this process, on the plapx
-sources under ``DIR/src`` (default: this repository), with
-``plapx.solver._factor`` and ``plapx.geometry.Delaunay`` wrapped.  Under
-``lu`` it counts the factorizations, the ``solve`` calls on them (one call
-is one forward and one backward triangular solve) and the reads of a
-factor's ``L`` or ``U`` (on its first such read scipy builds CSC copies of
-both and keeps them on the factor); under ``delaunay``, the Qhull calls and
-the points they triangulate.  BLAS runs on one thread and
-``PLAPX_THREADS`` is set as perfbench sets it.  ``build`` copies one such
-file per side into each workload's ``counts``.
+perfbench counts neither SuperLU's triangular solves, Qhull's calls nor
+flux-kernel misses.  ``count`` runs each perfbench workload once, in this
+process, on the plapx sources under ``DIR/src`` (default: this
+repository), under ``counting()``, which wraps plapx functions to count:
+under ``lu`` the factorizations, the ``solve`` calls on them (one call is
+one forward and one backward triangular solve) and the reads of a factor's
+``L`` or ``U`` (on its first such read scipy builds CSC copies of both and
+keeps them on the factor); under ``delaunay``, the Qhull calls and the
+points they triangulate; under ``solver``, the Newton steps and linear
+solves; under ``kernel``, the flux-kernel misses and the Luxemburg modular
+evaluations.  BLAS runs on one thread and ``PLAPX_THREADS`` is set as
+perfbench sets it.  ``build`` copies one such file per side into each
+workload's ``counts``.
 
 ``ladder`` meshes every (domain, h) pair of ``LADDER_DOMAINS`` x
-``LADDER_H`` with the plapx sources under ``DIR/src``, ``Delaunay`` wrapped
-as under ``count``.  Per pair it records the sha256 of the mesh's points,
-triangles and boundary-flag bytes (``mesh_digest`` of
+``LADDER_H`` with the plapx sources under ``DIR/src``, under
+``counting()`` as ``count`` runs.  Per pair it records the sha256 of the
+mesh's points, triangles and boundary-flag bytes (``mesh_digest`` of
 ``tests/test_geometry.py``), the point and triangle counts, the min angle,
 the mesh size, the Qhull calls and the seconds, or the error raised.  Run
 it on two checkouts and compare the files to see which meshes a meshing
@@ -45,6 +47,7 @@ Only the standard library is imported here; ``count`` imports plapx and
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import os
@@ -227,70 +230,117 @@ class _CountedFactor:
         return getattr(self._lu, name)
 
 
-def _counted_delaunay(delaunay, qhull, lock):
-    """``delaunay`` with its calls and the points they triangulate added
-    to ``qhull``."""
+@contextlib.contextmanager
+def counting():
+    """Count the work plapx does inside the block; yields the counts, a
+    dict of dicts filled in place:
 
-    def counted(points, *args, **kwargs):
+    - ``lu``: SuperLU factorizations, their ``solve`` calls and their
+      ``L``/``U`` reads (``plapx.solver._factor`` wrapped);
+    - ``delaunay``: Qhull calls and the points they triangulate
+      (``plapx.geometry.Delaunay``);
+    - ``solver``: Newton steps of the fixed-eps solves that return
+      (``plapx.solver.solve_regularized``) and linear solves
+      (``plapx.solver.linear_solve``);
+    - ``kernel``: flux-kernel misses, the ``plapx.assembly._gradient_data``
+      calls that compute, and Luxemburg modular evaluations, the calls of
+      ``plapx.varexp._log_modular`` (None where the sources have none).
+    """
+    import plapx.assembly as assembly
+    import plapx.geometry as geometry
+    import plapx.solver as solver
+    import plapx.varexp as varexp
+
+    lock = threading.Lock()
+    counts = {"lu": {"factorizations": 0, "solves": 0, "lu_reads": 0},
+              "delaunay": {"calls": 0, "points": 0},
+              "solver": {"newton_steps": 0, "linear_solves": 0},
+              "kernel": {"flux_misses": 0, "luxemburg_evaluations": None}}
+
+    def add(section, name, value=1):
         with lock:
-            qhull["calls"] += 1
-            qhull["points"] += len(points)
-        return delaunay(points, *args, **kwargs)
+            counts[section][name] += value
 
-    return counted
+    def counted_delaunay(points, *args, **kwargs):
+        add("delaunay", "calls")
+        add("delaunay", "points", len(points))
+        return real["Delaunay"](points, *args, **kwargs)
+
+    def counted_factor(A):
+        add("lu", "factorizations")
+        return _CountedFactor(real["_factor"](A), counts["lu"], lock)
+
+    def counted_solve_regularized(*args, **kwargs):
+        u, stats = real["solve_regularized"](*args, **kwargs)
+        add("solver", "newton_steps", stats.iterations)
+        return u, stats
+
+    def counted_linear_solve(*args, **kwargs):
+        add("solver", "linear_solves")
+        return real["linear_solve"](*args, **kwargs)
+
+    def counted_gradient_data(u, *args):
+        kept = u._flux
+        data = real["_gradient_data"](u, *args)
+        if u._flux is not kept:
+            add("kernel", "flux_misses")
+        return data
+
+    def counted_log_modular(*args):
+        add("kernel", "luxemburg_evaluations")
+        return real["_log_modular"](*args)
+
+    wrappers = {
+        (solver, "_factor"): counted_factor,
+        (solver, "solve_regularized"): counted_solve_regularized,
+        (solver, "linear_solve"): counted_linear_solve,
+        (geometry, "Delaunay"): counted_delaunay,
+        (assembly, "_gradient_data"): counted_gradient_data,
+    }
+    if hasattr(varexp, "_log_modular"):
+        counts["kernel"]["luxemburg_evaluations"] = 0
+        wrappers[varexp, "_log_modular"] = counted_log_modular
+    real = {name: getattr(module, name) for module, name in wrappers}
+    try:
+        for (module, name), wrapper in wrappers.items():
+            setattr(module, name, wrapper)
+        yield counts
+    finally:
+        for (module, name) in wrappers:
+            setattr(module, name, real[name])
 
 
 def count_record(root, names=None):
-    """Per workload in ``names`` (default: all), one run at seed 1 with
-    ``plapx.solver._factor`` and ``plapx.geometry.Delaunay`` wrapped: the
-    SuperLU factorizations, their solve calls and their ``L``/``U`` reads
-    (``lu``), the Qhull calls and the points they triangulate
-    (``delaunay``), and whether the outputs passed the checks."""
+    """Per workload in ``names`` (default: all), one run at seed 1 under
+    :func:`counting`: its counts, and whether the outputs passed the
+    checks."""
     _import_sources(os.path.abspath(root))
-    import plapx.geometry
-    import plapx.solver
     import workloads
 
-    factor, delaunay = plapx.solver._factor, plapx.geometry.Delaunay
-    lock = threading.Lock()
-    lu, qhull = {}, {}
-
-    def counted_factor(A):
-        with lock:
-            lu["factorizations"] += 1
-        return _CountedFactor(factor(A), lu, lock)
-
-    result = {"_how": ("lu: SuperLU factorizations, solve calls (one "
-                       "forward and one backward triangular solve each) and "
-                       "reads of a factor's L or U, counted by wrapping "
-                       "plapx.solver._factor; delaunay: Qhull calls and the "
-                       "points they triangulate, counted by wrapping "
-                       "plapx.geometry.Delaunay; one run per workload, "
-                       "seed 1")}
-    plapx.solver._factor = counted_factor
-    plapx.geometry.Delaunay = _counted_delaunay(delaunay, qhull, lock)
-    try:
-        for name in names or workloads.WORKLOADS:
-            wl = workloads.WORKLOADS[name]
-            os.environ["PLAPX_THREADS"] = str(wl.threads)
-            lu.update(factorizations=0, solves=0, lu_reads=0)
-            qhull.update(calls=0, points=0)
-            with tempfile.TemporaryDirectory() as workdir:
-                outcome = workloads.run(workloads.Inputs(wl, 1, workdir))
-                problems = workloads.check(outcome, wl,
-                                           workloads.load_reference())
-            result[name] = {"lu": dict(lu), "delaunay": dict(qhull),
-                            "correct": not problems}
-            print(f"{name}: {result[name]}", file=sys.stderr)
-    finally:
-        plapx.solver._factor = factor
-        plapx.geometry.Delaunay = delaunay
+    result = {"_how": ("counted by wrapping plapx functions (see counting() "
+                       "in tools/bench_record.py): lu: SuperLU "
+                       "factorizations, solve calls (one forward and one "
+                       "backward triangular solve each) and reads of a "
+                       "factor's L or U; delaunay: Qhull calls and the "
+                       "points they triangulate; solver: Newton steps of "
+                       "the fixed-eps solves that return, and linear "
+                       "solves; kernel: flux-kernel misses and Luxemburg "
+                       "modular evaluations; one run per workload, seed 1")}
+    for name in names or workloads.WORKLOADS:
+        wl = workloads.WORKLOADS[name]
+        os.environ["PLAPX_THREADS"] = str(wl.threads)
+        with counting() as counts, tempfile.TemporaryDirectory() as workdir:
+            outcome = workloads.run(workloads.Inputs(wl, 1, workdir))
+            problems = workloads.check(outcome, wl,
+                                       workloads.load_reference())
+        result[name] = dict(counts, correct=not problems)
+        print(f"{name}: {result[name]}", file=sys.stderr)
     return result
 
 
 def ladder_record(root, pairs=None):
     """``triangulate_convex`` on each (domain name, h) in ``pairs``
-    (default: the whole ladder), with ``plapx.geometry.Delaunay`` wrapped.
+    (default: the whole ladder), under :func:`counting`.
     A pair's entry holds its mesh's digest, sizes, min angle and h, or the
     error; either way its Qhull calls and seconds."""
     _import_sources(os.path.abspath(root))
@@ -299,15 +349,12 @@ def ladder_record(root, pairs=None):
     domains = dict(LADDER_DOMAINS)
     if pairs is None:
         pairs = [(name, h) for name, _ in LADDER_DOMAINS for h in LADDER_H]
-    delaunay, qhull = geometry.Delaunay, {}
-    geometry.Delaunay = _counted_delaunay(delaunay, qhull, threading.Lock())
     entries = []
-    try:
-        for name, h in pairs:
-            dom = domains[name](geometry)
-            qhull.update(calls=0, points=0)
-            entry = {"domain": name, "h": h}
-            start = time.perf_counter()
+    for name, h in pairs:
+        dom = domains[name](geometry)
+        entry = {"domain": name, "h": h}
+        start = time.perf_counter()
+        with counting() as counts:
             try:
                 mesh = geometry.triangulate_convex(dom, h)
             except geometry.GeometryError as err:
@@ -319,12 +366,10 @@ def ladder_record(root, pairs=None):
                 entry.update(digest=digest.hexdigest(), points=mesh.n_points,
                              triangles=mesh.n_triangles,
                              min_angle=mesh.min_angle(), mesh_h=mesh.h)
-            entry.update(qhull_calls=qhull["calls"],
-                         seconds=time.perf_counter() - start)
-            entries.append(entry)
-            print(f"{name} h={h}: {entry}", file=sys.stderr)
-    finally:
-        geometry.Delaunay = delaunay
+        entry.update(qhull_calls=counts["delaunay"]["calls"],
+                     seconds=time.perf_counter() - start)
+        entries.append(entry)
+        print(f"{name} h={h}: {entry}", file=sys.stderr)
     return {"_how": ("triangulate_convex per (domain, h), with "
                      "plapx.geometry.Delaunay wrapped to count Qhull calls; "
                      "digest is the sha256 of the points, triangles and "
@@ -362,7 +407,8 @@ def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     sub = ap.add_subparsers(dest="command", required=True)
     for name, text in (
-            ("count", "count LU factorizations, solves and Qhull calls"),
+            ("count", "count factorizations, solves, Qhull calls and "
+                      "kernel misses"),
             ("ladder", "mesh the domain ladder: digests and Qhull calls")):
         runs = sub.add_parser(name, help=text)
         runs.add_argument("--root", default=ROOT)
