@@ -1,8 +1,9 @@
 """Audit of the frozen-coefficient ellipticity sandwich on random states.
 
-The linearized operator has coefficients a_ij = delta_ij +
-(p-2) u_i u_j / v^2 with v^2 = eps + |grad u|^2.  Its eigenvalues are 1
-and 1 + (p-2)|grad u|^2 / v^2, so for p between p1 and p2 every Rayleigh
+The linearized operator has the coefficient matrix a_ij = delta_ij +
+(p-2) u_i u_j / v^2 with v^2 = eps + |grad u|^2, built from the gradient,
+the exponent and eps alone.  Its eigenvalues are 1 and
+1 + (p-2)|grad u|^2 / v^2, so for p between p1 and p2 every Rayleigh
 quotient should land in [min(p1-1, 1), max(p2-1, 1)].  The check computes
 both eigenvalues of each matrix; we hammer the claim with random states
 spanning twelve orders of magnitude in |grad u|.
@@ -22,14 +23,7 @@ grad = np.column_stack([mag * np.cos(theta), mag * np.sin(theta)])
 p_vals = rng.uniform(P1, P2, size=N)
 eps = 10.0 ** rng.uniform(-6.0, 0.0, size=N)
 
-sample = CoefficientSample.from_state(
-    points=np.zeros((N, 2)),
-    grad=grad,
-    p_vals=p_vals,
-    f_vals=np.zeros(N),
-    grad_p=np.zeros((N, 2)),
-    eps=eps,
-)
+sample = CoefficientSample.from_state(grad=grad, p_vals=p_vals, eps=eps)
 
 rep = ellipticity_check(sample, P1, P2)
 print(f"claimed band    [{rep.lower:.3f}, {rep.upper:.3f}]")

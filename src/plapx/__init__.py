@@ -4,7 +4,7 @@ Dirichlet p(x)-Laplacian on convex plane domains.
 The package solves -div((eps + |grad u|^2)^((p(x)-2)/2) grad u) = f with
 Dirichlet data by damped Newton continuation in eps, and ships the
 measurement tools used to study the solutions: variable-exponent Luxemburg
-norms, non-divergence coefficient sampling with ellipticity checks, two
+norms, an ellipticity audit of the linearized coefficient matrix, two
 independent discrete H2 estimates, corner-rounding domain sweeps, and a
 boundary curvature identity on the disk.
 """

@@ -423,7 +423,7 @@ def _ellipticity_audit(u, spec: ProblemSpec, eps: float):
     points_seed = np.random.SeedSequence(spec.seed).spawn(1)[0]
     rng = np.random.Generator(np.random.Philox(points_seed))
     pts, tri = _sample_mesh_points(u.mesh, 2000, rng)
-    sample = regularity.coefficients(u, spec.p, spec.f, eps, pts, tri)
+    sample = regularity.coefficients(u, spec.p, eps, pts, tri)
     return dataclasses.asdict(regularity.ellipticity_check(
         sample, spec.p.p1, spec.p.p2))
 

@@ -91,9 +91,9 @@ class ConvexDomain:
     boundary is then the rounded polyline and ``area`` means its area.
 
     The polyline's edge arrays are built once, read-only, as (E, 1)
-    columns.  The boundary kernels (``line_distance``, ``project``,
-    ``boundary_distance``) work edge-major on (E, N) arrays and reduce over
-    the edges, with the same per-element formulas as point by point.
+    columns.  The boundary kernels (``line_distance``, ``project``) work
+    edge-major on (E, N) arrays and reduce over the edges, with the same
+    per-element formulas as point by point.
     """
 
     def __init__(self, vertices, corner_radius=0.0):
@@ -239,12 +239,6 @@ class ConvexDomain:
         best = np.argmin(d2, axis=0)
         cols = np.arange(len(pts))
         return np.column_stack([cx[best, cols], cy[best, cols]])
-
-    def boundary_distance(self, pts):
-        """Exact unsigned distance from points to the boundary polyline."""
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        gap = pts - self._nearest_boundary_point(pts)
-        return np.hypot(gap[:, 0], gap[:, 1])
 
     def project(self, pts):
         """Nearest-point projection onto the closed domain.

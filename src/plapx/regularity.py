@@ -1,9 +1,8 @@
 """Pointwise coefficient fields and discrete regularity diagnostics.
 
-The non-divergence form of the regularized equation has coefficients
+The linearized regularized operator has the coefficient matrix
 
     a_ij = delta_ij + (p(x) - 2) u_i u_j / v^2,      v = sqrt(eps + |grad u|^2)
-    a_rhs = log(v) <grad u, grad p> + f v^(2 - p)
 
 whose eigenvalues are 1 and 1 + (p-2)|grad u|^2/v^2, hence the uniform
 ellipticity sandwich min(p1-1, 1) <= xi.a.xi <= max(p2-1, 1) for unit xi.
@@ -53,58 +52,37 @@ class SamplingError(ValueError):
 
 @dataclass
 class CoefficientSample:
-    """Coefficient fields sampled at a batch of points (array fields)."""
+    """The coefficient matrix (a_ij) sampled at a batch of points."""
 
-    points: np.ndarray
-    grad: np.ndarray
-    p_vals: np.ndarray
-    f_vals: np.ndarray
-    grad_p: np.ndarray
-    eps: np.ndarray
-    v_eps: np.ndarray
     a11: np.ndarray
     a12: np.ndarray
     a22: np.ndarray
-    a_rhs: np.ndarray
 
     @classmethod
-    def from_state(cls, points, grad, p_vals, f_vals, grad_p, eps):
-        """Build the coefficient fields from raw state (vectorized)."""
-        points = np.atleast_2d(np.asarray(points, dtype=float))
+    def from_state(cls, grad, p_vals, eps):
+        """Build the coefficients from gradients, exponents and eps
+        (vectorized)."""
         grad = np.atleast_2d(np.asarray(grad, dtype=float))
         p_vals = np.asarray(p_vals, dtype=float)
-        f_vals = np.asarray(f_vals, dtype=float)
-        grad_p = np.atleast_2d(np.asarray(grad_p, dtype=float))
         eps = np.broadcast_to(np.asarray(eps, dtype=float), p_vals.shape)
-        if np.any(eps <= 0) or np.any(eps > 1):
+        if not np.all((eps > 0) & (eps <= 1)):
             raise ValueError("eps must lie in (0, 1]")
         gx, gy = grad[:, 0], grad[:, 1]
-        v2 = eps + gx * gx + gy * gy
-        v = np.sqrt(v2)
-        c = (p_vals - 2.0) / v2
-        a11 = 1.0 + c * gx * gx
-        a12 = c * gx * gy
-        a22 = 1.0 + c * gy * gy
-        dot = gx * grad_p[:, 0] + gy * grad_p[:, 1]
-        a_rhs = np.log(v) * dot + f_vals * v ** (2.0 - p_vals)
-        return cls(points, grad, p_vals, f_vals, grad_p, eps, v, a11, a12,
-                   a22, a_rhs)
+        c = (p_vals - 2.0) / (eps + gx * gx + gy * gy)
+        return cls(1.0 + c * gx * gx, c * gx * gy, 1.0 + c * gy * gy)
 
     def __len__(self):
-        return len(self.p_vals)
+        return len(self.a11)
 
 
-def coefficients(u: P1Function, p: ExponentField, f, eps,
+def coefficients(u: P1Function, p: ExponentField, eps,
                  pts, tri) -> CoefficientSample:
-    """Sample the non-divergence coefficients of the current iterate at the
-    points ``pts`` of the mesh triangles ``tri``."""
+    """Sample the coefficients of the current iterate at the points ``pts``
+    of the mesh triangles ``tri``."""
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    x, y = pts[:, 0], pts[:, 1]
-    pv = field_values(p, x, y)
-    fv = field_values(f, x, y)
-    gpx, gpy = p.gradient(x, y)
-    return CoefficientSample.from_state(pts, u.triangle_gradients()[tri], pv,
-                                        fv, np.column_stack([gpx, gpy]), eps)
+    return CoefficientSample.from_state(u.triangle_gradients()[tri],
+                                        field_values(p, pts[:, 0], pts[:, 1]),
+                                        eps)
 
 
 # Slack on both sides of the ellipticity sandwich: the eigenvalues carry a

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expressions import (DifferentiationError, FieldEvaluationError,
-                          ScalarFieldExpr, parse_field)
+                          parse_field)
 
 __all__ = [
     "QuadratureContext",
@@ -196,18 +196,6 @@ class ExponentField:
     def evaluate(self, x, y):
         return field_values(self.field, np.asarray(x, float),
                             np.asarray(y, float))
-
-    def gradient(self, x, y):
-        """Gradient of the exponent, symbolic when available."""
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        if isinstance(self.field, ScalarFieldExpr):
-            try:
-                return (field_values(self.field.diff("x"), x, y),
-                        field_values(self.field.diff("y"), x, y))
-            except DifferentiationError:
-                pass
-        return _central_gradient(self.field, x, y, 1e-6)
 
 
 def _central_gradient(f, x, y, h):

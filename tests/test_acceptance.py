@@ -20,10 +20,9 @@ from plapx.experiments import (ExperimentConfig, run_convergence,
                                run_domain_sweep, run_eps_sweep, run_p1_sweep)
 from plapx.expressions import parse_field
 from plapx.geometry import ConvexDomain, triangulate_convex
-from plapx.regularity import (CoefficientSample, coefficients,
-                              curvature_identity_check, ellipticity_check,
-                              integrability_split_report, p1_scaling_report,
-                              split_exponents)
+from plapx.regularity import (CoefficientSample, curvature_identity_check,
+                              ellipticity_check, integrability_split_report,
+                              p1_scaling_report, split_exponents)
 from plapx.solver import ProblemSpec, continuation_solve
 from plapx.varexp import (ExponentField, QuadratureContext, field_values,
                           holder_check, luxemburg_norm, modular)
@@ -77,9 +76,7 @@ def test_criterion_01_ellipticity_sandwich():
     grad = mag[:, None] * np.column_stack([np.cos(theta), np.sin(theta)])
     p_vals = rng.uniform(1.2, 3.5, size=n)
     eps = 10.0 ** rng.uniform(-6, 0, size=n)
-    sample = CoefficientSample.from_state(
-        rng.uniform(0, 1, size=(n, 2)), grad, p_vals, np.zeros(n),
-        np.zeros((n, 2)), eps)
+    sample = CoefficientSample.from_state(grad, p_vals, eps)
     rep = ellipticity_check(sample, 1.2, 3.5)
     assert rep.lower == pytest.approx(0.2)
     assert rep.upper == pytest.approx(2.5)

@@ -122,5 +122,8 @@ def test_disk_convergence_script():
 
 def test_ellipticity_audit_script():
     script = run_script("ellipticity_audit.py")
-    assert script["rep"].satisfied
+    rep = script["rep"]
+    assert rep.satisfied
+    assert rep.low_margin == pytest.approx(1.6107024397293834e-04, rel=1e-9)
+    assert rep.high_margin == pytest.approx(5.2529930845146566e-05, rel=1e-9)
     assert not script["bad"].satisfied

@@ -254,30 +254,13 @@ def test_refinements_past_the_triangle_cap_fail_before_refining(
                         r"make \d+, more than 400000", failure["mesh"])
 
 
-def test_audit_of_an_exponent_without_closed_form_gradient(
-        tmp_path, monkeypatch):
-    # max has no symbolic derivative, so the audit's p gradient comes from
-    # central differences
-    import plapx.varexp
-
-    central, sizes = plapx.varexp._central_gradient, []
-
-    def counted(f, x, y, h):
-        sizes.append(np.size(x))
-        return central(f, x, y, h)
-
-    monkeypatch.setattr(plapx.varexp, "_central_gradient", counted)
+def test_audit_of_an_exponent_without_closed_form_gradient(tmp_path):
+    # max has no symbolic derivative; the audit reads p's values only
     path = write_config(tmp_path, **{"p.expr": "max(1.5, 2 - x)",
                                      "mesh.h": "0.2"})
     assert cli_main(["solve", str(path)]) == 0
     side = json.loads((tmp_path / "cli_out.csv.json").read_text())
     assert side["ellipticity_audit"]["satisfied"] is True
-    assert 2000 in sizes
-    p = ExperimentConfig.load(path).spec.p
-    gx, gy = p.gradient(np.array([0.1, 0.3, 0.45, 0.55, 0.7, 0.9]),
-                        np.array([0.2, 0.8, 0.5, 0.5, 0.1, 0.6]))
-    np.testing.assert_allclose(gx, [-1, -1, -1, 0, 0, 0], atol=1e-8)
-    np.testing.assert_allclose(gy, 0.0, atol=1e-8)
 
 
 # --- csv / sidecar emission ------------------------------------------------------
@@ -1143,8 +1126,15 @@ def test_cli_audit_samples_only_the_meshed_region(tmp_path, capsys):
     assert "error:" not in capsys.readouterr().err
     side = json.loads((tmp_path / "cli_out.csv.json").read_text())
     assert side["failures"] == []
-    assert side["ellipticity_audit"]["n_samples"] == 2000
-    assert side["ellipticity_audit"]["satisfied"] is True
+    audit = side["ellipticity_audit"]
+    assert audit["n_samples"] == 2000
+    assert audit["satisfied"] is True
+    # the margins of this config's audit, pinned; rel 1e-9 leaves room for
+    # numpy's SIMD dispatch
+    assert audit["lower"] == 0.5 and audit["upper"] == 1.0
+    assert audit["high_margin"] == 0.0
+    assert audit["low_margin"] == pytest.approx(2.1053227485445802e-04,
+                                                rel=1e-9)
     assert len((tmp_path / "cli_out.csv").read_text().splitlines()) == 2
 
 
@@ -1193,9 +1183,9 @@ def test_ellipticity_audit_samples_the_mesh(monkeypatch):
         calls.append(len(pts))
         return locate(mesh, pts)
 
-    def recorded(u, p, f, eps, pts, tri):
+    def recorded(u, p, eps, pts, tri):
         samples.append((pts, tri))
-        return coefficients(u, p, f, eps, pts, tri)
+        return coefficients(u, p, eps, pts, tri)
 
     monkeypatch.setattr(TriMesh, "locate", counted_locate)
     monkeypatch.setattr(plapx.regularity, "coefficients", recorded)
@@ -1219,5 +1209,35 @@ def test_ellipticity_audit_samples_the_mesh(monkeypatch):
     rng = np.random.Generator(np.random.Philox(points_seed))
     np.testing.assert_array_equal(pts, _sample_mesh_points(mesh, 2000, rng)[0])
     assert reports[0] == dataclasses.asdict(plapx.regularity.ellipticity_check(
-        coefficients(u, spec.p, spec.f, 1e-2, pts, tri), spec.p.p1,
-        spec.p.p2))
+        coefficients(u, spec.p, 1e-2, pts, tri), spec.p.p1, spec.p.p2))
+
+
+def test_ellipticity_audit_evaluates_only_p():
+    # the coefficient matrix needs p at the sampled points and nothing else:
+    # neither f nor a gradient of p
+    from plapx.assembly import P1Function
+    from plapx.experiments import _ellipticity_audit
+    from plapx.geometry import ConvexDomain, triangulate_convex
+    from plapx.solver import ProblemSpec
+    from plapx.varexp import ExponentField
+
+    p_sizes, f_sizes = [], []
+
+    def p_field(x, y):
+        p_sizes.append(np.size(x))
+        return 1.7 + 0.0 * x
+
+    def f_field(x, y):
+        f_sizes.append(np.size(x))
+        return 1.0 + 0.0 * x
+
+    dom = ConvexDomain.unit_square()
+    u = P1Function.interpolate(triangulate_convex(dom, 0.3),
+                               lambda x, y: x * x - 0.5 * y)
+    spec = ProblemSpec(domain=dom, p=ExponentField(p_field, 1.7, 1.7, 0.0),
+                       f=f_field, g=0.0, q=ExponentField.constant(4.0),
+                       seed=3)
+    report = _ellipticity_audit(u, spec, 1e-2)
+    assert report["n_samples"] == 2000 and report["satisfied"]
+    assert p_sizes == [2000]
+    assert f_sizes == []

@@ -105,33 +105,6 @@ def test_projection_onto_square():
     assert np.linalg.norm(pa - pb) <= np.linalg.norm(a - b) + 1e-14
 
 
-def test_boundary_distance_on_square():
-    dom = ConvexDomain.unit_square()
-    pts = np.array([[0.5, 0.5], [0.1, 0.5], [0.25, 0.9],   # inside
-                    [1.2, 0.5], [0.5, -2.0],                # outside an edge
-                    [-0.3, -0.4], [1.6, 1.8],               # outside a corner
-                    [0.0, 0.0], [1.0, 0.5]])                # on the boundary
-    np.testing.assert_allclose(
-        dom.boundary_distance(pts),
-        [0.5, 0.1, 0.1, 0.2, 2.0, 0.5, 1.0, 0.0, 0.0], atol=1e-15)
-
-
-@pytest.mark.parametrize("dom", [
-    ConvexDomain.unit_square(), ConvexDomain.disk(1.0),
-    ConvexDomain.regular_polygon(7),
-    round_corners(ConvexDomain.unit_square(), 0.2)],
-    ids=["square", "disk", "heptagon", "rounded"])
-def test_boundary_distance_is_the_projection_gap(dom):
-    # outside the domain, both come from one nearest-point routine
-    lo, hi = dom.bounding_box()
-    pts = np.random.default_rng(3).uniform(lo - 1.0, hi + 1.0, (2000, 2))
-    pts = pts[~dom.contains(pts)]
-    assert len(pts) > 500
-    gap = pts - dom.project(pts)
-    np.testing.assert_array_equal(dom.boundary_distance(pts),
-                                  np.hypot(gap[:, 0], gap[:, 1]))
-
-
 def reference_line_distance(dom, pts):
     """Point-major ``line_distance``: (N, E) arrays, reduced over edges."""
     a = dom.polyline
@@ -206,9 +179,6 @@ def test_boundary_kernels_match_point_major_reference(name):
         nearest = reference_nearest(dom, pts)
         assert_same_values(dom.line_distance(pts), depth, pts)
         assert_same_values(dom._nearest_boundary_point(pts), nearest, pts)
-        gap = pts - nearest
-        assert_same_values(dom.boundary_distance(pts),
-                           np.hypot(gap[:, 0], gap[:, 1]), pts)
         outside = ~(depth >= 0.0)
         proj = pts.copy()
         proj[outside] = reference_nearest(dom, pts[outside])
@@ -263,9 +233,10 @@ def test_triangulation_quality(dom, h):
     # no orphan points
     assert np.array_equal(np.unique(mesh.triangles),
                           np.arange(mesh.n_points))
-    # boundary vertices on the boundary, interior strictly inside
-    bd = dom.boundary_distance(mesh.points[mesh.is_boundary])
-    assert np.max(bd) <= 1e-12
+    # boundary vertices on the boundary (in a closed convex polygon the
+    # nearest edge line is as near as the boundary), interior strictly inside
+    bd = dom.line_distance(mesh.points[mesh.is_boundary])
+    assert np.max(np.abs(bd)) <= 1e-12
     assert np.all(dom.line_distance(mesh.points[~mesh.is_boundary]) > 0)
 
 
@@ -676,7 +647,7 @@ def test_refinement_boundary_flags():
         + n_bnd_edges
     # boundary midpoints stay on the boundary of the square
     dom = ConvexDomain.unit_square()
-    assert np.max(dom.boundary_distance(fine.points[fine.is_boundary])) \
+    assert np.max(np.abs(dom.line_distance(fine.points[fine.is_boundary]))) \
         <= 1e-12
 
 
