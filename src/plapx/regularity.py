@@ -392,12 +392,15 @@ class ScalingReport:
     warning: str = ""
 
 
-def p1_scaling_report(p1_values, h2_values, kappa: float = 1.0) -> ScalingReport:
+# The kappa of the growth-exponent ceiling kappa + 0.5: 1 on convex polygons.
+SCALING_KAPPA = 1.0
+
+
+def p1_scaling_report(p1_values, h2_values) -> ScalingReport:
     """Least-squares slope of log(h2) against log(1/(p1 - 1)).
 
-    The growth-exponent ceiling is kappa + 0.5 (kappa = 1 on convex
-    polygons).  A sweep with no spread in p1 is degenerate: slope 0 plus a
-    warning, never a fit.
+    The growth-exponent ceiling is SCALING_KAPPA + 0.5.  A sweep with no
+    spread in p1 is degenerate: slope 0 plus a warning, never a fit.
     """
     p1_values = np.asarray(p1_values, dtype=float)
     h2_values = np.asarray(h2_values, dtype=float)
@@ -409,10 +412,10 @@ def p1_scaling_report(p1_values, h2_values, kappa: float = 1.0) -> ScalingReport
         raise ValueError("H2 estimates must be finite and positive")
     x = np.log(1.0 / (p1_values - 1.0))
     y = np.log(h2_values)
-    bound = kappa + 0.5
+    bound = SCALING_KAPPA + 0.5
     if np.max(x) - np.min(x) < 1e-12:
-        return ScalingReport(0.0, float(np.mean(y)), kappa, bound, True, True,
-                             "degenerate sweep: no spread in p1")
+        return ScalingReport(0.0, float(np.mean(y)), SCALING_KAPPA, bound,
+                             True, True, "degenerate sweep: no spread in p1")
     slope, intercept = np.polyfit(x, y, 1)
-    return ScalingReport(float(slope), float(intercept), kappa, bound,
-                         bool(slope <= bound + 1e-12), False)
+    return ScalingReport(float(slope), float(intercept), SCALING_KAPPA,
+                         bound, bool(slope <= bound + 1e-12), False)

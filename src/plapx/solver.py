@@ -52,7 +52,8 @@ __all__ = [
 
 
 class LinearSolveError(RuntimeError):
-    pass
+    """A linear solve that failed.  One raised by a Newton correction
+    carries ``best`` and ``stats`` as a :class:`NewtonError` does."""
 
 
 class HypothesisError(ValueError):
@@ -320,15 +321,16 @@ def _factor(A):
 def _certified_spd(given, A, lu):
     """True when the factored matrix is proven symmetric positive definite.
 
-    ``given`` is the matrix the caller passed, ``A`` its CSC conversion and
-    ``lu`` the factor of ``A``.  The proof has two parts.  ``given`` is a
-    CSR matrix whose arrays equal those of ``A``, so A equals its
-    transpose; A is in canonical format and its diagonal is positive.  And
-    some y > 0 has <A> y > 0 by more than its rounding error, where the
-    comparison matrix <A> holds |a_ii| on the diagonal and -|a_ij| off it.
-    Then <A> is a nonsingular M-matrix, so A is a symmetric H-matrix with a
-    positive diagonal, hence SPD (Berman and Plemmons, Nonnegative Matrices
-    in the Mathematical Sciences, 1994, ch. 6).
+    ``given`` is the CSR matrix :func:`linear_solve` solves, ``A`` its CSC
+    copy and ``lu`` the factor of ``A``.  The proof has two parts.
+    ``given`` is a CSR matrix whose arrays equal those of ``A``, so A
+    equals its transpose; A is in canonical format and its diagonal is
+    positive.  And some y > 0 has <A> y > 0 by more than its rounding
+    error, where the comparison matrix <A> holds |a_ii| on the diagonal and
+    -|a_ij| off it.  Then <A> is a nonsingular M-matrix, so A is a
+    symmetric H-matrix with a positive diagonal, hence SPD (Berman and
+    Plemmons, Nonnegative Matrices in the Mathematical Sciences, 1994,
+    ch. 6).
 
     The factor supplies y: first A^-1 1, then up to CERTIFY_MAX_CORRECTIONS
     corrections y += A^-1 (1 - <A> y).  <A> y is A y less twice the
@@ -410,10 +412,9 @@ def _pcg(A, b, lu, atol):
     return None
 
 
-def _backward_error(A, b, x):
-    """Normwise backward error of ``x`` (Rigal and Gaches), infinity norm;
-    inf when it is not a number."""
-    r = b - A @ x
+def _backward_error(A, b, x, r):
+    """Normwise backward error of ``x``, whose residual b - Ax is ``r``
+    (Rigal and Gaches), infinity norm; inf when it is not a number."""
     scale = (spla.norm(A, np.inf) * np.linalg.norm(x, np.inf)
              + np.linalg.norm(b, np.inf))
     error = float(np.linalg.norm(r, np.inf) / scale)
@@ -439,30 +440,28 @@ def linear_solve(A, b, rel_tol=1e-12, lagged=None):
     :func:`solve_regularized`, which stop once the linear residual is a
     tenth of ``newton_tol`` (see :meth:`DiscreteProblem.solve_reduced`).
 
-    Given a :class:`LaggedFactor` that holds a factor of a matrix of A's
-    shape, CG preconditioned by that factor runs first.  If it breaks down
-    or needs more than PCG_MAX_ITER iterations, A itself is factored.
+    A is taken as CSR (no copy for a CSR argument).  Given a
+    :class:`LaggedFactor` that holds a factor of a matrix of A's shape, CG
+    preconditioned by that factor runs first.  If it breaks down or needs
+    more than PCG_MAX_ITER iterations, a CSC copy of A is factored: a
+    sparse LU with a symmetric ordering and no partial pivoting.  That
+    factor first proves A SPD: by an H-matrix certificate that reads no L
+    or U (see :func:`_certified_spd`; Poisson blocks nearly always pass it,
+    most Newton Jacobians do not), or else by a pivot check, so an
+    indefinite matrix shows up as a nonpositive pivot and is reported by
+    index.  The pivot check reads ``U``, and on that read scipy builds CSC
+    copies of L and U and caches them on the factor, so a kept factor of a
+    refused matrix holds them while it is kept.
 
-    The factorization is a sparse LU with a symmetric ordering and no
-    partial pivoting; the solve takes up to three steps of iterative
-    refinement.  A is factored once, and that factor first proves A SPD:
-    by an H-matrix certificate that reads no L or U (see
-    :func:`_certified_spd`; Poisson blocks nearly always pass it, most
-    Newton Jacobians do not), or else by a pivot check, so an indefinite
-    matrix shows up as a nonpositive pivot and is reported by index.  After a solve that reaches the target, ``lagged``
-    keeps the factor that solved.  The pivot check reads ``U``, and on that
-    read scipy builds CSC copies of L and U and caches them on the factor,
-    so a kept factor of a refused matrix holds them while it is kept.
-
-    The refined LU solution is the only candidate.  If it misses the
-    target, it is still accepted when its normwise backward error is at
-    most BACKWARD_ERROR_TOL.  ``lagged`` is then left empty: the next
-    system of the solve is most likely as far out of reach, so it is
-    factored at once instead of after PCG_MAX_ITER futile iterations.
-    Otherwise, and when SuperLU fails before any solution exists,
-    :class:`LinearSolveError` is raised.
+    The factor solves once, and that solution is the only candidate.  If
+    it reaches the target, ``lagged`` keeps the factor.  If it misses, it
+    is still accepted when its normwise backward error is at most
+    BACKWARD_ERROR_TOL, with ``lagged`` left empty: the next system of the
+    solve is most likely as far out of reach, so it is factored at once
+    instead of after PCG_MAX_ITER futile iterations.  Otherwise, and when
+    SuperLU fails, :class:`LinearSolveError` is raised.
     """
-    given, A = A, sp.csc_matrix(A)
+    A = sp.csr_matrix(A)
     b = np.asarray(b, dtype=float)
     n = A.shape[0]
     if A.shape[0] != A.shape[1] or b.shape != (n,):
@@ -479,42 +478,33 @@ def linear_solve(A, b, rel_tol=1e-12, lagged=None):
                 return x
         lagged.lu = None  # release the old factor before building the next
 
-    x = None
+    C = sp.csc_matrix(A)
     try:
-        lu = _factor(A)
-        if not _certified_spd(given, A, lu):
-            dU = lu.U.diagonal()
-            bad = np.flatnonzero(~(dU.real > 0))
-            if bad.size:
-                k = int(bad[0])
-                raise LinearSolveError(
-                    f"non-SPD pivot at elimination index {k} "
-                    f"(original unknown {int(lu.perm_c[k])})")
-        x = lu.solve(b)
-        r = b - A @ x
-        for _ in range(3):
-            if np.linalg.norm(r) <= atol:
-                break
-            x = x + lu.solve(r)
-            r = b - A @ x
-        if lagged is not None and np.linalg.norm(r) <= atol:
-            lagged.lu = lu
-    except LinearSolveError:
-        raise
+        lu = _factor(C)
+        bad = (np.empty(0) if _certified_spd(A, C, lu)
+               else np.flatnonzero(~(lu.U.diagonal().real > 0)))
+        if not bad.size:
+            x = lu.solve(b)
     except (RuntimeError, MemoryError) as err:
-        # once set, x is a complete solution; a later failure only stops
-        # its refinement or leaves ``lagged`` empty
-        if x is None:
-            raise LinearSolveError(
-                f"could not reach relative residual {rel_tol} "
-                f"(SuperLU failed: {type(err).__name__}: {err})") from err
+        raise LinearSolveError(
+            f"could not reach relative residual {rel_tol} "
+            f"(SuperLU failed: {type(err).__name__}: {err})") from err
+    if bad.size:
+        k = int(bad[0])
+        raise LinearSolveError(
+            f"non-SPD pivot at elimination index {k} "
+            f"(original unknown {int(lu.perm_c[k])})")
 
-    if np.linalg.norm(b - A @ x) > atol:
-        error = _backward_error(A, b, x)
-        if not error <= BACKWARD_ERROR_TOL:
-            raise LinearSolveError(
-                f"could not reach relative residual {rel_tol} "
-                f"(backward error {error:.3e})")
+    r = b - A @ x
+    if np.linalg.norm(r) <= atol:
+        if lagged is not None:
+            lagged.lu = lu
+        return x
+    error = _backward_error(A, b, x, r)
+    if not error <= BACKWARD_ERROR_TOL:
+        raise LinearSolveError(
+            f"could not reach relative residual {rel_tol} "
+            f"(backward error {error:.3e})")
     return x
 
 
@@ -630,8 +620,13 @@ def solve_regularized(spec: ProblemSpec, eps: float, u0: P1Function,
         # max|r| <= ||r||_2, so solving to ||r||_2 <= newton_tol / 10 costs
         # the next max-norm residual at most a tenth of newton_tol.
         A = assemble_jacobian(u, problem.pv, eps, problem.qctx)
-        d = problem.solve_reduced(A, -R, 0.0,
-                                  atol=0.1 * spec.newton_tol).coeffs
+        try:
+            d = problem.solve_reduced(A, -R, 0.0,
+                                      atol=0.1 * spec.newton_tol).coeffs
+        except LinearSolveError as err:
+            err.best = u
+            err.stats = SolveStats(len(steps), res, history, steps, False)
+            raise
 
         t = 1.0
         for _halve in range(31):
@@ -677,8 +672,9 @@ def continuation_solve(spec: ProblemSpec, mesh=None) -> SolveReport:
     built, so a :class:`HypothesisError` comes after meshing.  A failure in
     :data:`SOLVE_ERRORS`, meshing included (a ``mesh.h`` below the triangle
     cap is a ``ParameterError``), is re-raised carrying ``report``: the eps
-    solves that finished, plus the failed one when Newton left a best
-    iterate, and ``failed_eps`` (None when no eps solve had started).
+    solves that finished, plus the failed one when Newton or one of its
+    linear solves left a best iterate, and ``failed_eps`` (None when no
+    eps solve had started).
     Either way the factor kept for the linear solves is released, and so
     is the flux kernel's exponent (p - 2)/2 kept on the quadrature context:
     the eps records read neither.

@@ -175,10 +175,11 @@ def run_demo(tmp_path, command, name):
         return cli_main([command, str(cfg)])
 
 
-# Newton steps, linear solves, SuperLU factorizations, flux-kernel misses
-# and Qhull calls of the two demo sweeps
-DEMO_COUNTS = [("sweep-eps", "square.cfg", (20, 21, 1, 34, 1)),
-               ("sweep-domain", "rounding.cfg", (85, 90, 5, 135, 8))]
+# Newton steps, linear solves, SuperLU factorizations, SuperLU solve calls,
+# L/U reads, flux-kernel misses and Qhull calls of the two demo sweeps; no
+# L or U is read, since the certificate proves each factored matrix SPD
+DEMO_COUNTS = [("sweep-eps", "square.cfg", (20, 21, 1, 114, 0, 34, 1)),
+               ("sweep-domain", "rounding.cfg", (85, 90, 5, 563, 0, 135, 8))]
 
 
 @pytest.mark.parametrize("command,name,want", DEMO_COUNTS,
@@ -190,9 +191,10 @@ def test_demo_work_counts(bench_record, monkeypatch, tmp_path, command, name,
     _isolate(monkeypatch)
     with bench_record.counting() as counts:
         assert run_demo(tmp_path, command, name) == 0
-    solver = counts["solver"]
+    solver, lu = counts["solver"], counts["lu"]
     assert (solver["newton_steps"], solver["linear_solves"],
-            counts["lu"]["factorizations"], counts["kernel"]["flux_misses"],
+            lu["factorizations"], lu["solves"], lu["lu_reads"],
+            counts["kernel"]["flux_misses"],
             counts["delaunay"]["calls"]) == want
 
 

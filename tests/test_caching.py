@@ -205,6 +205,32 @@ def test_factorizations_do_not_grow_with_eps_steps(monkeypatch):
     assert short_splu == long_splu
 
 
+def test_only_a_factorization_copies_to_csc(monkeypatch):
+    # the CSR interior blocks go to CG and products as they are; a CSC
+    # copy is made only for SuperLU
+    import scipy.sparse
+
+    copies, factorizations = [], []
+    csc, factor = scipy.sparse.csc_matrix, plapx.solver._factor
+
+    def counted_csc(*args, **kw):
+        copies.append(1)
+        return csc(*args, **kw)
+
+    def counted_factor(A):
+        factorizations.append(A.shape)
+        return factor(A)
+
+    monkeypatch.setattr(scipy.sparse, "csc_matrix", counted_csc)
+    monkeypatch.setattr(plapx.solver, "_factor", counted_factor)
+    spec = ProblemSpec(domain=SQUARE, p=ExponentField.constant(1.7), f=1.0,
+                       g=0.0, q=ExponentField.constant(4.0), eps_start=1.0,
+                       eps_stop=1e-6, eps_factor=0.1, mesh_h=0.1)
+    continuation_solve(spec, mesh=triangulate_convex(SQUARE, 0.1))
+    assert len(factorizations) == 1
+    assert len(copies) == len(factorizations)
+
+
 def test_backward_error_acceptance_keeps_no_factor(monkeypatch):
     """p = 1.05, f = 20: nearly every Newton system misses the 1e-12
     residual and is accepted on its backward error.  Such a solve keeps no
@@ -218,9 +244,9 @@ def test_backward_error_acceptance_keeps_no_factor(monkeypatch):
         splu_calls.append(A.shape)
         return splu(A, **kw)
 
-    def counted_error(A, b, x):
+    def counted_error(A, b, x, r):
         accepted.append(len(b))
-        return backward_error(A, b, x)
+        return backward_error(A, b, x, r)
 
     monkeypatch.setattr(plapx.solver.spla, "splu", counted_splu)
     monkeypatch.setattr(plapx.solver, "_backward_error", counted_error)

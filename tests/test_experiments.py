@@ -866,6 +866,40 @@ def test_cli_linear_solve_failure_keeps_csv_and_sidecar(tmp_path, capsys):
         assert reason.startswith("no convergence at eps=")
 
 
+def test_cli_linear_solve_failure_inside_newton_keeps_the_failed_eps(
+        tmp_path, capsys, monkeypatch):
+    # a LinearSolveError in a Newton correction leaves the last accepted
+    # iterate, recorded as the failed eps's row like a NewtonError's
+    import plapx.solver
+    from plapx.solver import LinearSolveError
+
+    real, calls = plapx.solver.linear_solve, []
+
+    def fails_second(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 2:
+            raise LinearSolveError("could not reach relative residual 1e-12 "
+                                   "(SuperLU failed: MemoryError: )")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(plapx.solver, "linear_solve", fails_second)
+    demo = os.path.join(os.path.dirname(__file__), "..", "demos", "square.cfg")
+    with open(demo, encoding="utf-8") as fh:
+        lines = [line for line in fh.read().splitlines()
+                 if not line.startswith(("mesh.h", "output.path"))]
+    path = tmp_path / "square.cfg"
+    path.write_text("\n".join(lines + [
+        "mesh.h = 0.3", f"output.path = {tmp_path / 'cli_out.csv'}"]) + "\n",
+        encoding="utf-8")
+    assert cli_main(["sweep-eps", str(path)]) == 1
+    assert "failure:" in capsys.readouterr().err
+    side = json.loads((tmp_path / "cli_out.csv.json").read_text())
+    assert [item["eps"] for item in side["failures"]] == [1.0]
+    assert "SuperLU failed" in side["failures"][0]["reason"]
+    rows = (tmp_path / "cli_out.csv").read_text().splitlines()[1:]
+    assert len(rows) == 1 and float(rows[0].split(",")[0]) == 1.0
+
+
 def test_cli_unmeshable_domain_member_is_recorded(tmp_path, capsys,
                                                   monkeypatch):
     import plapx.experiments

@@ -377,7 +377,7 @@ def test_identity_rejects_nonvanishing_boundary():
 def test_scaling_fit_recovers_synthetic_power_law():
     p1 = np.array([1.5, 1.25, 1.1, 1.05])
     h2 = 2.7 * (p1 - 1.0) ** -0.8
-    rep = p1_scaling_report(p1, h2, kappa=1.0)
+    rep = p1_scaling_report(p1, h2)
     assert not rep.degenerate
     assert rep.slope == pytest.approx(0.8, abs=1e-12)
     assert rep.intercept == pytest.approx(math.log(2.7), abs=1e-12)
