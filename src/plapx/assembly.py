@@ -167,7 +167,7 @@ def _gradient_data(u: P1Function, p, eps, qctx: QuadratureContext):
             and not (isinstance(p, np.ndarray) and p.flags.writeable)):
         return hit[3:]
     gu = u.triangle_gradients()
-    pv = field_values(p, qctx.x, qctx.y)
+    pv = qctx.values(p)
     _check_finite(pv, qctx, "exponent")
     half = _half_exponent(pv, qctx)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
@@ -225,7 +225,7 @@ def _vertex_sum(mesh, local):
 
 def assemble_load(f, qctx: QuadratureContext):
     """Load vector (integral of f phi_i) over all vertices."""
-    fv = field_values(f, qctx.x, qctx.y)
+    fv = qctx.values(f)
     _check_finite(fv, qctx, "source")
     local = np.einsum("tq,qi->ti", qctx.weights * fv, qctx.bary)
     return _vertex_sum(qctx.mesh, local)

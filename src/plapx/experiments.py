@@ -475,11 +475,12 @@ def l2_h1_errors(u, exact, qctx=None):
     if qctx is None:
         qctx = QuadratureContext(u.mesh)
     uv = u.quadrature_values(qctx)
-    ev = field_values(exact, qctx.x, qctx.y)
+    x, y = qctx.x, qctx.y
+    ev = field_values(exact, x, y)
     l2sq = float(np.sum(qctx.weights * (uv - ev) ** 2))
     gu = u.triangle_gradients()
-    gex = field_values(exact.diff("x"), qctx.x, qctx.y)
-    gey = field_values(exact.diff("y"), qctx.x, qctx.y)
+    gex = field_values(exact.diff("x"), x, y)
+    gey = field_values(exact.diff("y"), x, y)
     semsq = float(np.sum(qctx.weights * ((gu[:, 0:1] - gex) ** 2
                                          + (gu[:, 1:2] - gey) ** 2)))
     return math.sqrt(l2sq), math.sqrt(l2sq + semsq)

@@ -501,8 +501,9 @@ class P1Pattern:
         self.scatter = scatter.astype(np.int32)
         rows, cols = np.divmod(keys, n)
         inside = ~mesh.is_boundary
-        self.interior = np.flatnonzero(inside)
-        self.interior_slots = np.flatnonzero(inside[rows] & inside[cols])
+        self.interior = np.flatnonzero(inside).astype(np.int32)
+        self.interior_slots = np.flatnonzero(
+            inside[rows] & inside[cols]).astype(np.int32)
         renumber = np.cumsum(inside) - 1
         sub = self.interior_slots
         self.indptr, self.indices = _csr_index(rows, cols, n)

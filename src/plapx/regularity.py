@@ -145,18 +145,31 @@ def default_window(domain, spacing):
     lo, hi = domain.bounding_box()
     half = 0.5 * (hi - lo)
     corners_dir = np.array([(-1, -1), (-1, 1), (1, -1), (1, 1)], dtype=float)
+    d = corners_dir * half
+    # the signed distance of the corner c + alpha d from each edge line is
+    # linear in the scale alpha: start + alpha slope, edges by rows
+    ax, ay, ex, ey, elen, _ = domain._edges
+    start = (ex * (c[1] - ay) - ey * (c[0] - ax)) / elen
+    slope = (ex * d[:, 1] - ey * d[:, 0]) / elen
 
     def max_extent(req_margin):
         def fits(alpha):
-            pts = c + alpha * corners_dir * half
+            pts = c + alpha * d
             return bool(np.all(domain.line_distance(pts) >= req_margin))
 
         if not fits(1e-6):
             return None
+        # from alpha = 1e-6, which fits, the corners fit up to the first
+        # scale at which one reaches the margin of an edge line it
+        # approaches; the bisection calls fits only near that root, where
+        # rounding may decide
+        root = float(np.min(np.divide(
+            start - req_margin, -slope,
+            out=np.full(slope.shape, np.inf), where=slope < 0)))
         lo_a, hi_a = 1e-6, 1.0
         for _ in range(48):
             mid = 0.5 * (lo_a + hi_a)
-            if fits(mid):
+            if fits(mid) if abs(mid - root) <= 1e-9 else mid < root:
                 lo_a = mid
             else:
                 hi_a = mid
@@ -228,7 +241,7 @@ def lp_gradient_norm(u: P1Function, p: ExponentField,
     """Luxemburg norm of |grad u| with the variable exponent."""
     g = u.triangle_gradients()
     gn = np.hypot(g[:, 0], g[:, 1])
-    vals = np.broadcast_to(gn[:, None], qctx.x.shape)
+    vals = np.broadcast_to(gn[:, None], qctx.weights.shape)
     return luxemburg_norm(vals, p, qctx)
 
 
@@ -277,8 +290,9 @@ def integrability_split_report(u: P1Function, p: ExponentField, f,
                                qctx: QuadratureContext) -> SplitReport:
     """Compare the direct weighted-source L2 norm on {p < 2} against the
     Hoelder-split bound 2 |f|_(f_exp) |v^(2-p)|_(w_exp)."""
-    pv = field_values(p, qctx.x, qctx.y)
-    qv = field_values(q, qctx.x, qctx.y)
+    x, y = qctx.x, qctx.y
+    pv = field_values(p, x, y)
+    qv = field_values(q, x, y)
     mask = (pv < 2.0).astype(float)
     meas = float(np.sum(qctx.weights * mask))
     if meas == 0.0:
@@ -309,8 +323,8 @@ def integrability_split_report(u: P1Function, p: ExponentField, f,
     g = u.triangle_gradients()
     gn2 = np.einsum("td,td->t", g, g)
     v = np.sqrt(gn2[:, None] + eps)
-    v = np.broadcast_to(v, qctx.x.shape)
-    fv = field_values(f, qctx.x, qctx.y)
+    v = np.broadcast_to(v, qctx.weights.shape)
+    fv = field_values(f, x, y)
     weight = v ** (2.0 - pv)
 
     two = ExponentField.constant(2.0)

@@ -558,9 +558,12 @@ class DiscreteProblem:
     @classmethod
     def build(cls, spec: ProblemSpec, mesh):
         qctx = QuadratureContext(mesh)
-        fv = field_values(spec.f, qctx.x, qctx.y)
+        # the node coordinates, formed once for f and p (a mollified p's
+        # cache matches them by bits) and dropped with the build
+        x, y = qctx.x, qctx.y
+        fv = field_values(spec.f, x, y)
         load = assemble_load(fv, qctx)
-        pv = field_values(spec.p, qctx.x, qctx.y)
+        pv = field_values(spec.p, x, y)
         _check_finite(pv, qctx, "exponent")
         bnd = mesh.is_boundary
         g_boundary = field_values(spec.g, mesh.points[bnd, 0],
@@ -687,9 +690,11 @@ def continuation_solve(spec: ProblemSpec, mesh=None) -> SolveReport:
         if mesh is None:
             mesh = triangulate_convex(spec.domain, spec.mesh_h)
         problem = DiscreteProblem.build(spec, mesh)
-        stiff = weighted_stiffness(P1Function.zero(mesh), 2.0, 1.0,
-                                   problem.qctx)
-        u = problem.solve_reduced(stiff, problem.load, problem.g_boundary)
+        # no name keeps the Poisson operator: it is freed once solved, and
+        # its factor, kept in problem.lagged, holds all it gives later steps
+        u = problem.solve_reduced(
+            weighted_stiffness(P1Function.zero(mesh), 2.0, 1.0, problem.qctx),
+            problem.load, problem.g_boundary)
         # the coefficients of the solution one eps back, never the Poisson
         # start; only the array is kept, not what its P1Function caches
         prev = None
@@ -727,9 +732,10 @@ def validate_spec(spec: ProblemSpec, qctx: QuadratureContext, pv, fv):
     w = qctx.weights
     if np.min(pv) <= 1.0 or spec.p.p1 <= 1.0:
         k = np.unravel_index(np.argmin(pv), pv.shape)
+        x, y = qctx.node(k)
         raise HypothesisError(
             f"exponent reaches {min(pv[k], spec.p.p1):.6g} <= 1 (least at a "
-            f"node: {pv[k]:.6g} at ({qctx.x[k]:.6g}, {qctx.y[k]:.6g}))")
+            f"node: {pv[k]:.6g} at ({x:.6g}, {y:.6g}))")
     warnings = []
     fv = np.abs(fv)
     active_above = (pv > 2.0) & (fv > 1e-12 * max(1.0, np.max(fv)))

@@ -71,26 +71,60 @@ def _degree4_rule():
 
 
 class QuadratureContext:
-    """Physical quadrature points and weights for a whole mesh.
+    """Quadrature weights for a whole mesh, and its nodes on demand.
 
-    ``points`` has shape (triangles, nodes, 2) and ``weights`` (triangles,
-    nodes); weights are positive and sum to the mesh area.
+    ``weights`` has shape (triangles, nodes); weights are positive and sum
+    to the mesh area.  The node coordinates are not kept: ``x`` and ``y``
+    (triangles, nodes) and ``points`` (triangles, nodes, 2) form them from
+    ``bary`` and the triangle corners on each read, with the bits of
+    ``einsum("qi,tid->tqd", bary, corners)``, so every read gives the same
+    bits.  Only a field that is not an array of node values needs them.
     """
 
     def __init__(self, mesh):
         bary, ref_w = _degree4_rule()
         self.mesh = mesh
         self.bary = bary
-        corners = mesh.points[mesh.triangles]
-        self.points = np.einsum("qi,tid->tqd", bary, corners)
         self.weights = 2.0 * mesh.areas[:, None] * ref_w[None, :]
-        self.x = self.points[..., 0]
-        self.y = self.points[..., 1]
-        for arr in (self.points, self.weights, self.x, self.y):
-            arr.setflags(write=False)
+        self.weights.setflags(write=False)
         # (pv, (pv - 2) / 2) of the flux kernel's last read-only exponent
         # array, set by plapx.assembly
         self.kernel_exponent = None
+
+    def _coordinate(self, d, t=slice(None)):
+        """Coordinate d of the nodes of triangles t: the corners weighted
+        by ``bary``, summed over the corners in order as einsum does."""
+        c = self.mesh.points[self.mesh.triangles[t], d][..., None]
+        b = self.bary
+        return (b[:, 0] * c[..., 0, :] + b[:, 1] * c[..., 1, :]
+                + b[:, 2] * c[..., 2, :])
+
+    @property
+    def x(self):
+        return self._coordinate(0)
+
+    @property
+    def y(self):
+        return self._coordinate(1)
+
+    @property
+    def points(self):
+        return np.stack([self.x, self.y], axis=-1)
+
+    def node(self, index):
+        """(x, y) of the one node ``index`` = (triangle, node)."""
+        t, q = index
+        return float(self._coordinate(0, t)[q]), float(
+            self._coordinate(1, t)[q])
+
+    def values(self, f):
+        """f at the nodes, as :func:`field_values` gives it.  For an array
+        of node values or a number, field_values reads only the shape of
+        the nodes, which the weights have; any other field is evaluated at
+        node coordinates formed for this call."""
+        if isinstance(f, (np.ndarray, int, float)):
+            return field_values(f, self.weights, None)
+        return field_values(f, self.x, self.y)
 
 
 def field_values(f, x, y):
@@ -122,9 +156,8 @@ def field_values(f, x, y):
 def _check_finite(vals, qctx, what):
     bad = ~np.isfinite(vals)
     if np.any(bad):
-        idx = tuple(np.argwhere(bad)[0])
         raise EvaluationError(f"non-finite {what} value",
-                              qctx.x[idx], qctx.y[idx])
+                              *qctx.node(np.argwhere(bad)[0]))
 
 
 @dataclass
@@ -206,9 +239,9 @@ def _central_gradient(f, x, y, h):
 
 def _integrand(u, p, qctx, mask):
     """|u| and p at the quadrature nodes, and the (masked) weights."""
-    vals = np.abs(field_values(u, qctx.x, qctx.y))
+    vals = np.abs(qctx.values(u))
     _check_finite(vals, qctx, "integrand")
-    pv = field_values(p, qctx.x, qctx.y)
+    pv = qctx.values(p)
     _check_finite(pv, qctx, "exponent")
     if mask is None:
         return vals, pv, qctx.weights
@@ -299,17 +332,14 @@ def holder_check(f, g, p: ExponentField, q: ExponentField, s: ExponentField,
 
     Requires 1/p + 1/q = 1/s pointwise (to 1e-12) at the quadrature nodes.
     """
-    pv = field_values(p, qctx.x, qctx.y)
-    qv = field_values(q, qctx.x, qctx.y)
-    sv = field_values(s, qctx.x, qctx.y)
+    pv, qv, sv = (qctx.values(e) for e in (p, q, s))
     err = np.abs(1.0 / pv + 1.0 / qv - 1.0 / sv)
     worst = np.unravel_index(np.argmax(err), err.shape)
     if err[worst] > 1e-12:
         raise PreconditionError(
             f"exponents are not conjugate: |1/p + 1/q - 1/s| = "
-            f"{err[worst]:.3e}", qctx.x[worst], qctx.y[worst])
-    fv = field_values(f, qctx.x, qctx.y)
-    gv = field_values(g, qctx.x, qctx.y)
+            f"{err[worst]:.3e}", *qctx.node(worst))
+    fv, gv = qctx.values(f), qctx.values(g)
     lhs = luxemburg_norm(fv * gv, s, qctx)
     rhs = 2.0 * luxemburg_norm(fv, p, qctx) * luxemburg_norm(gv, q, qctx)
     return HolderCheck(lhs, rhs, bool(lhs <= rhs + 1e-9))

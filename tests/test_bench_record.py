@@ -161,6 +161,17 @@ def test_count_kernel_counts_flux_misses_and_luxemburg_evaluations(
                                 "luxemburg_evaluations": 21}
 
 
+def test_count_records_the_tracemalloc_peak(bench_record, monkeypatch):
+    import tracemalloc
+
+    record = _count(bench_record, monkeypatch)
+    assert not tracemalloc.is_tracing()
+    # numpy's allocations are traced too: one run of the mollified solve
+    # peaks near 2.1 MB
+    peak = record["memory"]["tracemalloc_peak_bytes"]
+    assert isinstance(peak, int) and 1_000_000 < peak < 4_000_000
+
+
 def run_demo(tmp_path, command, name):
     """``plapx command demos/name`` with its output moved to tmp_path."""
     from plapx.cli import main as cli_main

@@ -36,6 +36,48 @@ def test_quadrature_degree_4_exactness(a, b):
     assert got == pytest.approx(1.0 / ((a + 1) * (b + 1)), rel=1e-13)
 
 
+@pytest.mark.parametrize("kind", ["square", "refined-rounded"])
+def test_quadrature_nodes_formed_on_read_with_einsum_bits(kind):
+    if kind == "square":
+        mesh = triangulate_convex(SQUARE, 0.05)
+    else:
+        mesh = refine_uniform(triangulate_convex(round_corners(SQUARE, 0.2),
+                                                 0.1))
+    qctx = QuadratureContext(mesh)
+    # no (triangles, nodes, 2) array and no coordinate array is kept
+    kept = {name: v.shape for name, v in vars(qctx).items()
+            if isinstance(v, np.ndarray)}
+    assert kept == {"bary": (6, 3), "weights": (mesh.n_triangles, 6)}
+    want = np.einsum("qi,tid->tqd", qctx.bary, mesh.points[mesh.triangles])
+
+    def bits(a):
+        return np.ascontiguousarray(a).view(np.uint64)
+
+    for _ in range(2):
+        np.testing.assert_array_equal(bits(qctx.x), bits(want[..., 0]))
+        np.testing.assert_array_equal(bits(qctx.y), bits(want[..., 1]))
+        np.testing.assert_array_equal(bits(qctx.points), bits(want))
+    t = mesh.n_triangles // 2
+    assert qctx.node((t, 4)) == tuple(want[t, 4])
+
+
+def test_node_values_need_no_coordinates(monkeypatch):
+    qctx = square_qctx(0.2)
+    pv = 1.5 + 0.2 * qctx.x
+    u = np.abs(qctx.y - 0.5)
+
+    def unread(*args):
+        raise AssertionError("node coordinates formed")
+
+    monkeypatch.setattr(QuadratureContext, "_coordinate", unread)
+    assert qctx.values(pv) is pv
+    np.testing.assert_array_equal(qctx.values(2.5),
+                                  np.full(qctx.weights.shape, 2.5))
+    assert luxemburg_norm(u, pv, qctx) > 0.0
+    with pytest.raises(ValueError, match="does not match"):
+        qctx.values(pv[:, :3])
+
+
 def test_modular_constant_exact():
     qctx = square_qctx(0.25)
     p = ExponentField.constant(3.0)

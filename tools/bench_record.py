@@ -27,9 +27,11 @@ one forward and one backward triangular solve) and the reads of a factor's
 keeps them on the factor); under ``delaunay``, the Qhull calls and the
 points they triangulate; under ``solver``, the Newton steps and linear
 solves; under ``kernel``, the flux-kernel misses and the Luxemburg modular
-evaluations.  BLAS runs on one thread and ``PLAPX_THREADS`` is set as
-perfbench sets it.  ``build`` copies one such file per side into each
-workload's ``counts``.
+evaluations.  Under ``memory`` it records the run's ``tracemalloc`` peak:
+the most bytes that Python and numpy allocations held at once, which does
+not depend on the machine's allocator.  BLAS runs on one thread and
+``PLAPX_THREADS`` is set as perfbench sets it.  ``build`` copies one such
+file per side into each workload's ``counts``.
 
 ``ladder`` meshes every (domain, h) pair of ``LADDER_DOMAINS`` x
 ``LADDER_H`` with the plapx sources under ``DIR/src``, under
@@ -56,6 +58,7 @@ import sys
 import tempfile
 import threading
 import time
+import tracemalloc
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 END_TO_END = ("wall_s", "cpu_s", "setup_s", "peak_rss_mb")
@@ -312,8 +315,8 @@ def counting():
 
 def count_record(root, names=None):
     """Per workload in ``names`` (default: all), one run at seed 1 under
-    :func:`counting`: its counts, and whether the outputs passed the
-    checks."""
+    :func:`counting` and ``tracemalloc``: its counts, its traced peak in
+    bytes, and whether the outputs passed the checks."""
     _import_sources(os.path.abspath(root))
     import workloads
 
@@ -325,15 +328,23 @@ def count_record(root, names=None):
                        "points they triangulate; solver: Newton steps of "
                        "the fixed-eps solves that return, and linear "
                        "solves; kernel: flux-kernel misses and Luxemburg "
-                       "modular evaluations; one run per workload, seed 1")}
+                       "modular evaluations; memory: the tracemalloc peak "
+                       "of the run in bytes (Python and numpy allocations); "
+                       "one run per workload, seed 1")}
     for name in names or workloads.WORKLOADS:
         wl = workloads.WORKLOADS[name]
         os.environ["PLAPX_THREADS"] = str(wl.threads)
         with counting() as counts, tempfile.TemporaryDirectory() as workdir:
-            outcome = workloads.run(workloads.Inputs(wl, 1, workdir))
+            tracemalloc.start()
+            try:
+                outcome = workloads.run(workloads.Inputs(wl, 1, workdir))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
             problems = workloads.check(outcome, wl,
                                        workloads.load_reference())
-        result[name] = dict(counts, correct=not problems)
+        result[name] = dict(counts, memory={"tracemalloc_peak_bytes": peak},
+                            correct=not problems)
         print(f"{name}: {result[name]}", file=sys.stderr)
     return result
 
@@ -407,8 +418,8 @@ def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     sub = ap.add_subparsers(dest="command", required=True)
     for name, text in (
-            ("count", "count factorizations, solves, Qhull calls and "
-                      "kernel misses"),
+            ("count", "count factorizations, solves, Qhull calls, "
+                      "kernel misses and the tracemalloc peak"),
             ("ladder", "mesh the domain ladder: digests and Qhull calls")):
         runs = sub.add_parser(name, help=text)
         runs.add_argument("--root", default=ROOT)
