@@ -139,29 +139,15 @@ def _check_eps(eps, allow_zero=False):
         raise ValueError(f"eps must lie in (0, 1], got {eps}")
 
 
-def _half_exponent(pv, qctx):
-    """(p - 2) / 2 at the nodes of qctx: the power of v2 in the flux
-    kernel.  Kept read-only on qctx for the last read-only ``pv``, matched
-    by identity, so a solve derives it once."""
-    kept = qctx.kernel_exponent
-    if kept is not None and kept[0] is pv:
-        return kept[1]
-    half = 0.5 * (pv - 2.0)
-    if not pv.flags.writeable:
-        half.setflags(write=False)
-        qctx.kernel_exponent = (pv, half)
-    return half
-
-
 def _gradient_data(u: P1Function, p, eps, qctx: QuadratureContext):
     """The flux kernel of the iterate u: gu, v2 = eps + |gu|^2, pv = p at
     the nodes, s1 = sum_q w v^(p-2) and s2 = sum_q w (p-2) v^(p-2).  Kept on
     u for the last (p, eps, qctx), matched by identity (never on a writable
     array p); for an array p, pv is p and the entry adds per-triangle
-    arrays only.  A miss takes one power of v2 at the nodes and two
-    weighted sums over them.  pv and v2 are checked finite on every miss,
-    and s1 and s2 for eps > 0; at eps = 0 flat triangles make them infinite
-    (unread)."""
+    arrays only.  A miss derives (p - 2)/2 at the nodes, takes one power
+    of v2 there and two weighted sums over them.  pv and v2 are checked
+    finite on every miss, and s1 and s2 for eps > 0; at eps = 0 flat
+    triangles make them infinite (unread)."""
     hit = u._flux
     if (hit is not None and hit[0] is p and hit[1] == eps and hit[2] is qctx
             and not (isinstance(p, np.ndarray) and p.flags.writeable)):
@@ -169,7 +155,7 @@ def _gradient_data(u: P1Function, p, eps, qctx: QuadratureContext):
     gu = u.triangle_gradients()
     pv = qctx.values(p)
     _check_finite(pv, qctx, "exponent")
-    half = _half_exponent(pv, qctx)
+    half = 0.5 * (pv - 2.0)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         # |gu|^2 as explicit products in einsum's order: the same bits
         v2 = (gu[:, 0] * gu[:, 0] + gu[:, 1] * gu[:, 1]) + eps
@@ -179,9 +165,8 @@ def _gradient_data(u: P1Function, p, eps, qctx: QuadratureContext):
         s2 = 2.0 * np.einsum("tq,tq,tq->t", qctx.weights, half, vpow)
     checked = {"v2": v2, "s1": s1, "s2": s2} if eps > 0 else {"v2": v2}
     for name, vals in checked.items():
-        if not np.isfinite(vals).all():
-            # named at the first quadrature node of the first bad triangle
-            _check_finite(vals[:, None], qctx, f"flux kernel {name}")
+        # named at the first quadrature node of the first bad triangle
+        _check_finite(vals[:, None], qctx, f"flux kernel {name}")
     data = (gu, v2, pv, s1, s2)
     u._flux = (p, eps, qctx) + data
     return data

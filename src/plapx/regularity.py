@@ -145,31 +145,18 @@ def default_window(domain, spacing):
     lo, hi = domain.bounding_box()
     half = 0.5 * (hi - lo)
     corners_dir = np.array([(-1, -1), (-1, 1), (1, -1), (1, 1)], dtype=float)
-    d = corners_dir * half
-    # the signed distance of the corner c + alpha d from each edge line is
-    # linear in the scale alpha: start + alpha slope, edges by rows
-    ax, ay, ex, ey, elen, _ = domain._edges
-    start = (ex * (c[1] - ay) - ey * (c[0] - ax)) / elen
-    slope = (ex * d[:, 1] - ey * d[:, 0]) / elen
 
     def max_extent(req_margin):
         def fits(alpha):
-            pts = c + alpha * d
+            pts = c + alpha * corners_dir * half
             return bool(np.all(domain.line_distance(pts) >= req_margin))
 
         if not fits(1e-6):
             return None
-        # from alpha = 1e-6, which fits, the corners fit up to the first
-        # scale at which one reaches the margin of an edge line it
-        # approaches; the bisection calls fits only near that root, where
-        # rounding may decide
-        root = float(np.min(np.divide(
-            start - req_margin, -slope,
-            out=np.full(slope.shape, np.inf), where=slope < 0)))
         lo_a, hi_a = 1e-6, 1.0
         for _ in range(48):
             mid = 0.5 * (lo_a + hi_a)
-            if fits(mid) if abs(mid - root) <= 1e-9 else mid < root:
+            if fits(mid):
                 lo_a = mid
             else:
                 hi_a = mid

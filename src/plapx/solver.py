@@ -540,11 +540,12 @@ class DiscreteProblem:
     Built once per continuation solve: the quadrature context, p at its
     nodes (``pv``), the load vector (f and p checked finite here, once) and
     the Dirichlet values at the boundary vertices, all read-only, and the
-    ``warnings`` of :func:`validate_spec`, which checks p and f at the
-    nodes while f's values are still at hand; they are not kept.  The mesh
-    caches basis gradients and the P1 pattern, each iterate what it
-    determines (see :class:`P1Function`).  ``lagged`` holds the factor that
-    preconditions every linear solve after the first.
+    ``warnings`` of :func:`validate_spec`, which checks p, f and q from
+    their values at the nodes, evaluated from one formation of the node
+    coordinates; f's and q's values are not kept.  The mesh caches basis
+    gradients and the P1 pattern, each iterate what it determines (see
+    :class:`P1Function`).  ``lagged`` holds the factor that preconditions
+    every linear solve after the first.
     """
 
     qctx: QuadratureContext
@@ -558,17 +559,18 @@ class DiscreteProblem:
     @classmethod
     def build(cls, spec: ProblemSpec, mesh):
         qctx = QuadratureContext(mesh)
-        # the node coordinates, formed once for f and p (a mollified p's
+        # the node coordinates, formed once for f, p and q (a mollified p's
         # cache matches them by bits) and dropped with the build
         x, y = qctx.x, qctx.y
         fv = field_values(spec.f, x, y)
         load = assemble_load(fv, qctx)
         pv = field_values(spec.p, x, y)
         _check_finite(pv, qctx, "exponent")
+        qv = field_values(spec.q, x, y)
         bnd = mesh.is_boundary
         g_boundary = field_values(spec.g, mesh.points[bnd, 0],
                                   mesh.points[bnd, 1])
-        warnings = validate_spec(spec, qctx, pv, fv)
+        warnings = validate_spec(spec, qctx, pv, fv, qv)
         for arr in (pv, load, g_boundary):
             arr.setflags(write=False)
         return cls(qctx, pv, load, g_boundary, tuple(warnings))
@@ -678,9 +680,8 @@ def continuation_solve(spec: ProblemSpec, mesh=None) -> SolveReport:
     solves that finished, plus the failed one when Newton or one of its
     linear solves left a best iterate, and ``failed_eps`` (None when no
     eps solve had started).
-    Either way the factor kept for the linear solves is released, and so
-    is the flux kernel's exponent (p - 2)/2 kept on the quadrature context:
-    the eps records read neither.
+    Either way the factor kept for the linear solves is released: the eps
+    records do not read it.
     """
     schedule = spec.eps_schedule()
     # None until the first eps solve starts: a failure while the problem is
@@ -718,14 +719,13 @@ def continuation_solve(spec: ProblemSpec, mesh=None) -> SolveReport:
     finally:
         if problem is not None:
             problem.lagged.lu = None
-            problem.qctx.kernel_exponent = None
     return SolveReport(spec.domain, mesh, problem, steps)
 
 
-def validate_spec(spec: ProblemSpec, qctx: QuadratureContext, pv, fv):
-    """Check the standing hypotheses where the solve evaluates: p and f
-    from their values ``pv`` and ``fv`` at the nodes of ``qctx``, and q
-    there.  p <= 1 at a node (or ``spec.p.p1`` <= 1) is a
+def validate_spec(spec: ProblemSpec, qctx: QuadratureContext, pv, fv, qv):
+    """Check the standing hypotheses where the solve evaluates: p, f and q
+    from their values ``pv``, ``fv`` and ``qv`` at the nodes of ``qctx``;
+    it evaluates no field.  p <= 1 at a node (or ``spec.p.p1`` <= 1) is a
     :class:`HypothesisError` naming the node, raised after meshing; a
     source active where p > 2, or q <= 2 where p <= 2, is a warning with
     its share of |Omega_h|.  :meth:`DiscreteProblem.build` calls it."""
@@ -744,7 +744,7 @@ def validate_spec(spec: ProblemSpec, qctx: QuadratureContext, pv, fv):
         warnings.append(
             f"source is nonzero where p > 2 on {100 * frac:.1f}% of the "
             "domain (degenerate-direction compatibility is lost there)")
-    bad_q = (pv <= 2.0) & (field_values(spec.q, qctx.x, qctx.y) <= 2.0)
+    bad_q = (pv <= 2.0) & (qv <= 2.0)
     if np.any(bad_q):
         frac = np.sum(w * bad_q) / np.sum(w)
         warnings.append(

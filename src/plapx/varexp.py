@@ -71,14 +71,15 @@ def _degree4_rule():
 
 
 class QuadratureContext:
-    """Quadrature weights for a whole mesh, and its nodes on demand.
+    """The degree-4 quadrature rule on a whole mesh: ``mesh``, the nodes'
+    barycentric coordinates ``bary`` and the ``weights``, nothing else.
 
     ``weights`` has shape (triangles, nodes); weights are positive and sum
     to the mesh area.  The node coordinates are not kept: ``x`` and ``y``
-    (triangles, nodes) and ``points`` (triangles, nodes, 2) form them from
-    ``bary`` and the triangle corners on each read, with the bits of
-    ``einsum("qi,tid->tqd", bary, corners)``, so every read gives the same
-    bits.  Only a field that is not an array of node values needs them.
+    (triangles, nodes) form them from ``bary`` and the triangle corners on
+    each read, with the bits of ``einsum("qi,tid->tqd", bary, corners)``,
+    so every read gives the same bits.  Only a field that is not an array
+    of node values needs them.
     """
 
     def __init__(self, mesh):
@@ -87,9 +88,6 @@ class QuadratureContext:
         self.bary = bary
         self.weights = 2.0 * mesh.areas[:, None] * ref_w[None, :]
         self.weights.setflags(write=False)
-        # (pv, (pv - 2) / 2) of the flux kernel's last read-only exponent
-        # array, set by plapx.assembly
-        self.kernel_exponent = None
 
     def _coordinate(self, d, t=slice(None)):
         """Coordinate d of the nodes of triangles t: the corners weighted
@@ -106,10 +104,6 @@ class QuadratureContext:
     @property
     def y(self):
         return self._coordinate(1)
-
-    @property
-    def points(self):
-        return np.stack([self.x, self.y], axis=-1)
 
     def node(self, index):
         """(x, y) of the one node ``index`` = (triangle, node)."""
@@ -154,10 +148,11 @@ def field_values(f, x, y):
 
 
 def _check_finite(vals, qctx, what):
-    bad = ~np.isfinite(vals)
-    if np.any(bad):
-        raise EvaluationError(f"non-finite {what} value",
-                              *qctx.node(np.argwhere(bad)[0]))
+    """Raise an :class:`EvaluationError` naming the first node (triangle,
+    node) of ``vals`` that is not finite."""
+    if not np.isfinite(vals).all():
+        raise EvaluationError(f"non-finite {what} value", *qctx.node(
+            np.argwhere(~np.isfinite(vals))[0]))
 
 
 @dataclass
@@ -407,13 +402,11 @@ class _MollifiedField:
         self._reach = radius + self._margin
         # the polyline's edge lines: start points and inward unit normals as
         # (E, 1) columns, and n_e . o for each offset (rows) and edge
-        a = domain.polyline
-        e = np.roll(a, -1, axis=0) - a
-        elen = np.hypot(e[:, 0], e[:, 1])
-        nx, ny = -e[:, 1] / elen, e[:, 0] / elen
-        self._lines = (a[:, 0, None], a[:, 1, None], nx[:, None], ny[:, None])
-        self._push = (self.offsets[:, 0, None] * nx
-                      + self.offsets[:, 1, None] * ny)
+        ax, ay, ex, ey, elen, _ = domain._edges
+        nx, ny = -ey / elen, ex / elen
+        self._lines = (ax, ay, nx, ny)
+        self._push = (self.offsets[:, 0, None] * nx.T
+                      + self.offsets[:, 1, None] * ny.T)
         # (x, y, values) of the last call, replaced in one assignment
         self._last = None
 

@@ -7,8 +7,7 @@ import scipy.special
 
 from plapx.assembly import P1Function
 from plapx.expressions import parse_field
-from plapx.geometry import (ConvexDomain, lattice_points, round_corners,
-                            triangulate_convex)
+from plapx.geometry import ConvexDomain, lattice_points, triangulate_convex
 from plapx.regularity import (CoefficientSample, PreconditionError,
                               SamplingError, coefficients,
                               curvature_identity_check, default_window,
@@ -138,75 +137,6 @@ def test_default_window_gives_up_on_tiny_domain():
     small = ConvexDomain([(0, 0), (0.01, 0), (0.01, 0.01), (0, 0.01)])
     with pytest.raises(SamplingError):
         default_window(small, 0.5)
-
-
-def bisection_window(domain, spacing):
-    """The window of ``default_window`` by plain bisection: every one of
-    the 48 midpoints is decided by ``line_distance``."""
-    poly = domain.polyline
-    x, y = poly[:, 0], poly[:, 1]
-    xn, yn = np.roll(x, -1), np.roll(y, -1)
-    cross = x * yn - xn * y
-    a = 0.5 * np.sum(cross)
-    c = np.array([np.sum((x + xn) * cross) / (6.0 * a),
-                  np.sum((y + yn) * cross) / (6.0 * a)])
-    lo, hi = domain.bounding_box()
-    half = 0.5 * (hi - lo)
-    corners_dir = np.array([(-1, -1), (-1, 1), (1, -1), (1, 1)], dtype=float)
-
-    def fits(alpha, margin):
-        pts = c + alpha * corners_dir * half
-        return bool(np.all(domain.line_distance(pts) >= margin))
-
-    s = float(spacing)
-    for _ in range(5):
-        if fits(1e-6, 2.0 * s):
-            lo_a, hi_a = 1e-6, 1.0
-            for _ in range(48):
-                mid = 0.5 * (lo_a + hi_a)
-                if fits(mid, 2.0 * s):
-                    lo_a = mid
-                else:
-                    hi_a = mid
-            ext = lo_a * half
-            nx = int(math.floor(2.0 * ext[0] / s)) + 1
-            ny = int(math.floor(2.0 * ext[1] / s)) + 1
-            if nx >= 3 and ny >= 3:
-                return ((c[0] - 0.5 * (nx - 1) * s,
-                         c[1] - 0.5 * (ny - 1) * s), s, nx, ny)
-        s *= 0.5
-    return None
-
-
-def test_default_window_matches_plain_bisection():
-    # a square, a 2 x 1 rectangle and a triangle, plain and rounded, over
-    # spacings from 0.005 to 0.3 and round values; the closed-form root
-    # decides most midpoints, and the windows keep their bits
-    bases = (SQUARE, ConvexDomain([(0, 0), (2, 0), (2, 1), (0, 1)]),
-             ConvexDomain([(0, 0), (1, 0), (0.3, 0.8)]))
-    domains = [dom for base in bases
-               for dom in (base, *(round_corners(base, r)
-                                   for r in (0.025, 0.1, 0.2)))]
-    spacings = [*np.geomspace(0.005, 0.3, 23), 0.05, 0.1, 0.15, 0.2, 0.25]
-    for dom in domains:
-        for s in spacings:
-            want = bisection_window(dom, s)
-            if want is None:
-                with pytest.raises(SamplingError):
-                    default_window(dom, s)
-            else:
-                assert default_window(dom, s) == want, (dom, s)
-
-
-def test_default_window_measures_only_near_the_root(monkeypatch):
-    dom = ConvexDomain.unit_square()
-    calls = []
-    real = dom.line_distance
-    monkeypatch.setattr(dom, "line_distance",
-                        lambda pts: calls.append(1) or real(pts))
-    assert default_window(dom, 0.02)[1:] == (0.02, 46, 46)
-    # the plain bisection measures 49 times: at 1e-6 and every midpoint
-    assert len(calls) <= 21
 
 
 # --- gradient recovery and H2 estimates -------------------------------------------

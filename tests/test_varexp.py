@@ -9,6 +9,7 @@ from plapx import geometry, varexp
 from plapx.expressions import parse_field
 from plapx.geometry import (ConvexDomain, refine_uniform, round_corners,
                             triangulate_convex)
+from plapx.solver import ProblemSpec, continuation_solve
 from plapx.varexp import (EvaluationError, ExponentField, PreconditionError,
                           QuadratureContext, field_values, holder_check,
                           luxemburg_norm, modular, mollify_exponent)
@@ -38,16 +39,21 @@ def test_quadrature_degree_4_exactness(a, b):
 
 @pytest.mark.parametrize("kind", ["square", "refined-rounded"])
 def test_quadrature_nodes_formed_on_read_with_einsum_bits(kind):
+    domain = SQUARE if kind == "square" else round_corners(SQUARE, 0.2)
     if kind == "square":
         mesh = triangulate_convex(SQUARE, 0.05)
     else:
-        mesh = refine_uniform(triangulate_convex(round_corners(SQUARE, 0.2),
-                                                 0.1))
+        mesh = refine_uniform(triangulate_convex(domain, 0.1))
     qctx = QuadratureContext(mesh)
-    # no (triangles, nodes, 2) array and no coordinate array is kept
-    kept = {name: v.shape for name, v in vars(qctx).items()
-            if isinstance(v, np.ndarray)}
-    assert kept == {"bary": (6, 3), "weights": (mesh.n_triangles, 6)}
+    # the rule and nothing else: no node coordinates, and no solve leaves
+    # state on the context
+    spec = ProblemSpec(domain=domain, p=ExponentField.constant(1.6), f=1.0,
+                       g=0.0, q=ExponentField.constant(4.0), eps_start=1.0,
+                       eps_stop=1.0, mesh_h=0.1)
+    for ctx in (qctx, continuation_solve(spec, mesh=mesh).problem.qctx):
+        assert set(vars(ctx)) == {"mesh", "bary", "weights"}
+        assert ctx.bary.shape == (6, 3)
+        assert ctx.weights.shape == (mesh.n_triangles, 6)
     want = np.einsum("qi,tid->tqd", qctx.bary, mesh.points[mesh.triangles])
 
     def bits(a):
@@ -56,7 +62,6 @@ def test_quadrature_nodes_formed_on_read_with_einsum_bits(kind):
     for _ in range(2):
         np.testing.assert_array_equal(bits(qctx.x), bits(want[..., 0]))
         np.testing.assert_array_equal(bits(qctx.y), bits(want[..., 1]))
-        np.testing.assert_array_equal(bits(qctx.points), bits(want))
     t = mesh.n_triangles // 2
     assert qctx.node((t, 4)) == tuple(want[t, 4])
 
